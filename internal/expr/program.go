@@ -43,6 +43,38 @@ const (
 	progNeg
 )
 
+// SlotTable numbers a set of variables into dense slots 0..Len()-1. A
+// sampling unit builds one table over its variables, in its own deterministic
+// key order, and compiles every expression it evaluates against that table,
+// so one []float64 of Len() values (slot order) is the whole possible world
+// the unit's programs read. Tables are immutable after construction and safe
+// for concurrent use.
+type SlotTable struct {
+	keys  []VarKey
+	index map[VarKey]int32
+}
+
+// NewSlotTable numbers keys in the order given (duplicates keep their first
+// slot). The slice is retained: callers must not modify it afterwards.
+func NewSlotTable(keys []VarKey) *SlotTable {
+	t := &SlotTable{keys: keys, index: make(map[VarKey]int32, len(keys))}
+	for i, k := range keys {
+		if _, dup := t.index[k]; !dup {
+			t.index[k] = int32(i)
+		}
+	}
+	return t
+}
+
+// Len returns the number of slots.
+func (t *SlotTable) Len() int { return len(t.keys) }
+
+// Slot returns the slot of k; ok is false when the table does not number k.
+func (t *SlotTable) Slot(k VarKey) (slot int, ok bool) {
+	s, ok := t.index[k]
+	return int(s), ok
+}
+
 // Program is a compiled expression: flat postfix instruction arrays plus a
 // constant pool and a variable slot table. Programs are immutable after
 // Compile and safe for concurrent use; evaluation scratch is caller-owned.
@@ -50,34 +82,59 @@ type Program struct {
 	ops    []progOp
 	args   []int32 // constant-pool or slot index per op (0 for arithmetic)
 	consts []float64
-	// keys maps variable slots to variable keys. Slot order is the first
-	// occurrence of each variable in postfix emission order — a pure
-	// function of the tree shape, never of map iteration.
+	// keys maps variable slots to variable keys: the caller's table for
+	// CompileSlots, first occurrence in postfix emission order for Compile —
+	// either way a pure function of the inputs, never of map iteration.
 	keys     []VarKey
-	slots    map[VarKey]int32
 	maxStack int
 }
 
-// Compile flattens e into a postfix program. It returns an error for
-// expression node types it does not recognize (callers fall back to the
-// tree walk) so a future Expr implementation can never be silently
-// mis-evaluated.
+// compiler carries the slot numbering through one compilation. With a fixed
+// table an unknown variable is an error; without one, slots are invented in
+// first-occurrence order.
+type compiler struct {
+	p     *Program
+	table *SlotTable       // nil: invent slots
+	own   map[VarKey]int32 // invented numbering (table == nil)
+	depth int
+}
+
+// Compile flattens e into a postfix program whose slots are numbered by first
+// occurrence in postfix emission order. The Expr node set is closed (Const,
+// Var, Bin, Neg); an unrecognized node or operator is an error, so a future
+// Expr implementation can never be silently mis-evaluated.
 func Compile(e Expr) (*Program, error) {
-	p := &Program{slots: map[VarKey]int32{}}
-	depth := 0
-	if err := p.compile(e, &depth); err != nil {
+	c := compiler{p: &Program{}, own: map[VarKey]int32{}}
+	if err := c.compile(e); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return c.p, nil
+}
+
+// CompileSlots flattens e against a caller-supplied slot numbering: the
+// program reads variable k from vals[t.Slot(k)] and NumSlots is t.Len(),
+// whichever of the table's variables e mentions. A variable the table does
+// not number is an error.
+func CompileSlots(e Expr, t *SlotTable) (*Program, error) {
+	c := compiler{p: &Program{keys: t.keys}, table: t}
+	if err := c.compile(e); err != nil {
+		return nil, err
+	}
+	return c.p, nil
 }
 
 // compile emits e in postorder, tracking the running stack depth.
-func (p *Program) compile(e Expr, depth *int) error {
+func (c *compiler) compile(e Expr) error {
+	p := c.p
 	switch t := e.(type) {
 	case Const:
-		p.emitPush(progConst, p.addConst(float64(t)), depth)
+		c.emitPush(progConst, p.addConst(float64(t)))
 	case Var:
-		p.emitPush(progVar, p.slot(t.V.Key), depth)
+		s, err := c.slot(t.V.Key)
+		if err != nil {
+			return err
+		}
+		c.emitPush(progVar, s)
 	case Bin:
 		var op progOp
 		switch t.Op {
@@ -92,17 +149,17 @@ func (p *Program) compile(e Expr, depth *int) error {
 		default:
 			return fmt.Errorf("expr: cannot compile operator %v", t.Op)
 		}
-		if err := p.compile(t.Left, depth); err != nil {
+		if err := c.compile(t.Left); err != nil {
 			return err
 		}
-		if err := p.compile(t.Right, depth); err != nil {
+		if err := c.compile(t.Right); err != nil {
 			return err
 		}
 		p.ops = append(p.ops, op)
 		p.args = append(p.args, 0)
-		*depth--
+		c.depth--
 	case Neg:
-		if err := p.compile(t.X, depth); err != nil {
+		if err := c.compile(t.X); err != nil {
 			return err
 		}
 		p.ops = append(p.ops, progNeg)
@@ -114,12 +171,13 @@ func (p *Program) compile(e Expr, depth *int) error {
 }
 
 // emitPush appends a push instruction and advances the stack-depth bound.
-func (p *Program) emitPush(op progOp, arg int32, depth *int) {
+func (c *compiler) emitPush(op progOp, arg int32) {
+	p := c.p
 	p.ops = append(p.ops, op)
 	p.args = append(p.args, arg)
-	*depth++
-	if *depth > p.maxStack {
-		p.maxStack = *depth
+	c.depth++
+	if c.depth > p.maxStack {
+		p.maxStack = c.depth
 	}
 }
 
@@ -136,16 +194,24 @@ func (p *Program) addConst(v float64) int32 {
 	return int32(len(p.consts) - 1)
 }
 
-// slot returns the variable slot for k, assigning the next slot on first
-// occurrence (postfix emission order — deterministic by construction).
-func (p *Program) slot(k VarKey) int32 {
-	if s, ok := p.slots[k]; ok {
-		return s
+// slot returns the variable slot for k: the table's numbering when one was
+// supplied, else the next free slot on first occurrence (postfix emission
+// order — deterministic by construction).
+func (c *compiler) slot(k VarKey) (int32, error) {
+	if c.table != nil {
+		s, ok := c.table.index[k]
+		if !ok {
+			return 0, fmt.Errorf("expr: variable %s is not in the slot table", k)
+		}
+		return s, nil
 	}
-	s := int32(len(p.keys))
-	p.keys = append(p.keys, k)
-	p.slots[k] = s
-	return s
+	if s, ok := c.own[k]; ok {
+		return s, nil
+	}
+	s := int32(len(c.p.keys))
+	c.p.keys = append(c.p.keys, k)
+	c.own[k] = s
+	return s, nil
 }
 
 // NumSlots returns the number of distinct variable slots.
@@ -158,23 +224,10 @@ func (p *Program) MaxStack() int { return p.maxStack }
 // must treat it as read-only.
 func (p *Program) Keys() []VarKey { return p.keys }
 
-// Gather copies the values of the program's variables out of an assignment
-// into slot order (unassigned variables become NaN, exactly as Var.Eval
-// reports them). vals must have NumSlots capacity.
-func (p *Program) Gather(a Assignment, vals []float64) {
-	for s, k := range p.keys {
-		if v, ok := a[k]; ok {
-			vals[s] = v
-		} else {
-			vals[s] = math.NaN()
-		}
-	}
-}
-
 // EvalSlots evaluates the program over slot-ordered variable values. stack
 // must have at least MaxStack elements; it is scratch, overwritten freely.
-// The result is bit-identical to the source tree's Eval under the gathered
-// assignment.
+// The result is bit-identical to the source tree's Eval under the assignment
+// vals encodes (an unassigned variable is a NaN slot, as Var.Eval reports it).
 func (p *Program) EvalSlots(vals, stack []float64) float64 {
 	sp := 0
 	for i, op := range p.ops {
@@ -202,15 +255,6 @@ func (p *Program) EvalSlots(vals, stack []float64) float64 {
 		}
 	}
 	return stack[0]
-}
-
-// Eval evaluates the program under an assignment (convenience path for
-// differential tests; hot paths gather once and use EvalSlots/EvalBatch).
-func (p *Program) Eval(a Assignment) float64 {
-	vals := make([]float64, len(p.keys))
-	stack := make([]float64, p.maxStack)
-	p.Gather(a, vals)
-	return p.EvalSlots(vals, stack)
 }
 
 // EvalBatch evaluates the program for samples [0, n) at once: cols[slot][i]

@@ -50,9 +50,21 @@ func randTree(r *prng.Rand, vars []*Variable, depth int) Expr {
 	}
 }
 
+// gather copies an assignment into the program's slot order; unassigned
+// variables become NaN slots, exactly as Var.Eval reports them.
+func gather(p *Program, a Assignment, vals []float64) {
+	for s, k := range p.Keys() {
+		if v, ok := a[k]; ok {
+			vals[s] = v
+		} else {
+			vals[s] = math.NaN()
+		}
+	}
+}
+
 // randAssignment draws values for the pool, leaving some variables
-// deliberately unassigned (Var.Eval reports those as NaN; the compiled
-// Gather must agree).
+// deliberately unassigned (Var.Eval reports those as NaN; a NaN slot must
+// agree).
 func randAssignment(r *prng.Rand, vars []*Variable) Assignment {
 	a := Assignment{}
 	for _, v := range vars {
@@ -78,8 +90,8 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// assertProgramMatchesTree compiles e and checks the scalar, assignment and
-// batch evaluation paths all reproduce the tree walk bit-for-bit under every
+// assertProgramMatchesTree compiles e and checks the scalar and batch
+// evaluation paths both reproduce the tree walk bit-for-bit under every
 // assignment in asns (one assignment per sample index for the batch path).
 func assertProgramMatchesTree(t *testing.T, e Expr, asns []Assignment) {
 	t.Helper()
@@ -96,13 +108,10 @@ func assertProgramMatchesTree(t *testing.T, e Expr, asns []Assignment) {
 	stack := make([]float64, p.MaxStack())
 	for i, a := range asns {
 		want := e.Eval(a)
-		if got := p.Eval(a); !sameBits(got, want) {
-			t.Fatalf("%s: Eval %v (bits %x), tree %v (bits %x)",
-				e, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-		p.Gather(a, vals)
+		gather(p, a, vals)
 		if got := p.EvalSlots(vals, stack); !sameBits(got, want) {
-			t.Fatalf("%s: EvalSlots %v, tree %v", e, got, want)
+			t.Fatalf("%s: EvalSlots %v (bits %x), tree %v (bits %x)",
+				e, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 		for s := range cols {
 			cols[s][i] = vals[s]
@@ -123,7 +132,7 @@ func assertProgramMatchesTree(t *testing.T, e Expr, asns []Assignment) {
 // hundreds of random trees (all operators, negation, NaN/±Inf/−0 literals,
 // shared and unassigned variables), each checked across a batch of random
 // assignments — compiled evaluation must equal the tree walk bit-for-bit at
-// every sample index, on all three evaluation paths.
+// every sample index, on both evaluation paths.
 func TestCompileProgramProperty(t *testing.T) {
 	vars := progVars(5)
 	r := prng.New(0xC0FFEE)
@@ -188,6 +197,41 @@ func TestCompileSlotOrderDeterministic(t *testing.T) {
 	}
 	if p1.String() != p2.String() {
 		t.Fatalf("recompilation diverged:\n%s\nvs\n%s", p1, p2)
+	}
+}
+
+// TestCompileSlotsUsesCallerTable asserts CompileSlots reads every variable
+// from the slot its caller's table assigns (not from an order of its own),
+// sizes NumSlots to the table, evaluates bit-identically to the tree walk,
+// and rejects a variable the table does not number.
+func TestCompileSlotsUsesCallerTable(t *testing.T) {
+	vars := progVars(4)
+	// Table order is unrelated to occurrence order, and numbers a variable
+	// (vars[3]) the expression never mentions.
+	table := NewSlotTable([]VarKey{vars[2].Key, vars[3].Key, vars[0].Key, vars[1].Key})
+	e := Bin{OpSub, Bin{OpMul, NewVar(vars[1]), NewVar(vars[0])}, Neg{NewVar(vars[2])}}
+	p, err := CompileSlots(e, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumSlots() != table.Len() {
+		t.Fatalf("NumSlots %d, want the table's %d", p.NumSlots(), table.Len())
+	}
+	a := Assignment{vars[0].Key: 3, vars[1].Key: -1.5, vars[2].Key: 0.25, vars[3].Key: 99}
+	vals := make([]float64, table.Len())
+	for k, v := range a {
+		s, ok := table.Slot(k)
+		if !ok {
+			t.Fatalf("table lost %v", k)
+		}
+		vals[s] = v
+	}
+	if got, want := p.EvalSlots(vals, make([]float64, p.MaxStack())), e.Eval(a); !sameBits(got, want) {
+		t.Fatalf("EvalSlots %v, tree %v", got, want)
+	}
+	small := NewSlotTable([]VarKey{vars[0].Key, vars[1].Key})
+	if _, err := CompileSlots(e, small); err == nil {
+		t.Fatal("a variable outside the slot table compiled")
 	}
 }
 

@@ -42,6 +42,13 @@ func NewKeyed(parts ...uint64) *Rand {
 	return New(MixKey(parts...))
 }
 
+// Reseed resets r in place to the stream New(seed) would produce, dropping
+// any cached Box–Muller spare. Hot loops keep one Rand value in their scratch
+// and reseed it per draw instead of allocating a generator per key.
+func (r *Rand) Reseed(seed uint64) {
+	*r = Rand{state: seed}
+}
+
 // MixKey hashes an arbitrary sequence of 64-bit key parts into a single
 // well-mixed 64-bit seed. It applies the splitmix64 finalizer between parts,
 // which is sufficient to decorrelate nearby keys (e.g. consecutive sample
@@ -49,10 +56,23 @@ func NewKeyed(parts ...uint64) *Rand {
 func MixKey(parts ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, p := range parts {
-		h ^= p + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h = mix64(h)
+		h = Mix1(h, p)
 	}
 	return h
+}
+
+// Mix1 extends a partially mixed key h by one more part: MixKey is the left
+// fold of Mix1 over its parts, so MixKey(a, b, c) == Mix1(MixKey(a, b), c).
+// A caller whose keys share a prefix mixes the prefix once and extends it
+// per draw with the fixed-arity Mix1/Mix2 — same seeds, no variadic slice.
+func Mix1(h, p uint64) uint64 {
+	h ^= p + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+	return mix64(h)
+}
+
+// Mix2 extends h by two parts: Mix2(h, a, b) == Mix1(Mix1(h, a), b).
+func Mix2(h, a, b uint64) uint64 {
+	return Mix1(Mix1(h, a), b)
 }
 
 // mix64 is the splitmix64 finalizer.

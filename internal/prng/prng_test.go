@@ -37,6 +37,26 @@ func TestMixKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNewKeyed pins the value-type reseed path to the allocating
+// one: a reused generator reseeded with a prefix-extended key must replay
+// NewKeyed's stream exactly, including after a cached Box–Muller spare.
+func TestReseedMatchesNewKeyed(t *testing.T) {
+	var r Rand
+	prefix := MixKey(11, 22, 33)
+	for i := uint64(0); i < 50; i++ {
+		want := NewKeyed(11, 22, 33, i, i*7)
+		r.Reseed(Mix2(prefix, i, i*7))
+		if Mix2(prefix, i, i*7) != Mix1(Mix1(prefix, i), i*7) {
+			t.Fatal("Mix2 is not two Mix1 steps")
+		}
+		for j := 0; j < 3; j++ { // odd count: leaves a spare cached for the next reseed
+			if got, w := r.NormFloat64(), want.NormFloat64(); got != w {
+				t.Fatalf("key %d draw %d: reseeded %v, NewKeyed %v", i, j, got, w)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(1)
 	for i := 0; i < 100000; i++ {

@@ -65,7 +65,7 @@ func (s *Sampler) forEachRowBatch(rows int, per func(sub *Sampler, row int) (flo
 	}
 	inner := s.withWorkers(innerWorkers)
 	results := make([]rowAggBatch, len(offs))
-	forEachBatch(s.cfg.Ctx, workers, len(offs), func(b int) {
+	forEachBatch(s.cfg.Ctx, workers, len(offs), func(_, b int) {
 		end := offs[b] + rowBatchSize
 		if end > rows {
 			end = rows
@@ -348,6 +348,17 @@ func VarianceFold(present []float64) float64 {
 	return variance
 }
 
+// histRow is one table row compiled for world sampling: its presence
+// condition and its target cell against the table frame's numbering.
+type histRow struct {
+	present *cond.ConditionProgram
+	// cell is the symbolic target's program; nil for a deterministic target,
+	// whose value is val — or, when bad is set, not a number at all.
+	cell *expr.Program
+	val  float64
+	bad  bool
+}
+
 // AggregateHistogram implements the expected_*_hist operators (§V-C): it
 // draws n complete worlds over every variable of the table and returns the
 // per-world aggregate values, suitable for histogram construction. Unlike
@@ -355,7 +366,9 @@ func VarianceFold(present []float64) float64 {
 // conditions act as presence indicators, and inter-row variable sharing is
 // honored exactly. Each world is a pure function of its index, so world
 // indices shard across the worker pool, every batch writing its own
-// disjoint slice of the output — no merge step is needed at all.
+// disjoint slice of the output — no merge step is needed at all. The
+// table's variables are numbered once and every row condition and symbolic
+// cell compiled against that numbering; each worker owns one scratch world.
 func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n int) ([]float64, error) {
 	if err := checkCol(tb, col); err != nil {
 		return nil, err
@@ -363,35 +376,68 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 	if n <= 0 {
 		return []float64{}, nil
 	}
-	vars := ctable.VarsOf(tb)
-	keys := sortedKeys(vars)
+	fr := newWorldFrame(ctable.VarsOf(tb), s.cfg.WorldSeed)
+	rows := make([]histRow, len(tb.Tuples))
+	nstack := 0
+	for r := range tb.Tuples {
+		t := &tb.Tuples[r]
+		present, err := cond.CompileCondition(t.Cond, fr.table)
+		if err != nil {
+			return nil, err
+		}
+		rows[r].present = present
+		nstack = max(nstack, present.MaxStack())
+		if v := t.Values[col]; v.IsSymbolic() {
+			cell, err := expr.CompileSlots(v.E, fr.table)
+			if err != nil {
+				return nil, err
+			}
+			rows[r].cell = cell
+			nstack = max(nstack, cell.MaxStack())
+		} else if f, ok := v.AsFloat(); ok {
+			rows[r].val = f
+		} else {
+			rows[r].bad = true
+		}
+	}
 	out := make([]float64, n)
 	offs := splitRange(0, n, sampleBatchSize)
 	errs := make([]error, len(offs))
-	forEachBatch(s.cfg.Ctx, s.cfg.effectiveWorkers(), len(offs), func(b int) {
+	workers := s.cfg.effectiveWorkers()
+	// Worker w's world and its list of present values, built on first use.
+	type histScratch struct {
+		*scratch
+		present []float64
+	}
+	scratches := make([]histScratch, max(1, workers))
+	forEachBatch(s.cfg.Ctx, workers, len(offs), func(w, b int) {
 		end := offs[b] + sampleBatchSize
 		if end > n {
 			end = n
 		}
-		asn := expr.Assignment{}
-		var present []float64
+		sc := &scratches[w]
+		if sc.scratch == nil {
+			sc.scratch = newScratch(fr.size(), nstack)
+		}
 		for i := offs[b]; i < end; i++ {
-			drawWorld(asn, keys, vars, s.cfg.WorldSeed, uint64(i))
-			present = present[:0]
-			for r := range tb.Tuples {
-				t := &tb.Tuples[r]
-				if !t.Cond.Holds(asn) {
+			fr.drawWorld(sc.vals, &sc.rng, uint64(i))
+			sc.present = sc.present[:0]
+			for r := range rows {
+				row := &rows[r]
+				if !row.present.Holds(sc.vals, sc.stack) {
 					continue
 				}
-				v := t.Values[col].EvalWorld(asn)
-				f, ok := v.AsFloat()
-				if !ok {
-					errs[b] = fmt.Errorf("sampler: non-numeric histogram target %s", v)
+				switch {
+				case row.cell != nil:
+					sc.present = append(sc.present, row.cell.EvalSlots(sc.vals, sc.stack))
+				case row.bad:
+					errs[b] = fmt.Errorf("sampler: non-numeric histogram target %s", tb.Tuples[r].Values[col])
 					return
+				default:
+					sc.present = append(sc.present, row.val)
 				}
-				present = append(present, f)
 			}
-			out[i] = fold(present)
+			out[i] = fold(sc.present)
 		}
 	})
 	if err := s.cfg.ctxErr(); err != nil {
@@ -488,13 +534,19 @@ func (s *Sampler) ExpectationHistogram(e expr.Expr, c cond.Clause, n int) ([]flo
 	groups := s.partition(c, extras)
 	samplers := make([]*groupSampler, 0, len(groups))
 	for _, g := range groups {
-		gs := newGroupSampler(g, &s.cfg)
+		gs, err := newGroupSampler(g, &s.cfg)
+		if err != nil {
+			return nil, err
+		}
 		if gs.inconsistent {
 			return nil, nil
 		}
 		samplers = append(samplers, gs)
 	}
-	engine := newGroupEngine(&s.cfg, samplers, e, true)
+	engine, err := newGroupEngine(&s.cfg, samplers, e, true)
+	if err != nil {
+		return nil, err
+	}
 	values, _, _ := engine.runFixed(n)
 	if engine.err != nil {
 		return nil, engine.err

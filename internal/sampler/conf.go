@@ -26,7 +26,10 @@ func (s *Sampler) Conf(c cond.Clause) Result {
 	exact := true
 	n := 0
 	for _, g := range groups {
-		p, ex, gn := s.clauseProbDetail(g)
+		p, ex, gn, err := s.clauseProbDetail(g)
+		if err != nil {
+			return Result{Err: err}
+		}
 		prob *= p
 		exact = exact && ex
 		n += gn
@@ -109,58 +112,84 @@ func (s *Sampler) aconfInclusionExclusion(d cond.Condition) Result {
 	return Result{Mean: math.NaN(), Prob: total, Exact: exact, N: samples}
 }
 
-// clauseProb returns just the probability of one group.
-func (s *Sampler) clauseProb(g cond.Group) float64 {
-	p, _, _ := s.clauseProbDetail(g)
-	return p
+// clauseProbDetail integrates one minimal independent group, reporting
+// whether the result is exact and how many samples were spent. A sampler is
+// built only when the group has to be sampled.
+func (s *Sampler) clauseProbDetail(g cond.Group) (prob float64, exact bool, n int, err error) {
+	if p, ok := s.exactGroupProb(g); ok {
+		return p, true, 0, nil
+	}
+	gs, err := newGroupSampler(g, &s.cfg)
+	if err != nil {
+		return 0, false, 0, err
+	}
+	prob, exact, n = s.sampleGroupProb(gs)
+	return prob, exact, n, nil
 }
 
-// clauseProbDetail integrates one minimal independent group, reporting
-// whether the result is exact and how many samples were spent.
-func (s *Sampler) clauseProbDetail(g cond.Group) (prob float64, exact bool, n int) {
+// exactGroupProb integrates a group without sampling when it is atom-free
+// or reduces to a single-variable interval (Algorithm 4.3 line 32).
+func (s *Sampler) exactGroupProb(g cond.Group) (float64, bool) {
 	if len(g.Atoms) == 0 {
-		return 1, true, 0
+		return 1, true
 	}
 	if !s.cfg.DisableExactCDF {
 		if p, ok := exactSingleVarProb(g); ok {
 			s.cfg.Stats.AddExactCDFHit()
-			return p, true, 0
+			return p, true
 		}
 	}
-	return s.sampleGroupProb(g)
+	return 0, false
+}
+
+// groupProb returns the probability of an already-built sampler's group:
+// exactly when possible, else from the sampler's candidate stream.
+func (s *Sampler) groupProb(gs *groupSampler) float64 {
+	if p, ok := s.exactGroupProb(gs.group); ok {
+		return p
+	}
+	p, _, _ := s.sampleGroupProb(gs)
+	return p
 }
 
 // sampleGroupProb estimates P[group atoms] by counting acceptances of the
 // group sampler's candidate stream (CDF-restricted when possible, with the
 // restriction's prior mass folded back in). Candidate indices shard across
-// the worker pool: generateCandidate is a pure function of its index and
-// only reads the shared group sampler, and the 0/1 indicator accumulators
-// merge in batch order, so the estimate is identical for any worker count.
-func (s *Sampler) sampleGroupProb(g cond.Group) (float64, bool, int) {
-	gs := newGroupSampler(g, &s.cfg)
+// the worker pool: a candidate is a pure function of its index and the draw
+// only reads the shared plan and compiled atoms, and the 0/1 indicator
+// accumulators merge in batch order, so the estimate is identical for any
+// worker count. Only the plan is used — never the sampler's counters or
+// chain — so no Metropolis pilot runs here.
+func (s *Sampler) sampleGroupProb(gs *groupSampler) (float64, bool, int) {
 	if gs.inconsistent {
 		return 0, true, 0
 	}
-	draw := func(asn expr.Assignment, idx uint64) (float64, bool) {
-		gs.generateCandidate(asn, idx, 0xC0)
-		if g.Atoms.Holds(asn) {
-			return 1, true
-		}
-		return 0, true
-	}
+	we := gs.indicatorEngine()
 	var acc Accumulator
 	for s.cfg.wantMore(acc) && s.cfg.ctxErr() == nil {
 		round := s.cfg.nextRoundSize(acc.N)
 		if round <= 0 {
 			break
 		}
-		wb := runWorldRound(&s.cfg, draw, acc.N, round, false)
+		wb := we.runRound(acc.N, round, false)
 		acc.Merge(wb.acc)
 	}
 	if acc.N == 0 {
 		return 0, false, 0
 	}
 	return gs.massFraction * acc.Sum / float64(acc.N), false, acc.N
+}
+
+// indicatorEngine returns the world engine over the group's candidate stream
+// (attempt 0xC0): every candidate counts, valued 1 when the atoms hold.
+func (gs *groupSampler) indicatorEngine() *worldEngine {
+	return newWorldEngine(gs.cfg, gs.fr.size(), gs.atoms.MaxStack(), func(sc *scratch, idx uint64) (float64, bool) {
+		gs.fr.drawCandidate(sc.vals, &sc.rng, idx, 0xC0)
+		if gs.atoms.Holds(sc.vals, sc.stack) {
+			return 1, true
+		}
+		return 0, true
+	})
 }
 
 // exactSingleVarProb integrates the group exactly when (a) it mentions a

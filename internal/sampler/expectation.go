@@ -112,7 +112,10 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 	var samplingGroups []*groupSampler // groups overlapping e: must be sampled
 	var probGroups []*groupSampler     // groups disjoint from e: probability only
 	for _, g := range groups {
-		gs := newGroupSampler(g, &s.cfg)
+		gs, err := newGroupSampler(g, &s.cfg)
+		if err != nil {
+			return Result{Err: err}
+		}
 		if gs.inconsistent {
 			return Result{Mean: math.NaN(), Prob: 0, Exact: true}
 		}
@@ -148,7 +151,7 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 				}
 				prob := 1.0
 				for _, gs := range probGroups {
-					prob *= s.clauseProb(gs.group)
+					prob *= s.groupProb(gs)
 				}
 				res.Prob = prob
 				return res
@@ -161,7 +164,10 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 	// bound is checked at round barriers, and per-batch accumulators merge
 	// in batch order, so the result is bit-identical for every worker count.
 	if len(samplingGroups) > 0 || len(eKeys) > 0 {
-		engine := newGroupEngine(&s.cfg, samplingGroups, e, false)
+		engine, err := newGroupEngine(&s.cfg, samplingGroups, e, false)
+		if err != nil {
+			return Result{Err: err}
+		}
 		acc, ok := engine.runAdaptive()
 		if engine.err != nil {
 			return Result{Err: engine.err}
@@ -190,18 +196,18 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 
 	// Probability: accumulate per-group contributions. Groups that were
 	// sampled give N/Count for free (line 29) unless they escalated to
-	// Metropolis, in which case they are re-integrated by rejection.
+	// Metropolis, in which case they are re-integrated by rejection — over
+	// the draw plan they already own.
 	prob := 1.0
 	for _, gs := range samplingGroups {
 		if p, ok := gs.probEstimate(); ok {
 			prob *= p
 			continue
 		}
-		p := s.clauseProb(gs.group)
-		prob *= p
+		prob *= s.groupProb(gs)
 	}
 	for _, gs := range probGroups {
-		prob *= s.clauseProb(gs.group)
+		prob *= s.groupProb(gs)
 	}
 	res.Prob = prob
 	// Final cancellation gate: probability integration above may have been
@@ -236,22 +242,24 @@ func (s *Sampler) ExpectationDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Result {
 	vars := map[expr.VarKey]*expr.Variable{}
 	d.CollectVars(vars)
-	if e != nil {
-		e.CollectVars(vars)
+	e.CollectVars(vars)
+	fr := newWorldFrame(vars, s.cfg.WorldSeed)
+	holds, err := cond.CompileCondition(d, fr.table)
+	if err != nil {
+		return Result{Err: err}
 	}
-	keys := sortedKeys(vars)
-
-	draw := func(asn expr.Assignment, idx uint64) (float64, bool) {
-		drawWorld(asn, keys, vars, s.cfg.WorldSeed, idx)
-		if !d.Holds(asn) {
-			return 0, false
-		}
-		var v float64
-		if e != nil {
-			v = e.Eval(asn)
-		}
-		return v, true
+	target, err := expr.CompileSlots(e, fr.table)
+	if err != nil {
+		return Result{Err: err}
 	}
+	we := newWorldEngine(&s.cfg, fr.size(), max(holds.MaxStack(), target.MaxStack()),
+		func(sc *scratch, idx uint64) (float64, bool) {
+			fr.drawWorld(sc.vals, &sc.rng, idx)
+			if !holds.Holds(sc.vals, sc.stack) {
+				return 0, false
+			}
+			return target.EvalSlots(sc.vals, sc.stack), true
+		})
 
 	maxAttempts := s.cfg.MaxSamples * 100
 	var acc Accumulator
@@ -269,7 +277,7 @@ func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 			if round <= 0 {
 				break
 			}
-			wb := runWorldRound(&s.cfg, draw, attempts, round, true)
+			wb := we.runRound(attempts, round, true)
 			values = append(values, wb.values...)
 			idxs = append(idxs, wb.idxs...)
 			attempts += wb.attempts
@@ -290,7 +298,7 @@ func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 			if round <= 0 {
 				break
 			}
-			wb := runWorldRound(&s.cfg, draw, attempts, round, false)
+			wb := we.runRound(attempts, round, false)
 			acc.Merge(wb.acc)
 			attempts += wb.attempts
 		}
@@ -312,14 +320,6 @@ func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 		res.Prob = float64(acc.N) / float64(attempts)
 	}
 	return res
-}
-
-// drawWorld samples every listed variable naturally into asn; multivariate
-// vectors are drawn jointly.
-func drawWorld(asn expr.Assignment, keys []expr.VarKey, vars map[expr.VarKey]*expr.Variable, seed, idx uint64) {
-	for _, k := range keys {
-		asn[k] = expr.SampleVariable(vars[k], seed, idx)
-	}
 }
 
 // partition wraps cond.Partition with the DisableIndependence ablation: when

@@ -6,16 +6,6 @@ import (
 	"pip/internal/cond"
 	"pip/internal/dist"
 	"pip/internal/expr"
-	"pip/internal/prng"
-)
-
-// varMode selects the per-variable generation strategy inside a group
-// (Algorithm 4.3 lines 6–10).
-type varMode int
-
-const (
-	modeNatural varMode = iota // plain Generate
-	modeCDF                    // inverse-CDF restricted to the bounds interval
 )
 
 // groupSampler draws joint values for one minimal independent constraint
@@ -27,14 +17,15 @@ type groupSampler struct {
 	bounds cond.Bounds
 	cfg    *Config
 
-	// keys in deterministic order; multivariate components are drawn
-	// jointly via their subscript-0 seed.
-	keys  []expr.VarKey
-	modes map[expr.VarKey]varMode
-	// cdfBox caches the (CDF(lo'), CDF(hi')) edges of each CDF-mode
-	// variable's bounds interval; they are constant per group, and the
-	// rejection loop would otherwise re-integrate them on every attempt.
-	cdfBox map[expr.VarKey][2]float64
+	// fr numbers the group's variables (Group.Keys order; multivariate
+	// components are drawn jointly via their subscript-0 seed) and holds the
+	// draw plan; atoms is the group's clause compiled against that numbering.
+	// Both are immutable after set-up and shared by every batch-local copy.
+	fr    *frame
+	atoms *cond.ClauseProgram
+	// base is the group's slot offset inside the scratch of the engine that
+	// draws from it (0 when the group is sampled alone).
+	base int
 	// massFraction is the product over CDF-mode variables of the prior
 	// mass of their bounds interval; it multiplies the acceptance rate to
 	// recover the unconditioned constraint probability.
@@ -45,86 +36,66 @@ type groupSampler struct {
 
 	inconsistent bool
 	metro        *metroState
-	// escalated records that some batch-local clone of this group switched
+	// escalated records that some batch-local copy of this group switched
 	// to Metropolis mid-stream (parallel engine); the merged probability
 	// estimate is then invalid just as if the group itself had escalated.
 	escalated bool
 }
 
-// clone returns a group sampler sharing this one's immutable setup (group,
-// bounds, per-variable modes, CDF boxes — all read-only during drawing) but
-// with fresh accept/attempt counters and no Metropolis chain. The parallel
-// engine gives each batch its own clone, making the batch's output a pure
-// function of its sample-index range. Prototypes that pre-escalated to
-// Metropolis are never cloned (the engine runs them sequentially instead).
-func (gs *groupSampler) clone() *groupSampler {
-	return &groupSampler{
-		group:        gs.group,
-		bounds:       gs.bounds,
-		cfg:          gs.cfg,
-		keys:         gs.keys,
-		modes:        gs.modes,
-		cdfBox:       gs.cdfBox,
-		massFraction: gs.massFraction,
-	}
+// cloneInto makes dst a sampler sharing this one's immutable set-up (group,
+// bounds, draw plan, compiled atoms — all read-only during drawing) but with
+// fresh accept/attempt counters and no Metropolis chain. The parallel engine
+// resets one such copy per group at the start of every batch, making the
+// batch's output a pure function of its sample-index range. Prototypes that
+// pre-escalated to Metropolis are never copied (the engine runs them
+// sequentially instead).
+func (gs *groupSampler) cloneInto(dst *groupSampler) {
+	*dst = *gs
+	dst.attempts, dst.accepts, dst.metro, dst.escalated = 0, 0, nil, false
 }
 
-// newGroupSampler runs the consistency check for the group and chooses
-// per-variable strategies.
-func newGroupSampler(g cond.Group, cfg *Config) *groupSampler {
-	gs := &groupSampler{
-		group:        g,
-		cfg:          cfg,
-		keys:         g.Keys,
-		modes:        map[expr.VarKey]varMode{},
-		cdfBox:       map[expr.VarKey][2]float64{},
-		massFraction: 1,
-	}
+// newGroupSampler runs the consistency check for the group, chooses
+// per-variable strategies and compiles the group's atoms. It draws nothing:
+// the Metropolis pilot belongs to the engine that will draw from the sampler
+// (maybePreEscalate). The error is a compile failure — an expression node
+// outside the closed Expr set.
+func newGroupSampler(g cond.Group, cfg *Config) (*groupSampler, error) {
+	gs := &groupSampler{group: g, cfg: cfg}
 	res := cond.CheckConsistency(g.Atoms)
 	gs.bounds = res.Bounds
 	if res.Verdict == cond.Inconsistent {
 		gs.inconsistent = true
-		return gs
+		return gs, nil
 	}
-	for _, k := range g.Keys {
-		gs.modes[k] = modeNatural
-		if cfg.DisableCDFInversion {
-			continue
-		}
-		v := g.Vars[k]
-		if _, multi := v.Dist.Class.(dist.Multivariater); multi {
-			// Joint draws cannot be bound per-component; leave natural.
-			continue
-		}
-		iv := gs.bounds.Get(k)
-		if !iv.Bounded() {
-			continue
-		}
-		_, hasCDF := v.Dist.Class.(dist.CDFer)
-		_, hasInv := v.Dist.Class.(dist.InvCDFer)
-		if !hasCDF || !hasInv {
-			continue
-		}
-		pLo, pHi := intervalMass(v.Dist, iv)
-		if pHi <= pLo {
-			// The bounds carry zero prior mass: the group is
-			// (numerically) unsatisfiable.
-			gs.inconsistent = true
-			return gs
-		}
-		gs.modes[k] = modeCDF
-		gs.cdfBox[k] = [2]float64{pLo, pHi}
-		gs.massFraction *= pHi - pLo
+	var consistent bool
+	gs.fr, gs.massFraction, consistent = newGroupFrame(g, gs.bounds, cfg)
+	if !consistent {
+		// The bounds carry zero prior mass: the group is (numerically)
+		// unsatisfiable.
+		gs.inconsistent = true
+		return gs, nil
 	}
-	gs.maybePreEscalate()
-	return gs
+	atoms, err := cond.CompileClause(g.Atoms, gs.fr.table)
+	if err != nil {
+		return nil, err
+	}
+	gs.atoms = atoms
+	return gs, nil
+}
+
+// vals returns the group's window of an engine scratch.
+func (gs *groupSampler) vals(sc *scratch) []float64 {
+	return sc.vals[gs.base : gs.base+gs.fr.size()]
 }
 
 // maybePreEscalate implements the paper's upfront cost comparison
 // (§IV-A-d): a small pilot estimates P[reject]; if the expected rejection
 // work W_naive = n / (1 - P[reject]) exceeds the Metropolis cost
 // W_metropolis = C_burnin + n * C_step, the group starts on the random walk
-// immediately instead of discovering the rejection rate the hard way.
+// immediately instead of discovering the rejection rate the hard way. The
+// pilot and the chain draw from keyed streams of their own, so running them
+// (or not) never moves a sample; only samplers that will be drawn from pay
+// for them.
 func (gs *groupSampler) maybePreEscalate() {
 	if gs.cfg.DisableMetropolis || gs.inconsistent || len(gs.group.Atoms) == 0 {
 		return
@@ -224,15 +195,16 @@ func (gs *groupSampler) probEstimate() (float64, bool) {
 }
 
 // drawInto draws one constraint-satisfying joint value for the group into
-// asn. It returns false if the rejection cap is exhausted and Metropolis is
-// unavailable (the context is effectively unsatisfiable: NAN result per
-// Algorithm 4.3 line 25).
-func (gs *groupSampler) drawInto(asn expr.Assignment, sampleIdx uint64) bool {
+// its window of sc. It returns false if the rejection cap is exhausted and
+// Metropolis is unavailable (the context is effectively unsatisfiable: NAN
+// result per Algorithm 4.3 line 25).
+func (gs *groupSampler) drawInto(sc *scratch, sampleIdx uint64) bool {
 	if gs.inconsistent {
 		return false
 	}
+	vals := gs.vals(sc)
 	if gs.metro != nil {
-		return gs.metro.next(asn, sampleIdx)
+		return gs.metro.next(vals)
 	}
 	capN := gs.cfg.RejectionCap
 	if capN <= 0 {
@@ -240,8 +212,8 @@ func (gs *groupSampler) drawInto(asn expr.Assignment, sampleIdx uint64) bool {
 	}
 	for local := 0; local < capN; local++ {
 		gs.attempts++
-		gs.generateCandidate(asn, sampleIdx, uint64(local))
-		if gs.group.Atoms.Holds(asn) {
+		gs.fr.drawCandidate(vals, &sc.rng, sampleIdx, uint64(local))
+		if gs.atoms.Holds(vals, sc.stack) {
 			gs.accepts++
 			return true
 		}
@@ -254,7 +226,7 @@ func (gs *groupSampler) drawInto(asn expr.Assignment, sampleIdx uint64) bool {
 				if m := newMetroState(gs, sampleIdx); m != nil {
 					gs.metro = m
 					gs.cfg.Stats.AddEscalation()
-					return gs.metro.next(asn, sampleIdx)
+					return gs.metro.next(vals)
 				}
 				// No PDFs: keep rejecting until the cap.
 			}
@@ -263,57 +235,17 @@ func (gs *groupSampler) drawInto(asn expr.Assignment, sampleIdx uint64) bool {
 	return false
 }
 
-// generateCandidate writes one unconditioned (or CDF-box-conditioned) draw
-// for every variable of the group into asn.
-func (gs *groupSampler) generateCandidate(asn expr.Assignment, sampleIdx, attempt uint64) {
-	drawnJoint := map[uint64]bool{}
-	for _, k := range gs.keys {
-		v := gs.group.Vars[k]
-		if mv, ok := v.Dist.Class.(dist.Multivariater); ok {
-			if drawnJoint[k.ID] {
-				continue
-			}
-			drawnJoint[k.ID] = true
-			r := prng.NewKeyed(gs.cfg.WorldSeed, k.ID, 0, sampleIdx, attempt)
-			vec := mv.GenerateJoint(v.Dist.Params, r)
-			for sub, val := range vec {
-				asn[expr.VarKey{ID: k.ID, Subscript: sub}] = val
-			}
-			continue
-		}
-		r := prng.NewKeyed(gs.cfg.WorldSeed, k.ID, uint64(k.Subscript), sampleIdx, attempt)
-		switch gs.modes[k] {
-		case modeCDF:
-			iv := gs.bounds.Get(k)
-			box := gs.cdfBox[k]
-			pLo, pHi := box[0], box[1]
-			u := pLo + (pHi-pLo)*r.Float64()
-			x, _ := v.Dist.InvCDF(u)
-			// Clamp against numeric drift at the interval edges.
-			if x < iv.Lo {
-				x = iv.Lo
-			}
-			if x > iv.Hi {
-				x = iv.Hi
-			}
-			asn[k] = x
-		default:
-			asn[k] = v.Dist.Generate(r)
-		}
-	}
-}
-
 // estimateRejectProb draws a small pilot to estimate P[reject] for the
 // group, used by the W_metropolis vs W_naive cost comparison (§IV-A-d).
 func (gs *groupSampler) estimateRejectProb(pilot int) float64 {
 	if gs.inconsistent {
 		return 1
 	}
-	asn := expr.Assignment{}
+	sc := newScratch(gs.fr.size(), gs.atoms.MaxStack())
 	ok := 0
 	for i := 0; i < pilot; i++ {
-		gs.generateCandidate(asn, ^uint64(0)-uint64(i), 0)
-		if gs.group.Atoms.Holds(asn) {
+		gs.fr.drawCandidate(sc.vals, &sc.rng, ^uint64(0)-uint64(i), 0)
+		if gs.atoms.Holds(sc.vals, sc.stack) {
 			ok++
 		}
 	}

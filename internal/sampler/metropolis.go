@@ -21,34 +21,48 @@ import (
 // rejection rate crosses the configured threshold, mirroring the
 // W_metropolis vs W_naive comparison in the paper.
 type metroState struct {
-	gs   *groupSampler
-	keys []expr.VarKey // scalar variables of the walk, fixed order
-	cur  map[expr.VarKey]float64
-	step map[expr.VarKey]float64
-	logP float64
-	rng  *prng.Rand
+	gs *groupSampler
+	// The walk's points live in the group frame's slot order (every variable
+	// of the group is a scalar of the walk). cur is the chain's position,
+	// prop the proposal under test; an accepted move swaps them.
+	cur, prop []float64
+	step      []float64
+	// in[i] is slot i's distribution and pdf[i] its density, resolved once
+	// so a walk step makes no map lookup and no interface assertion.
+	in    []dist.Instance
+	pdf   []dist.PDFer
+	logP  float64
+	rng   prng.Rand
+	stack []float64
 }
 
 // newMetroState builds the walk if every group variable has a PDF
 // (Algorithm 4.3 line 20) and a satisfying start point can be found
 // (line 22–23); otherwise it returns nil.
 func newMetroState(gs *groupSampler, sampleIdx uint64) *metroState {
+	n := gs.fr.size()
+	buf := make([]float64, 3*n+gs.atoms.MaxStack())
 	m := &metroState{
-		gs:   gs,
-		cur:  map[expr.VarKey]float64{},
-		step: map[expr.VarKey]float64{},
-		rng:  prng.NewKeyed(gs.cfg.WorldSeed, 0x4d657472, sampleIdx), // "Metr"
+		gs:    gs,
+		cur:   buf[:n:n],
+		prop:  buf[n : 2*n : 2*n],
+		step:  buf[2*n : 3*n : 3*n],
+		stack: buf[3*n:],
+		in:    make([]dist.Instance, n),
+		pdf:   make([]dist.PDFer, n),
 	}
-	for _, k := range gs.keys {
+	m.rng.Reseed(prng.MixKey(gs.cfg.WorldSeed, 0x4d657472, sampleIdx)) // "Metr"
+	for i, k := range gs.group.Keys {
 		v := gs.group.Vars[k]
-		if _, ok := v.Dist.Class.(dist.PDFer); !ok {
+		pdf, ok := v.Dist.Class.(dist.PDFer)
+		if !ok {
 			return nil
 		}
 		if _, multi := v.Dist.Class.(dist.Multivariater); multi {
 			// Joint densities are not exposed; the walk cannot target them.
 			return nil
 		}
-		m.keys = append(m.keys, k)
+		m.in[i], m.pdf[i] = v.Dist, pdf
 		// Step size: distribution scale if known, else bounds width, else 1.
 		s := 1.0
 		if variance, ok := v.Dist.Variance(); ok && variance > 0 {
@@ -59,58 +73,58 @@ func newMetroState(gs *groupSampler, sampleIdx uint64) *metroState {
 		if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			s = 1
 		}
-		m.step[k] = s
+		m.step[i] = s
 	}
 	if !m.findStart() {
 		return nil
 	}
 	// Burn-in.
-	asn := expr.Assignment{}
 	for i := 0; i < gs.cfg.MetropolisBurnIn; i++ {
-		m.walkStep(asn)
+		m.walkStep()
 	}
 	return m
 }
 
+// holds tests the group's atoms at a point of the walk.
+func (m *metroState) holds(pt []float64) bool {
+	return m.gs.atoms.Holds(pt, m.stack)
+}
+
 // findStart scans for a constraint-satisfying start point (Algorithm 4.3
-// line 22): first by natural sampling, then by bounds midpoints.
+// line 22) into cur: first by natural sampling, then by bounds midpoints.
 func (m *metroState) findStart() bool {
-	asn := expr.Assignment{}
+	keys := m.gs.group.Keys
+	pt := m.cur
 	const scanAttempts = 5000
 	for i := 0; i < scanAttempts; i++ {
-		for _, k := range m.keys {
-			v := m.gs.group.Vars[k]
-			asn[k] = v.Dist.Generate(m.rng)
+		for j := range keys {
+			pt[j] = m.in[j].Generate(&m.rng)
 		}
-		if m.gs.group.Atoms.Holds(asn) {
-			m.adopt(asn)
+		if m.holds(pt) {
+			m.logP = m.logDensity(pt)
 			return true
 		}
 	}
 	// Bounds midpoints as a deterministic fallback.
-	for _, k := range m.keys {
+	for j, k := range keys {
 		iv := m.gs.bounds.Get(k)
 		switch {
 		case iv.Bounded() && !math.IsInf(iv.Lo, -1) && !math.IsInf(iv.Hi, 1):
-			asn[k] = (iv.Lo + iv.Hi) / 2
+			pt[j] = (iv.Lo + iv.Hi) / 2
 		case !math.IsInf(iv.Lo, -1):
-			asn[k] = iv.Lo + 1
+			pt[j] = iv.Lo + 1
 		case !math.IsInf(iv.Hi, 1):
-			asn[k] = iv.Hi - 1
+			pt[j] = iv.Hi - 1
 		default:
-			asn[k] = 0
+			pt[j] = 0
 		}
-	}
-	if m.gs.group.Atoms.Holds(asn) {
-		m.adopt(asn)
-		return true
 	}
 	// Constraint repair: walk each violated linear atom into satisfaction
 	// by moving its largest-coefficient variable. This finds start points
 	// for deep-tail constraints (e.g. Y1+Y2 > 6 for standard normals)
 	// where natural scanning is hopeless.
-	if m.repairStart(asn) {
-		m.adopt(asn)
+	if m.holds(pt) || m.repairStart(pt) {
+		m.logP = m.logDensity(pt)
 		return true
 	}
 	return false
@@ -118,12 +132,12 @@ func (m *metroState) findStart() bool {
 
 // repairStart iteratively fixes violated linear atoms in place. Returns
 // true once every atom holds.
-func (m *metroState) repairStart(asn expr.Assignment) bool {
+func (m *metroState) repairStart(pt []float64) bool {
 	const rounds = 500
 	for round := 0; round < rounds; round++ {
 		violated := false
-		for _, a := range m.gs.group.Atoms {
-			if a.Holds(asn) {
+		for ai, a := range m.gs.group.Atoms {
+			if m.gs.atoms.AtomHolds(ai, pt, m.stack) {
 				continue
 			}
 			violated = true
@@ -137,19 +151,15 @@ func (m *metroState) repairStart(asn expr.Assignment) bool {
 			// map iteration would randomize both the floating-point sum and
 			// the tie-break for bestK, breaking the equal-seeds-equal-results
 			// contract between runs.
-			coeffKeys := make([]expr.VarKey, 0, len(lf.Coeffs))
-			for vk := range lf.Coeffs {
-				coeffKeys = append(coeffKeys, vk)
-			}
-			sortVarKeys(coeffKeys)
 			val := lf.Constant
 			var bestK expr.VarKey
-			bestC := 0.0
-			for _, vk := range coeffKeys {
+			bestC, bestSlot := 0.0, 0
+			for _, vk := range lf.SortedKeys() {
 				c := lf.Coeffs[vk]
-				val += c * asn[vk]
+				slot, _ := m.gs.fr.table.Slot(vk) // atoms mention group variables only
+				val += c * pt[slot]
 				if math.Abs(c) > math.Abs(bestC) {
-					bestC, bestK = c, vk
+					bestC, bestK, bestSlot = c, vk, slot
 				}
 			}
 			if bestC == 0 {
@@ -167,14 +177,14 @@ func (m *metroState) repairStart(asn expr.Assignment) bool {
 			case cond.NEQ:
 				target = margin
 			}
-			asn[bestK] += (target - val) / bestC
+			pt[bestSlot] += (target - val) / bestC
 			// Respect hard bounds if known.
 			if iv := m.gs.bounds.Get(bestK); iv.Bounded() {
-				if asn[bestK] < iv.Lo {
-					asn[bestK] = iv.Lo
+				if pt[bestSlot] < iv.Lo {
+					pt[bestSlot] = iv.Lo
 				}
-				if asn[bestK] > iv.Hi {
-					asn[bestK] = iv.Hi
+				if pt[bestSlot] > iv.Hi {
+					pt[bestSlot] = iv.Hi
 				}
 			}
 		}
@@ -182,22 +192,14 @@ func (m *metroState) repairStart(asn expr.Assignment) bool {
 			return true
 		}
 	}
-	return m.gs.group.Atoms.Holds(asn)
-}
-
-func (m *metroState) adopt(asn expr.Assignment) {
-	for _, k := range m.keys {
-		m.cur[k] = asn[k]
-	}
-	m.logP = m.logDensity(m.cur)
+	return m.holds(pt)
 }
 
 // logDensity returns the log prior density of a point.
-func (m *metroState) logDensity(pt map[expr.VarKey]float64) float64 {
+func (m *metroState) logDensity(pt []float64) float64 {
 	lp := 0.0
-	for _, k := range m.keys {
-		v := m.gs.group.Vars[k]
-		p, _ := v.Dist.PDF(pt[k])
+	for i, pdf := range m.pdf {
+		p := pdf.PDF(m.in[i].Params, pt[i])
 		if p <= 0 {
 			return math.Inf(-1)
 		}
@@ -206,50 +208,37 @@ func (m *metroState) logDensity(pt map[expr.VarKey]float64) float64 {
 	return lp
 }
 
-// walkStep proposes a Gaussian move on every coordinate and accepts with
-// the Metropolis ratio restricted to the constraint region.
-func (m *metroState) walkStep(scratch expr.Assignment) {
-	prop := map[expr.VarKey]float64{}
-	for _, k := range m.keys {
-		prop[k] = m.cur[k] + m.step[k]*m.rng.NormFloat64()
+// walkStep proposes a Gaussian move on every coordinate (slot order) and
+// accepts with the Metropolis ratio restricted to the constraint region.
+func (m *metroState) walkStep() {
+	for i, c := range m.cur {
+		m.prop[i] = c + m.step[i]*m.rng.NormFloat64()
 	}
-	for k, v := range prop {
-		scratch[k] = v
-	}
-	if !m.gs.group.Atoms.Holds(scratch) {
+	if !m.holds(m.prop) {
 		m.gs.cfg.Stats.AddMetropolis(false)
-		// Restore scratch to the current point for the caller.
-		for _, k := range m.keys {
-			scratch[k] = m.cur[k]
-		}
 		return
 	}
-	lp := m.logDensity(prop)
+	lp := m.logDensity(m.prop)
 	if lp >= m.logP || m.rng.Float64() < math.Exp(lp-m.logP) {
 		m.gs.cfg.Stats.AddMetropolis(true)
-		m.cur = prop
+		m.cur, m.prop = m.prop, m.cur
 		m.logP = lp
 		return
 	}
 	m.gs.cfg.Stats.AddMetropolis(false)
-	for _, k := range m.keys {
-		scratch[k] = m.cur[k]
-	}
 }
 
 // next advances the chain by the thinning interval and writes the current
-// point into asn.
-func (m *metroState) next(asn expr.Assignment, _ uint64) bool {
+// point into vals (the group's window of the caller's scratch).
+func (m *metroState) next(vals []float64) bool {
 	thin := m.gs.cfg.MetropolisThin
 	if thin < 1 {
 		thin = 1
 	}
 	for i := 0; i < thin; i++ {
-		m.walkStep(asn)
+		m.walkStep()
 	}
-	for _, k := range m.keys {
-		asn[k] = m.cur[k]
-	}
+	copy(vals, m.cur)
 	return true
 }
 

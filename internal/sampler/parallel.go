@@ -15,9 +15,10 @@ import (
 // prng.NewKeyed(WorldSeed, varID, subscript, sampleIdx, attempt) — a pure
 // function of the sample index, never of execution history. The engine
 // exploits this: sample indices are sharded into fixed-size batches, batches
-// are dispatched to a goroutine pool, each worker draws into its own
-// expr.Assignment scratch with its own per-group sampler state, and
-// per-batch accumulators are merged IN BATCH ORDER at round barriers.
+// are dispatched to a goroutine pool, each worker draws into its own scratch
+// (one world in slot order, see frame.go) with its own per-group sampler
+// state, and per-batch accumulators are merged IN BATCH ORDER at round
+// barriers.
 //
 // Determinism contract: batch boundaries, the adaptive round schedule
 // (Config.nextRoundSize), every per-batch draw, and the merge order are all
@@ -36,7 +37,7 @@ import (
 
 // sampleBatchSize is the number of sample indices per dispatched batch.
 // Small enough to balance load across workers at MinSamples-scale budgets,
-// large enough that per-batch setup (group-sampler clones, scratch maps) is
+// large enough that per-batch setup (resetting the group-sampler copies) is
 // amortized.
 const sampleBatchSize = 64
 
@@ -53,17 +54,19 @@ func (c Config) effectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachBatch runs fn(b) for every b in [0, numBatches) on up to workers
-// goroutines. fn must touch only state owned by batch b (plus read-only
-// shared structures); results must be written into per-batch slots so the
-// caller can merge them in batch order. With workers <= 1 the batches run
-// inline, in order, on the calling goroutine — same slots, same merge.
+// forEachBatch runs fn(w, b) for every b in [0, numBatches) on up to workers
+// goroutines; w < workers identifies the goroutine, so fn may use scratch
+// owned by worker w. Beyond that fn must touch only state owned by batch b
+// (plus read-only shared structures); results must be written into per-batch
+// slots so the caller can merge them in batch order. With workers <= 1 the
+// batches run inline, in order, on the calling goroutine as worker 0 — same
+// slots, same merge.
 //
 // A cancelled ctx stops further batch dispatch; already-running batches
 // finish. Callers must re-check the context after the barrier and discard
 // the round on cancellation (slots of undispatched batches are zero), so
 // cancellation can never surface as a partial result.
-func forEachBatch(ctx context.Context, workers, numBatches int, fn func(b int)) {
+func forEachBatch(ctx context.Context, workers, numBatches int, fn func(w, b int)) {
 	if workers > numBatches {
 		workers = numBatches
 	}
@@ -72,7 +75,7 @@ func forEachBatch(ctx context.Context, workers, numBatches int, fn func(b int)) 
 			if ctxCancelled(ctx) {
 				return
 			}
-			fn(b)
+			fn(0, b)
 		}
 		return
 	}
@@ -80,16 +83,16 @@ func forEachBatch(ctx context.Context, workers, numBatches int, fn func(b int)) 
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for !ctxCancelled(ctx) {
 				b := int(atomic.AddInt64(&next, 1)) - 1
 				if b >= numBatches {
 					return
 				}
-				fn(b)
+				fn(w, b)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }
@@ -127,11 +130,23 @@ type groupBatch struct {
 	// (-1 when the whole batch succeeded). Samples after it were not drawn.
 	failedAt int
 	// attempts / accepts / escalated mirror the per-group rejection counters
-	// of the batch's private group-sampler clones, indexed like the engine's
-	// prototype slice.
+	// of the batch's private group-sampler copies, indexed like the engine's
+	// prototype slice (nil in sequential mode, where the prototypes
+	// themselves advance).
 	attempts  []int
 	accepts   []int
 	escalated []bool
+}
+
+// batchScratch is one worker's working memory for runBatch, sized once per
+// engine: the world under construction, the batch's slot columns and
+// EvalBatch scratch, and the worker's private copies of the group samplers.
+type batchScratch struct {
+	scratch
+	cols   [][]float64 // cols[slot][i]: slot's value in the batch's i-th sample
+	out    []float64
+	bstack []float64
+	gss    []*groupSampler // reset from the prototypes at every batch
 }
 
 // groupEngine draws conditional samples for a fixed set of constraint
@@ -140,14 +155,14 @@ type groupBatch struct {
 type groupEngine struct {
 	cfg    *Config
 	protos []*groupSampler
-	e      expr.Expr // nil: accumulate 1 per sample (counting only)
-	// prog is e compiled to a flat postfix program, evaluated across a whole
-	// batch of drawn sample worlds in one pass (nil when vectorization is
-	// disabled or e uses nodes the compiler does not know). Evaluation is
-	// a pure read of the per-sample assignment, so batching the evaluations
-	// after the batch's draws changes no PRNG state and no merge order —
-	// results are bit-identical to the per-sample tree walk.
-	prog *expr.Program
+	// prog is the target expression compiled against the engine's frame —
+	// the groups' frames laid end to end (groupSampler.base) — and evaluated
+	// across a whole batch of drawn sample worlds in one pass, over the very
+	// columns the draw loop filled. Evaluation is a pure read of the drawn
+	// values, so batching the evaluations after the batch's draws changes no
+	// PRNG state and no merge order.
+	prog   *expr.Program
+	nstack int // per-world stack depth the groups' atoms need
 	// collect keeps every per-sample value (histogram mode) in addition to
 	// the moment accumulator.
 	collect bool
@@ -158,7 +173,8 @@ type groupEngine struct {
 	// is made once, from setup state that is a pure function of the query,
 	// so it is identical for every worker count.
 	sequential bool
-	seqScratch expr.Assignment
+	// scratch[w] belongs to worker w, built on the worker's first batch.
+	scratch []*batchScratch
 
 	acc    Accumulator
 	values []float64
@@ -168,21 +184,57 @@ type groupEngine struct {
 	err error
 }
 
-func newGroupEngine(cfg *Config, protos []*groupSampler, e expr.Expr, collect bool) *groupEngine {
-	ge := &groupEngine{cfg: cfg, protos: protos, e: e, collect: collect}
-	if e != nil && !cfg.DisableVectorize {
-		if p, err := expr.Compile(e); err == nil {
-			ge.prog = p
-		}
-	}
+// newGroupEngine lays the groups' frames end to end, compiles the target
+// against the combined numbering and runs each group's Metropolis pilot —
+// here, before any batch copies a prototype, so that the sequential/parallel
+// decision stays a pure function of set-up. The error is a compile failure.
+func newGroupEngine(cfg *Config, protos []*groupSampler, e expr.Expr, collect bool) (*groupEngine, error) {
+	ge := &groupEngine{cfg: cfg, protos: protos, collect: collect}
+	var keys []expr.VarKey
 	for _, gs := range protos {
+		gs.base = len(keys)
+		keys = append(keys, gs.group.Keys...)
+		ge.nstack = max(ge.nstack, gs.atoms.MaxStack())
+	}
+	prog, err := expr.CompileSlots(e, expr.NewSlotTable(keys))
+	if err != nil {
+		return nil, err
+	}
+	ge.prog = prog
+	for _, gs := range protos {
+		gs.maybePreEscalate()
 		if gs.usingMetropolis() {
 			ge.sequential = true
-			ge.seqScratch = expr.Assignment{}
-			break
 		}
 	}
-	return ge
+	ge.scratch = make([]*batchScratch, max(1, cfg.effectiveWorkers()))
+	return ge, nil
+}
+
+// workerScratch returns worker w's scratch, building it on first use. Only
+// worker w ever touches slot w, so no synchronization is needed.
+func (ge *groupEngine) workerScratch(w int) *batchScratch {
+	if sc := ge.scratch[w]; sc != nil {
+		return sc
+	}
+	const n = sampleBatchSize
+	slots := ge.prog.NumSlots()
+	flat := make([]float64, (slots+1+ge.prog.MaxStack())*n)
+	sc := &batchScratch{
+		scratch: *newScratch(slots, ge.nstack),
+		cols:    make([][]float64, slots),
+		out:     flat[slots*n : (slots+1)*n],
+		bstack:  flat[(slots+1)*n:],
+		gss:     make([]*groupSampler, len(ge.protos)),
+	}
+	for s := range sc.cols {
+		sc.cols[s] = flat[s*n : (s+1)*n]
+	}
+	for i := range sc.gss {
+		sc.gss[i] = new(groupSampler)
+	}
+	ge.scratch[w] = sc
+	return sc
 }
 
 // runRound draws the sample index range [start, start+count), merging batch
@@ -220,12 +272,27 @@ func (ge *groupEngine) runRound(start, count int) bool {
 		}
 	}
 	results := make([]groupBatch, len(offs))
-	run := func(b int) {
+	// Parallel batches report their private samplers' counters into windows
+	// of one per-round array (attempts, then accepts, per group per batch).
+	ng := len(ge.protos)
+	var counts []int
+	var esc []bool
+	if !ge.sequential {
+		counts = make([]int, 2*ng*len(offs))
+		esc = make([]bool, ng*len(offs))
+	}
+	run := func(w, b int) {
 		n := sampleBatchSize
 		if rem := start + count - offs[b]; rem < n {
 			n = rem
 		}
-		results[b] = ge.runBatch(offs[b], n)
+		r := &results[b]
+		if counts != nil {
+			r.attempts = counts[2*ng*b : 2*ng*b+ng]
+			r.accepts = counts[2*ng*b+ng : 2*ng*(b+1)]
+			r.escalated = esc[ng*b : ng*(b+1)]
+		}
+		ge.runBatch(ge.workerScratch(w), offs[b], n, r)
 	}
 	if ge.sequential {
 		// In-order execution against the live prototypes: Metropolis chain
@@ -234,7 +301,7 @@ func (ge *groupEngine) runRound(start, count int) bool {
 			if ctxCancelled(ge.cfg.Ctx) {
 				break
 			}
-			run(b)
+			run(0, b)
 		}
 	} else {
 		forEachBatch(ge.cfg.Ctx, ge.cfg.effectiveWorkers(), len(offs), run)
@@ -253,12 +320,10 @@ func (ge *groupEngine) runRound(start, count int) bool {
 		if ge.collect {
 			ge.values = append(ge.values, r.values...)
 		}
-		for gi := range ge.protos {
-			if r.attempts != nil {
-				ge.protos[gi].attempts += r.attempts[gi]
-				ge.protos[gi].accepts += r.accepts[gi]
-			}
-			if r.escalated != nil && r.escalated[gi] {
+		for gi := range r.attempts {
+			ge.protos[gi].attempts += r.attempts[gi]
+			ge.protos[gi].accepts += r.accepts[gi]
+			if r.escalated[gi] {
 				ge.protos[gi].escalated = true
 			}
 		}
@@ -278,7 +343,6 @@ func (ge *groupEngine) runRound(start, count int) bool {
 		for _, gs := range ge.protos {
 			if gs.escalated {
 				ge.sequential = true
-				ge.seqScratch = expr.Assignment{}
 				break
 			}
 		}
@@ -286,98 +350,55 @@ func (ge *groupEngine) runRound(start, count int) bool {
 	return true
 }
 
-// runBatch draws samples [start, start+n) into a private result. In
-// parallel mode each group prototype is cloned with fresh counters, so the
-// batch result is a pure function of its index range; in sequential mode
-// the prototypes themselves advance (Metropolis chains must persist).
-func (ge *groupEngine) runBatch(start, n int) groupBatch {
-	res := groupBatch{failedAt: -1}
-	var gss []*groupSampler
-	var asn expr.Assignment
-	if ge.sequential {
-		gss = ge.protos
-		asn = ge.seqScratch
-	} else {
-		gss = make([]*groupSampler, len(ge.protos))
+// runBatch draws samples [start, start+n) into res, which the caller has
+// zeroed. In parallel mode the worker's private copy of each group prototype
+// is reset to fresh counters, so the batch result is a pure function of its
+// index range; in sequential mode the prototypes themselves advance
+// (Metropolis chains must persist). Accepted draws go straight into the
+// batch columns EvalBatch reads; apart from res.values (collect mode) the
+// batch allocates nothing.
+func (ge *groupEngine) runBatch(sc *batchScratch, start, n int, res *groupBatch) {
+	res.failedAt = -1
+	gss := ge.protos
+	if !ge.sequential {
+		gss = sc.gss
 		for i, gs := range ge.protos {
-			gss[i] = gs.clone()
+			gs.cloneInto(gss[i])
 		}
-		asn = expr.Assignment{}
-	}
-	if ge.collect {
-		res.values = make([]float64, 0, n)
-	}
-	// Vectorized scratch: one flat allocation holds the slot columns, the
-	// output column, and the evaluation stack for the whole batch.
-	vec := ge.prog != nil && n > 0
-	var cols [][]float64
-	var vals, out, stack []float64
-	if vec {
-		nslots := ge.prog.NumSlots()
-		flat := make([]float64, (nslots+1+ge.prog.MaxStack())*n+nslots)
-		cols = make([][]float64, nslots)
-		for s := range cols {
-			cols[s] = flat[s*n : (s+1)*n]
-		}
-		out = flat[nslots*n : (nslots+1)*n]
-		stack = flat[(nslots+1)*n : (nslots+1+ge.prog.MaxStack())*n]
-		vals = flat[(nslots+1+ge.prog.MaxStack())*n:]
 	}
 	drawn := 0
-	for i := 0; i < n; i++ {
-		idx := uint64(start + i)
+	for ; drawn < n; drawn++ {
+		idx := uint64(start + drawn)
 		ok := true
 		for _, gs := range gss {
-			if !gs.drawInto(asn, idx) {
+			if !gs.drawInto(&sc.scratch, idx) {
 				ok = false
 				break
 			}
 		}
 		if !ok {
-			res.failedAt = start + i
+			res.failedAt = start + drawn
 			break
 		}
-		if vec {
-			// Snapshot this sample's variable values into the columns; the
-			// arithmetic runs once for the whole batch after the draw loop.
-			ge.prog.Gather(asn, vals)
-			for s := range cols {
-				cols[s][drawn] = vals[s]
-			}
-			drawn++
-			continue
-		}
-		v := 1.0
-		if ge.e != nil {
-			v = ge.e.Eval(asn)
-		}
-		res.acc.Add(v)
-		if ge.collect {
-			res.values = append(res.values, v)
+		for s, v := range sc.vals {
+			sc.cols[s][drawn] = v
 		}
 	}
-	if vec && drawn > 0 {
-		ge.prog.EvalBatch(cols, drawn, out, stack)
-		// Accumulate in sample order — the identical Add sequence the
-		// per-sample path performs.
-		for _, v := range out[:drawn] {
+	if drawn > 0 {
+		ge.prog.EvalBatch(sc.cols, drawn, sc.out, sc.bstack)
+		// Accumulate in sample order: the Add sequence of a per-sample loop.
+		for _, v := range sc.out[:drawn] {
 			res.acc.Add(v)
-			if ge.collect {
-				res.values = append(res.values, v)
-			}
+		}
+		if ge.collect {
+			res.values = append(make([]float64, 0, drawn), sc.out[:drawn]...)
 		}
 	}
-	if !ge.sequential {
-		res.attempts = make([]int, len(gss))
-		res.accepts = make([]int, len(gss))
-		res.escalated = make([]bool, len(gss))
-		for i, gs := range gss {
-			res.attempts[i] = gs.attempts
-			res.accepts[i] = gs.accepts
-			res.escalated[i] = gs.usingMetropolis()
-		}
+	for i := range res.attempts {
+		res.attempts[i] = gss[i].attempts
+		res.accepts[i] = gss[i].accepts
+		res.escalated[i] = gss[i].usingMetropolis()
 	}
-	return res
 }
 
 // runAdaptive draws rounds until the (epsilon, delta) bound is met at a
@@ -407,8 +428,8 @@ func (ge *groupEngine) runFixed(n int) ([]float64, Accumulator, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// World-sampling engine: unconditioned draws over a fixed variable set,
-// indexed by attempt (worldSampleDNF, AggregateHistogram).
+// World-sampling engine: draws over a fixed variable set, indexed by attempt
+// (worldSampleDNF, sampleGroupProb).
 
 // worldRoundSize returns the next number of raw attempts for the rejection
 // world sampler, given attempts so far — the attempt-indexed analogue of
@@ -424,7 +445,7 @@ func worldRoundSize(attempts, maxAttempts int) int {
 	return r
 }
 
-// worldBatch is one batch of attempt indices of the DNF world sampler.
+// worldBatch is one batch of attempt indices of a world sampler.
 type worldBatch struct {
 	acc      Accumulator // moments of accepted samples
 	attempts int
@@ -435,33 +456,64 @@ type worldBatch struct {
 	idxs   []int
 }
 
-// runWorldRound draws attempt indices [start, start+count) of a rejection
-// world sample: each attempt draws every variable naturally (keyed by the
-// attempt index), keeps the value when the condition holds, and batch
-// accumulators merge in batch order. With collect set, accepted values and
-// their attempt indices are also returned, in attempt order. Callers must
-// check cfg.ctxErr() after the round and discard the batch on cancellation.
-func runWorldRound(cfg *Config, draw func(asn expr.Assignment, idx uint64) (float64, bool), start, count int, collect bool) worldBatch {
+// worldEngine runs attempt-indexed rejection world samples: each attempt
+// draws a whole world into the worker's scratch (keyed by the attempt index)
+// and either yields a value or is rejected.
+type worldEngine struct {
+	cfg *Config
+	// draw fills sc.vals for attempt idx and reports the attempt's value, or
+	// false when the world is rejected. It may use sc.stack and sc.rng and
+	// must not retain sc.
+	draw         func(sc *scratch, idx uint64) (float64, bool)
+	slots, stack int
+	// scratch[w] belongs to worker w, built on the worker's first batch.
+	scratch []*scratch
+}
+
+func newWorldEngine(cfg *Config, slots, stack int, draw func(sc *scratch, idx uint64) (float64, bool)) *worldEngine {
+	return &worldEngine{cfg: cfg, draw: draw, slots: slots, stack: stack,
+		scratch: make([]*scratch, max(1, cfg.effectiveWorkers()))}
+}
+
+// workerScratch returns worker w's scratch, building it on first use. Only
+// worker w ever touches slot w, so no synchronization is needed.
+func (we *worldEngine) workerScratch(w int) *scratch {
+	if we.scratch[w] == nil {
+		we.scratch[w] = newScratch(we.slots, we.stack)
+	}
+	return we.scratch[w]
+}
+
+// runBatch draws attempts [start, start+n) on sc into r, which the caller
+// has zeroed. Without collect it allocates nothing.
+func (we *worldEngine) runBatch(sc *scratch, start, n int, collect bool, r *worldBatch) {
+	for i := 0; i < n; i++ {
+		r.attempts++
+		idx := start + i
+		if v, ok := we.draw(sc, uint64(idx)); ok {
+			r.acc.Add(v)
+			if collect {
+				r.values = append(r.values, v)
+				r.idxs = append(r.idxs, idx)
+			}
+		}
+	}
+}
+
+// runRound draws attempt indices [start, start+count), merging batch
+// accumulators in batch order. With collect set, accepted values and their
+// attempt indices are also returned, in attempt order. Callers must check
+// cfg.ctxErr() after the round and discard the batch on cancellation.
+func (we *worldEngine) runRound(start, count int, collect bool) worldBatch {
+	cfg := we.cfg
 	offs := splitRange(start, count, sampleBatchSize)
 	results := make([]worldBatch, len(offs))
-	forEachBatch(cfg.Ctx, cfg.effectiveWorkers(), len(offs), func(b int) {
+	forEachBatch(cfg.Ctx, cfg.effectiveWorkers(), len(offs), func(w, b int) {
 		n := sampleBatchSize
 		if rem := start + count - offs[b]; rem < n {
 			n = rem
 		}
-		asn := expr.Assignment{}
-		r := &results[b]
-		for i := 0; i < n; i++ {
-			r.attempts++
-			idx := offs[b] + i
-			if v, ok := draw(asn, uint64(idx)); ok {
-				r.acc.Add(v)
-				if collect {
-					r.values = append(r.values, v)
-					r.idxs = append(r.idxs, idx)
-				}
-			}
-		}
+		we.runBatch(we.workerScratch(w), offs[b], n, collect, &results[b])
 	})
 	var merged worldBatch
 	for b := range results {

@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"pip/internal/cond"
@@ -44,7 +45,16 @@ func TestSplitRange(t *testing.T) {
 func TestForEachBatchCoversAllBatches(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		hits := make([]int, 57)
-		forEachBatch(nil, workers, len(hits), func(b int) { hits[b]++ })
+		var badWorker atomic.Bool
+		forEachBatch(nil, workers, len(hits), func(w, b int) {
+			hits[b]++
+			if w < 0 || w >= workers {
+				badWorker.Store(true)
+			}
+		})
+		if badWorker.Load() {
+			t.Fatalf("workers=%d: a batch ran under a worker index outside [0, workers)", workers)
+		}
 		for b, n := range hits {
 			if n != 1 {
 				t.Fatalf("workers=%d: batch %d ran %d times", workers, b, n)
@@ -309,7 +319,7 @@ func TestUnsatisfiableParallel(t *testing.T) {
 	// tail is then unreachable within a 500-attempt cap.
 	cfg.DisableCDFInversion = true
 	u := &expr.Variable{Key: expr.VarKey{ID: 1}, Dist: dist.MustInstance(dist.Uniform{}, 0, 1)}
-	c := cond.Clause{cond.NewAtom(expr.NewVar(u), cond.GT, expr.Const(1 - 1e-9))}
+	c := cond.Clause{cond.NewAtom(expr.NewVar(u), cond.GT, expr.Const(1-1e-9))}
 	for _, workers := range []int{1, 8} {
 		cfg.Workers = workers
 		r := New(cfg).Expectation(expr.NewVar(u), c, true)

@@ -29,6 +29,20 @@ func testSampler() *Sampler {
 
 func atom(l expr.Expr, op cond.CmpOp, r expr.Expr) cond.Atom { return cond.NewAtom(l, op, r) }
 
+// soloSampler builds a group sampler to be drawn from on its own, with a
+// scratch sized for it (the set-up a groupEngine does for its prototypes).
+func soloSampler(t *testing.T, g cond.Group, cfg *Config) (*groupSampler, *scratch) {
+	t.Helper()
+	gs, err := newGroupSampler(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.inconsistent {
+		return gs, nil
+	}
+	return gs, newScratch(gs.fr.size(), gs.atoms.MaxStack())
+}
+
 // stdNormalPDF/CDF for analytic references.
 func phi(x float64) float64 { return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi) }
 func Phi(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
@@ -303,10 +317,9 @@ func TestCDFInversionAblation(t *testing.T) {
 
 	// Build the group by hand to inspect counters.
 	groups := cond.Partition(c, nil)
-	gs := newGroupSampler(groups[0], &s.cfg)
-	asn := expr.Assignment{}
+	gs, sc := soloSampler(t, groups[0], &s.cfg)
 	for i := 0; i < 50; i++ {
-		if !gs.drawInto(asn, uint64(i)) {
+		if !gs.drawInto(sc, uint64(i)) {
 			t.Fatal("rejection sampling failed to find a sample")
 		}
 	}
@@ -317,9 +330,9 @@ func TestCDFInversionAblation(t *testing.T) {
 
 	cfg2 := cfg
 	cfg2.DisableCDFInversion = false
-	gs2 := newGroupSampler(groups[0], &cfg2)
+	gs2, sc2 := soloSampler(t, groups[0], &cfg2)
 	for i := 0; i < 50; i++ {
-		if !gs2.drawInto(asn, uint64(i)) {
+		if !gs2.drawInto(sc2, uint64(i)) {
 			t.Fatal("CDF sampling failed")
 		}
 	}

@@ -7,8 +7,9 @@
 //	go run ./tools/doclint ./internal/sampler ./driver
 //
 // The ./... form walks every directory under the current module that
-// contains Go files (skipping hidden directories and testdata). Exit
-// status is 1 when any finding is reported.
+// contains Go files (skipping hidden directories, testdata and nested
+// modules, as the go tool's ./... does). Exit status is 1 when any finding
+// is reported.
 package main
 
 import (
@@ -45,7 +46,9 @@ func main() {
 }
 
 // goDirs walks root and returns every directory holding at least one
-// non-test Go file, skipping hidden directories and testdata.
+// non-test Go file, skipping hidden directories, testdata and nested
+// modules (a directory below root with a go.mod of its own, e.g. benchmark/,
+// is linted by naming it, like every other go tool pattern).
 func goDirs(root string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -57,6 +60,11 @@ func goDirs(root string) ([]string, error) {
 			name := d.Name()
 			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
+			}
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}
