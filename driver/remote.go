@@ -343,12 +343,11 @@ func (r *remoteRows) Next(dest []driver.Value) error {
 		}
 		return io.EOF
 	}
-	row := r.rows.Row()
-	if len(dest) != len(row) {
-		return fmt.Errorf("pip driver: %d destinations for %d columns", len(dest), len(row))
+	if n := r.rows.NumCells(); len(dest) != n {
+		return fmt.Errorf("pip driver: %d destinations for %d columns", len(dest), n)
 	}
-	for i, v := range row {
-		n, err := v.Native()
+	for i := range dest {
+		n, err := r.rows.Native(i)
 		if err != nil {
 			return err
 		}

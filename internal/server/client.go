@@ -23,11 +23,18 @@ type Client struct {
 
 // NewClient creates a client for a pipd server. addr is host:port or a
 // full http:// base URL.
+//
+// The client's connections read through a buffer the size of the server's
+// flush unit, so a unit of a result stream arrives in one read of the socket
+// rather than one per 4 KiB; the buffer belongs to the connection, not the
+// request, so a one-row reply does not pay for it.
 func NewClient(addr string) *Client {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	return &Client{base: strings.TrimRight(addr, "/"), hc: &http.Client{}}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.ReadBufferSize = streamFlushBytes
+	return &Client{base: strings.TrimRight(addr, "/"), hc: &http.Client{Transport: tr}}
 }
 
 // post issues one JSON request; on a non-200 response the server's error
@@ -250,62 +257,78 @@ func (c *Client) stream(ctx context.Context, req QueryRequest) (*ClientRows, err
 		return nil, err
 	}
 	rows := &ClientRows{ctx: ctx, body: resp.Body, rd: bufio.NewReader(resp.Body)}
-	head, err := rows.readChunk()
-	if err != nil {
+	if err := rows.readChunk(); err != nil {
 		rows.Close()
 		return nil, err
 	}
-	if head.K != "head" {
+	if string(rows.dec.k) != "head" {
 		rows.Close()
-		return nil, fmt.Errorf("server: protocol error: expected head chunk, got %q", head.K)
+		return nil, fmt.Errorf("server: protocol error: expected head chunk, got %q", rows.dec.k)
 	}
-	rows.cols = head.Columns
+	rows.cols = rows.dec.columns()
 	return rows, nil
 }
 
 // ClientRows streams a remote query's result rows, mirroring pip.Rows:
-// Next advances, Row/Cond expose the current row, Err reports the terminal
-// error, Close releases the stream (cancelling the server-side query if it
-// is still running). Values arrive in wire form; symbolic cells and row
-// conditions are rendered strings.
+// Next advances, Native/Row/Cond expose the current row, Err reports the
+// terminal error, Close releases the stream (cancelling the server-side
+// query if it is still running). Each line is decoded in place by the chunk
+// codec; a cell becomes a Go value only when asked for. Symbolic cells and
+// row conditions are rendered strings.
 type ClientRows struct {
-	ctx    context.Context
-	body   io.ReadCloser
-	rd     *bufio.Reader
-	cols   []string
-	row    []Value
-	cond   string
-	count  int64
-	err    error
-	done   bool
-	closed bool
+	ctx     context.Context
+	body    io.ReadCloser
+	rd      *bufio.Reader
+	long    []byte  // a line longer than rd's buffer, assembled here
+	dec     decoder // the current line
+	cols    []string
+	row     []Value // Row's result for the current row, built on first use
+	haveRow bool
+	count   int64
+	err     error
+	done    bool
+	closed  bool
 }
 
 // Columns returns the result column names (empty for DDL/DML).
 func (r *ClientRows) Columns() []string { return r.cols }
 
-// readChunk reads one NDJSON line. Lines are unbounded (equation strings
-// can be long), hence ReadBytes rather than a Scanner.
-func (r *ClientRows) readChunk() (Chunk, error) {
-	line, err := r.rd.ReadBytes('\n')
+// readLine returns the next line of the stream, newline included, valid
+// until the following call. Lines are unbounded (equation strings can be
+// long): one that outgrows the reader's buffer is assembled in r.long.
+func (r *ClientRows) readLine() ([]byte, error) {
+	line, err := r.rd.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	r.long = append(r.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.rd.ReadSlice('\n')
+		r.long = append(r.long, line...)
+	}
+	return r.long, err
+}
+
+// readChunk reads one NDJSON line and decodes it into r.dec.
+func (r *ClientRows) readChunk() error {
+	line, err := r.readLine()
 	if err != nil && (len(line) == 0 || err != io.EOF) {
 		// Prefer the caller's cancellation over the transport's rendering
 		// of the connection teardown it caused.
 		if r.ctx != nil && r.ctx.Err() != nil {
-			return Chunk{}, r.ctx.Err()
+			return r.ctx.Err()
 		}
-		return Chunk{}, err
+		return err
 	}
-	var ch Chunk
-	if uerr := json.Unmarshal(line, &ch); uerr != nil {
+	if derr := r.dec.decode(line, chunkObject, nil); derr != nil {
 		if err == io.EOF {
 			// A partial trailing line is a severed stream (server died
 			// mid-chunk), not a protocol bug: surface it as truncation.
-			return Chunk{}, io.EOF
+			return io.EOF
 		}
-		return Chunk{}, fmt.Errorf("server: malformed chunk: %w", uerr)
+		return fmt.Errorf("server: malformed chunk: %w", derr)
 	}
-	return ch, nil
+	return nil
 }
 
 // Next advances to the next row, reporting false at the end of the stream
@@ -314,37 +337,71 @@ func (r *ClientRows) Next() bool {
 	if r.done || r.closed || r.err != nil {
 		return false
 	}
-	ch, err := r.readChunk()
-	if err != nil {
+	r.haveRow, r.row = false, r.row[:0]
+	if err := r.readChunk(); err != nil {
 		r.err = err
 		return false
 	}
-	switch ch.K {
+	switch k := string(r.dec.k); k {
 	case "row":
-		r.row, r.cond = ch.Row, ch.Cond
+		r.haveRow = true
 		r.count++
 		return true
 	case "done":
 		r.done = true
-		return false
 	case "err":
 		r.done = true
-		r.err = ch.Error.Err()
-		return false
+		if r.err = r.dec.wireError().Err(); r.err == nil {
+			r.err = fmt.Errorf("server: protocol error: err chunk without an error")
+		}
 	default:
 		r.done = true
-		r.err = fmt.Errorf("server: protocol error: unexpected chunk %q", ch.K)
-		return false
+		r.err = fmt.Errorf("server: protocol error: unexpected chunk %q", k)
 	}
+	return false
+}
+
+// NumCells returns the number of cells in the current row; 0 when no row
+// is positioned.
+func (r *ClientRows) NumCells() int {
+	if !r.haveRow {
+		return 0
+	}
+	return r.dec.ncells
+}
+
+// Native returns cell i of the current row as its natural Go value, exactly
+// as Value.Native would (float64, int64, string, bool, nil, or the equation
+// string of a symbolic cell) without building the Value first.
+func (r *ClientRows) Native(i int) (any, error) {
+	if i < 0 || i >= r.NumCells() {
+		return nil, fmt.Errorf("server: no cell %d in the current row", i)
+	}
+	return r.dec.cells[i].native()
 }
 
 // Row returns the current row's wire values (valid until the next call to
 // Next); nil when no row is positioned.
-func (r *ClientRows) Row() []Value { return r.row }
+func (r *ClientRows) Row() []Value {
+	if !r.haveRow {
+		return nil
+	}
+	if len(r.row) == 0 {
+		for i := range r.dec.cells[:r.dec.ncells] {
+			r.row = append(r.row, r.dec.cells[i].value())
+		}
+	}
+	return r.row
+}
 
 // Cond returns the current row's rendered c-table condition, "" for
 // deterministic rows.
-func (r *ClientRows) Cond() string { return r.cond }
+func (r *ClientRows) Cond() string {
+	if !r.haveRow {
+		return ""
+	}
+	return string(r.dec.cond)
+}
 
 // RowCount returns the number of rows consumed so far.
 func (r *ClientRows) RowCount() int64 { return r.count }

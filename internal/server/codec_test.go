@@ -1,0 +1,451 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"unicode/utf8"
+
+	"pip"
+	"pip/internal/ctable"
+)
+
+// The oracle: the documented grammar written the naive way, as struct tags
+// for encoding/json to interpret. The codec must agree with it byte for
+// byte when encoding and value for value when decoding; it lives in test
+// code only, so the tags are never a second definition a server could run.
+type (
+	oracleValue struct {
+		T string `json:"t"`
+		F string `json:"f,omitempty"`
+		I int64  `json:"i,omitempty"`
+		S string `json:"s,omitempty"`
+		B bool   `json:"b,omitempty"`
+	}
+	oracleError struct {
+		Code       string `json:"code"`
+		Message    string `json:"message"`
+		Line       int    `json:"line,omitempty"`
+		Col        int    `json:"col,omitempty"`
+		SourceLine string `json:"source_line,omitempty"`
+	}
+	oracleChunk struct {
+		K       string        `json:"k"`
+		Columns []string      `json:"columns,omitempty"`
+		Row     []oracleValue `json:"row,omitempty"`
+		Cond    string        `json:"cond,omitempty"`
+		Rows    int64         `json:"rows,omitempty"`
+		Error   *oracleError  `json:"error,omitempty"`
+	}
+)
+
+// toOracle converts a chunk to its shadow, preserving nil-ness.
+func toOracle(c Chunk) oracleChunk {
+	o := oracleChunk{K: c.K, Columns: c.Columns, Cond: c.Cond, Rows: c.Rows, Error: (*oracleError)(c.Error)}
+	if c.Row != nil {
+		o.Row = make([]oracleValue, len(c.Row))
+		for i, v := range c.Row {
+			o.Row[i] = oracleValue(v)
+		}
+	}
+	return o
+}
+
+// oracleEncode is json.Marshal of the shadow struct.
+func oracleEncode(t testing.TB, c Chunk) []byte {
+	t.Helper()
+	b, err := json.Marshal(toOracle(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// oracleDecode is json.Unmarshal into the shadow struct.
+func oracleDecode(line []byte) (oracleChunk, error) {
+	var o oracleChunk
+	err := json.Unmarshal(line, &o)
+	return o, err
+}
+
+var (
+	nastyFloats = []float64{
+		0, math.Copysign(0, -1), 1, -1, 1.0 / 3.0, math.Pi, 1e-323, 5e-324, 2.2250738585072014e-308,
+		2.225073858507201e-308, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), 95.00000000000001, -123456789.987654321, 1e21, 1e-7, 123456789012345678,
+	}
+	nastyInts    = []int64{0, 1, -1, 255, 256, math.MaxInt64, math.MinInt64, math.MaxInt32, math.MinInt32, 1 << 53}
+	nastyStrings = []string{
+		"", "x", "Joe", "FRANCE", "a b", `"quoted"`, `back\slash`, "tab\there", "line\nbreak", "\r\n", "\x00\x01\x1f", "\x7f",
+		"<script>&amp;</script>", "café", "日本語", "😀 non-BMP 𝒳", "  ", "\xff\xfe invalid", "\xc3", "\xed\xa0\x80 surrogate bytes",
+		"(x1 + 5)", "((x3 * 1.08) > 250) AND (x4 <= 7)", strings.Repeat("long ", 2000), `{"k":"row"}`, "null", "\\u0041",
+	}
+)
+
+// randString draws a nasty string or random bytes.
+func randString(rng *rand.Rand) string {
+	if rng.Intn(3) > 0 {
+		return nastyStrings[rng.Intn(len(nastyStrings))]
+	}
+	b := make([]byte, rng.Intn(24))
+	rng.Read(b)
+	return string(b)
+}
+
+// randCell draws an engine cell of any deterministic kind.
+func randCell(rng *rand.Rand) pip.Value {
+	switch rng.Intn(6) {
+	case 0:
+		return pip.Value{}
+	case 1:
+		if rng.Intn(2) == 0 {
+			return pip.Float(nastyFloats[rng.Intn(len(nastyFloats))])
+		}
+		return pip.Float(math.Float64frombits(rng.Uint64()))
+	case 2:
+		if rng.Intn(2) == 0 {
+			return pip.Int(nastyInts[rng.Intn(len(nastyInts))])
+		}
+		return pip.Int(int64(rng.Uint64()))
+	case 3:
+		return ctable.Bool(rng.Intn(2) == 0)
+	default:
+		return ctable.String_(randString(rng))
+	}
+}
+
+// randChunk draws one chunk of any of the four kinds, plus, for rows, the
+// engine cells it was encoded from.
+func randChunk(rng *rand.Rand) (Chunk, []pip.Value) {
+	switch rng.Intn(8) {
+	case 0:
+		c := Chunk{K: "head"}
+		for i := rng.Intn(5); i > 0; i-- {
+			c.Columns = append(c.Columns, randString(rng))
+		}
+		return c, nil
+	case 1:
+		return Chunk{K: "done", Rows: nastyInts[rng.Intn(len(nastyInts))]}, nil
+	case 2:
+		e := &Error{Code: CodeInternal, Message: randString(rng)}
+		if rng.Intn(2) == 0 {
+			e.Code, e.Line, e.Col, e.SourceLine = CodeParse, 1+rng.Intn(40), 1+rng.Intn(200), randString(rng)
+		}
+		return Chunk{K: "err", Error: e}, nil
+	default:
+		c := Chunk{K: "row"}
+		cells := make([]pip.Value, 1+rng.Intn(6))
+		for i := range cells {
+			cells[i] = randCell(rng)
+			c.Row = append(c.Row, EncodeValue(cells[i]))
+		}
+		if rng.Intn(3) == 0 {
+			// A symbolic cell and a row condition are rendered strings by
+			// the time they reach the codec.
+			c.Row = append(c.Row, Value{T: "e", S: randString(rng)})
+			c.Cond = randString(rng)
+			cells = nil
+		}
+		return c, cells
+	}
+}
+
+// sameNative compares two decoded cells, floats by bit pattern (any NaN
+// equals any NaN: the wire spells them all "NaN").
+func sameNative(a, b any) bool {
+	fa, oka := a.(float64)
+	fb, okb := b.(float64)
+	if oka && okb {
+		return math.Float64bits(fa) == math.Float64bits(fb) || (math.IsNaN(fa) && math.IsNaN(fb))
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestCodecDifferential holds the codec to the oracle over random chunks:
+// both encoders produce the same bytes (so either decoder reads either
+// output alike), both decoders produce the same chunk, and every cell
+// survives as the Go value it started as.
+func TestCodecDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var d decoder
+	for n := 0; n < 5000; n++ {
+		c, cells := randChunk(rng)
+		want := oracleEncode(t, c)
+
+		got := appendChunk(nil, &c, nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encode differs from the oracle\nchunk  %+v\ncodec  %s\noracle %s", c, got, want)
+		}
+		if cells != nil {
+			// The engine path: same bytes without the []Value.
+			if got := appendChunk(nil, &Chunk{K: "row", Cond: c.Cond}, cells); !bytes.Equal(got, want) {
+				t.Fatalf("engine-cell encode differs from the oracle\ncodec  %s\noracle %s", got, want)
+			}
+		}
+		if viaJSON, err := json.Marshal(c); err != nil || !bytes.Equal(viaJSON, want) {
+			t.Fatalf("json.Marshal(Chunk) = %s, %v; oracle %s", viaJSON, err, want)
+		}
+
+		// oracle-decode(new-encode(x)) == oracle-decode(oracle-encode(x)).
+		od1, err1 := oracleDecode(got)
+		od2, err2 := oracleDecode(want)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(od1, od2) {
+			t.Fatalf("oracle reads the two encodings differently: %+v (%v) vs %+v (%v)", od1, err1, od2, err2)
+		}
+
+		// new-decode(oracle-encode(x)) == x, up to what omitempty erases.
+		if err := d.decode(want, chunkObject, nil); err != nil {
+			t.Fatalf("decode %s: %v", want, err)
+		}
+		if back := toOracle(d.chunk()); !reflect.DeepEqual(back, od2) {
+			t.Fatalf("decode differs from the oracle on %s\ncodec  %+v\noracle %+v", want, back, od2)
+		}
+		var viaJSON Chunk
+		if err := json.Unmarshal(want, &viaJSON); err != nil || !reflect.DeepEqual(viaJSON, d.chunk()) {
+			t.Fatalf("json.Unmarshal into Chunk = %+v, %v; decoder %+v", viaJSON, err, d.chunk())
+		}
+		for i, cell := range cells {
+			// What the cell started as — except that a string that is not
+			// UTF-8 has its bad bytes replaced on the way out, by the oracle
+			// as by the codec, so there the oracle's reading is the target.
+			orig, err := Value(od2.Row[i]).Native()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case cell.Kind == ctable.KindFloat:
+				orig = cell.F
+			case cell.Kind == ctable.KindString && utf8.ValidString(cell.S):
+				orig = cell.S
+			}
+			back, err := d.cells[i].native()
+			if err != nil || !sameNative(back, orig) {
+				t.Fatalf("cell %d of %s decoded to %#v (%v), want %#v", i, want, back, err, orig)
+			}
+		}
+	}
+}
+
+// TestCodecSymbolicRows runs real symbolic rows with real conditions — the
+// engine's own Expr cells and c-table clauses — through the engine-cell
+// encoder and back.
+func TestCodecSymbolicRows(t *testing.T) {
+	db := pip.Open(pip.Options{Seed: 7})
+	ctx := context.Background()
+	for _, s := range demoStatements {
+		if err := db.ExecContext(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := db.QueryContext(ctx, "SELECT o.cust, o.price * 1.08, s.duration FROM orders o, shipping s WHERE o.shipto = s.dest AND o.price > 95 AND s.duration >= 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var d decoder
+	seen := 0
+	for rows.Next() {
+		c := Chunk{K: "row", Cond: rows.Cond().String()}
+		for _, v := range rows.Values() {
+			c.Row = append(c.Row, EncodeValue(v))
+		}
+		got := appendChunk(nil, &Chunk{K: "row", Cond: c.Cond}, rows.Values())
+		if want := oracleEncode(t, c); !bytes.Equal(got, want) {
+			t.Fatalf("codec  %s\noracle %s", got, want)
+		}
+		if err := d.decode(got, chunkObject, nil); err != nil {
+			t.Fatal(err)
+		}
+		if back := d.chunk(); !reflect.DeepEqual(back, c) {
+			t.Fatalf("round trip %+v, want %+v", back, c)
+		}
+		if c.Row[1].T != "e" || c.Cond == "" {
+			t.Fatalf("fixture is not symbolic: %+v", c)
+		}
+		seen++
+	}
+	if err := rows.Err(); err != nil || seen == 0 {
+		t.Fatalf("rows = %d, err = %v", seen, err)
+	}
+}
+
+// TestCodecDecodeGrammar pins the decoder's behaviour on the inputs a
+// generator of well-formed chunks never produces: other field orders,
+// unknown fields, escapes, \u pairs, nulls, repeated and case-folded keys —
+// each must decode exactly as encoding/json decodes it — and the lines it
+// must reject.
+func TestCodecDecodeGrammar(t *testing.T) {
+	accept := []string{
+		`{"row":[{"f":"1.5","t":"f"},{"s":"x","t":"s"}],"k":"row"}`,
+		` { "k" : "row" , "row" : [ { "t" : "i" , "i" : -42 } ] } ` + "\r\n",
+		`{"k":"row","row":[{"t":"i"},{"t":"b"},{"t":"s"},{"t":"null"},{"t":"f"}]}`,
+		`{"k":"row","future":{"a":[1,2.5e-3,{"b":null}],"c":"😀"},"row":[{"t":"b","b":true,"x":[]}]}`,
+		`{"k":"row","row":[{"t":"s","s":"A\n\t\"\\\/\b\f\r"}],"cond":"😀 \ud83d \ude00 \ud83dx é"}`,
+		`{"k":"row","row":[{"t":"s","s":"raw ` + "\xff\xc3" + ` bytes"}]}`,
+		`{"k":"row","row":[null,{"t":"i","i":7}],"cond":null,"rows":null}`,
+		`{"k":"head","columns":["a",null,"c"]}`,
+		`{"k":"head","columns":[]}`,
+		`{"k":"head","columns":null,"row":null,"error":null}`,
+		`{"k":"row","row":[]}`,
+		`{"K":"row","ROW":[{"T":"i","I":3}],"Cond":"c","ROWS":2}`,
+		"{\"K\":\"kelvin\",\"rowſ\":5,\"row\":[{\"ſ\":\"long s\"}]}",
+		`{"k":"a","k":"b","rows":1,"rows":2}`,
+		`{"row":[{"t":"i","i":1},{"t":"s","s":"x"}],"row":[{"t":"f"}]}`,
+		`{"row":[{"t":"i","i":1},{"t":"s","s":"x"}],"row":[{"t":"f"}],"row":[null,{"f":"2"}]}`,
+		`{"row":[{"t":"i","i":1}],"row":[],"row":[{"s":"y"}]}`,
+		`{"columns":["a","b"],"columns":[null],"columns":[null,null,null]}`,
+		`{"error":{"code":"parse","message":"m","line":3},"error":{"col":9}}`,
+		`{"k":"err","error":{"code":"parse","message":"near \"x\"","line":2,"col":14,"source_line":"SELECT x"}}`,
+		`{"k":"err","error":{}}`,
+		`{"k":"done","rows":-0}`,
+		`{"k":"done","rows":9223372036854775807}`,
+		`null`,
+		`{}`,
+	}
+	for _, line := range accept {
+		want, err := oracleDecode([]byte(line))
+		if err != nil {
+			t.Fatalf("oracle rejects %s: %v", line, err)
+		}
+		var d decoder
+		if err := d.decode([]byte(line), chunkObject, nil); err != nil {
+			t.Errorf("decode %s: %v", line, err)
+			continue
+		}
+		if got := toOracle(d.chunk()); !reflect.DeepEqual(got, want) {
+			t.Errorf("decode %s\ncodec  %+v\noracle %+v", line, got, want)
+		}
+	}
+	reject := []string{
+		``, ` `, `{`, `{"k":"row"`, `{"k":"row","row":[{"t":"f","f":"1.5"}`, `{"k":"row"}x`, `{"k":"row"}{}`,
+		`[]`, `5`, `"row"`, `true`, `nul`, `{"k":5}`, `{"k":"row","row":{}}`, `{"k":"row","row":[5]}`, `{"k":"row","row":[[]]}`,
+		`{"rows":1.0}`, `{"rows":1e2}`, `{"rows":"1"}`, `{"rows":9223372036854775808}`, `{"rows":01}`, `{"rows":-}`, `{"rows":+1}`,
+		`{"row":[{"b":1}]}`, `{"row":[{"b":"true"}]}`, `{"row":[{"i":true}]}`, `{"row":[{"t":"s","s":"a` + "\n" + `b"}]}`,
+		`{"k":"\x"}`, `{"k":"\u12"}`, `{"k":"\u12g4"}`, `{"k":'row'}`, `{k:"row"}`, `{"k":"row",}`, `{"k" "row"}`, `{"row":[1,]}`,
+		`{"x":tru}`, `{"x":.5}`, `{"x":1.}`, `{"x":1e}`, `{"x":-}`, `{"x":[}`, `{"columns":["a",5]}`, `{"columns":"a"}`, `{"error":[]}`,
+		`{"error":{"line":"3"}}`, `{"error":{"code":1}}`,
+		strings.Repeat("[", maxDepth+5),
+		`{"x":` + strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth) + `}`,
+	}
+	for _, line := range reject {
+		if _, err := oracleDecode([]byte(line)); err == nil {
+			t.Fatalf("oracle accepts %.80s", line)
+		}
+		var d decoder
+		if err := d.decode([]byte(line), chunkObject, nil); err == nil {
+			t.Errorf("decode accepted %.80s as %+v", line, d.chunk())
+		}
+	}
+	// The deepest nesting the oracle takes is taken here too.
+	deep := `{"x":` + strings.Repeat("[", maxDepth-1) + strings.Repeat("]", maxDepth-1) + `}`
+	if _, err := oracleDecode([]byte(deep)); err != nil {
+		t.Fatalf("oracle rejects depth %d: %v", maxDepth, err)
+	}
+	var d decoder
+	if err := d.decode([]byte(deep), chunkObject, nil); err != nil {
+		t.Errorf("decode rejects depth %d: %v", maxDepth, err)
+	}
+}
+
+// FuzzChunkDecode feeds arbitrary lines to the decoder: it never panics, it
+// accepts exactly the lines encoding/json accepts into the shadow struct,
+// and on those it yields an equal chunk (unknown fields ignored by both).
+// The json.Unmarshaler method and the in-place cell accessors must agree
+// with it.
+func FuzzChunkDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 64; i++ {
+		c, _ := randChunk(rng)
+		line := appendChunk(nil, &c, nil)
+		f.Add(line)
+		f.Add(line[:rng.Intn(len(line))]) // a severed stream's last line
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		want, oerr := oracleDecode(line)
+		var d decoder
+		derr := d.decode(line, chunkObject, nil)
+		if (oerr == nil) != (derr == nil) {
+			t.Fatalf("oracle error %v, decoder error %v", oerr, derr)
+		}
+		var viaJSON Chunk
+		jerr := json.Unmarshal(line, &viaJSON)
+		if (jerr == nil) != (derr == nil) {
+			t.Fatalf("json.Unmarshal into Chunk: %v, decoder error %v", jerr, derr)
+		}
+		if derr != nil {
+			return
+		}
+		got := d.chunk()
+		if !reflect.DeepEqual(toOracle(got), want) {
+			t.Fatalf("decoder %+v\noracle  %+v", toOracle(got), want)
+		}
+		if !reflect.DeepEqual(viaJSON, got) {
+			t.Fatalf("json.Unmarshal into Chunk %+v, decoder %+v", viaJSON, got)
+		}
+		for i := range d.cells[:d.ncells] {
+			n, nerr := d.cells[i].native()
+			vn, verr := got.Row[i].Native()
+			if (nerr == nil) != (verr == nil) || !sameNative(n, vn) {
+				t.Fatalf("cell %d: in-place %#v (%v), via Value %#v (%v)", i, n, nerr, vn, verr)
+			}
+		}
+		// What it decoded, it encodes to something that decodes the same.
+		again, err := oracleDecode(appendChunk(nil, &got, nil))
+		if err != nil || !reflect.DeepEqual(normalize(again), normalize(want)) {
+			t.Fatalf("re-encoded chunk reads back as %+v (%v), want %+v", again, err, want)
+		}
+	})
+}
+
+// normalize erases the difference omitempty cannot carry: empty versus
+// absent slices.
+func normalize(o oracleChunk) oracleChunk {
+	if len(o.Columns) == 0 {
+		o.Columns = nil
+	}
+	if len(o.Row) == 0 {
+		o.Row = nil
+	}
+	return o
+}
+
+// TestCodecAllocs pins the per-row cost both ends were rebuilt for: a warm
+// buffer takes a three-cell row with no allocation and a warm decoder scans
+// it back with none; turning the cells into Go values then costs only what
+// handing them out as `any` (database/sql's driver.Value) must — one box per
+// int64 and float64, and the string's bytes plus its header.
+func TestCodecAllocs(t *testing.T) {
+	cells := []pip.Value{pip.Int(123456), pip.Float(270.54000000000002), ctable.String_("FRANCE")}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(1000, func() {
+		row := Chunk{K: "row"}
+		buf = append(appendChunk(buf[:0], &row, cells), '\n')
+	}); n != 0 {
+		t.Errorf("encoding a 3-cell row allocates %v times, want 0", n)
+	}
+
+	var d decoder
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := d.decode(buf, chunkObject, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("scanning a 3-cell row allocates %v times, want 0", n)
+	}
+	var natives [3]any
+	if n := testing.AllocsPerRun(1000, func() {
+		for i := range natives {
+			natives[i], _ = d.cells[i].native()
+		}
+	}); n > 4 {
+		t.Errorf("boxing a 3-cell row allocates %v times, want at most 4", n)
+	}
+	if want := [3]any{int64(123456), 270.54000000000002, "FRANCE"}; natives != want {
+		t.Errorf("natives = %#v, want %#v", natives, want)
+	}
+}

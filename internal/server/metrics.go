@@ -37,6 +37,8 @@ type metrics struct {
 	errorsTotal     atomic.Int64 // statements that ended in an error chunk/status
 	cancelledTotal  atomic.Int64 // statements ended by client disconnect/cancel
 	rowsTotal       atomic.Int64 // result rows streamed to clients
+	streamFlushes   atomic.Int64 // flushes of /v1/query response streams
+	streamBytes     atomic.Int64 // NDJSON bytes written to /v1/query response streams
 	sessionsTotal   atomic.Int64 // sessions ever created
 	sessionsSwept   atomic.Int64 // sessions reclaimed by the idle sweep
 	queryNanos      atomic.Int64 // cumulative statement wall time
@@ -124,6 +126,8 @@ func (m *metrics) write(w io.Writer, sessionsActive int) {
 		{"pip_query_errors_total", "Statements that ended in an error.", "counter", float64(m.errorsTotal.Load())},
 		{"pip_query_cancelled_total", "Statements ended by client cancellation or disconnect.", "counter", float64(m.cancelledTotal.Load())},
 		{"pip_rows_streamed_total", "Result rows streamed to clients.", "counter", float64(m.rowsTotal.Load())},
+		{"pip_stream_flushes_total", "Flushes of /v1/query result streams onto their connections.", "counter", float64(m.streamFlushes.Load())},
+		{"pip_stream_bytes_total", "NDJSON bytes written to /v1/query result streams.", "counter", float64(m.streamBytes.Load())},
 		{"pip_sessions_active", "Live sessions.", "gauge", float64(sessionsActive)},
 		{"pip_sessions_total", "Sessions ever created.", "counter", float64(m.sessionsTotal.Load())},
 		{"pip_sessions_swept_total", "Sessions reclaimed by the idle sweep.", "counter", float64(m.sessionsSwept.Load())},

@@ -122,7 +122,8 @@ func TestMetricsExposition(t *testing.T) {
 	series := lintExposition(t, text)
 
 	for _, family := range []string{"pip_queries_total", "pip_queries_inflight",
-		"pip_sessions_total", "pip_query_errors_total", "pip_rows_streamed_total"} {
+		"pip_sessions_total", "pip_query_errors_total", "pip_rows_streamed_total",
+		"pip_stream_flushes_total", "pip_stream_bytes_total"} {
 		if _, ok := series[family]; !ok {
 			t.Fatalf("flat family %s missing from exposition", family)
 		}
@@ -166,6 +167,18 @@ func TestMetricsExposition(t *testing.T) {
 				t.Fatalf("%s{endpoint=%s}: final bucket %g != count %g", family, ep, last, count)
 			}
 		}
+	}
+	// The one /v1/query statement streamed 3 rows in head + first row + the
+	// rest with done: rows per flush and bytes per row read off the counters.
+	if got := series["pip_rows_streamed_total"]; got != 3 {
+		t.Fatalf("pip_rows_streamed_total = %g, want 3", got)
+	}
+	if got := series["pip_stream_flushes_total"]; got != 3 {
+		t.Fatalf("pip_stream_flushes_total = %g, want 3 (head, first row, rest+done)", got)
+	}
+	want := len(`{"k":"head","columns":["v"]}`+"\n") + 3*len(`{"k":"row","row":[{"t":"f","f":"1"}]}`+"\n") + len(`{"k":"done","rows":3}`+"\n")
+	if got := series["pip_stream_bytes_total"]; got != float64(want) {
+		t.Fatalf("pip_stream_bytes_total = %g, want %d", got, want)
 	}
 	// The query endpoint streamed 3 rows; latency observations must exist.
 	if series[`pip_query_seconds_count{endpoint="query"}`] < 1 {

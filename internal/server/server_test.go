@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pip"
+	"pip/internal/ctable"
 )
 
 // demoStatements is the paper's running example, used as the shared
@@ -453,15 +454,34 @@ func TestTypedErrorsOverWire(t *testing.T) {
 }
 
 // TestWireValueRoundTrip proves every float64 bit pattern the engine can
-// produce survives the wire encoding exactly.
+// produce survives the wire encoding exactly — through Value's own JSON
+// methods, and through the row path pipd and the client actually run
+// (engine cell appended into a row line, line scanned in place, cell read
+// back as a native) — and that the other kinds survive both alike.
 func TestWireValueRoundTrip(t *testing.T) {
 	floats := []float64{
-		0, math.Copysign(0, -1), 1.0 / 3.0, math.Pi, 1e-323, math.MaxFloat64,
-		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-		95.00000000000001, -123456789.987654321,
+		0, math.Copysign(0, -1), 1.0 / 3.0, math.Pi, 1e-323, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 2.225073858507201e-308,
+		math.Inf(1), math.Inf(-1), math.NaN(), 95.00000000000001, -123456789.987654321,
+	}
+	cells := []pip.Value{
+		{}, pip.Int(0), pip.Int(math.MaxInt64), pip.Int(math.MinInt64), ctable.Bool(true), ctable.Bool(false),
+		ctable.String_(""), ctable.String_("tab\t\"quote\" <&> caf\u00e9 \U0001F600 \u2028"),
 	}
 	for _, f := range floats {
-		v := EncodeValue(pip.Float(f))
+		cells = append(cells, pip.Float(f))
+	}
+	var d decoder
+	for _, cell := range cells {
+		v := EncodeValue(cell)
+		want, err := v.Native()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.Kind == ctable.KindFloat {
+			want = cell.F
+		}
+
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -470,17 +490,34 @@ func TestWireValueRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(b, &back); err != nil {
 			t.Fatal(err)
 		}
-		n, err := back.Native()
-		if err != nil {
-			t.Fatal(err)
+		if back != v {
+			t.Errorf("%s unmarshalled to %+v, want %+v", b, back, v)
 		}
-		got, ok := n.(float64)
-		if !ok {
-			t.Fatalf("%v decoded to %T", f, n)
+		got, err := back.Native()
+		if err != nil || !sameNative(got, want) {
+			t.Errorf("%+v round-tripped through Value to %#v (%v), want %#v", cell, got, err, want)
 		}
-		if math.Float64bits(got) != math.Float64bits(f) && !(math.IsNaN(got) && math.IsNaN(f)) {
-			t.Errorf("float %v (bits %x) round-tripped to %v (bits %x)",
-				f, math.Float64bits(f), got, math.Float64bits(got))
+
+		line := appendChunk(nil, &Chunk{K: "row"}, []pip.Value{cell})
+		if err := d.decode(line, chunkObject, nil); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		got, err = d.cells[0].native()
+		if err != nil || !sameNative(got, want) {
+			t.Errorf("%+v round-tripped through a row line to %#v (%v), want %#v", cell, got, err, want)
+		}
+	}
+	// A float payload that is not a number is an error at the point of use,
+	// on either path.
+	if _, err := (Value{T: "f", F: "1.5x"}).Native(); err == nil {
+		t.Error("malformed float accepted by Value.Native")
+	}
+	if err := d.decode([]byte(`{"k":"row","row":[{"t":"f","f":"1.5x"},{"t":"q"}]}`), chunkObject, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.cells[:d.ncells] {
+		if _, err := d.cells[i].native(); err == nil {
+			t.Errorf("cell %d: malformed payload accepted", i)
 		}
 	}
 }

@@ -19,10 +19,30 @@
 //
 // A query response is newline-delimited JSON (NDJSON) over a chunked HTTP
 // body: one head chunk naming the result columns, one chunk per row, and a
-// terminal done (with the row count) or err chunk. Rows stream as the
-// engine produces them, so a remote client consumes a large result with
-// the same incremental cost as a local Rows loop, and closing the request
-// body cancels the server-side query through its context.
+// terminal done (with the row count) or err chunk — each line one JSON
+// object of the Chunk grammar, which any JSON library reads. Closing the
+// request body cancels the server-side query through its context.
+//
+// Both ends of the stream run one hand-written codec for that grammar
+// (codec.go): append-style encoders that write a row straight from the
+// engine's cells into a buffer the request owns, and an in-place scanner
+// that the client reads lines with. Chunk, Value and Error implement
+// json.Marshaler and json.Unmarshaler by calling the same functions, so
+// encoding/json produces and accepts exactly the bytes pipd does and the
+// grammar has a single definition.
+//
+// Rows still stream as the engine produces them, but they are not flushed
+// one by one. The handler owns the response buffer (it starts empty and
+// grows on demand, so a one-row reply stays small) and flushes it by a fixed
+// rule: the head at once, the first row at once, then whenever 32 KiB are
+// buffered or 1 ms has passed since the last flush, and at the terminal
+// chunk. Time to first row is therefore what a flush per row gave; a large
+// result crosses the connection in a handful of writes instead of one per
+// row; and a statement whose rows are slow to produce still delivers each as
+// it appears, because by then the interval has long passed. A write or flush
+// that fails ends the statement, counted as cancelled. Request bodies are
+// read through a 64 MiB limit; a larger one is refused with 413 and the
+// bad_request code.
 //
 // # Determinism across the wire
 //
@@ -61,12 +81,33 @@ import (
 //
 // Floats are strings, not JSON numbers, so ±Inf and NaN survive and every
 // bit pattern round-trips exactly — the wire cannot perturb determinism.
+//
+// On the wire a cell is a JSON object keyed by the lower-cased field names,
+// with a payload field omitted when it holds its zero value: {"t":"i"} is
+// the integer 0. MarshalJSON and UnmarshalJSON are that grammar.
 type Value struct {
-	T string `json:"t"`
-	F string `json:"f,omitempty"`
-	I int64  `json:"i,omitempty"`
-	S string `json:"s,omitempty"`
-	B bool   `json:"b,omitempty"`
+	T string
+	F string
+	I int64
+	S string
+	B bool
+}
+
+// MarshalJSON implements json.Marshaler with the chunk codec.
+func (v Value) MarshalJSON() ([]byte, error) {
+	return appendValue(make([]byte, 0, 48), v), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler with the chunk codec. It
+// replaces the receiver; a JSON null yields the zero Value, which is NULL.
+func (v *Value) UnmarshalJSON(data []byte) error {
+	var d decoder
+	var c rawCell
+	if err := d.decode(data, cellObject, &c); err != nil {
+		return fmt.Errorf("server: malformed wire value: %w", err)
+	}
+	*v = c.value()
+	return nil
 }
 
 // EncodeValue converts an engine cell to its wire form.
@@ -95,7 +136,7 @@ func (v Value) Native() (any, error) {
 	case "f":
 		f, err := strconv.ParseFloat(v.F, 64)
 		if err != nil {
-			return nil, fmt.Errorf("server: malformed wire float %q", v.F)
+			return nil, errWireFloat(v.F)
 		}
 		return f, nil
 	case "i":
@@ -111,6 +152,11 @@ func (v Value) Native() (any, error) {
 	default:
 		return nil, fmt.Errorf("server: unknown wire value kind %q", v.T)
 	}
+}
+
+// errWireFloat reports a float cell whose payload does not parse.
+func errWireFloat(f string) error {
+	return fmt.Errorf("server: malformed wire float %q", f)
 }
 
 // String renders the value exactly as the engine's own display formatting
@@ -230,13 +276,35 @@ type TableInfo struct {
 //
 // A well-formed stream is head, zero or more rows, then exactly one done
 // or err.
+//
+// On the wire a chunk is a JSON object keyed by the lower-cased field names,
+// with every field but k omitted when empty. MarshalJSON and UnmarshalJSON
+// are that grammar — the same functions pipd streams rows with and the
+// client reads them with — so the struct carries no field tags to keep in
+// step.
 type Chunk struct {
-	K       string   `json:"k"`
-	Columns []string `json:"columns,omitempty"`
-	Row     []Value  `json:"row,omitempty"`
-	Cond    string   `json:"cond,omitempty"`
-	Rows    int64    `json:"rows,omitempty"`
-	Error   *Error   `json:"error,omitempty"`
+	K       string
+	Columns []string
+	Row     []Value
+	Cond    string
+	Rows    int64
+	Error   *Error
+}
+
+// MarshalJSON implements json.Marshaler with the chunk codec.
+func (c Chunk) MarshalJSON() ([]byte, error) {
+	return appendChunk(make([]byte, 0, 128), &c, nil), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler with the chunk codec. It
+// replaces the receiver rather than merging into it.
+func (c *Chunk) UnmarshalJSON(data []byte) error {
+	d := decoder{cells: make([]rawCell, 0, 4)} // a narrow row's slots in one allocation
+	if err := d.decode(data, chunkObject, nil); err != nil {
+		return fmt.Errorf("server: malformed chunk: %w", err)
+	}
+	*c = d.chunk()
+	return nil
 }
 
 // Error codes carried by wire errors, so clients can reconstruct the typed
@@ -261,12 +329,32 @@ var ErrBadRequest = errors.New("server: bad request")
 // Error is the wire form of a failure. Parse errors carry their position
 // and source line so remote clients render the same caret diagnostics as
 // local ones.
+//
+// On the wire an error is the JSON object {"code","message","line","col",
+// "source_line"}, the last three omitted when zero, both inside an err
+// chunk and as the body of a non-200 response.
 type Error struct {
-	Code       string `json:"code"`
-	Message    string `json:"message"`
-	Line       int    `json:"line,omitempty"`
-	Col        int    `json:"col,omitempty"`
-	SourceLine string `json:"source_line,omitempty"`
+	Code       string
+	Message    string
+	Line       int
+	Col        int
+	SourceLine string
+}
+
+// MarshalJSON implements json.Marshaler with the chunk codec.
+func (e Error) MarshalJSON() ([]byte, error) {
+	return appendError(make([]byte, 0, 128), &e), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler with the chunk codec. It
+// replaces the receiver.
+func (e *Error) UnmarshalJSON(data []byte) error {
+	var d decoder
+	if err := d.decode(data, errorObject, nil); err != nil {
+		return fmt.Errorf("server: malformed wire error: %w", err)
+	}
+	*e = d.err.wire()
+	return nil
 }
 
 // ErrSessionUnknown is wrapped by failures naming a session the server
