@@ -1,7 +1,7 @@
 // Command pipbench regenerates the paper's evaluation figures (§VI) and
 // measures the parallel world-evaluation engine:
 //
-//	pipbench -experiment fig5|fig6|fig7a|fig7b|fig8|speedup|vectorize|all [-quick]
+//	pipbench -experiment fig5|fig6|fig7a|fig7b|fig8|speedup|all [-quick]
 //	         [-seed N] [-samples N] [-trials N] [-workers N]
 //
 // Each figure experiment prints the same series the corresponding figure
@@ -22,13 +22,12 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig5, fig6, fig7a, fig7b, fig8, speedup, vectorize or all")
+		experiment = flag.String("experiment", "all", "fig5, fig6, fig7a, fig7b, fig8, speedup or all")
 		quick      = flag.Bool("quick", false, "use the fast, small-scale configuration")
 		seed       = flag.Uint64("seed", 0, "override the world seed (0 = default)")
 		samples    = flag.Int("samples", 0, "override the PIP sample budget (0 = default 1000)")
 		trials     = flag.Int("trials", 0, "override the RMS trial count (0 = default 30)")
 		workers    = flag.Int("workers", 0, "worker pool size for the speedup experiment (0 = one per CPU)")
-		jsonOut    = flag.String("json", "", "write a machine-readable benchmark report to this file ('-' = stdout) and exit")
 	)
 	flag.Parse()
 
@@ -44,14 +43,6 @@ func main() {
 	}
 	if *trials > 0 {
 		opt.Trials = *trials
-	}
-
-	if *jsonOut != "" {
-		if err := runJSON(*jsonOut, opt, *quick, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "pipbench: json: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	run := func(name string, f func() error) {
@@ -117,17 +108,8 @@ func main() {
 		return nil
 	})
 
-	run("vectorize", func() error {
-		rows, err := bench.VectorizeAB(opt)
-		if err != nil {
-			return err
-		}
-		bench.WriteVectorize(os.Stdout, rows)
-		return nil
-	})
-
 	switch *experiment {
-	case "all", "fig5", "fig6", "fig7a", "fig7b", "fig8", "speedup", "vectorize":
+	case "all", "fig5", "fig6", "fig7a", "fig7b", "fig8", "speedup":
 	default:
 		fmt.Fprintf(os.Stderr, "pipbench: unknown experiment %q\n", *experiment)
 		os.Exit(2)

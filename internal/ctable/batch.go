@@ -1,9 +1,8 @@
-// Columnar batches: the unit of data exchange between vectorized query
-// operators. A Batch holds ~1k rows as column-major Value slices plus a
-// per-row local condition, with an optional selection vector so filters can
-// drop rows without copying the surviving cells. Batches carry the same
-// information as a []Tuple slice — operators produce identical rows in
-// identical order through either representation.
+// Columnar batches: the unit of data exchange between query operators. A
+// Batch holds ~1k rows as column-major Value slices plus a per-row local
+// condition, with an optional selection vector so filters can drop rows
+// without copying the surviving cells. Batches carry the same information
+// as a []Tuple slice, in the same row order.
 
 package ctable
 
@@ -68,20 +67,9 @@ func (b *Batch) At(c, k int) Value { return b.Cols[c][b.RowIdx(k)] }
 // CondAt returns the local condition of logical row k.
 func (b *Batch) CondAt(k int) cond.Condition { return b.Conds[b.RowIdx(k)] }
 
-// Row gathers logical row k into a freshly allocated Tuple (safe to retain
-// after the batch is reused).
-func (b *Batch) Row(k int) Tuple {
-	i := b.RowIdx(k)
-	vals := make([]Value, len(b.Cols))
-	for c := range b.Cols {
-		vals[c] = b.Cols[c][i]
-	}
-	return Tuple{Values: vals, Cond: b.Conds[i]}
-}
-
 // GatherRow copies logical row k's cells into dst (which must have one slot
-// per column) and returns the row's condition — the allocation-free variant
-// of Row for operators with a reusable row scratch.
+// per column) and returns the row's condition. It allocates nothing, so
+// operators gather into a reusable row scratch.
 func (b *Batch) GatherRow(k int, dst []Value) cond.Condition {
 	i := b.RowIdx(k)
 	for c := range b.Cols {

@@ -9,9 +9,9 @@ import "pip/internal/cond"
 // Compare conjuncts whose operands are column references or literals —
 // which is how equi-join residuals and constant filters arrive after
 // planning. Rows that leave the fragment at runtime (a symbolic operand, an
-// incomparable pair) are reported back to the caller, which must re-run the
-// shared row-at-a-time unit on exactly that row so outcomes, condition
-// rewrites and error messages stay bit-identical to the row engine.
+// incomparable pair) are reported back to the caller, which must run
+// ApplyPredicate on exactly that row so outcomes, condition rewrites and
+// error messages are ApplyPredicate's.
 
 // batchCmp is one compiled Compare conjunct. A negative column index means
 // the corresponding literal value is used instead.
@@ -29,7 +29,7 @@ type BatchPred struct {
 
 // CompileBatchPred compiles p for columnar evaluation. ok is false when p
 // contains a conjunct outside the Compare(Col|Lit, Col|Lit) fragment, in
-// which case the caller must stay on the row-at-a-time path.
+// which case the caller must run ApplyPredicate on every row.
 func CompileBatchPred(p AndPred) (*BatchPred, bool) {
 	bp := &BatchPred{cmps: make([]batchCmp, 0, len(p))}
 	for _, conj := range p {
@@ -60,9 +60,9 @@ func CompileBatchPred(p AndPred) (*BatchPred, bool) {
 }
 
 // EvalRow evaluates the conjunction against physical row phys of b. ok is
-// false when the row needs the row-at-a-time unit (a symbolic operand or an
-// incomparable pair — the latter so the fallback reproduces the row
-// engine's exact error). With ok true, keep reports the deterministic
+// false when the row needs ApplyPredicate (a symbolic operand or an
+// incomparable pair — the latter so the fallback raises Compare.Eval's
+// exact error). With ok true, keep reports the deterministic
 // verdict; a kept row's condition is untouched, exactly as ApplyPredicate
 // leaves a PredTrue row. Conjuncts short-circuit in predicate order, and
 // each conjunct checks NULL before symbolic, mirroring Compare.Eval.

@@ -190,6 +190,40 @@ func TestFollowerBitIdentity(t *testing.T) {
 	}
 }
 
+// TestFollowerAppliesRetiredVectorizeSetting: SET statements ship to
+// followers, and a primary whose log predates the deletion of the
+// row-at-a-time engine carries `SET vectorize = on|off`. A follower must
+// apply that log, and hold the catalog and give the sampled answer of a
+// follower whose primary never logged it.
+func TestFollowerAppliesRetiredVectorizeSetting(t *testing.T) {
+	replicate := func(stmts []string) *core.DB {
+		t.Helper()
+		fx := newPrimaryFixture(t, 7)
+		for _, q := range stmts {
+			mustExec(t, fx.db, q)
+		}
+		rdb, f := follow(t, fx, 7)
+		waitSeq(t, f, uint64(len(stmts)))
+		if !bytes.Equal(catalogBytes(t, rdb), catalogBytes(t, fx.db)) {
+			t.Fatal("replica catalog differs from its primary")
+		}
+		return rdb
+	}
+	const (
+		create = "CREATE TABLE orders (cust, price)"
+		joe    = "INSERT INTO orders VALUES ('Joe', CREATE_VARIABLE('Normal', 100, 10))"
+		ann    = "INSERT INTO orders VALUES ('Ann', CREATE_VARIABLE('Normal', 80, 5)), ('Bob', 42.5)"
+	)
+	plain := replicate([]string{create, joe, ann})
+	old := replicate([]string{"SET vectorize = off", create, joe, "SET vectorize = on", ann})
+	if !bytes.Equal(catalogBytes(t, old), catalogBytes(t, plain)) {
+		t.Fatal("a log carrying SET vectorize replicated to a different catalog")
+	}
+	if got, want := expectedRevenue(t, old), expectedRevenue(t, plain); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("a log carrying SET vectorize answers differently: %v vs %v", got, want)
+	}
+}
+
 // TestFollowerSnapshotBootstrap covers the catch-up path: a replica whose
 // resume point was pruned into a snapshot bootstraps from the streamed
 // image, replays the suffix, and still matches bit-for-bit.

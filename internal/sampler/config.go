@@ -96,13 +96,6 @@ type Config struct {
 	DisableMetropolis   bool // never escalate to Metropolis
 	DisableExactCDF     bool // never integrate exactly; always sample
 	DisableClosedForm   bool // never use closed-form means; always sample
-	// DisableVectorize selects the relational engine only: the SQL planner
-	// lowers onto the row-at-a-time operators instead of the columnar batch
-	// operators (SQL surface: SET vectorize = on|off). The sampler itself
-	// does not read it — it has one evaluator, compiled programs over slot
-	// frames (frame.go). The field lives here because session settings
-	// travel in the sampler configuration.
-	DisableVectorize bool
 }
 
 // DefaultConfig returns the configuration used by the paper's experiments:

@@ -137,10 +137,7 @@ func TestStreamSlowProducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The batch engine evaluates conf() for a whole batch of rows before it
-	// emits the first; the row engine produces them one Next at a time,
-	// which is the producer this test is about.
-	for _, s := range append([]string{"SET vectorize = 0"}, demoStatements...) {
+	for _, s := range demoStatements {
 		if _, err := sess.Exec(ctx, s); err != nil {
 			t.Fatal(err)
 		}

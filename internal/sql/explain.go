@@ -36,8 +36,8 @@ type PlanNode struct {
 	// (ANALYZE only).
 	Elapsed time.Duration
 	// OpBatches is the number of column batches the operator emitted
-	// (ANALYZE only; zero on the row-at-a-time engine). Distinct from
-	// Batches below, which counts sampler batches.
+	// (ANALYZE only). Distinct from Batches below, which counts sampler
+	// batches.
 	OpBatches int64
 	// Sampling reports that the operator carries its own sampler telemetry
 	// scope (Project and Aggregate nodes); Samples, Batches and AcceptRate

@@ -4,7 +4,7 @@
 // (Scan -> Join -> Filter -> Project/Aggregate -> Distinct -> Sort -> Limit),
 // the rule-based rewriter (rewrite.go) transforms the tree — constant
 // folding, predicate pushdown, equi-join key extraction, projection pruning
-// — and the physical layer (operators.go) lowers each node onto a Cursor
+// — and the physical layer (vecops.go) lowers each node onto a Cursor
 // operator. The rewrites are all "condition-free": they change which tuples
 // are enumerated, never which predicates conjoin condition atoms or in what
 // order, so planned results are bit-identical to the naive
@@ -215,8 +215,8 @@ func (a *lAggregate) children() []lnode { return []lnode{a.input} }
 // DNF (C_distinct of Fig. 1). Blocking.
 type lDistinct struct{ input lnode }
 
-func (d *lDistinct) op() string       { return "Distinct" }
-func (d *lDistinct) detail() string   { return "" }
+func (d *lDistinct) op() string        { return "Distinct" }
+func (d *lDistinct) detail() string    { return "" }
 func (d *lDistinct) children() []lnode { return []lnode{d.input} }
 
 // lSort orders the materialized result by one output column. Blocking.
@@ -245,14 +245,14 @@ type lLimit struct {
 	n     int
 }
 
-func (l *lLimit) op() string       { return "Limit" }
-func (l *lLimit) detail() string   { return fmt.Sprintf("%d", l.n) }
+func (l *lLimit) op() string        { return "Limit" }
+func (l *lLimit) detail() string    { return fmt.Sprintf("%d", l.n) }
 func (l *lLimit) children() []lnode { return []lnode{l.input} }
 
 // lEmpty is the zero-row relation a constant-false WHERE folds to: no table
 // is ever scanned.
 type lEmpty struct{ reason string }
 
-func (e *lEmpty) op() string       { return "Result" }
-func (e *lEmpty) detail() string   { return "(no rows: " + e.reason + ")" }
+func (e *lEmpty) op() string        { return "Result" }
+func (e *lEmpty) detail() string    { return "(no rows: " + e.reason + ")" }
 func (e *lEmpty) children() []lnode { return nil }

@@ -1,15 +1,16 @@
-// Physical operators: every plan node lowers onto an operator implementing
-// the public Cursor interface, so the whole engine — eager execution,
-// streaming Rows, EXPLAIN — runs one pull-based pipeline. Operators track
-// emitted row counts (and, under EXPLAIN ANALYZE, cumulative wall time) in
-// an embedded opBase.
+// Physical operators, shared half: every plan node lowers onto an operator
+// (vecops.go) implementing the public Cursor interface, so the whole engine
+// — eager execution, streaming Rows, EXPLAIN — runs one pull-based
+// pipeline. This file holds what the operators have in common: the metadata
+// and counters embedded in each (opBase), the executable plan with its eager
+// drain, and the per-row and per-group sampling units that Project and
+// Aggregate apply (finishProject, stageAggRow, computeAgg).
 
 package sql
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"pip/internal/cond"
@@ -22,7 +23,7 @@ import (
 // opStats holds per-operator execution counters for EXPLAIN ANALYZE.
 type opStats struct {
 	rows    int64
-	batches int64         // column batches emitted (vectorized operators only)
+	batches int64         // column batches emitted (NextBatch calls that returned rows)
 	elapsed time.Duration // cumulative: includes time spent in child operators
 }
 
@@ -60,19 +61,6 @@ func (b *opBase) begin() time.Time {
 	return time.Time{}
 }
 
-// emit closes the timing window and counts the emitted row (nil on
-// EOF/error), passing the pair through for a tail-call from Next.
-func (b *opBase) emit(t0 time.Time, t *ctable.Tuple, err error) (*ctable.Tuple, error) {
-	if b.timed {
-		//pipvet:allow detsource ANALYZE timing window, never feeds sampled state
-		b.stats.elapsed += time.Since(t0)
-	}
-	if t != nil {
-		b.stats.rows++
-	}
-	return t, err
-}
-
 // closeKids closes all child operators, keeping the first error.
 func (b *opBase) closeKids() error {
 	var first error
@@ -86,14 +74,15 @@ func (b *opBase) closeKids() error {
 
 // physPlan is a lowered, executable plan.
 type physPlan struct {
-	root operator
+	root vecOperator
 	name string // result table name
 	qs   *obs.QueryStats
 }
 
 // drain runs the plan to completion, materializing the result c-table —
-// the eager execution path shares the streaming operator pipeline. The
-// whole pull loop is the trace's "execute" phase.
+// the eager execution path shares the streaming operator pipeline. Rows are
+// gathered straight out of the root's batches (one backing allocation per
+// batch). The whole pull loop is the trace's "execute" phase.
 func (p *physPlan) drain() (*ctable.Table, error) {
 	defer p.qs.StartPhase("execute")()
 	names := p.root.Columns()
@@ -103,107 +92,15 @@ func (p *physPlan) drain() (*ctable.Table, error) {
 	}
 	out := &ctable.Table{Name: p.name, Schema: sch}
 	defer p.root.Close()
-	if v, ok := p.root.(vecOperator); ok {
-		// Batch fast path: gather rows straight out of the root's batches
-		// (one backing allocation per batch, no Clone round trip).
-		for {
-			b, err := v.NextBatch(vecBatchSize)
-			if err == io.EOF {
-				return out, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			gatherBatch(b, &out.Tuples)
-		}
-	}
 	for {
-		t, err := p.root.Next()
+		b, err := p.root.NextBatch(vecBatchSize)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out.Tuples = append(out.Tuples, t.Clone())
-	}
-}
-
-// lowerNode lowers a logical node onto its operator, recursively.
-func lowerNode(env execEnv, n lnode, timed bool) (operator, error) {
-	mk := func(cols []string, kids ...operator) opBase {
-		return opBase{name: n.op(), detail: n.detail(), cols: cols, kids: kids, timed: timed}
-	}
-	switch t := n.(type) {
-	case *lScan:
-		pre := make([]ctable.Compare, len(t.pre))
-		for i, p := range t.pre {
-			pre[i] = p.cmp
-		}
-		return &scanOp{opBase: mk(t.outCols()), env: env, tuples: t.tuples, keep: t.keep, pre: pre}, nil
-	case *lJoin:
-		left, err := lowerNode(env, t.left, timed)
-		if err != nil {
-			return nil, err
-		}
-		right, err := lowerNode(env, t.right, timed)
-		if err != nil {
-			return nil, err
-		}
-		cols := append(append([]string{}, left.Columns()...), right.Columns()...)
-		if t.hash {
-			return &hashJoinOp{opBase: mk(cols, left, right), env: env,
-				left: left, right: right, leftKeys: t.leftKeys, rightKeys: t.rightKeys}, nil
-		}
-		return &nestedLoopOp{opBase: mk(cols, left, right), env: env, left: left, right: right}, nil
-	case *lFilter:
-		child, err := lowerNode(env, t.input, timed)
-		if err != nil {
-			return nil, err
-		}
-		pred := make(ctable.AndPred, len(t.preds))
-		for i, p := range t.preds {
-			pred[i] = p.cmp
-		}
-		return &filterOp{opBase: mk(child.Columns(), child), child: child, pred: pred}, nil
-	case *lProject:
-		child, err := lowerNode(env, t.input, timed)
-		if err != nil {
-			return nil, err
-		}
-		b := mk(t.names, child)
-		oenv := opScope(env, &b)
-		return &projectOp{opBase: b, env: oenv, child: child, spec: t}, nil
-	case *lAggregate:
-		child, err := lowerNode(env, t.input, timed)
-		if err != nil {
-			return nil, err
-		}
-		b := mk(t.outNames, child)
-		oenv := opScope(env, &b)
-		return &aggOp{opBase: b, env: oenv, child: child, spec: t}, nil
-	case *lDistinct:
-		child, err := lowerNode(env, t.input, timed)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctOp{opBase: mk(child.Columns(), child), child: child}, nil
-	case *lSort:
-		child, err := lowerNode(env, t.input, timed)
-		if err != nil {
-			return nil, err
-		}
-		return &sortOp{opBase: mk(child.Columns(), child), child: child, col: t.col, colName: t.name, desc: t.desc}, nil
-	case *lLimit:
-		child, err := lowerNode(env, t.input, timed)
-		if err != nil {
-			return nil, err
-		}
-		return &limitOp{opBase: mk(child.Columns(), child), child: child, remaining: t.n}, nil
-	case *lEmpty:
-		return &emptyOp{opBase: mk(nil)}, nil
-	default:
-		return nil, fmt.Errorf("sql: unknown plan node %T", n)
+		gatherBatch(b, &out.Tuples)
 	}
 }
 
@@ -220,260 +117,6 @@ func opScope(env execEnv, b *opBase) execEnv {
 	b.samp = &obs.SamplerStats{Parent: parent}
 	env.smp = env.smp.WithStats(b.samp)
 	return env
-}
-
-// ---------------------------------------------------------------------------
-// Scan
-
-// scanOp iterates a table snapshot, skipping tuples with trivially false
-// conditions, applying the pushed-down drop-only prefilter, and projecting
-// the kept columns. Prefilter evaluation errors are deferred to the final
-// Filter, which re-evaluates the same comparison on every surviving row;
-// rows the prefilter drops (or starves downstream of) follow the rewriter's
-// error-scope contract (see rewrite.go).
-type scanOp struct {
-	opBase
-	env    execEnv
-	tuples []ctable.Tuple
-	keep   []int
-	pre    []ctable.Compare
-	i      int
-	done   bool
-}
-
-// Next implements Cursor.
-func (o *scanOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	for {
-		if o.done {
-			return o.emit(t0, nil, io.EOF)
-		}
-		if err := o.env.ctxErr(); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		if o.i >= len(o.tuples) {
-			o.done = true
-			return o.emit(t0, nil, io.EOF)
-		}
-		t := &o.tuples[o.i]
-		o.i++
-		if t.Cond.IsFalse() {
-			continue
-		}
-		dropped := false
-		for _, p := range o.pre {
-			outcome, _, err := p.Eval(t)
-			if err == nil && outcome == ctable.PredFalse {
-				dropped = true
-				break
-			}
-		}
-		if dropped {
-			continue
-		}
-		if o.keep == nil {
-			return o.emit(t0, t, nil)
-		}
-		vals := make([]ctable.Value, len(o.keep))
-		for n, c := range o.keep {
-			vals[n] = t.Values[c]
-		}
-		return o.emit(t0, &ctable.Tuple{Values: vals, Cond: t.Cond}, nil)
-	}
-}
-
-// Close implements Cursor.
-func (o *scanOp) Close() error {
-	o.done = true
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Joins
-
-// nestedLoopOp is the filtered-cross-product fallback for joins without
-// extractable equi-keys: the right input materializes once, then every left
-// tuple pairs with every right tuple (conditions conjoined, trivially false
-// pairs dropped) in the same order the pre-planner odometer produced.
-type nestedLoopOp struct {
-	opBase
-	env         execEnv
-	left, right operator
-	inner       []ctable.Tuple
-	built       bool
-	cur         *ctable.Tuple
-	ri          int
-	done        bool
-}
-
-// Next implements Cursor.
-func (o *nestedLoopOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	if !o.built {
-		if err := materialize(o.right, &o.inner); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		o.built = true
-	}
-	for {
-		if o.cur == nil {
-			t, err := o.left.Next()
-			if err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			o.cur = t
-			o.ri = 0
-		}
-		for o.ri < len(o.inner) {
-			if err := o.env.ctxErr(); err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			r := &o.inner[o.ri]
-			o.ri++
-			nc := o.cur.Cond.And(r.Cond)
-			if nc.IsFalse() {
-				continue
-			}
-			return o.emit(t0, joinTuple(o.cur, r, nc), nil)
-		}
-		o.cur = nil
-	}
-}
-
-// Close implements Cursor.
-func (o *nestedLoopOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// hashJoinOp pairs rows whose deterministic key columns are equal: the
-// right input builds a hash table (per-key row lists in input order, plus a
-// fallback list for symbolic keys, which must pair with every probe row and
-// let the final Filter conjoin the comparison as a condition atom); the
-// left input probes row by row. Match emission follows build-side input
-// order, so output order is identical to the filtered cross product. Keys
-// of incomparable kinds (a string probing a numeric column) simply never
-// pair — the "incomparable values" error the cross product would raise on
-// those pairs falls under the rewriter's error-scope contract (rewrite.go).
-type hashJoinOp struct {
-	opBase
-	env                 execEnv
-	left, right         operator
-	leftKeys, rightKeys []int
-	build               []ctable.Tuple
-	buckets             map[string][]int
-	symb                []int
-	keyBuf              []byte
-	built               bool
-	cur                 *ctable.Tuple
-	matches             []int
-	all                 bool // probe key symbolic: scan every build row
-	mi                  int
-	done                bool
-}
-
-// joinKey appends the binary key of a tuple's key columns to buf (see
-// Value.AppendBinaryKey — same equivalence classes as HashKey, no float
-// formatting), reporting ok=false when any key cell is symbolic (those rows
-// take the pair-with-everything path). Callers reuse buf across rows; probe
-// lookups convert it with an allocation-free map[string] access.
-func joinKey(t *ctable.Tuple, cols []int, buf []byte) ([]byte, bool) {
-	for _, c := range cols {
-		v := t.Values[c]
-		if v.IsSymbolic() {
-			return buf, false
-		}
-		buf = v.AppendBinaryKey(buf)
-	}
-	return buf, true
-}
-
-// Next implements Cursor.
-func (o *hashJoinOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	if !o.built {
-		if err := materialize(o.right, &o.build); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		o.buckets = make(map[string][]int, len(o.build))
-		for i := range o.build {
-			var ok bool
-			o.keyBuf, ok = joinKey(&o.build[i], o.rightKeys, o.keyBuf[:0])
-			if ok {
-				o.buckets[string(o.keyBuf)] = append(o.buckets[string(o.keyBuf)], i)
-			} else {
-				o.symb = append(o.symb, i)
-			}
-		}
-		o.built = true
-	}
-	for {
-		if o.cur == nil {
-			t, err := o.left.Next()
-			if err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			o.cur = t
-			o.mi = 0
-			var ok bool
-			o.keyBuf, ok = joinKey(t, o.leftKeys, o.keyBuf[:0])
-			if ok {
-				o.all = false
-				o.matches = mergeSorted(o.buckets[string(o.keyBuf)], o.symb)
-			} else {
-				o.all = true
-				o.matches = nil
-			}
-		}
-		n := len(o.matches)
-		if o.all {
-			n = len(o.build)
-		}
-		for o.mi < n {
-			if err := o.env.ctxErr(); err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			j := o.mi
-			if !o.all {
-				j = o.matches[o.mi]
-			}
-			o.mi++
-			r := &o.build[j]
-			nc := o.cur.Cond.And(r.Cond)
-			if nc.IsFalse() {
-				continue
-			}
-			return o.emit(t0, joinTuple(o.cur, r, nc), nil)
-		}
-		o.cur = nil
-	}
-}
-
-// Close implements Cursor.
-func (o *hashJoinOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// joinTuple concatenates two rows under an already-conjoined condition.
-func joinTuple(l, r *ctable.Tuple, nc cond.Condition) *ctable.Tuple {
-	vals := make([]ctable.Value, 0, len(l.Values)+len(r.Values))
-	vals = append(vals, l.Values...)
-	vals = append(vals, r.Values...)
-	return &ctable.Tuple{Values: vals, Cond: nc}
 }
 
 // mergeSorted merges two ascending index lists (either may be empty).
@@ -500,107 +143,11 @@ func mergeSorted(a, b []int) []int {
 	return out
 }
 
-// materialize drains an operator into a tuple slice. Emitted tuples are
-// stable for the query's duration (snapshots or per-row allocations), so
-// the struct copy shares value slices safely.
-func materialize(op operator, into *[]ctable.Tuple) error {
-	for {
-		t, err := op.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		*into = append(*into, *t)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Filter / Project
-
-// filterOp applies the remaining WHERE conjuncts in source order via
-// ApplyPredicate: deterministic failures drop the row, symbolic comparisons
-// conjoin condition atoms, and conditions proven inconsistent by Algorithm
-// 3.2 are removed.
-type filterOp struct {
-	opBase
-	child operator
-	pred  ctable.AndPred
-	done  bool
-}
-
-// Next implements Cursor.
-func (o *filterOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	for {
-		if o.done {
-			return o.emit(t0, nil, io.EOF)
-		}
-		t, err := o.child.Next()
-		if err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		kept, keep, err := ctable.ApplyPredicate(t, o.pred)
-		if err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		if !keep {
-			continue
-		}
-		out := kept
-		return o.emit(t0, &out, nil)
-	}
-}
-
-// Close implements Cursor.
-func (o *filterOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// projectOp computes the SELECT targets per row and finishes the per-row
-// probability functions: expectation() and variance()/stddev() evaluate
-// their cell under the request-scoped sampler, and conf() is
-// probability-removing — it fills in the row's probability and strips the
-// condition.
-type projectOp struct {
-	opBase
-	env   execEnv
-	child operator
-	spec  *lProject
-	done  bool
-}
-
-// Next implements Cursor.
-func (o *projectOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	t, err := o.child.Next()
-	if err != nil {
-		o.done = true
-		return o.emit(t0, nil, err)
-	}
-	out, err := o.finish(t)
-	if err != nil {
-		o.done = true
-		return o.emit(t0, nil, err)
-	}
-	return o.emit(t0, out, nil)
-}
-
-// finish projects one tuple and applies the per-row functions.
-func (o *projectOp) finish(t *ctable.Tuple) (*ctable.Tuple, error) {
-	return finishProject(o.env, o.spec, t)
-}
-
 // finishProject computes the projection targets for one row and applies the
-// per-row probability functions — the shared per-row unit behind the
-// row-at-a-time and vectorized Project operators.
+// per-row probability functions: expectation() and variance()/stddev()
+// evaluate their cell under the request-scoped sampler, and conf() is
+// probability-removing — it fills in the row's probability and strips the
+// condition. The returned tuple is freshly allocated.
 func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, error) {
 	vals := make([]ctable.Value, len(q.targets))
 	for j, tgt := range q.targets {
@@ -661,81 +208,8 @@ func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, er
 	return &out, nil
 }
 
-// Close implements Cursor.
-func (o *projectOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate
-
-// aggOp materializes its input, stages [group keys..., agg args...] per
-// row, partitions by key, and evaluates the expectation aggregates (the
-// probability-removing operators of paper §V-A) per group under the
-// request-scoped sampler.
-type aggOp struct {
-	opBase
-	env    execEnv
-	child  operator
-	spec   *lAggregate
-	result *ctable.Table
-	i      int
-	done   bool
-}
-
-// Next implements Cursor.
-func (o *aggOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	if o.result == nil {
-		res, err := o.compute()
-		if err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		o.result = res
-	}
-	if o.i >= len(o.result.Tuples) {
-		o.done = true
-		return o.emit(t0, nil, io.EOF)
-	}
-	t := &o.result.Tuples[o.i]
-	o.i++
-	return o.emit(t0, t, nil)
-}
-
-// compute drains the child, stages the aggregate inputs and evaluates
-// every group.
-func (o *aggOp) compute() (*ctable.Table, error) {
-	a := o.spec
-
-	sch := make(ctable.Schema, len(a.stagedNames))
-	for i, n := range a.stagedNames {
-		sch[i] = ctable.Column{Name: n}
-	}
-	staged := &ctable.Table{Name: "agg_input", Schema: sch}
-	for {
-		t, err := o.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		st, err := stageAggRow(a, t)
-		if err != nil {
-			return nil, err
-		}
-		staged.Tuples = append(staged.Tuples, st)
-	}
-	return computeAgg(o.env, a, staged)
-}
-
 // stageAggRow resolves the [group keys..., agg args...] staging targets for
-// one input row — the shared per-row unit behind both aggregate operators.
+// one input row. The returned tuple is freshly allocated.
 func stageAggRow(a *lAggregate, t *ctable.Tuple) (ctable.Tuple, error) {
 	vals := make([]ctable.Value, len(a.staged))
 	for j, tgt := range a.staged {
@@ -749,8 +223,8 @@ func stageAggRow(a *lAggregate, t *ctable.Tuple) (ctable.Tuple, error) {
 }
 
 // computeAgg partitions a staged input table by its key columns and
-// evaluates the expectation aggregates per group — shared by the
-// row-at-a-time and vectorized Aggregate operators.
+// evaluates the expectation aggregates (the probability-removing operators
+// of paper §V-A) per group under the request-scoped sampler.
 func computeAgg(env execEnv, a *lAggregate, staged *ctable.Table) (*ctable.Table, error) {
 	// Group.
 	var groups []ctable.GroupRows
@@ -865,154 +339,3 @@ func computeAgg(env execEnv, a *lAggregate, staged *ctable.Table) (*ctable.Table
 	}
 	return out, nil
 }
-
-// Close implements Cursor.
-func (o *aggOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// ---------------------------------------------------------------------------
-// Distinct / Sort / Limit / Result
-
-// distinctOp materializes its input and coalesces duplicate data tuples,
-// OR-ing their conditions into DNF (first-occurrence order preserved).
-type distinctOp struct {
-	opBase
-	child  operator
-	result *ctable.Table
-	i      int
-	done   bool
-}
-
-// Next implements Cursor.
-func (o *distinctOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	if o.result == nil {
-		var rows []ctable.Tuple
-		if err := materialize(o.child, &rows); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		tb := &ctable.Table{Tuples: rows}
-		o.result = ctable.Distinct(tb)
-	}
-	if o.i >= len(o.result.Tuples) {
-		o.done = true
-		return o.emit(t0, nil, io.EOF)
-	}
-	t := &o.result.Tuples[o.i]
-	o.i++
-	return o.emit(t0, t, nil)
-}
-
-// Close implements Cursor.
-func (o *distinctOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// sortOp materializes its input and orders it deterministically
-// (stable sort) by one output column.
-type sortOp struct {
-	opBase
-	child   operator
-	col     int
-	colName string
-	desc    bool
-	rows    []ctable.Tuple
-	sorted  bool
-	i       int
-	done    bool
-}
-
-// Next implements Cursor.
-func (o *sortOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	if !o.sorted {
-		if err := materialize(o.child, &o.rows); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		var sortErr error
-		sort.SliceStable(o.rows, func(i, j int) bool {
-			c, ok := o.rows[i].Values[o.col].Compare(o.rows[j].Values[o.col])
-			if !ok {
-				sortErr = fmt.Errorf("sql: ORDER BY over symbolic column %s", o.colName)
-				return false
-			}
-			if o.desc {
-				return c > 0
-			}
-			return c < 0
-		})
-		if sortErr != nil {
-			o.done = true
-			return o.emit(t0, nil, sortErr)
-		}
-		o.sorted = true
-	}
-	if o.i >= len(o.rows) {
-		o.done = true
-		return o.emit(t0, nil, io.EOF)
-	}
-	t := &o.rows[o.i]
-	o.i++
-	return o.emit(t0, t, nil)
-}
-
-// Close implements Cursor.
-func (o *sortOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// limitOp truncates the stream after n rows; upstream operators stop being
-// pulled, so per-row sampling beyond the limit never runs.
-type limitOp struct {
-	opBase
-	child     operator
-	remaining int
-	done      bool
-}
-
-// Next implements Cursor.
-func (o *limitOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done || o.remaining <= 0 {
-		o.done = true
-		return o.emit(t0, nil, io.EOF)
-	}
-	t, err := o.child.Next()
-	if err != nil {
-		o.done = true
-		return o.emit(t0, nil, err)
-	}
-	o.remaining--
-	return o.emit(t0, t, nil)
-}
-
-// Close implements Cursor.
-func (o *limitOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// emptyOp is the zero-row relation of a constant-false WHERE.
-type emptyOp struct {
-	opBase
-}
-
-// Next implements Cursor.
-func (o *emptyOp) Next() (*ctable.Tuple, error) {
-	return nil, io.EOF
-}
-
-// Close implements Cursor.
-func (o *emptyOp) Close() error { return nil }

@@ -200,11 +200,15 @@ var sessionSettings = map[string]func(cfg *sampler.Config, v float64) error{
 		cfg.WorldSeed = n
 		return nil
 	},
-	"vectorize": func(cfg *sampler.Config, v float64) error {
+	// vectorize chose between two relational engines until the
+	// row-at-a-time one was deleted. SET is WAL-logged and shipped to
+	// followers, so data directories and primary logs written before then
+	// still carry it: the name stays valid, keeps its on/off check, and
+	// does nothing.
+	"vectorize": func(_ *sampler.Config, v float64) error {
 		if v != 0 && v != 1 {
 			return fmt.Errorf("sql: vectorize must be on or off")
 		}
-		cfg.DisableVectorize = v == 0
 		return nil
 	},
 }
@@ -217,7 +221,9 @@ func execSet(db *core.DB, st *SetStmt) error {
 	if !ok {
 		names := make([]string, 0, len(sessionSettings))
 		for n := range sessionSettings {
-			names = append(names, n)
+			if n != "vectorize" { // accepted for old logs, not offered
+				names = append(names, n)
+			}
 		}
 		sort.Strings(names)
 		return fmt.Errorf("sql: unknown setting %q (have %s)", st.Name, strings.Join(names, ", "))
@@ -507,4 +513,3 @@ func defaultName(n Node) string {
 		return "expr"
 	}
 }
-

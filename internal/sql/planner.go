@@ -23,11 +23,6 @@ type Hints struct {
 	NoHashJoin bool
 	// NoPrune disables projection pruning at scans.
 	NoPrune bool
-	// NoVectorize lowers the plan onto the row-at-a-time operators instead
-	// of the columnar batch engine (vecops.go). Both engines are
-	// bit-identical; the switch exists for the differential harness and
-	// A/B benchmarks. SQL surface: SET vectorize = on|off.
-	NoVectorize bool
 }
 
 type hintsCtxKey struct{}
@@ -71,12 +66,7 @@ func planSelect(env execEnv, st *SelectStmt, timed bool) (*physPlan, error) {
 		endPlan()
 		return nil, err
 	}
-	var op operator
-	if env.db.Config().DisableVectorize || env.hints.NoVectorize {
-		op, err = lowerNode(env, root, timed)
-	} else {
-		op, err = lowerVecNode(env, root, timed, false)
-	}
+	op, err := lowerVecNode(env, root, timed, false)
 	endPlan()
 	if err != nil {
 		return nil, err

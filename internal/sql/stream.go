@@ -14,10 +14,12 @@ import (
 
 // Cursor is a pull-based iterator over query result rows — the streaming
 // half of the query API. Every physical plan operator implements Cursor, so
-// SELECTs stream through the planned pipeline one tuple per Next call;
-// blocking operators (Sort, Distinct, Aggregate) materialize their own
-// input internally on first Next but still emit row by row. A Cursor is
-// single-consumer and not safe for concurrent use.
+// a SELECT's cursor is its planned pipeline: Next hands out rows from
+// batches the pipeline computes on demand, asking for one row first and
+// for more as the consumer keeps reading, so the work done before a row is
+// returned follows what has been consumed. Blocking operators (Sort,
+// Distinct, Aggregate) materialize their own input internally on first
+// Next. A Cursor is single-consumer and not safe for concurrent use.
 type Cursor interface {
 	// Columns returns the result column names (empty for statements that
 	// produce no rows, e.g. DDL).
@@ -43,7 +45,7 @@ type execEnv struct {
 	hints Hints
 	// qs traces this execution: phase spans plus a statement-scope sampler
 	// counter set chained to the engine-wide one. The env's sampler records
-	// into it, and per-operator scopes chain onto qs.Sampler in lowerNode.
+	// into it, and per-operator scopes chain onto qs.Sampler in opScope.
 	qs *obs.QueryStats
 }
 

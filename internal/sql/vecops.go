@@ -1,29 +1,31 @@
-// Vectorized physical operators: the batch-at-a-time twin of operators.go.
-// Operators exchange ctable.Batch column vectors through NextBatch(max)
-// instead of one tuple per Next call, eliminating per-row interface
-// dispatch and per-row allocation on the scan/filter/join spine. Every
-// vectorized operator still implements the row Cursor interface (vecBase
-// adapts NextBatch behind Next), so streaming Rows, eager drain, EXPLAIN
-// and the span cursor all work unchanged on either engine.
+// Physical operators, one per logical node: the batch-at-a-time relational
+// engine. Operators exchange ctable.Batch column vectors through
+// NextBatch(max), so the scan/filter/join spine pays interface dispatch and
+// allocation per batch, not per row. Every operator is also a row Cursor
+// (vecBase adapts NextBatch behind Next), which is how streaming Rows and
+// the span cursor consume a plan; eager drain and the operators themselves
+// pull batches.
 //
-// Bit-identity and EXPLAIN parity with the row engine are load-bearing
-// (the vectest differential harness pins both):
+// Three contracts are load-bearing; corpus_test.go holds every operator to
+// them against recorded goldens (rows and per-operator rows=) and a naive
+// reference evaluator (oracle_test.go):
 //
-//   - Row order: every operator processes and emits rows in exactly the
-//     order of its row-at-a-time twin — scans advance the same snapshot,
-//     joins emit matches in build-side input order per probe row, blocking
-//     operators reuse the identical materialize-then-compute code.
-//   - Row counts: NextBatch(max) is need-driven. An operator never emits
-//     more than max rows and never pulls more input than its own need:
-//     Filter pulls child chunks sized by its remaining need (within a
-//     chunk of size s at most s rows pass, so the need is never
-//     overshot), and joins under limit pressure (a streaming LIMIT above,
-//     computed at lowering) pull probe rows one at a time while buffering
-//     in-flight matches. EXPLAIN ANALYZE therefore reports identical
-//     rows= on every operator under both engines.
-//   - Errors: a per-row error inside a batch is held back until the rows
-//     preceding it have been emitted, reproducing the row engine's
-//     emit-then-fail order.
+//   - Row order: an operator emits rows in the order a one-row-at-a-time
+//     evaluation of its input would — scans follow the table snapshot,
+//     joins emit each probe row's matches in build-side input order before
+//     moving to the next probe row, blocking operators (Aggregate, Distinct,
+//     Sort) materialize their whole input and then compute.
+//   - Need-driven pulling: NextBatch(max) never emits more than max rows
+//     and never pulls more input than its own need. Filter pulls child
+//     chunks sized by its remaining need (within a chunk of size s at most
+//     s rows pass, so the need is never overshot), and joins under limit
+//     pressure (a streaming LIMIT above, computed at lowering) pull probe
+//     rows one at a time while buffering in-flight matches. EXPLAIN ANALYZE
+//     rows= on every operator therefore depends only on the query, not on
+//     the batch size, and per-row sampling beyond a LIMIT never runs.
+//   - Emit-then-fail: a per-row error inside a batch is held back until
+//     the rows preceding it have been emitted; the error surfaces on the
+//     following call.
 //
 // Cancellation is checked once per batch boundary rather than per row.
 
@@ -56,9 +58,9 @@ func batchCap(avail, max int) int {
 	return avail
 }
 
-// vecOperator is a physical operator that exchanges column batches. It is
-// also a full row operator: vecBase supplies a Next facade over NextBatch,
-// so a vectorized plan is a drop-in Cursor.
+// vecOperator is a physical operator: it exchanges column batches with its
+// parent, and — through the Next facade vecBase supplies — is a row Cursor
+// as well.
 type vecOperator interface {
 	operator
 	// NextBatch returns the next batch of at most max rows. It never
@@ -68,35 +70,51 @@ type vecOperator interface {
 	NextBatch(max int) (*ctable.Batch, error)
 }
 
-// vecBase is the common core of vectorized operators: operator metadata
-// plus the row-cursor facade.
+// vecBase is the common core of the operators: operator metadata plus the
+// row-cursor facade.
 type vecBase struct {
 	opBase
 	// self is the embedding operator; set at construction so the facade
 	// can reach its NextBatch.
 	self vecOperator
-	// cur / ri iterate the current batch for the row facade.
-	cur *ctable.Batch
-	ri  int
+	// cur / ri iterate the current batch for the row facade, row is the one
+	// tuple it hands out, and served counts the rows handed out so far.
+	cur    *ctable.Batch
+	ri     int
+	row    ctable.Tuple
+	served int
 }
 
 // Next implements Cursor by iterating batches pulled from the embedding
-// operator. Each returned tuple is freshly gathered, so it stays valid
-// while the underlying batch memory is reused.
+// operator. The size of each pull follows the consumer's observed demand:
+// it asks for as many rows as have already been consumed (one at first, at
+// most vecBatchSize), so requests run 1, 1, 2, 4, 8, ... A row-at-a-time
+// consumer has shown demand for exactly one row when it first calls Next,
+// and every chunk it exhausts is evidence it wants the rest; the first row
+// of a streamed result therefore costs one row of per-row sampling (conf(),
+// expectation()) instead of a full batch, no row waits on more rows than
+// were consumed before it, and a consumer that reads on is at full batches
+// once it has read vecBatchSize rows.
+//
+// The returned tuple is a buffer refilled by the following call (the
+// validity Cursor.Next documents), so a streamed row costs no allocation
+// here.
 func (b *vecBase) Next() (*ctable.Tuple, error) {
-	for {
-		if b.cur != nil && b.ri < b.cur.Len() {
-			t := b.cur.Row(b.ri)
-			b.ri++
-			return &t, nil
-		}
-		batch, err := b.self.NextBatch(vecBatchSize)
+	for b.cur == nil || b.ri >= b.cur.Len() {
+		batch, err := b.self.NextBatch(min(max(b.served, 1), vecBatchSize))
 		if err != nil {
 			b.cur = nil
 			return nil, err
 		}
 		b.cur, b.ri = batch, 0
 	}
+	if b.row.Values == nil {
+		b.row.Values = make([]ctable.Value, len(b.cur.Cols))
+	}
+	b.row.Cond = b.cur.GatherRow(b.ri, b.row.Values)
+	b.ri++
+	b.served++
+	return &b.row, nil
 }
 
 // emitBatch closes the timing window and counts the emitted batch, passing
@@ -115,7 +133,7 @@ func (b *vecBase) emitBatch(t0 time.Time, batch *ctable.Batch, err error) (*ctab
 	return batch, err
 }
 
-// materializeVec drains a vectorized operator into a tuple slice. Rows are
+// materializeVec drains an operator into a tuple slice. Rows are
 // gathered out of the batches (batch memory is producer-owned and reused),
 // so the returned tuples are stable for the query's duration. Each batch is
 // gathered through one flat allocation — the per-row Values slices are
@@ -133,7 +151,7 @@ func materializeVec(op vecOperator, into *[]ctable.Tuple) error {
 	}
 }
 
-// materializeVecBatch drains a vectorized operator into one dense
+// materializeVecBatch drains an operator into one dense
 // column-major batch (no selection vector). Cells are copied out of the
 // producer-owned batches, so the result is stable for the query's duration;
 // dense input batches copy over one bulk append per column.
@@ -178,12 +196,12 @@ func gatherBatch(b *ctable.Batch, into *[]ctable.Tuple) {
 	}
 }
 
-// lowerVecNode lowers a logical node onto its vectorized operator,
-// recursively. pressure marks subtrees under a streaming LIMIT with no
-// blocking operator in between: operators there pull probe rows one at a
-// time so upstream row counts match the row engine exactly. Blocking
-// operators (Sort, Distinct, Aggregate) drain their input fully in both
-// engines and reset the flag for their children.
+// lowerVecNode lowers a logical node onto its operator, recursively.
+// pressure marks subtrees under a streaming LIMIT with no blocking operator
+// in between: joins there pull probe rows one at a time, so no input row is
+// pulled that the limit does not need. Blocking operators (Sort, Distinct,
+// Aggregate) drain their input fully whatever sits above them and reset the
+// flag for their children.
 func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, error) {
 	mk := func(cols []string, kids ...operator) vecBase {
 		return vecBase{opBase: opBase{name: n.op(), detail: n.detail(), cols: cols, kids: kids, timed: timed}}
@@ -283,10 +301,15 @@ func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, erro
 // ---------------------------------------------------------------------------
 // Scan
 
-// vecScanOp is the batch twin of scanOp: it fills a column batch with up to
-// max kept rows from the table snapshot, skipping trivially false
-// conditions and prefiltered rows, and projecting the kept columns. The
-// output batch is reused across calls.
+// vecScanOp iterates a table snapshot in order: it fills a column batch
+// with up to max kept rows, skipping tuples with trivially false conditions,
+// applying the pushed-down drop-only prefilter, and projecting the kept
+// columns; it reads no snapshot row past the one that fills the batch.
+// Prefilter evaluation errors are deferred to the final Filter, which
+// re-evaluates the same comparison on every surviving row; rows the
+// prefilter drops (or starves downstream of) follow the rewriter's
+// error-scope contract (see rewrite.go). The output batch is reused across
+// calls.
 type vecScanOp struct {
 	vecBase
 	env    execEnv
@@ -354,17 +377,21 @@ func (o *vecScanOp) Close() error {
 // ---------------------------------------------------------------------------
 // Filter
 
-// vecFilterOp is the batch twin of filterOp. It is zero-copy: surviving
-// rows are recorded in the child batch's selection vector (their possibly
-// rewritten conditions overwrite the batch's condition slots), and the
-// child batch itself is passed downstream. The child chunk size equals the
-// caller's remaining need, so the filter never pulls input rows the row
-// engine would not have pulled.
+// vecFilterOp applies the remaining WHERE conjuncts in source order with
+// ApplyPredicate's semantics: deterministic failures drop the row, symbolic
+// comparisons conjoin condition atoms, and conditions proven inconsistent
+// by Algorithm 3.2 are removed. Input order is kept. It is zero-copy:
+// surviving rows are recorded in the child batch's selection vector (their
+// possibly rewritten conditions overwrite the batch's condition slots), and
+// the child batch itself is passed downstream. The child chunk size equals
+// the caller's need, so the filter never pulls an input row past the one
+// that satisfies it. A row whose predicate fails to evaluate ends the
+// stream with that error after the rows before it have been emitted.
 type vecFilterOp struct {
 	vecBase
 	child   vecOperator
 	pred    ctable.AndPred
-	predI   ctable.Predicate // pred boxed once for the row-at-a-time path
+	predI   ctable.Predicate // pred boxed once for rows the columnar path cannot decide
 	bp      *ctable.BatchPred
 	row     []ctable.Value
 	sel     []int
@@ -444,10 +471,12 @@ func (o *vecFilterOp) Close() error {
 // ---------------------------------------------------------------------------
 // Project
 
-// vecProjectOp is the batch twin of projectOp: each input row is projected
-// through the shared finishProject unit (sampling functions included) and
-// scattered into a fresh dense output batch. Rows map 1:1, so the chunk
-// size is simply the caller's need.
+// vecProjectOp computes the SELECT targets and the per-row probability
+// functions (finishProject, sampling included) for each input row, in input
+// order, into a dense output batch reused across calls. Rows map 1:1, so
+// the child chunk size is the caller's need and no row is sampled that the
+// caller did not ask for. A row that fails ends the stream with that error
+// after the rows before it have been emitted.
 type vecProjectOp struct {
 	vecBase
 	env     execEnv
@@ -506,12 +535,22 @@ func (o *vecProjectOp) Close() error {
 // ---------------------------------------------------------------------------
 // Joins
 
-// vecJoinOp is the batch twin of hashJoinOp and nestedLoopOp (hash selects
-// which). The build (right) side materializes once; probe rows stream
-// through in chunks — single rows under limit pressure — and every match
-// is emitted in build-side input order, buffering in-flight matches across
-// NextBatch calls so no probe row is pulled before its predecessors'
-// matches have been delivered.
+// vecJoinOp pairs each probe (left) row with build (right) rows, conjoining
+// their conditions and dropping pairs whose condition is trivially false.
+// The build side materializes once, on the first call. With hash set, a
+// probe row pairs with the build rows whose deterministic key columns equal
+// its own, plus every build row with a symbolic key cell; a probe row with
+// a symbolic key cell pairs with every build row — those pairs reach the
+// final Filter, which conjoins the comparison as a condition atom. Keys of
+// incomparable kinds (a string probing a numeric column) simply never pair:
+// the "incomparable values" error the cross product would raise on those
+// pairs falls under the rewriter's error-scope contract (rewrite.go).
+// Without hash it is the filtered cross product. Either way output order is
+// probe order, then build-side input order within a probe row — the order
+// of the cross product. Probe rows stream through in chunks (single rows
+// under limit pressure) and in-flight matches are buffered across NextBatch
+// calls, so no probe row is pulled before its predecessors' matches have
+// been delivered.
 type vecJoinOp struct {
 	vecBase
 	env                 execEnv
@@ -721,9 +760,11 @@ func emitTable(vb *vecBase, out **ctable.Batch, result *ctable.Table, i *int, ma
 	return *out
 }
 
-// vecAggOp is the batch twin of aggOp: it stages the child's rows through
-// the shared stageAggRow unit, evaluates every group with the shared
-// computeAgg, and emits the result in batches.
+// vecAggOp is blocking: on the first call it drains its child, stages
+// [group keys..., agg args...] per row (stageAggRow), partitions by key and
+// evaluates every group's expectation aggregates (computeAgg); it then
+// emits the result — one row per group, in first-occurrence order of the
+// keys — in batches of the caller's need.
 type vecAggOp struct {
 	vecBase
 	env    execEnv
@@ -790,8 +831,10 @@ func (o *vecAggOp) Close() error {
 	return o.closeKids()
 }
 
-// vecDistinctOp is the batch twin of distinctOp: materialize, coalesce
-// duplicates via ctable.Distinct, emit in batches.
+// vecDistinctOp is blocking: on the first call it materializes its input
+// and coalesces duplicate data tuples, OR-ing their conditions into DNF
+// (ctable.Distinct, first-occurrence order preserved); it then emits the
+// result in batches of the caller's need.
 type vecDistinctOp struct {
 	vecBase
 	child  vecOperator
@@ -829,8 +872,10 @@ func (o *vecDistinctOp) Close() error {
 	return o.closeKids()
 }
 
-// vecSortOp is the batch twin of sortOp: materialize, stable-sort by one
-// output column, emit in batches.
+// vecSortOp is blocking: on the first call it materializes its input and
+// orders it by one output column with a stable sort, so ties keep input
+// order; a symbolic cell in that column fails the query. It then emits the
+// result in batches of the caller's need.
 type vecSortOp struct {
 	vecBase
 	child   vecOperator
@@ -891,10 +936,9 @@ func (o *vecSortOp) Close() error {
 // ---------------------------------------------------------------------------
 // Limit / Result
 
-// vecLimitOp is the batch twin of limitOp: it forwards its remaining
-// budget as the child's chunk size, so upstream operators stop being
-// pulled the moment the limit fills — the vectorized analogue of the row
-// engine's per-row short circuit.
+// vecLimitOp truncates the stream after n rows. It forwards its remaining
+// budget as the child's chunk size, so upstream operators stop being pulled
+// the moment the limit fills and per-row sampling beyond it never runs.
 type vecLimitOp struct {
 	vecBase
 	child     vecOperator

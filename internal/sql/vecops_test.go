@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -40,10 +41,10 @@ func vecSizesDB(t *testing.T, n int) *core.DB {
 }
 
 // TestVecBatchBoundaries pushes tables of 0, 1, batch-1, batch and batch+1
-// rows through every vectorized operator shape (scan, filter, project,
-// hash-join build and probe sides, DISTINCT, ORDER BY, streaming LIMIT
-// stopping mid-batch) and asserts byte-identical output against the
-// row-at-a-time engine.
+// rows through every operator shape (scan, filter, project, hash-join build
+// and probe sides, DISTINCT, ORDER BY, streaming LIMIT stopping mid-batch)
+// and asserts byte-identical output against the reference evaluator and
+// against the digests the row-at-a-time engine recorded.
 func TestVecBatchBoundaries(t *testing.T) {
 	queries := []string{
 		"SELECT v FROM t",                                             // bare scan
@@ -60,27 +61,49 @@ func TestVecBatchBoundaries(t *testing.T) {
 		"SELECT u.lbl, t.v FROM u, t WHERE u.tag = t.tag LIMIT 10",    // big table on the build side
 		"SELECT expected_count(*) AS n FROM t, u WHERE t.tag = u.tag", // full join drain + aggregate
 	}
+	digests := make(map[string]string)
 	for _, n := range []int{0, 1, vecBatchSize - 1, vecBatchSize, vecBatchSize + 1} {
 		db := vecSizesDB(t, n)
 		for _, q := range queries {
-			ref, err := ExecContext(WithHints(context.Background(), Hints{NoVectorize: true}), db, q)
-			if err != nil {
-				t.Fatalf("n=%d %s (row): %v", n, q, err)
-			}
 			got, err := ExecContext(context.Background(), db, q)
 			if err != nil {
-				t.Fatalf("n=%d %s (vec): %v", n, q, err)
+				t.Fatalf("n=%d %s: %v", n, q, err)
+			}
+			ref, err := naiveExec(context.Background(), db, q)
+			if err != nil {
+				t.Fatalf("n=%d %s (oracle): %v", n, q, err)
 			}
 			if got.String() != ref.String() {
-				t.Fatalf("n=%d %s:\nvectorized:\n%s\nrow engine:\n%s", n, q, got, ref)
+				t.Fatalf("n=%d %s:\nengine:\n%s\nreference evaluator:\n%s", n, q, got, ref)
 			}
+			digests[fmt.Sprintf("n=%d: %s", n, q)] = fmt.Sprintf("%x", sha256.Sum256([]byte(got.String())))
 		}
+	}
+	checkGolden(t, "testdata/batch_boundaries_golden.json", digests)
+}
+
+// TestFirstRowCostsOneRow pins the streaming cursor's demand-following
+// chunk growth: after a single Next over a 2 000-row input, the sampling
+// Project has evaluated conf() for exactly one row — a streaming client
+// sees row one after one row's work, not after a full batch.
+func TestFirstRowCostsOneRow(t *testing.T) {
+	db := vecSizesDB(t, 2000)
+	cur, err := QueryContext(context.Background(), db, "SELECT v, conf() FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if _, err := cur.Next(); err != nil {
+		t.Fatal(err)
+	}
+	node := toPlanNode(cur.(operator), true)
+	if node.Op != "Project" || node.Rows != 1 {
+		t.Fatalf("after one Next the %s has emitted rows=%d, want Project rows=1", node.Op, node.Rows)
 	}
 }
 
 // TestVecLimitStopsPulling asserts the need-driven chunk protocol: under
-// LIMIT k the vectorized scan must report exactly k emitted rows (not a
-// full batch), matching the row engine's per-row short circuit.
+// LIMIT k the scan must report exactly k emitted rows (not a full batch).
 func TestVecLimitStopsPulling(t *testing.T) {
 	db := vecSizesDB(t, vecBatchSize+1)
 	node, err := Explain(db, "EXPLAIN ANALYZE SELECT v FROM t LIMIT 3")

@@ -532,6 +532,65 @@ func TestSessionSetDoesNotClobberRoot(t *testing.T) {
 	}
 }
 
+// TestRetiredVectorizeSettingRecovers: SET is a logged mutation, and until
+// the row-at-a-time engine was deleted `SET vectorize = on|off` chose
+// between two relational engines — so data directories written before then
+// carry it, at root and at session scope. Such a log must still recover,
+// to the same catalog and the same sampled answer as the log without it.
+func TestRetiredVectorizeSettingRecovers(t *testing.T) {
+	restore := func(recs []core.Mutation) *core.DB {
+		t.Helper()
+		dir := t.TempDir()
+		frames := []byte(segMagic)
+		for i, m := range recs {
+			var err error
+			frames, err = AppendRecord(frames, Record{Seq: uint64(i + 1), M: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), frames, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db := newDB(59)
+		info, err := Restore(dir, db)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if info.Replayed != len(recs) || info.TailErr != nil {
+			t.Fatalf("unexpected restore info: %+v", info)
+		}
+		return db
+	}
+	root := func(text string) core.Mutation { return core.Mutation{Session: core.RootSessionID, Text: text} }
+	create := root("CREATE TABLE orders (cust, price)")
+	joe := root("INSERT INTO orders VALUES ('Joe', CREATE_VARIABLE('Normal', 100, 10))")
+	samples := root("SET max_samples = 2048")
+	ann := root("INSERT INTO orders VALUES ('Ann', CREATE_VARIABLE('Normal', 80, 5)), ('Bob', 42.5)")
+
+	// A session-scoped statement in both logs, so both recover the same
+	// session-id floor (it is part of the catalog encoding).
+	sess := core.Mutation{Session: 2, Seed: 59, Text: "SET workers = 1"}
+
+	plain := restore([]core.Mutation{create, joe, sess, samples, ann})
+	old := restore([]core.Mutation{
+		root("SET vectorize = off"), create, joe, sess,
+		{Session: 2, Seed: 59, Text: "SET vectorize = 0"},
+		samples, root("SET vectorize = on"), ann,
+	})
+	if !bytes.Equal(catalogBytes(t, old), catalogBytes(t, plain)) {
+		t.Fatal("a log carrying SET vectorize recovered a different catalog")
+	}
+	oc, pc := old.Config(), plain.Config()
+	oc.Stats, pc.Stats = nil, nil // per-database collection points
+	if oc != pc {
+		t.Fatalf("SET vectorize changed the recovered configuration: %+v vs %+v", oc, pc)
+	}
+	if got, want := expectedRevenue(t, old), expectedRevenue(t, plain); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("a log carrying SET vectorize answers differently: %v vs %v", got, want)
+	}
+}
+
 func TestConcurrentCommitsReplayBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	db := newDB(61)

@@ -53,7 +53,6 @@ var detSuffixes = []string{
 	"internal/expr",
 	"internal/core",
 	"internal/sql",
-	"internal/sql/vectest",
 	"internal/wal",
 	"internal/repl",
 	"internal/ctable",
