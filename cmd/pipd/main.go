@@ -53,24 +53,30 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux for -debug-addr
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"pip"
 	"pip/internal/repl"
+	"pip/internal/sampler"
 	"pip/internal/server"
 	"pip/internal/wal"
 )
 
 func main() {
+	// A flag named after a session setting (-max-samples for max_samples)
+	// takes its help text and its validation from the settings table.
+	settingOf := func(flagName string) string { return strings.ReplaceAll(flagName, "-", "_") }
+	help := func(flagName string) string { return sampler.SettingHelp(settingOf(flagName)) }
 	var (
 		addr        = flag.String("addr", ":7432", "listen address")
-		seed        = flag.Uint64("seed", 1, "world seed (equal seeds give bit-identical results)")
-		workers     = flag.Int("workers", 0, "parallel sampler goroutines (0 = one per CPU)")
-		epsilon     = flag.Float64("epsilon", 0, "confidence parameter in (0, 1); 0 = default")
-		delta       = flag.Float64("delta", 0, "relative-error parameter in (0, 1); 0 = default")
-		samples     = flag.Int("samples", 0, "fixed sample count (0 = adaptive)")
-		maxSamples  = flag.Int("max-samples", 0, "adaptive sampling cap (0 = default)")
+		seed        = flag.Uint64("seed", 1, help("seed"))
+		workers     = flag.Int("workers", 0, help("workers"))
+		epsilon     = flag.Float64("epsilon", 0, help("epsilon")+"; 0 = default")
+		delta       = flag.Float64("delta", 0, help("delta")+"; 0 = default")
+		samples     = flag.Int("samples", 0, help("samples"))
+		maxSamples  = flag.Int("max-samples", 0, help("max-samples")+"; 0 = default")
 		sessionIdle = flag.Duration("session-timeout", server.DefaultSessionIdle, "expire sessions idle this long (0 = never)")
 		dataDir     = flag.String("data-dir", "", "durable data directory: recover on boot, log statements (empty = in-memory)")
 		fsync       = flag.Bool("fsync", true, "fsync the write-ahead log on every commit (requires -data-dir)")
@@ -86,18 +92,17 @@ func main() {
 	)
 	flag.Parse()
 
-	// Same bounds the SET statement and session settings enforce; a bad
-	// base value would silently corrupt every session's sampling guarantee.
-	for name, v := range map[string]float64{"epsilon": *epsilon, "delta": *delta} {
-		if v != 0 && (v <= 0 || v >= 1) {
-			fmt.Fprintf(os.Stderr, "pipd: -%s must lie in (0, 1), got %g\n", name, v)
-			os.Exit(2)
+	// A bad base value would silently corrupt every session's sampling
+	// guarantee. 0 keeps the engine default.
+	flag.Visit(func(f *flag.Flag) {
+		var scratch sampler.Config
+		if help(f.Name) != "" && f.Value.String() != "0" {
+			if err := sampler.ApplyOpenSetting(&scratch, settingOf(f.Name), f.Value.String()); err != nil {
+				fmt.Fprintf(os.Stderr, "pipd: -%s: %v\n", f.Name, err)
+				os.Exit(2)
+			}
 		}
-	}
-	if *samples < 0 || *maxSamples < 0 || *workers < 0 {
-		fmt.Fprintln(os.Stderr, "pipd: -samples, -max-samples and -workers must be non-negative")
-		os.Exit(2)
-	}
+	})
 	if *snapEvery < 0 {
 		fmt.Fprintln(os.Stderr, "pipd: -snapshot-every must be non-negative")
 		os.Exit(2)

@@ -30,24 +30,27 @@ import (
 	"pip/internal/server"
 )
 
-// backend abstracts the two execution modes: run executes one statement
-// and prints its result, exec executes silently (demo loading),
-// demoPresent reports whether the demo tables already exist (a shared
-// server may have them), describe lists the catalog, stats fetches the
-// engine's SHOW STATS rows for \trace, close releases any remote state.
+// backend abstracts the two execution modes: query executes one statement
+// and returns its result set, demoPresent reports whether the demo tables
+// already exist (a shared server may have them), describe lists the
+// catalog, close releases any remote state.
 type backend interface {
-	run(ctx context.Context, stmt string)
-	exec(ctx context.Context, stmt string) error
+	query(ctx context.Context, stmt string) (resultSet, error)
 	demoPresent() bool
 	describe()
-	stats(ctx context.Context) ([]statRow, error)
 	close()
 }
 
-// statRow is one (scope, name, value) row of SHOW STATS, backend-neutral.
-type statRow struct {
-	scope, name string
-	value       float64
+// resultSet is what run and queryStats need of a result: *pip.Rows and
+// *server.ClientRows, plus the condition text localRows and remoteRows add.
+type resultSet interface {
+	Columns() []string
+	Next() bool
+	Err() error
+	Close() error
+	NumCells() int
+	Native(i int) (any, error)
+	condText() string
 }
 
 func main() {
@@ -57,16 +60,19 @@ func main() {
 		demo    = flag.Bool("demo", false, "preload the paper's running example")
 	)
 	flag.Parse()
-	seedSet := false
+	// The session inherits the server's configured seed unless the user set
+	// -seed explicitly — pipd's operator chooses the default, not this
+	// client's flag default.
+	var settings map[string]json.Number
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
-			seedSet = true
+			settings = map[string]json.Number{"seed": json.Number(f.Value.String())}
 		}
 	})
 
 	var be backend
 	if *connect != "" {
-		rb, err := newRemoteBackend(*connect, *seed, seedSet)
+		rb, err := newRemoteBackend(*connect, settings)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pipql: %v\n", err)
 			os.Exit(1)
@@ -157,16 +163,10 @@ func main() {
 // (the query-scope rows of SHOW STATS) as one compact line — the \trace
 // output printed after each statement.
 func printTrace(be backend) {
-	rows, err := be.stats(context.Background())
+	byName, err := queryStats(context.Background(), be)
 	if err != nil {
 		fmt.Printf("trace: %v\n", err)
 		return
-	}
-	byName := map[string]float64{}
-	for _, r := range rows {
-		if r.scope == "query" {
-			byName[r.name] = r.value
-		}
 	}
 	if len(byName) == 0 {
 		fmt.Println("Trace: no traced query yet.")
@@ -194,7 +194,86 @@ func printTrace(be backend) {
 func runCancellable(be backend, stmt string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	be.run(ctx, stmt)
+	run(ctx, be, stmt)
+}
+
+// run executes one statement and prints its result, streaming rows as the
+// backend produces them.
+func run(ctx context.Context, be backend, stmt string) {
+	rows, err := be.query(ctx, stmt)
+	if err != nil {
+		printError(err)
+		return
+	}
+	defer rows.Close()
+
+	cols := rows.Columns()
+	// EXPLAIN results are an already-indented operator tree: print the
+	// lines raw instead of as tuples.
+	plan := len(cols) == 1 && cols[0] == "QUERY PLAN"
+	if len(cols) > 0 && !plan {
+		fmt.Printf("(%s)\n", strings.Join(cols, ", "))
+	}
+	// A statement without columns is drained too, so its outcome is real
+	// and a remote connection returns to the keep-alive pool (closing early
+	// reads as a client disconnect server-side).
+	n := 0
+	for rows.Next() {
+		cells := make([]string, rows.NumCells())
+		for i := range cells {
+			if cells[i], err = cellText(rows, i); err != nil {
+				printError(err)
+				return
+			}
+		}
+		if plan {
+			fmt.Println(cells[0])
+		} else {
+			fmt.Printf("  (%s) | %s\n", strings.Join(cells, ", "), rows.condText())
+		}
+		n++
+	}
+	switch err := rows.Err(); {
+	case err != nil:
+		printError(err)
+	case len(cols) == 0:
+		fmt.Println("ok")
+	case !plan:
+		fmt.Printf("%d row(s)\n", n)
+	}
+}
+
+// cellText renders cell i of the current row in the engine's display
+// formatting (ctable.Value.String), whichever backend produced it.
+func cellText(rows resultSet, i int) (string, error) {
+	n, err := rows.Native(i)
+	if err != nil {
+		return "", err
+	}
+	v, err := pip.BindValue(n)
+	return v.String(), err
+}
+
+// queryStats maps name to value over SHOW STATS' query-scope rows.
+func queryStats(ctx context.Context, be backend) (map[string]float64, error) {
+	rows, err := be.query(ctx, "SHOW STATS")
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	byName := map[string]float64{}
+	for rows.Next() {
+		var cell [3]any
+		for i := range cell {
+			if cell[i], err = rows.Native(i); err != nil {
+				return nil, err
+			}
+		}
+		if name, _ := cell[1].(string); cell[0] == "query" {
+			byName[name], _ = cell[2].(float64)
+		}
+	}
+	return byName, rows.Err()
 }
 
 // loadDemo installs the paper's running example (server.DemoStatements,
@@ -202,7 +281,14 @@ func runCancellable(be backend, stmt string) {
 // works identically in-process and against a server.
 func loadDemo(be backend) error {
 	for _, stmt := range server.DemoStatements {
-		if err := be.exec(context.Background(), stmt); err != nil {
+		rows, err := be.query(context.Background(), stmt)
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+		}
+		rows.Close()
+		if err := rows.Err(); err != nil {
 			return err
 		}
 	}
@@ -219,27 +305,21 @@ type localBackend struct {
 
 func (b *localBackend) close() {}
 
-// exec runs a statement without printing (demo loading).
-func (b *localBackend) exec(ctx context.Context, stmt string) error {
-	return b.db.ExecContext(ctx, stmt)
-}
-
 // demoPresent is always false in-process: the database is freshly opened.
 func (b *localBackend) demoPresent() bool { return false }
 
-// stats fetches SHOW STATS rows from the embedded engine.
-func (b *localBackend) stats(ctx context.Context) ([]statRow, error) {
-	rows, err := b.db.QueryContext(ctx, "SHOW STATS")
+// localRows adapts *pip.Rows to resultSet.
+type localRows struct{ *pip.Rows }
+
+func (r localRows) condText() string { return r.Cond().String() }
+
+// query runs one statement on the embedded engine.
+func (b *localBackend) query(ctx context.Context, stmt string) (resultSet, error) {
+	rows, err := b.db.QueryContext(ctx, stmt)
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var out []statRow
-	for rows.Next() {
-		v := rows.Values()
-		out = append(out, statRow{scope: v[0].S, name: v[1].S, value: v[2].F})
-	}
-	return out, rows.Err()
+	return localRows{rows}, nil
 }
 
 // describe lists catalog tables; lookup failures print instead of
@@ -255,48 +335,6 @@ func (b *localBackend) describe() {
 	}
 }
 
-// run executes one statement, streaming result rows.
-func (b *localBackend) run(ctx context.Context, stmt string) {
-	rows, err := b.db.QueryContext(ctx, stmt)
-	if err != nil {
-		printError(err)
-		return
-	}
-	defer rows.Close()
-
-	cols := rows.Columns()
-	if len(cols) == 0 {
-		fmt.Println("ok")
-		return
-	}
-	// EXPLAIN results are an already-indented operator tree: print the
-	// lines raw instead of as tuples.
-	if len(cols) == 1 && cols[0] == "QUERY PLAN" {
-		for rows.Next() {
-			fmt.Println(rows.Values()[0].S)
-		}
-		if err := rows.Err(); err != nil {
-			printError(err)
-		}
-		return
-	}
-	fmt.Printf("(%s)\n", strings.Join(cols, ", "))
-	n := 0
-	for rows.Next() {
-		cells := make([]string, 0, len(cols))
-		for _, v := range rows.Values() {
-			cells = append(cells, v.String())
-		}
-		fmt.Printf("  (%s) | %s\n", strings.Join(cells, ", "), rows.Cond())
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		printError(err)
-		return
-	}
-	fmt.Printf("%d row(s)\n", n)
-}
-
 // ---------------------------------------------------------------------------
 // Remote backend
 
@@ -308,20 +346,14 @@ type remoteBackend struct {
 	settings map[string]json.Number
 }
 
-// newRemoteBackend connects, verifies liveness, and opens a session. The
-// session inherits the server's configured seed unless the user set
-// -seed explicitly — pipd's operator chooses the default, not this
-// client's flag default.
-func newRemoteBackend(addr string, seed uint64, seedSet bool) (*remoteBackend, error) {
+// newRemoteBackend connects, verifies liveness, and opens a session with
+// the given settings.
+func newRemoteBackend(addr string, settings map[string]json.Number) (*remoteBackend, error) {
 	client := server.NewClient(addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := client.Healthz(ctx); err != nil {
 		return nil, fmt.Errorf("cannot reach pipd at %s: %w", addr, err)
-	}
-	var settings map[string]json.Number
-	if seedSet {
-		settings = map[string]json.Number{"seed": json.Number(fmt.Sprint(seed))}
 	}
 	sess, err := client.Session(ctx, settings)
 	if err != nil {
@@ -344,25 +376,10 @@ func (b *remoteBackend) refresh(ctx context.Context) error {
 	return nil
 }
 
-// sessionLost reports whether err means the server no longer knows our
-// session.
-func sessionLost(err error) bool { return errors.Is(err, server.ErrSessionUnknown) }
-
 func (b *remoteBackend) close() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = b.sess.Close(ctx)
-}
-
-// exec runs a statement without printing (demo loading).
-func (b *remoteBackend) exec(ctx context.Context, stmt string) error {
-	_, err := b.sess.Exec(ctx, stmt)
-	if sessionLost(err) {
-		if rerr := b.refresh(ctx); rerr == nil {
-			_, err = b.sess.Exec(ctx, stmt)
-		}
-	}
-	return err
 }
 
 // demoPresent reports whether the server's shared catalog already holds
@@ -379,30 +396,30 @@ func (b *remoteBackend) demoPresent() bool {
 	return have["orders"] && have["shipping"]
 }
 
-// stats fetches SHOW STATS rows over the wire — the schema is identical to
-// the local surface, so the rows decode the same way.
-func (b *remoteBackend) stats(ctx context.Context) ([]statRow, error) {
-	rows, err := b.sess.Query(ctx, "SHOW STATS")
-	if sessionLost(err) {
+// remoteRows adapts *server.ClientRows to resultSet.
+type remoteRows struct{ *server.ClientRows }
+
+// condText renders a deterministic row's condition as localRows does.
+func (r remoteRows) condText() string {
+	if c := r.Cond(); c != "" {
+		return c
+	}
+	return "TRUE"
+}
+
+// query runs one statement in the remote session. A session the server
+// expired is reopened once and the statement retried.
+func (b *remoteBackend) query(ctx context.Context, stmt string) (resultSet, error) {
+	rows, err := b.sess.Query(ctx, stmt)
+	if errors.Is(err, server.ErrSessionUnknown) {
 		if rerr := b.refresh(ctx); rerr == nil {
-			rows, err = b.sess.Query(ctx, "SHOW STATS")
+			rows, err = b.sess.Query(ctx, stmt)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var out []statRow
-	for rows.Next() {
-		r := rows.Row()
-		val, err := r[2].Native()
-		if err != nil {
-			return nil, err
-		}
-		f, _ := val.(float64)
-		out = append(out, statRow{scope: r[0].S, name: r[1].S, value: f})
-	}
-	return out, rows.Err()
+	return remoteRows{rows}, nil
 }
 
 // describe lists the server's shared catalog.
@@ -415,67 +432,6 @@ func (b *remoteBackend) describe() {
 	for _, t := range tables {
 		fmt.Printf("  %s(%s) — %d rows\n", t.Name, strings.Join(t.Columns, ", "), t.Rows)
 	}
-}
-
-// run executes one statement in the remote session, streaming rows as the
-// server emits them. A session the server expired is reopened once and
-// the statement retried.
-func (b *remoteBackend) run(ctx context.Context, stmt string) {
-	rows, err := b.sess.Query(ctx, stmt)
-	if sessionLost(err) {
-		if rerr := b.refresh(ctx); rerr == nil {
-			rows, err = b.sess.Query(ctx, stmt)
-		}
-	}
-	if err != nil {
-		printError(err)
-		return
-	}
-	defer rows.Close()
-
-	cols := rows.Columns()
-	if len(cols) == 0 {
-		// Drain to the done chunk so the statement's outcome is real and
-		// the connection returns to the keep-alive pool (closing early
-		// reads as a client disconnect server-side).
-		for rows.Next() {
-		}
-		if err := rows.Err(); err != nil {
-			printError(err)
-			return
-		}
-		fmt.Println("ok")
-		return
-	}
-	if len(cols) == 1 && cols[0] == "QUERY PLAN" {
-		for rows.Next() {
-			fmt.Println(rows.Row()[0].S)
-		}
-		if err := rows.Err(); err != nil {
-			printError(err)
-		}
-		return
-	}
-	fmt.Printf("(%s)\n", strings.Join(cols, ", "))
-	n := 0
-	for rows.Next() {
-		cells := make([]string, 0, len(cols))
-		for _, v := range rows.Row() {
-			cells = append(cells, v.String())
-		}
-		// Render deterministic rows exactly as the local backend does.
-		cond := rows.Cond()
-		if cond == "" {
-			cond = "TRUE"
-		}
-		fmt.Printf("  (%s) | %s\n", strings.Join(cells, ", "), cond)
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		printError(err)
-		return
-	}
-	fmt.Printf("%d row(s)\n", n)
 }
 
 // ---------------------------------------------------------------------------

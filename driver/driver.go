@@ -18,20 +18,17 @@
 //
 // The driver has two backends, selected by the DSN.
 //
-// An **in-process** DSN is a &-separated key=value list. An empty DSN
-// opens a fresh in-memory database private to that sql.DB pool. Keys:
+// An **in-process** DSN is a &-separated key=value list
 //
-//	name        share one in-memory database between every sql.Open with
-//	            the same name (process-wide), like SQLite's shared cache
-//	seed        world seed (uint); equal seeds give bit-identical results
-//	workers     parallel sampler goroutines (0 = one per CPU)
-//	epsilon     confidence parameter in (0, 1)
-//	delta       relative-error parameter in (0, 1)
-//	samples     fixed sample count (disables adaptive stopping)
-//	max_samples adaptive sampling cap
+//	[name=X&]seed=N&workers=N&epsilon=F&delta=F&samples=N&max_samples=N&min_samples=N
 //
-// Every connection of a pool shares the same underlying pip.DB, so DDL
-// executed on one pooled connection is visible to all others.
+// where name shares one in-memory database between every sql.Open with
+// the same name (process-wide), like SQLite's shared cache, and every
+// other key is a session setting: the names, bounds and meanings of the
+// SQL SET statement (docs/SQL.md). An empty DSN opens a fresh in-memory
+// database private to that sql.DB pool. Every connection of a pool shares
+// the same underlying pip.DB, so DDL executed on one pooled connection is
+// visible to all others.
 //
 // A **remote** DSN of the form
 //
@@ -74,14 +71,14 @@ import (
 	"context"
 	"database/sql"
 	"database/sql/driver"
+	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync"
 
 	"pip"
-	"pip/internal/ctable"
+	"pip/internal/sampler"
 	"pip/internal/server"
 )
 
@@ -112,7 +109,8 @@ func (d *Driver) Open(dsn string) (driver.Conn, error) {
 // pip://host:port DSNs return a remote connector speaking the pipd wire
 // protocol (each pooled connection opens its own server session), any
 // other DSN is parsed once as in-process options and every connection of
-// the pool shares one pip.DB.
+// the pool shares one pip.DB. Either way the DSN's session settings are
+// validated here, so a bad name or value fails sql.Open.
 func (d *Driver) OpenConnector(dsn string) (driver.Connector, error) {
 	if isRemoteDSN(dsn) {
 		hosts, settings, err := parseRemoteDSN(dsn)
@@ -125,27 +123,38 @@ func (d *Driver) OpenConnector(dsn string) (driver.Connector, error) {
 		}
 		return rc, nil
 	}
-	name, opts, err := parseDSN(dsn)
+	name, settings, err := parseDSN(dsn)
 	if err != nil {
 		return nil, err
 	}
-	var db *pip.DB
-	if name == "" {
-		db = pip.Open(opts)
-	} else {
-		d.mu.Lock()
-		db = d.shared[name]
-		if db == nil {
-			db = pip.Open(opts)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	db := d.shared[name] // never holds "", so a nameless DSN opens a private database
+	if db == nil {
+		db = pip.Open(pip.Options{})
+		db.Core().UpdateConfig(func(cfg *sampler.Config) { _ = applySettings(cfg, settings) }) // validated by parseDSN
+		if name != "" {
 			d.shared[name] = db
 		}
-		d.mu.Unlock()
 	}
 	return &Connector{d: d, db: db}, nil
 }
 
-// parseDSN parses the &-separated key=value data source name.
-func parseDSN(dsn string) (name string, opts pip.Options, err error) {
+// applySettings applies a DSN's session settings to cfg: the settings table
+// of internal/sampler under its open-time rule (seed 0 = engine default).
+func applySettings(cfg *sampler.Config, settings map[string]json.Number) error {
+	for k, v := range settings {
+		if err := sampler.ApplyOpenSetting(cfg, k, v.String()); err != nil {
+			return fmt.Errorf("pip driver: invalid DSN: %w", err)
+		}
+	}
+	return nil
+}
+
+// parseDSN splits the &-separated key=value in-process data source name into
+// the shared-database name and the session settings, validated.
+func parseDSN(dsn string) (name string, settings map[string]json.Number, err error) {
+	settings = map[string]json.Number{}
 	for _, kv := range strings.Split(dsn, "&") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -153,55 +162,16 @@ func parseDSN(dsn string) (name string, opts pip.Options, err error) {
 		}
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
-			return "", opts, fmt.Errorf("pip driver: malformed DSN entry %q (want key=value)", kv)
+			return "", nil, fmt.Errorf("pip driver: malformed DSN entry %q (want key=value)", kv)
 		}
-		bad := func(e error) error {
-			return fmt.Errorf("pip driver: invalid DSN value %q for %s (%w)", v, k, e)
-		}
-		switch strings.ToLower(strings.TrimSpace(k)) {
-		case "name":
+		if k = strings.ToLower(strings.TrimSpace(k)); k == "name" {
 			name = v
-		case "seed":
-			n, e := strconv.ParseUint(v, 10, 64)
-			if e != nil {
-				return "", opts, bad(e)
-			}
-			opts.Seed = n
-		case "workers":
-			n, e := strconv.Atoi(v)
-			if e != nil || n < 0 {
-				return "", opts, bad(fmt.Errorf("want a non-negative integer (0 = one per CPU)"))
-			}
-			opts.Workers = n
-		case "epsilon":
-			f, e := strconv.ParseFloat(v, 64)
-			if e != nil || f <= 0 || f >= 1 {
-				return "", opts, bad(fmt.Errorf("want a float in (0, 1)"))
-			}
-			opts.Epsilon = f
-		case "delta":
-			f, e := strconv.ParseFloat(v, 64)
-			if e != nil || f <= 0 || f >= 1 {
-				return "", opts, bad(fmt.Errorf("want a float in (0, 1)"))
-			}
-			opts.Delta = f
-		case "samples":
-			n, e := strconv.Atoi(v)
-			if e != nil || n < 0 {
-				return "", opts, bad(fmt.Errorf("want a non-negative integer (0 = adaptive)"))
-			}
-			opts.FixedSamples = n
-		case "max_samples":
-			n, e := strconv.Atoi(v)
-			if e != nil || n < 1 {
-				return "", opts, bad(fmt.Errorf("want a positive integer"))
-			}
-			opts.MaxSamples = n
-		default:
-			return "", opts, fmt.Errorf("pip driver: unknown DSN key %q", k)
+		} else {
+			settings[k] = json.Number(v)
 		}
 	}
-	return name, opts, nil
+	scratch := sampler.DefaultConfig()
+	return name, settings, applySettings(&scratch, settings)
 }
 
 // Connector implements driver.Connector over a shared pip.DB.
@@ -354,15 +324,29 @@ func stmtQuery(ctx context.Context, st *pip.Stmt, args []driver.NamedValue) (dri
 	return &Rows{rows: rows}, nil
 }
 
-// Rows implements driver.Rows by streaming a native pip.Rows.
+// rowSource is what Rows needs of a result set: *pip.Rows in-process,
+// *server.ClientRows (a remote query's incrementally read stream) remotely.
+type rowSource interface {
+	Columns() []string
+	Next() bool
+	Err() error
+	Close() error
+	NumCells() int
+	Native(i int) (any, error)
+}
+
+// Rows implements driver.Rows over either backend's result set, so a cell
+// maps to the same driver.Value — bit-identical under equal seeds — whether
+// the DSN is in-process or remote.
 type Rows struct {
-	rows *pip.Rows
+	rows rowSource
 }
 
 // Columns implements driver.Rows.
 func (r *Rows) Columns() []string { return r.rows.Columns() }
 
-// Close implements driver.Rows.
+// Close implements driver.Rows; closing a remote result mid-stream cancels
+// the server-side query.
 func (r *Rows) Close() error { return r.rows.Close() }
 
 // Next implements driver.Rows: deterministic cells convert to their
@@ -374,30 +358,15 @@ func (r *Rows) Next(dest []driver.Value) error {
 		}
 		return io.EOF
 	}
-	vals := r.rows.Values()
-	if len(dest) != len(vals) {
-		return fmt.Errorf("pip driver: %d destinations for %d columns", len(dest), len(vals))
+	if n := r.rows.NumCells(); len(dest) != n {
+		return fmt.Errorf("pip driver: %d destinations for %d columns", len(dest), n)
 	}
-	for i, v := range vals {
-		dest[i] = driverValue(v)
+	for i := range dest {
+		n, err := r.rows.Native(i)
+		if err != nil {
+			return err
+		}
+		dest[i] = n
 	}
 	return nil
-}
-
-// driverValue maps one engine cell to a driver.Value.
-func driverValue(v pip.Value) driver.Value {
-	switch v.Kind {
-	case ctable.KindFloat:
-		return v.F
-	case ctable.KindInt:
-		return v.I
-	case ctable.KindString:
-		return v.S
-	case ctable.KindBool:
-		return v.B
-	case ctable.KindExpr:
-		return v.E.String()
-	default:
-		return nil
-	}
 }

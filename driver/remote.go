@@ -6,14 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"pip"
+	"pip/internal/sampler"
 	"pip/internal/server"
 )
 
@@ -26,10 +25,8 @@ func isRemoteDSN(dsn string) bool { return strings.HasPrefix(dsn, remoteScheme) 
 
 // parseRemoteDSN splits pip://host:port[,host:port...]?key=value&... into
 // the server addresses — the first is the primary, any further hosts are
-// read replicas — and the session settings forwarded at connection time.
-// Keys are the SQL SET names (seed, workers, epsilon, delta, samples,
-// max_samples, min_samples); values are validated by the server with the
-// same bounds as SET.
+// read replicas — and the session settings forwarded at connection time,
+// validated here so a bad one fails sql.Open, not the first Connect.
 //
 // The host list is split by hand rather than url.Parse because net/url
 // rejects comma-separated authorities whose last element lacks a port.
@@ -52,25 +49,15 @@ func parseRemoteDSN(dsn string) (hosts []string, settings map[string]json.Number
 	if err != nil {
 		return nil, nil, fmt.Errorf("pip driver: malformed remote DSN query %q: %w", rawQuery, err)
 	}
+	if q.Has("name") {
+		return nil, nil, fmt.Errorf("pip driver: DSN key %q is for in-process databases (a server is already shared by name: its address)", "name")
+	}
 	settings = map[string]json.Number{}
 	for k, vs := range q {
-		switch k {
-		case "seed", "workers", "epsilon", "delta", "samples", "max_samples", "min_samples":
-			v := vs[len(vs)-1]
-			// Syntactic check up front so a bad value is a clear DSN error
-			// at sql.Open time; range validation stays server-side with
-			// the same bounds as SET.
-			if _, err := strconv.ParseFloat(v, 64); err != nil {
-				return nil, nil, fmt.Errorf("pip driver: invalid remote DSN value %q for %s (want a number)", v, k)
-			}
-			settings[k] = json.Number(v)
-		case "name":
-			return nil, nil, fmt.Errorf("pip driver: DSN key %q is for in-process databases (a server is already shared by name: its address)", k)
-		default:
-			return nil, nil, fmt.Errorf("pip driver: unknown remote DSN key %q", k)
-		}
+		settings[k] = json.Number(vs[len(vs)-1])
 	}
-	return hosts, settings, nil
+	scratch := sampler.DefaultConfig()
+	return hosts, settings, applySettings(&scratch, settings)
 }
 
 // remoteConnector implements driver.Connector against a pipd topology:
@@ -220,7 +207,7 @@ func (c *remoteConn) QueryContext(ctx context.Context, query string, args []driv
 	if err != nil {
 		return nil, mapSessionErr(err)
 	}
-	return &remoteRows{rows: rows}, nil
+	return &Rows{rows: rows}, nil
 }
 
 // ExecContext implements driver.ExecerContext (direct, unprepared
@@ -316,42 +303,5 @@ func (s *remoteStmt) QueryContext(ctx context.Context, args []driver.NamedValue)
 	if err != nil {
 		return nil, mapSessionErr(err)
 	}
-	return &remoteRows{rows: rows}, nil
-}
-
-// remoteRows implements driver.Rows by consuming the NDJSON row stream
-// incrementally — a remote result set costs the same per-row memory as a
-// local one.
-type remoteRows struct {
-	rows *server.ClientRows
-}
-
-// Columns implements driver.Rows.
-func (r *remoteRows) Columns() []string { return r.rows.Columns() }
-
-// Close implements driver.Rows; closing mid-stream cancels the
-// server-side query.
-func (r *remoteRows) Close() error { return r.rows.Close() }
-
-// Next implements driver.Rows: deterministic cells convert to their
-// driver.Value type, symbolic cells to their equation string — the same
-// mapping as the in-process backend, bit-identical under equal seeds.
-func (r *remoteRows) Next(dest []driver.Value) error {
-	if !r.rows.Next() {
-		if err := r.rows.Err(); err != nil {
-			return err
-		}
-		return io.EOF
-	}
-	if n := r.rows.NumCells(); len(dest) != n {
-		return fmt.Errorf("pip driver: %d destinations for %d columns", len(dest), n)
-	}
-	for i := range dest {
-		n, err := r.rows.Native(i)
-		if err != nil {
-			return err
-		}
-		dest[i] = n
-	}
-	return nil
+	return &Rows{rows: rows}, nil
 }

@@ -124,6 +124,17 @@ func (db *DB) Session() *DB {
 	return &DB{cat: db.cat, sid: db.cat.allocSessionID(), smp: sampler.New(cfg), cfg: cfg}
 }
 
+// ReplaySession is Session for the replay of a logged session: the handle
+// carries the logged id and world seed, allocates no id and is an applier
+// (MarkApplier), so where replay leaves the session-id allocator depends on
+// the log alone (EnsureSessionFloor), not on how many of its sessions first
+// appear after the snapshot that recovery started from.
+func (db *DB) ReplaySession(id, seed uint64) *DB {
+	cfg := db.Config()
+	cfg.WorldSeed = seed
+	return &DB{cat: db.cat, sid: id, smp: sampler.New(cfg), cfg: cfg, applier: true}
+}
+
 // Sampler returns the database's sampler. The returned sampler is immutable
 // (SET statements install a fresh one), so it may be used concurrently with
 // configuration updates.

@@ -26,9 +26,10 @@ import (
 const RootSessionID uint64 = 1
 
 // ErrUnloggedMutation reports a catalog-mutating statement that cannot be
-// made durable because its source text is unknown (raw-AST execution via
-// ExecStmt) or its bound arguments are symbolic. It only fires when a
-// mutation log is attached; without one, such statements execute normally.
+// made durable because its source text is unknown (a statement executed
+// from its syntax tree alone) or its bound arguments are symbolic. It only
+// fires when a mutation log is attached; without one, such statements
+// execute normally.
 var ErrUnloggedMutation = errors.New("core: statement mutates the catalog but cannot be logged")
 
 // Mutation describes one catalog-mutating SQL statement as the write-ahead
@@ -121,7 +122,7 @@ func (db *DB) Commit(text string, args []ctable.Value, apply func() error) error
 	}
 	defer cat.commitMu.Unlock()
 	if text == "" {
-		return fmt.Errorf("%w: no statement text (use the text-based Exec surface, not raw-AST ExecStmt)", ErrUnloggedMutation)
+		return fmt.Errorf("%w: no statement text (use the text-based Exec surface)", ErrUnloggedMutation)
 	}
 	// Unloggable statements must be rejected before apply runs: once the
 	// catalog has mutated, a failure to log it leaves state the log cannot

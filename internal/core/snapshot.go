@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"pip/internal/cond"
@@ -75,21 +74,21 @@ func (db *DB) EncodeCatalog(w io.Writer) error {
 	for _, v := range enc.vars {
 		body = binary.AppendUvarint(body, v.Key.ID)
 		body = binary.AppendUvarint(body, uint64(v.Key.Subscript))
-		body = appendString(body, v.Name)
-		body = appendString(body, v.Dist.Class.Name())
+		body = ctable.AppendString(body, v.Name)
+		body = ctable.AppendString(body, v.Dist.Class.Name())
 		body = binary.AppendUvarint(body, uint64(len(v.Dist.Params)))
 		for _, p := range v.Dist.Params {
-			body = appendFloat(body, p)
+			body = ctable.AppendFloat(body, p)
 		}
 	}
 	body = binary.AppendUvarint(body, uint64(len(keys)))
 	for _, k := range keys {
 		t := db.cat.tables[k]
-		body = appendString(body, k)
-		body = appendString(body, t.Name)
+		body = ctable.AppendString(body, k)
+		body = ctable.AppendString(body, t.Name)
 		body = binary.AppendUvarint(body, uint64(len(t.Schema)))
 		for _, c := range t.Schema {
-			body = appendString(body, c.Name)
+			body = ctable.AppendString(body, c.Name)
 		}
 		body = binary.AppendUvarint(body, uint64(len(t.Tuples)))
 		for i := range t.Tuples {
@@ -120,37 +119,37 @@ func (db *DB) DecodeCatalog(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	d := &snapDecoder{buf: raw}
-	ver := d.uvarint()
-	if d.err == nil && ver != snapshotVersion {
+	d := &snapDecoder{BinReader: ctable.BinReader{Buf: raw, Sentinel: ErrBadSnapshot}}
+	ver := d.Uvarint()
+	if d.Err == nil && ver != snapshotVersion {
 		return fmt.Errorf("%w: unknown snapshot version %d (have %d)", ErrBadSnapshot, ver, snapshotVersion)
 	}
-	nextVar := d.uvarint()
-	nextSession := d.uvarint()
+	nextVar := d.Uvarint()
+	nextSession := d.Uvarint()
 
-	nvars := d.uvarint()
+	nvars := d.Uvarint()
 	vars := make([]*expr.Variable, 0, minU(nvars, 4096))
-	for i := uint64(0); i < nvars && d.err == nil; i++ {
-		id := d.uvarint()
-		sub := d.uvarint()
-		name := d.string()
-		className := d.string()
-		nparams := d.uvarint()
+	for i := uint64(0); i < nvars && d.Err == nil; i++ {
+		id := d.Uvarint()
+		sub := d.Uvarint()
+		name := d.Str()
+		className := d.Str()
+		nparams := d.Uvarint()
 		params := make([]float64, 0, minU(nparams, 64))
-		for j := uint64(0); j < nparams && d.err == nil; j++ {
-			params = append(params, d.float())
+		for j := uint64(0); j < nparams && d.Err == nil; j++ {
+			params = append(params, d.Float())
 		}
-		if d.err != nil {
+		if d.Err != nil {
 			break
 		}
 		class, ok := dist.Lookup(className)
 		if !ok {
-			d.fail("unknown distribution class %q", className)
+			d.Fail("unknown distribution class %q", className)
 			break
 		}
 		inst, err := dist.NewInstance(class, params...)
 		if err != nil {
-			d.fail("invalid %s parameters: %v", className, err)
+			d.Fail("invalid %s parameters: %v", className, err)
 			break
 		}
 		vars = append(vars, &expr.Variable{
@@ -161,34 +160,34 @@ func (db *DB) DecodeCatalog(r io.Reader) error {
 	}
 	d.vars = vars
 
-	ntables := d.uvarint()
+	ntables := d.Uvarint()
 	type namedTable struct {
 		key string
 		t   *ctable.Table
 	}
 	tables := make([]namedTable, 0, minU(ntables, 1024))
-	for i := uint64(0); i < ntables && d.err == nil; i++ {
-		key := d.string()
-		display := d.string()
-		ncols := d.uvarint()
+	for i := uint64(0); i < ntables && d.Err == nil; i++ {
+		key := d.Str()
+		display := d.Str()
+		ncols := d.Uvarint()
 		sch := make(ctable.Schema, 0, minU(ncols, 1024))
-		for j := uint64(0); j < ncols && d.err == nil; j++ {
-			sch = append(sch, ctable.Column{Name: d.string()})
+		for j := uint64(0); j < ncols && d.Err == nil; j++ {
+			sch = append(sch, ctable.Column{Name: d.Str()})
 		}
 		t := &ctable.Table{Name: display, Schema: sch}
-		ntuples := d.uvarint()
+		ntuples := d.Uvarint()
 		t.Tuples = make([]ctable.Tuple, 0, minU(ntuples, 4096))
-		for j := uint64(0); j < ntuples && d.err == nil; j++ {
+		for j := uint64(0); j < ntuples && d.Err == nil; j++ {
 			tp := d.tuple(len(sch))
 			t.Tuples = append(t.Tuples, tp)
 		}
 		tables = append(tables, namedTable{key: key, t: t})
 	}
-	if d.err == nil && d.off != len(d.buf) {
-		d.fail("%d trailing bytes", len(d.buf)-d.off)
+	if d.Err == nil && d.Off != len(d.Buf) {
+		d.Fail("%d trailing bytes", len(d.Buf)-d.Off)
 	}
-	if d.err != nil {
-		return d.err
+	if d.Err != nil {
+		return d.Err
 	}
 
 	db.cat.mu.Lock()
@@ -291,33 +290,20 @@ func (e *snapEncoder) appendTuple(buf []byte, tp *ctable.Tuple) ([]byte, error) 
 
 // appendValue appends one cell: a kind byte and a kind-specific payload.
 func (e *snapEncoder) appendValue(buf []byte, v ctable.Value) ([]byte, error) {
-	buf = append(buf, byte(v.Kind))
-	switch v.Kind {
-	case ctable.KindNull:
-		return buf, nil
-	case ctable.KindFloat:
-		return appendFloat(buf, v.F), nil
-	case ctable.KindInt:
-		return binary.AppendVarint(buf, v.I), nil
-	case ctable.KindString:
-		return appendString(buf, v.S), nil
-	case ctable.KindBool:
-		if v.B {
-			return append(buf, 1), nil
-		}
-		return append(buf, 0), nil
-	case ctable.KindExpr:
-		return e.appendExpr(buf, v.E)
-	default:
+	if out, ok := ctable.AppendScalar(buf, v); ok {
+		return out, nil
+	}
+	if v.Kind != ctable.KindExpr {
 		return nil, fmt.Errorf("core: cannot snapshot value kind %v", v.Kind)
 	}
+	return e.appendExpr(append(buf, byte(v.Kind)), v.E)
 }
 
 // appendExpr appends one expression tree in prefix order.
 func (e *snapEncoder) appendExpr(buf []byte, x expr.Expr) ([]byte, error) {
 	switch t := x.(type) {
 	case expr.Const:
-		return appendFloat(append(buf, tagConst), float64(t)), nil
+		return ctable.AppendFloat(append(buf, tagConst), float64(t)), nil
 	case expr.Var:
 		idx, ok := e.varIdx[t.V.Key]
 		if !ok {
@@ -341,12 +327,10 @@ func (e *snapEncoder) appendExpr(buf []byte, x expr.Expr) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Decoder
 
-// snapDecoder reads the snapshot encoding from a byte slice, latching the
-// first error; every accessor is a no-op once err is set.
+// snapDecoder reads the snapshot encoding: the shared primitive reader
+// (failures wrap ErrBadSnapshot) plus the recursive structures.
 type snapDecoder struct {
-	buf  []byte
-	off  int
-	err  error
+	ctable.BinReader
 	vars []*expr.Variable
 	// depth bounds expression recursion so corrupt input cannot overflow
 	// the stack.
@@ -356,114 +340,36 @@ type snapDecoder struct {
 // maxExprDepth bounds decoded expression-tree nesting.
 const maxExprDepth = 10_000
 
-// fail latches a decoding error wrapping ErrBadSnapshot.
-func (d *snapDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s (offset %d)", ErrBadSnapshot, fmt.Sprintf(format, args...), d.off)
-	}
-}
-
-// uvarint reads one unsigned varint.
-func (d *snapDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// varint reads one signed varint.
-func (d *snapDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// byte_ reads one byte.
-func (d *snapDecoder) byte_() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("truncated byte")
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-// float reads one float64 (8 bytes, little endian, exact bits).
-func (d *snapDecoder) float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail("truncated float")
-		return 0
-	}
-	bits := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits)
-}
-
-// string reads one length-prefixed string.
-func (d *snapDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)-d.off) < n {
-		d.fail("truncated string of length %d", n)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+uint64AsInt(n)])
-	d.off += uint64AsInt(n)
-	return s
-}
-
 // tuple reads one tuple (values + condition), validating cell arity.
 func (d *snapDecoder) tuple(arity int) ctable.Tuple {
-	nvals := d.uvarint()
-	if d.err == nil && nvals != uint64(arity) {
-		d.fail("tuple arity %d does not match schema arity %d", nvals, arity)
+	nvals := d.Uvarint()
+	if d.Err == nil && nvals != uint64(arity) {
+		d.Fail("tuple arity %d does not match schema arity %d", nvals, arity)
 	}
 	vals := make([]ctable.Value, 0, minU(nvals, 1024))
-	for i := uint64(0); i < nvals && d.err == nil; i++ {
+	for i := uint64(0); i < nvals && d.Err == nil; i++ {
 		vals = append(vals, d.value())
 	}
-	nclauses := d.uvarint()
+	nclauses := d.Uvarint()
 	c := cond.Condition{}
-	if n := minU(nclauses, 1024); d.err == nil && n > 0 {
+	if n := minU(nclauses, 1024); d.Err == nil && n > 0 {
 		c.Clauses = make([]cond.Clause, 0, n)
 	}
-	for i := uint64(0); i < nclauses && d.err == nil; i++ {
-		natoms := d.uvarint()
+	for i := uint64(0); i < nclauses && d.Err == nil; i++ {
+		natoms := d.Uvarint()
 		var cl cond.Clause
-		for j := uint64(0); j < natoms && d.err == nil; j++ {
-			op := cond.CmpOp(d.byte_())
-			if d.err == nil && (op < cond.EQ || op > cond.GE) {
-				d.fail("unknown comparison operator %d", op)
+		for j := uint64(0); j < natoms && d.Err == nil; j++ {
+			op := cond.CmpOp(d.Byte())
+			if d.Err == nil && (op < cond.EQ || op > cond.GE) {
+				d.Fail("unknown comparison operator %d", op)
 			}
 			left := d.expr()
 			right := d.expr()
-			if d.err == nil {
+			if d.Err == nil {
 				cl = append(cl, cond.NewAtom(left, op, right))
 			}
 		}
-		if d.err == nil {
+		if d.Err == nil {
 			c.Clauses = append(c.Clauses, cl)
 		}
 	}
@@ -472,77 +378,61 @@ func (d *snapDecoder) tuple(arity int) ctable.Tuple {
 
 // value reads one cell.
 func (d *snapDecoder) value() ctable.Value {
-	kind := ctable.Kind(d.byte_())
-	if d.err != nil {
+	kind := ctable.Kind(d.Byte())
+	if v, ok := d.Scalar(kind); ok || d.Err != nil {
+		return v
+	}
+	if kind != ctable.KindExpr {
+		d.Fail("unknown value kind %d", kind)
 		return ctable.Value{}
 	}
-	switch kind {
-	case ctable.KindNull:
-		return ctable.Null()
-	case ctable.KindFloat:
-		return ctable.Float(d.float())
-	case ctable.KindInt:
-		return ctable.Int(d.varint())
-	case ctable.KindString:
-		return ctable.String_(d.string())
-	case ctable.KindBool:
-		return ctable.Bool(d.byte_() != 0)
-	case ctable.KindExpr:
-		e := d.expr()
-		if d.err != nil {
-			return ctable.Value{}
-		}
-		return ctable.Value{Kind: ctable.KindExpr, E: e}
-	default:
-		d.fail("unknown value kind %d", kind)
-		return ctable.Value{}
-	}
+	return ctable.Value{Kind: ctable.KindExpr, E: d.expr()}
 }
 
 // expr reads one expression tree.
 func (d *snapDecoder) expr() expr.Expr {
-	if d.err != nil {
+	if d.Err != nil {
 		return expr.Const(0)
 	}
 	d.depth++
 	defer func() { d.depth-- }()
 	if d.depth > maxExprDepth {
-		d.fail("expression nesting exceeds %d", maxExprDepth)
+		d.Fail("expression nesting exceeds %d", maxExprDepth)
 		return expr.Const(0)
 	}
-	switch tag := d.byte_(); tag {
+	switch tag := d.Byte(); tag {
 	case tagConst:
-		return expr.Const(d.float())
+		return expr.Const(d.Float())
 	case tagVar:
-		idx := d.uvarint()
-		if d.err != nil {
+		idx := d.Uvarint()
+		if d.Err != nil {
 			return expr.Const(0)
 		}
 		if idx >= uint64(len(d.vars)) {
-			d.fail("variable index %d out of range (%d interned)", idx, len(d.vars))
+			d.Fail("variable index %d out of range (%d interned)", idx, len(d.vars))
 			return expr.Const(0)
 		}
 		return expr.NewVar(d.vars[idx])
 	case tagBin:
-		op := expr.Op(d.byte_())
-		if d.err == nil && (op < expr.OpAdd || op > expr.OpDiv) {
-			d.fail("unknown arithmetic operator %d", op)
+		op := expr.Op(d.Byte())
+		if d.Err == nil && (op < expr.OpAdd || op > expr.OpDiv) {
+			d.Fail("unknown arithmetic operator %d", op)
 		}
 		left := d.expr()
 		right := d.expr()
-		if d.err != nil {
+		if d.Err != nil {
 			return expr.Const(0)
 		}
 		return expr.Bin{Op: op, Left: left, Right: right}
 	case tagNeg:
 		x := d.expr()
-		if d.err != nil {
+		if d.Err != nil {
 			return expr.Const(0)
 		}
 		return expr.Neg{X: x}
 	default:
-		if d.err == nil {
-			d.fail("unknown expression tag %d", tag)
+		if d.Err == nil {
+			d.Fail("unknown expression tag %d", tag)
 		}
 		return expr.Const(0)
 	}
@@ -551,17 +441,6 @@ func (d *snapDecoder) expr() expr.Expr {
 // ---------------------------------------------------------------------------
 // Small helpers
 
-// appendString appends a length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// appendFloat appends the exact bits of a float64, little endian.
-func appendFloat(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
 // minU clamps an untrusted uint64 count to a sane preallocation bound.
 func minU(n uint64, cap int) int {
 	if n < uint64(cap) {
@@ -569,6 +448,3 @@ func minU(n uint64, cap int) int {
 	}
 	return cap
 }
-
-// uint64AsInt converts a length already validated against the buffer size.
-func uint64AsInt(n uint64) int { return int(n) }

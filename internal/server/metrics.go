@@ -111,14 +111,32 @@ func (t *queryTracker) finish(rows, samples int64, err error, cancelled bool) {
 	}
 }
 
+// metric is one label-free counter or gauge family of the exposition.
+type metric struct {
+	name, help, typ string
+	value           float64
+}
+
+// boolGauge is the 0/1 value of a flag exported as a gauge.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// writeFlatFamilies renders label-free families sorted by name.
+func writeFlatFamilies(w io.Writer, ms []metric) {
+	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+	for _, mt := range ms {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", mt.name, mt.help, mt.name, mt.typ, mt.name, mt.value)
+	}
+}
+
 // write renders the Prometheus text exposition. sessionsActive is sampled
 // from the session manager at call time.
 func (m *metrics) write(w io.Writer, sessionsActive int) {
-	type metric struct {
-		name, help, typ string
-		value           float64
-	}
-	ms := []metric{
+	writeFlatFamilies(w, []metric{
 		{"pip_uptime_seconds", "Seconds since the server started.", "gauge", time.Since(m.start).Seconds()},
 		{"pip_requests_total", "HTTP requests served, all endpoints.", "counter", float64(m.requestsTotal.Load())},
 		{"pip_queries_total", "SQL statements started via /v1/query and /v1/exec.", "counter", float64(m.queriesTotal.Load())},
@@ -132,11 +150,7 @@ func (m *metrics) write(w io.Writer, sessionsActive int) {
 		{"pip_sessions_total", "Sessions ever created.", "counter", float64(m.sessionsTotal.Load())},
 		{"pip_sessions_swept_total", "Sessions reclaimed by the idle sweep.", "counter", float64(m.sessionsSwept.Load())},
 		{"pip_query_seconds_total", "Cumulative statement execution wall time.", "counter", time.Duration(m.queryNanos.Load()).Seconds()},
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	for _, mt := range ms {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", mt.name, mt.help, mt.name, mt.typ, mt.name, mt.value)
-	}
+	})
 	writeHistogramFamily(w, "pip_query_seconds", "Statement execution latency in seconds.", m.querySeconds)
 	writeHistogramFamily(w, "pip_query_rows", "Result rows per statement.", m.queryRows)
 	writeHistogramFamily(w, "pip_query_samples", "Monte Carlo samples drawn per statement.", m.querySamples)
@@ -173,16 +187,8 @@ func formatBound(b float64) string {
 // wal.Stats snapshot: append volume, fsync latency, snapshot cadence, and
 // what the boot-time recovery pass restored.
 func writeWALMetrics(w io.Writer, st wal.Stats) {
-	type metric struct {
-		name, help, typ string
-		value           float64
-	}
-	poisoned := 0.0
-	if st.Poisoned != "" {
-		poisoned = 1
-	}
-	ms := []metric{
-		{"pip_wal_poisoned", "1 after an append/sync failure fail-stopped the log; mutations are refused until restart.", "gauge", poisoned},
+	writeFlatFamilies(w, []metric{
+		{"pip_wal_poisoned", "1 after an append/sync failure fail-stopped the log; mutations are refused until restart.", "gauge", boolGauge(st.Poisoned != "")},
 		{"pip_wal_records_total", "Statements appended to the write-ahead log.", "counter", float64(st.Records)},
 		{"pip_wal_bytes_total", "Bytes appended to the write-ahead log.", "counter", float64(st.Bytes)},
 		{"pip_wal_fsyncs_total", "Write-ahead log fsync calls.", "counter", float64(st.Fsyncs)},
@@ -191,11 +197,7 @@ func writeWALMetrics(w io.Writer, st wal.Stats) {
 		{"pip_wal_since_snapshot", "Log records accumulated past the newest snapshot.", "gauge", float64(st.SinceSnapshot)},
 		{"pip_wal_recovery_seconds", "Wall time of the boot-time recovery pass.", "gauge", st.Recovery.Duration.Seconds()},
 		{"pip_wal_recovery_replayed_records", "Log records replayed during the boot-time recovery pass.", "gauge", float64(st.Recovery.Replayed)},
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	for _, mt := range ms {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", mt.name, mt.help, mt.name, mt.typ, mt.name, mt.value)
-	}
+	})
 	writeHistogramSnapshot(w, "pip_wal_fsync_seconds", "Write-ahead log fsync latency in seconds.", st.FsyncSeconds)
 }
 
@@ -205,11 +207,7 @@ func writeWALMetrics(w io.Writer, st wal.Stats) {
 // replica id, which outlives disconnects so lag stays visible while a
 // replica is down).
 func writeReplPrimaryMetrics(w io.Writer, st repl.PrimaryStats) {
-	type metric struct {
-		name, help, typ string
-		value           float64
-	}
-	ms := []metric{
+	writeFlatFamilies(w, []metric{
 		{"pip_repl_role_primary", "1 on a replication primary.", "gauge", 1},
 		{"pip_repl_last_seq", "Newest durable log record available to replicas.", "gauge", float64(st.LastSeq)},
 		{"pip_repl_connected_replicas", "Replicas with a live stream open.", "gauge", float64(st.ConnectedReplicas)},
@@ -218,11 +216,7 @@ func writeReplPrimaryMetrics(w io.Writer, st repl.PrimaryStats) {
 		{"pip_repl_bytes_shipped_total", "Record payload bytes shipped to replicas.", "counter", float64(st.BytesShipped)},
 		{"pip_repl_snapshots_shipped_total", "Snapshot images streamed to bootstrapping replicas.", "counter", float64(st.SnapshotsShipped)},
 		{"pip_repl_streams_total", "Replication streams ever opened.", "counter", float64(st.StreamsTotal)},
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	for _, mt := range ms {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", mt.name, mt.help, mt.name, mt.typ, mt.name, mt.value)
-	}
+	})
 	if len(st.Replicas) > 0 {
 		fmt.Fprintf(w, "# HELP pip_repl_replica_acked_seq Newest sequence number each replica reports applied.\n# TYPE pip_repl_replica_acked_seq gauge\n")
 		for _, r := range st.Replicas {
@@ -239,17 +233,7 @@ func writeReplPrimaryMetrics(w io.Writer, st repl.PrimaryStats) {
 // from a repl.FollowerStats snapshot: applied position against the
 // primary's, apply volume, reconnect churn, and the fail-stop latch.
 func writeReplFollowerMetrics(w io.Writer, st repl.FollowerStats) {
-	type metric struct {
-		name, help, typ string
-		value           float64
-	}
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	ms := []metric{
+	writeFlatFamilies(w, []metric{
 		{"pip_repl_role_replica", "1 on a read-only replica.", "gauge", 1},
 		{"pip_repl_applied_seq", "Newest log record this replica has applied.", "gauge", float64(st.AppliedSeq)},
 		{"pip_repl_primary_seq", "Primary log position as last reported on the stream.", "gauge", float64(st.PrimarySeq)},
@@ -258,13 +242,9 @@ func writeReplFollowerMetrics(w io.Writer, st repl.FollowerStats) {
 		{"pip_repl_bytes_applied_total", "Record payload bytes applied from the replication stream.", "counter", float64(st.BytesApplied)},
 		{"pip_repl_snapshot_loads_total", "Snapshot images loaded to bootstrap or catch up.", "counter", float64(st.SnapshotsLoaded)},
 		{"pip_repl_reconnects_total", "Stream reconnect attempts after transient failures.", "counter", float64(st.Reconnects)},
-		{"pip_repl_connected", "1 while a replication stream is open to the primary.", "gauge", b2f(st.Connected)},
-		{"pip_repl_fail_stopped", "1 after an integrity failure latched and stopped replication.", "gauge", b2f(st.FailStopped)},
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	for _, mt := range ms {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", mt.name, mt.help, mt.name, mt.typ, mt.name, mt.value)
-	}
+		{"pip_repl_connected", "1 while a replication stream is open to the primary.", "gauge", boolGauge(st.Connected)},
+		{"pip_repl_fail_stopped", "1 after an integrity failure latched and stopped replication.", "gauge", boolGauge(st.FailStopped)},
+	})
 }
 
 // writeHistogramSnapshot renders one label-free histogram in the standard

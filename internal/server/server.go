@@ -294,10 +294,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 // ---------------------------------------------------------------------------
 // Session endpoints
 
-// handleSessionCreate implements POST /v1/session. Its UpdateConfig calls
-// (via applySettings) touch only the session handle's private sampler
-// config — sessions are ephemeral and never replayed, so the WAL rightly
-// never sees them.
+// handleSessionCreate implements POST /v1/session. Its UpdateConfig call
+// (in sessionManager.create) touches only the session handle's private
+// sampler config — sessions are ephemeral and never replayed, so the WAL
+// rightly never sees them.
 //
 //pipvet:allow walcommit session settings are session-local config, not durable catalog state
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {

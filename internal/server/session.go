@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -98,9 +97,16 @@ func newSessionManager(base *pip.DB, idle time.Duration) *sessionManager {
 // serves its first statement.
 func (m *sessionManager) create(settings map[string]json.Number) (*session, error) {
 	db := m.base.Session()
-	if err := applySettings(db, settings); err != nil {
-		return nil, err
+	// Names, types and bounds are the settings table of internal/sampler
+	// under its open-time rule (seed 0 = engine default). No request can
+	// reach db yet, so the validated copy is installed whole.
+	cfg := db.Core().Config()
+	for k, raw := range settings {
+		if err := sampler.ApplyOpenSetting(&cfg, k, raw.String()); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		}
 	}
+	db.Core().UpdateConfig(func(c *sampler.Config) { *c = cfg })
 	m.mu.Lock()
 	m.nextID++
 	id := fmt.Sprintf("s%d-%08x", m.nextID, randTag())
@@ -173,65 +179,4 @@ func (m *sessionManager) sweep(now time.Time) int {
 		}
 	}
 	return n
-}
-
-// applySettings applies session-creation settings with the same names and
-// bounds as the SQL SET statement. seed is parsed as a full-precision
-// uint64 (SET's float64 path cannot express every seed above 2^53).
-func applySettings(db *pip.DB, settings map[string]json.Number) error {
-	for k, raw := range settings {
-		bad := func(want string) error {
-			return fmt.Errorf("%w: invalid setting %s=%s (%s)", ErrBadRequest, k, raw, want)
-		}
-		switch k {
-		case "seed":
-			n, err := strconv.ParseUint(raw.String(), 10, 64)
-			if err != nil {
-				return bad("want a non-negative integer")
-			}
-			if n == 0 {
-				// Parity with pip.Options and in-process DSNs: the zero
-				// seed is replaced by the engine's fixed default, so
-				// seed=0 means the same thing local and remote.
-				n = sampler.DefaultConfig().WorldSeed
-			}
-			db.Core().UpdateConfig(func(cfg *sampler.Config) { cfg.WorldSeed = n })
-		case "workers", "samples", "min_samples":
-			n, err := strconv.Atoi(raw.String())
-			if err != nil || n < 0 {
-				return bad("want a non-negative integer")
-			}
-			db.Core().UpdateConfig(func(cfg *sampler.Config) {
-				switch k {
-				case "workers":
-					cfg.Workers = n
-				case "samples":
-					cfg.FixedSamples = n
-				case "min_samples":
-					cfg.MinSamples = n
-				}
-			})
-		case "max_samples":
-			n, err := strconv.Atoi(raw.String())
-			if err != nil || n < 1 {
-				return bad("want a positive integer")
-			}
-			db.Core().UpdateConfig(func(cfg *sampler.Config) { cfg.MaxSamples = n })
-		case "epsilon", "delta":
-			f, err := strconv.ParseFloat(raw.String(), 64)
-			if err != nil || f <= 0 || f >= 1 {
-				return bad("want a float in (0, 1)")
-			}
-			db.Core().UpdateConfig(func(cfg *sampler.Config) {
-				if k == "epsilon" {
-					cfg.Epsilon = f
-				} else {
-					cfg.Delta = f
-				}
-			})
-		default:
-			return fmt.Errorf("%w: unknown setting %q (have seed, workers, epsilon, delta, samples, max_samples, min_samples)", ErrBadRequest, k)
-		}
-	}
-	return nil
 }

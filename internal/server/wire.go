@@ -159,27 +159,6 @@ func errWireFloat(f string) error {
 	return fmt.Errorf("server: malformed wire float %q", f)
 }
 
-// String renders the value exactly as the engine's own display formatting
-// (ctable.Value.String), so pipql output is identical local and remote.
-func (v Value) String() string {
-	switch v.T {
-	case "f":
-		f, err := strconv.ParseFloat(v.F, 64)
-		if err != nil {
-			return v.F
-		}
-		return ctable.Float(f).String()
-	case "i":
-		return strconv.FormatInt(v.I, 10)
-	case "s", "e":
-		return v.S
-	case "b":
-		return strconv.FormatBool(v.B)
-	default:
-		return "NULL"
-	}
-}
-
 // BindArg converts a Go argument (the remote driver's value set: int64,
 // float64, bool, string, []byte, nil) to its wire form for transmission.
 func BindArg(a any) (Value, error) {
@@ -207,10 +186,9 @@ func decodeArgs(args []Value) ([]any, error) {
 }
 
 // SessionRequest creates a session. Settings apply before the session
-// serves its first statement, with the same names and validation as SQL
-// SET (seed, workers, epsilon, delta, samples, max_samples, min_samples);
-// values arrive as JSON numbers and seed is parsed as a full-precision
-// uint64.
+// serves its first statement; names and validation are the session settings
+// of docs/SQL.md (one table, internal/sampler/settings.go). Values arrive as
+// JSON numbers and are parsed from their text, so a seed keeps all 64 bits.
 type SessionRequest struct {
 	Settings map[string]json.Number `json:"settings,omitempty"`
 }

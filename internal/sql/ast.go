@@ -54,10 +54,12 @@ type ExplainStmt struct {
 func (*ExplainStmt) stmt() {}
 
 // SetStmt is SET name = value: a session setting applied to the database's
-// sampling configuration (e.g. SET workers = 4, SET samples = 1000).
+// sampling configuration (e.g. SET workers = 4, SET samples = 1000). Value
+// is the signed number token as written (on/off sugar arrives as 1/0), so
+// integer settings keep every digit.
 type SetStmt struct {
 	Name  string
-	Value float64
+	Value string
 }
 
 func (*SetStmt) stmt() {}

@@ -140,22 +140,22 @@ func (p *Parser) parseSet() (Stmt, error) {
 		switch strings.ToLower(t.Text) {
 		case "on", "true":
 			p.pos++
-			return &SetStmt{Name: strings.ToLower(name), Value: 1}, nil
+			return &SetStmt{Name: strings.ToLower(name), Value: "1"}, nil
 		case "off", "false":
 			p.pos++
-			return &SetStmt{Name: strings.ToLower(name), Value: 0}, nil
+			return &SetStmt{Name: strings.ToLower(name), Value: "0"}, nil
 		}
 	}
 	if t.Kind != TokNumber {
 		return nil, p.errf("expected numeric value for SET %s, got %q", name, t.Text)
 	}
 	p.pos++
-	v, err := strconv.ParseFloat(t.Text, 64)
-	if err != nil {
+	if _, err := strconv.ParseFloat(t.Text, 64); err != nil {
 		return nil, p.errf("invalid number %q", t.Text)
 	}
+	v := t.Text
 	if neg {
-		v = -v
+		v = "-" + v
 	}
 	return &SetStmt{Name: strings.ToLower(name), Value: v}, nil
 }

@@ -3,7 +3,7 @@ package sql
 import (
 	"context"
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,27 +42,12 @@ func QueryContext(ctx context.Context, db *core.DB, src string, args ...ctable.V
 	return p.QueryContext(ctx, db, args...)
 }
 
-// ExecStmt executes a parsed statement.
-func ExecStmt(db *core.DB, st Stmt) (*ctable.Table, error) {
-	return ExecStmtContext(context.Background(), db, st)
-}
-
-// ExecStmtContext executes a parsed statement under a request context with
-// bound placeholder arguments. The argument count must match the
-// statement's placeholder count exactly (ErrBind otherwise). On
-// cancellation the statement's side effects may be partially applied for
+// execStmtTraced executes a parsed statement under a request context with
+// bound placeholder arguments (Prepared has checked their count), carrying
+// the statement text and parse time into the execution's telemetry trace.
+// On cancellation the statement's side effects may be partially applied for
 // DML, but a SELECT never returns a partial table: the result is ctx.Err().
-func ExecStmtContext(ctx context.Context, db *core.DB, st Stmt, args ...ctable.Value) (*ctable.Table, error) {
-	return execStmtTraced(ctx, db, st, "", 0, args)
-}
-
-// execStmtTraced is ExecStmtContext carrying the statement text and parse
-// time into the execution's telemetry trace (the Prepared path knows both).
 func execStmtTraced(ctx context.Context, db *core.DB, st Stmt, src string, parseTime time.Duration, args []ctable.Value) (*ctable.Table, error) {
-	if n := NumParams(st); n != len(args) {
-		return nil, fmt.Errorf("%w: statement has %d placeholder(s), got %d argument(s)",
-			ErrBind, n, len(args))
-	}
 	env := newExecEnv(ctx, db, args)
 	env.qs.Query = src
 	if parseTime > 0 {
@@ -143,99 +128,30 @@ func execStmt(env execEnv, st Stmt) (*ctable.Table, error) {
 	}
 }
 
-// sessionSettings maps SET names to sampler configuration updates. Each
-// entry validates its value before the configuration is swapped in.
-var sessionSettings = map[string]func(cfg *sampler.Config, v float64) error{
-	"workers": func(cfg *sampler.Config, v float64) error {
-		n := int(v)
-		if v != float64(n) || n < 0 {
-			return fmt.Errorf("sql: workers must be a non-negative integer (0 = one per CPU)")
-		}
-		cfg.Workers = n
-		return nil
-	},
-	"samples": func(cfg *sampler.Config, v float64) error {
-		n := int(v)
-		if v != float64(n) || n < 0 {
-			return fmt.Errorf("sql: samples must be a non-negative integer (0 = adaptive)")
-		}
-		cfg.FixedSamples = n
-		return nil
-	},
-	"max_samples": func(cfg *sampler.Config, v float64) error {
-		n := int(v)
-		if v != float64(n) || n < 1 {
-			return fmt.Errorf("sql: max_samples must be a positive integer")
-		}
-		cfg.MaxSamples = n
-		return nil
-	},
-	"min_samples": func(cfg *sampler.Config, v float64) error {
-		n := int(v)
-		if v != float64(n) || n < 0 {
-			return fmt.Errorf("sql: min_samples must be a non-negative integer")
-		}
-		cfg.MinSamples = n
-		return nil
-	},
-	"epsilon": func(cfg *sampler.Config, v float64) error {
-		if v <= 0 || v >= 1 {
-			return fmt.Errorf("sql: epsilon must lie in (0, 1)")
-		}
-		cfg.Epsilon = v
-		return nil
-	},
-	"delta": func(cfg *sampler.Config, v float64) error {
-		if v <= 0 || v >= 1 {
-			return fmt.Errorf("sql: delta must lie in (0, 1)")
-		}
-		cfg.Delta = v
-		return nil
-	},
-	"seed": func(cfg *sampler.Config, v float64) error {
-		n := uint64(v)
-		if v != float64(n) {
-			return fmt.Errorf("sql: seed must be a non-negative integer")
-		}
-		cfg.WorldSeed = n
-		return nil
-	},
-	// vectorize chose between two relational engines until the
-	// row-at-a-time one was deleted. SET is WAL-logged and shipped to
-	// followers, so data directories and primary logs written before then
-	// still carry it: the name stays valid, keeps its on/off check, and
-	// does nothing.
-	"vectorize": func(_ *sampler.Config, v float64) error {
-		if v != 0 && v != 1 {
+// execSet applies a session setting (SET name = value) to the database's
+// sampling configuration; names, types and bounds are the settings table of
+// internal/sampler. The new configuration takes effect for statements
+// executed after this one; in-flight queries finish under the old one.
+func execSet(db *core.DB, st *SetStmt) error {
+	if st.Name == "vectorize" {
+		// vectorize chose between two relational engines until the
+		// row-at-a-time one was deleted. SET is WAL-logged and shipped to
+		// followers, so data directories and primary logs written before
+		// then still carry it: the name stays valid, keeps its on/off
+		// check, and does nothing.
+		if v, _ := strconv.ParseFloat(st.Value, 64); v != 0 && v != 1 {
 			return fmt.Errorf("sql: vectorize must be on or off")
 		}
 		return nil
-	},
-}
-
-// execSet applies a session setting (SET name = value) to the database's
-// sampling configuration. The new configuration takes effect for statements
-// executed after this one; in-flight queries finish under the old one.
-func execSet(db *core.DB, st *SetStmt) error {
-	apply, ok := sessionSettings[st.Name]
-	if !ok {
-		names := make([]string, 0, len(sessionSettings))
-		for n := range sessionSettings {
-			if n != "vectorize" { // accepted for old logs, not offered
-				names = append(names, n)
-			}
-		}
-		sort.Strings(names)
-		return fmt.Errorf("sql: unknown setting %q (have %s)", st.Name, strings.Join(names, ", "))
 	}
 	// Validate against a scratch copy first so a bad value leaves the live
-	// configuration untouched; the checks depend only on st.Value, so the
-	// second application inside UpdateConfig cannot fail.
+	// configuration untouched; the checks depend only on the statement, so
+	// the second application inside UpdateConfig cannot fail.
 	trial := db.Config()
-	if err := apply(&trial, st.Value); err != nil {
-		return err
+	if err := sampler.ApplySetting(&trial, st.Name, st.Value); err != nil {
+		return fmt.Errorf("sql: %w", err)
 	}
-	db.UpdateConfig(func(cfg *sampler.Config) { _ = apply(cfg, st.Value) })
+	db.UpdateConfig(func(cfg *sampler.Config) { _ = sampler.ApplySetting(cfg, st.Name, st.Value) })
 	return nil
 }
 

@@ -39,9 +39,6 @@ func Prepare(src string) (*Prepared, error) {
 // NumInput returns the number of ? placeholders the statement binds.
 func (p *Prepared) NumInput() int { return p.numInput }
 
-// Source returns the statement text the Prepared was built from.
-func (p *Prepared) Source() string { return p.src }
-
 // checkArity validates the bound argument count against the placeholder
 // count, wrapping ErrBind on mismatch.
 func (p *Prepared) checkArity(args []ctable.Value) error {
@@ -68,13 +65,8 @@ func (p *Prepared) ExecContext(ctx context.Context, db *core.DB, args ...ctable.
 	return execStmtTraced(ctx, db, p.st, p.src, p.parseTime, args)
 }
 
-// Query executes the statement with bound arguments, returning a streaming
-// cursor over the result rows.
-func (p *Prepared) Query(db *core.DB, args ...ctable.Value) (Cursor, error) {
-	return p.QueryContext(context.Background(), db, args...)
-}
-
-// QueryContext is Query under a request context. Every SELECT streams
+// QueryContext executes the statement with bound arguments under a request
+// context, returning a cursor over the result rows. Every SELECT streams
 // through the planned operator pipeline: rows are joined, filtered and
 // projected on demand as the cursor advances, and blocking operators
 // (aggregates, DISTINCT, ORDER BY) materialize their own input internally

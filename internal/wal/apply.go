@@ -12,17 +12,14 @@ import (
 	"fmt"
 
 	"pip/internal/core"
-	"pip/internal/sampler"
 	"pip/internal/sql"
 )
 
 // Applier replays log records onto a database. Records must arrive in
 // sequence order with no gaps (ErrGap otherwise); each logged session gets
-// its own handle so per-session SET statements do not clobber the root
-// configuration, mirroring how the statements originally executed. Handle
-// creation order (first appearance in the log) is itself deterministic, so
-// two databases applying the same records end up byte-identical. Not safe
-// for concurrent use; one applier owns the replay stream.
+// its own handle, under its logged id, so per-session SET statements do not
+// clobber the root configuration, mirroring how the statements originally
+// executed. Not safe for concurrent use; one applier owns the replay stream.
 type Applier struct {
 	root    *core.DB
 	handles map[uint64]*core.DB
@@ -69,18 +66,15 @@ func (a *Applier) Apply(ctx context.Context, r Record) error {
 	}
 	h := a.handles[r.M.Session]
 	if h == nil {
-		// Session() inherits the root configuration as of this moment in
+		// The handle inherits the root configuration as of this moment in
 		// replay, but the original session inherited it at creation time —
 		// possibly before root SET statements replay has already applied.
 		// The record carries the session's world seed so its creation
-		// context does not depend on replay timing: restore it here; the
-		// session's own SETs, logged in order, keep it current from then
-		// on. (The root handle never takes this path: its seed is boot
-		// configuration, the "seed" half of the (seed, statement log) pair
-		// replay reproduces.)
-		h = a.root.Session()
-		h.MarkApplier()
-		h.UpdateConfig(func(c *sampler.Config) { c.WorldSeed = r.M.Seed })
+		// context does not depend on replay timing; the session's own SETs,
+		// logged in order, keep it current from then on. (The root handle
+		// never takes this path: its seed is boot configuration, the "seed"
+		// half of the (seed, statement log) pair replay reproduces.)
+		h = a.root.ReplaySession(r.M.Session, r.M.Seed)
 		a.handles[r.M.Session] = h
 	}
 	_, execErr := sql.ExecContext(ctx, h, r.M.Text, r.M.Args...)

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"pip/internal/core"
 	"pip/internal/ctable"
@@ -84,178 +83,58 @@ func appendPayload(buf []byte, r Record) ([]byte, error) {
 		flags |= flagFailed
 	}
 	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(r.M.Text)))
-	buf = append(buf, r.M.Text...)
+	buf = ctable.AppendString(buf, r.M.Text)
 	buf = binary.AppendUvarint(buf, uint64(len(r.M.Args)))
 	for i, v := range r.M.Args {
-		var err error
-		buf, err = appendArg(buf, v)
-		if err != nil {
-			return nil, fmt.Errorf("wal: argument %d: %w", i+1, err)
+		// One scalar cell per bound argument: a kind byte and its payload.
+		var ok bool
+		if buf, ok = ctable.AppendScalar(buf, v); !ok {
+			return nil, fmt.Errorf("wal: argument %d: cannot log value kind %v (arguments must be scalar)", i+1, v.Kind)
 		}
 	}
 	return buf, nil
-}
-
-// appendArg appends one bound argument: a kind byte and a scalar payload.
-func appendArg(buf []byte, v ctable.Value) ([]byte, error) {
-	buf = append(buf, byte(v.Kind))
-	switch v.Kind {
-	case ctable.KindNull:
-		return buf, nil
-	case ctable.KindFloat:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F)), nil
-	case ctable.KindInt:
-		return binary.AppendVarint(buf, v.I), nil
-	case ctable.KindString:
-		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-		return append(buf, v.S...), nil
-	case ctable.KindBool:
-		if v.B {
-			return append(buf, 1), nil
-		}
-		return append(buf, 0), nil
-	default:
-		return nil, fmt.Errorf("cannot log value kind %v (arguments must be scalar)", v.Kind)
-	}
 }
 
 // DecodePayload decodes one unframed record payload (the bytes the frame's
 // CRC covers). Errors wrap ErrCorruptRecord. It is the inverse of the
 // payload half of AppendRecord and the surface FuzzWALDecode exercises.
 func DecodePayload(p []byte) (Record, error) {
-	d := payloadDecoder{buf: p}
-	ver := d.uvarint()
-	if d.err == nil && ver != recordVersion {
+	d := ctable.BinReader{Buf: p, Sentinel: ErrCorruptRecord}
+	ver := d.Uvarint()
+	if d.Err == nil && ver != recordVersion {
 		return Record{}, fmt.Errorf("%w: unknown record version %d", ErrCorruptRecord, ver)
 	}
 	var r Record
-	r.Seq = d.uvarint()
-	r.M.Session = d.uvarint()
-	r.M.Seed = d.uvarint()
-	flags := d.byte_()
+	r.Seq = d.Uvarint()
+	r.M.Session = d.Uvarint()
+	r.M.Seed = d.Uvarint()
+	flags := d.Byte()
 	r.M.Failed = flags&flagFailed != 0
-	r.M.Text = d.string()
-	nargs := d.uvarint()
-	if d.err == nil && nargs > uint64(len(p)) {
+	r.M.Text = d.Str()
+	nargs := d.Uvarint()
+	if d.Err == nil && nargs > uint64(len(p)) {
 		// Each argument costs at least one byte, so more args than
 		// remaining bytes is structurally impossible.
-		d.fail("argument count %d exceeds payload size", nargs)
+		d.Fail("argument count %d exceeds payload size", nargs)
 	}
-	if d.err == nil && nargs > 0 {
+	if d.Err == nil && nargs > 0 {
 		r.M.Args = make([]ctable.Value, 0, nargs)
-		for i := uint64(0); i < nargs && d.err == nil; i++ {
-			r.M.Args = append(r.M.Args, d.arg())
+		for i := uint64(0); i < nargs && d.Err == nil; i++ {
+			kind := ctable.Kind(d.Byte())
+			v, ok := d.Scalar(kind)
+			if !ok {
+				d.Fail("unknown argument kind %d", kind)
+			}
+			r.M.Args = append(r.M.Args, v)
 		}
 	}
-	if d.err == nil && d.off != len(p) {
-		d.fail("%d trailing bytes", len(p)-d.off)
+	if d.Err == nil && d.Off != len(p) {
+		d.Fail("%d trailing bytes", len(p)-d.Off)
 	}
-	if d.err != nil {
-		return Record{}, d.err
+	if d.Err != nil {
+		return Record{}, d.Err
 	}
 	return r, nil
-}
-
-// payloadDecoder reads the record payload encoding, latching the first
-// error (wrapped around ErrCorruptRecord).
-type payloadDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-// fail latches a decoding error.
-func (d *payloadDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s (offset %d)", ErrCorruptRecord, fmt.Sprintf(format, args...), d.off)
-	}
-}
-
-// uvarint reads one unsigned varint.
-func (d *payloadDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// varint reads one signed varint.
-func (d *payloadDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// byte_ reads one byte.
-func (d *payloadDecoder) byte_() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("truncated byte")
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-// string reads one length-prefixed string.
-func (d *payloadDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)-d.off) < n {
-		d.fail("truncated string of length %d", n)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// arg reads one bound argument.
-func (d *payloadDecoder) arg() ctable.Value {
-	kind := ctable.Kind(d.byte_())
-	if d.err != nil {
-		return ctable.Value{}
-	}
-	switch kind {
-	case ctable.KindNull:
-		return ctable.Null()
-	case ctable.KindFloat:
-		if d.off+8 > len(d.buf) {
-			d.fail("truncated float argument")
-			return ctable.Value{}
-		}
-		bits := binary.LittleEndian.Uint64(d.buf[d.off:])
-		d.off += 8
-		return ctable.Float(math.Float64frombits(bits))
-	case ctable.KindInt:
-		return ctable.Int(d.varint())
-	case ctable.KindString:
-		return ctable.String_(d.string())
-	case ctable.KindBool:
-		return ctable.Bool(d.byte_() != 0)
-	default:
-		d.fail("unknown argument kind %d", kind)
-		return ctable.Value{}
-	}
 }
 
 // scanSegment walks the framed records of one segment body (magic already

@@ -96,6 +96,25 @@ func (r *Rows) Values() []Value {
 	return r.t.Values
 }
 
+// NumCells returns the current row's cell count, 0 when none is positioned.
+func (r *Rows) NumCells() int { return len(r.Values()) }
+
+// Native returns cell i of the current row as a value database/sql
+// understands: float64, int64, string, bool, nil or, for a symbolic cell,
+// its equation string (Scan into *Expr yields the equation itself). Remote
+// rows (server.ClientRows) offer the same two methods and mapping, so
+// pip/driver and pipql read either through one interface.
+func (r *Rows) Native(i int) (any, error) {
+	vals := r.Values()
+	if i < 0 || i >= len(vals) {
+		return nil, fmt.Errorf("pip: no cell %d in the current row", i)
+	}
+	if vals[i].Kind == ctable.KindExpr {
+		return vals[i].E.String(), nil
+	}
+	return nativeValue(vals[i]), nil
+}
+
 // Scan copies the current row into dest, one destination per column, with
 // typed conversion:
 //
