@@ -31,16 +31,20 @@ import (
 var ErrUnknownTable = errors.New("core: unknown table")
 
 // catalog is the state shared by a database and all of its session views:
-// the table namespace, the rows of the tables in it, and the
-// random-variable allocator. One mutex guards all three, so concurrent
-// sessions never race on DDL, DML (AppendRow/Snapshot) or
-// CREATE_VARIABLE, and variable identifiers stay unique across every view
-// of the database.
+// the table namespace, the rows of the tables in it and their equality
+// indexes, and the random-variable allocator. One mutex guards them all,
+// so concurrent sessions never race on DDL, DML (AppendRow, Snapshot,
+// SnapshotEq) or CREATE_VARIABLE, and variable identifiers stay unique
+// across every view of the database.
 type catalog struct {
 	mu          sync.Mutex
 	nextVar     uint64
 	nextSession uint64
 	tables      map[string]*ctable.Table
+	// eq holds the equality indexes of live tables, one slot per column,
+	// built on first probe (SnapshotEq, eqindex.go). An entry lives exactly
+	// as long as its table is in tables.
+	eq map[*ctable.Table][]*eqIndex
 	// stats is the engine-wide telemetry root: every session's sampler
 	// counters roll up into it, and it holds the most recent query trace.
 	// It has its own synchronization and is never touched under mu.
@@ -253,11 +257,14 @@ func (db *DB) CreateJointVariables(inst dist.Instance, name string) ([]*expr.Var
 	return out, nil
 }
 
-// Register installs (or replaces) a named table in the catalog.
+// Register installs (or replaces) a named table in the catalog. A replaced
+// table's equality indexes are discarded.
 func (db *DB) Register(t *ctable.Table) {
 	db.cat.mu.Lock()
 	defer db.cat.mu.Unlock()
-	db.cat.tables[strings.ToLower(t.Name)] = t
+	key := strings.ToLower(t.Name)
+	delete(db.cat.eq, db.cat.tables[key])
+	db.cat.tables[key] = t
 }
 
 // Table fetches a catalog table by name. A failed lookup wraps
@@ -293,11 +300,13 @@ func (db *DB) Snapshot(t *ctable.Table) []ctable.Tuple {
 	return t.Tuples[:len(t.Tuples):len(t.Tuples)]
 }
 
-// Drop removes a table from the catalog.
+// Drop removes a table from the catalog, and its equality indexes with it.
 func (db *DB) Drop(name string) {
 	db.cat.mu.Lock()
 	defer db.cat.mu.Unlock()
-	delete(db.cat.tables, strings.ToLower(name))
+	key := strings.ToLower(name)
+	delete(db.cat.eq, db.cat.tables[key])
+	delete(db.cat.tables, key)
 }
 
 // TableNames lists catalog tables in sorted order.

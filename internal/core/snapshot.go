@@ -195,6 +195,7 @@ func (db *DB) DecodeCatalog(r io.Reader) error {
 	db.cat.nextVar = nextVar
 	db.cat.nextSession = nextSession
 	db.cat.tables = make(map[string]*ctable.Table, len(tables))
+	db.cat.eq = nil
 	for _, nt := range tables {
 		db.cat.tables[nt.key] = nt.t
 	}

@@ -82,27 +82,27 @@ func TestCheckParamsRejectsBadParams(t *testing.T) {
 		class  Class
 		params []float64
 	}{
-		{Normal{}, []float64{0}},            // arity
-		{Normal{}, []float64{0, 0}},         // sigma = 0
-		{Normal{}, []float64{0, -1}},        // sigma < 0
+		{Normal{}, []float64{0}},     // arity
+		{Normal{}, []float64{0, 0}},  // sigma = 0
+		{Normal{}, []float64{0, -1}}, // sigma < 0
 		{Normal{}, []float64{math.NaN(), 1}},
-		{Uniform{}, []float64{2, 2}},        // empty interval
-		{Uniform{}, []float64{3, 1}},        // inverted
-		{Exponential{}, []float64{0}},       // rate = 0
-		{Exponential{}, []float64{}},        // arity
-		{Lognormal{}, []float64{0, 0}},      // sigma = 0
-		{Gamma{}, []float64{0, 1}},          // shape = 0
-		{Gamma{}, []float64{1, 0}},          // rate = 0
-		{Beta{}, []float64{0, 1}},           // alpha = 0
-		{Poisson{}, []float64{0}},           // lambda = 0
-		{Bernoulli{}, []float64{1.5}},       // p > 1
-		{Bernoulli{}, []float64{-0.1}},      // p < 0
+		{Uniform{}, []float64{2, 2}},           // empty interval
+		{Uniform{}, []float64{3, 1}},           // inverted
+		{Exponential{}, []float64{0}},          // rate = 0
+		{Exponential{}, []float64{}},           // arity
+		{Lognormal{}, []float64{0, 0}},         // sigma = 0
+		{Gamma{}, []float64{0, 1}},             // shape = 0
+		{Gamma{}, []float64{1, 0}},             // rate = 0
+		{Beta{}, []float64{0, 1}},              // alpha = 0
+		{Poisson{}, []float64{0}},              // lambda = 0
+		{Bernoulli{}, []float64{1.5}},          // p > 1
+		{Bernoulli{}, []float64{-0.1}},         // p < 0
 		{DiscreteUniform{}, []float64{0.5, 2}}, // non-integer bound
 		{DiscreteUniform{}, []float64{5, 2}},   // inverted
-		{Categorical{}, []float64{}},        // no weights
-		{Categorical{}, []float64{0, 0}},    // zero total
-		{Categorical{}, []float64{1, -1}},   // negative weight
-		{MVNormal{}, []float64{2, 0, 0, 1}}, // truncated vector
+		{Categorical{}, []float64{}},           // no weights
+		{Categorical{}, []float64{0, 0}},       // zero total
+		{Categorical{}, []float64{1, -1}},      // negative weight
+		{MVNormal{}, []float64{2, 0, 0, 1}},    // truncated vector
 	}
 	for _, c := range bad {
 		if _, err := NewInstance(c.class, c.params...); err == nil {

@@ -3,12 +3,12 @@
 // Plan(env, stmt) lowers the AST into a tree of logical nodes
 // (Scan -> Join -> Filter -> Project/Aggregate -> Distinct -> Sort -> Limit),
 // the rule-based rewriter (rewrite.go) transforms the tree — constant
-// folding, predicate pushdown, equi-join key extraction, projection pruning
-// — and the physical layer (vecops.go) lowers each node onto a Cursor
-// operator. The rewrites are all "condition-free": they change which tuples
-// are enumerated, never which predicates conjoin condition atoms or in what
-// order, so planned results are bit-identical to the naive
-// cross-product-then-filter evaluation (see docs/ARCHITECTURE.md).
+// folding, predicate pushdown, equality lookup, equi-join key extraction,
+// projection pruning — and the physical layer (vecops.go) lowers each node
+// onto a Cursor operator. The rewrites are all "condition-free": they
+// change which tuples are enumerated, never which predicates conjoin
+// condition atoms or in what order, so planned results are bit-identical to
+// the naive cross-product-then-filter evaluation (see docs/ARCHITECTURE.md).
 
 package sql
 
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pip/internal/core"
 	"pip/internal/ctable"
 )
 
@@ -40,14 +41,38 @@ type lpred struct {
 // prefilter in the table's full-local column space: rows whose predicate is
 // deterministically false are skipped, all others pass unchanged — atom
 // conjunction stays with the final Filter so conditions are bit-identical
-// to unplanned evaluation.
+// to unplanned evaluation. key (equality lookup) is a drop-only prefilter
+// too: the scan reads only the candidate rows the catalog's equality index
+// returns for it, in snapshot order.
 type lScan struct {
 	table  string
 	alias  string
+	tb     *ctable.Table // live catalog table, read by snapshot
 	tuples []ctable.Tuple
 	schema ctable.Schema
 	keep   []int // pruned local columns in order; nil = all
 	pre    []lpred
+	key    *lkey
+	cand   core.EqCandidates
+}
+
+// lkey is a scan's equality lookup: `col = val` on a table-local column,
+// val a core.Probeable constant.
+type lkey struct {
+	col     int
+	val     ctable.Value
+	display string
+}
+
+// snapshot reads the scan's rows under the catalog lock, once the rewrite
+// rules have chosen its access path: the whole table, or the table plus
+// the equality lookup's candidates.
+func (s *lScan) snapshot(db *core.DB) {
+	if s.key != nil {
+		s.tuples, s.cand = db.SnapshotEq(s.tb, s.key.col, s.key.val)
+		return
+	}
+	s.tuples = db.Snapshot(s.tb)
 }
 
 func (s *lScan) op() string { return "Scan" }
@@ -68,6 +93,9 @@ func (s *lScan) detail() string {
 			}
 			b.WriteString(" [cols: " + strings.Join(names, ", ") + "]")
 		}
+	}
+	if s.key != nil {
+		b.WriteString(" [key: " + s.key.display + "]")
 	}
 	if len(s.pre) > 0 {
 		parts := make([]string, len(s.pre))

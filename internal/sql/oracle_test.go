@@ -114,14 +114,19 @@ func evalNaive(env execEnv, n lnode) (*ctable.Table, error) {
 }
 
 // naiveScan copies the snapshot rows that survive the scan's contract:
-// trivially false conditions and rows the drop-only prefilter proves false
-// are skipped, and the kept columns are projected.
+// trivially false conditions, rows the equality lookup does not return and
+// rows the drop-only prefilter proves false are skipped, and the kept
+// columns are projected. The lookup is restated per row (naiveCandidate),
+// not read from the index.
 func naiveScan(s *lScan) *ctable.Table {
 	out := ctable.New(s.table, s.outCols()...)
 rows:
 	for i := range s.tuples {
 		t := &s.tuples[i]
 		if t.Cond.IsFalse() {
+			continue
+		}
+		if s.key != nil && !naiveCandidate(t.Values[s.key.col], s.key.val) {
 			continue
 		}
 		for _, p := range s.pre {
@@ -139,6 +144,23 @@ rows:
 		out.Tuples = append(out.Tuples, ctable.Tuple{Values: vals, Cond: t.Cond})
 	}
 	return out
+}
+
+// naiveCandidate is the equality lookup's contract for one cell: a number
+// is a candidate for a numerically equal key (so 1 = 1.0 and -0 = +0), a
+// string for the same string, and a cell no key can decide — symbolic,
+// NULL, bool or NaN — for every key.
+func naiveCandidate(cell, key ctable.Value) bool {
+	switch cell.Kind {
+	case ctable.KindString:
+		return key.Kind == ctable.KindString && cell.S == key.S
+	case ctable.KindInt, ctable.KindFloat:
+		f, _ := cell.AsFloat()
+		k, ok := key.AsFloat()
+		return f != f || (ok && f == k)
+	default:
+		return true
+	}
 }
 
 // naiveJoin is the cross product; a hash join then discards the pairs whose

@@ -16,7 +16,11 @@ import (
 type Hints struct {
 	// NoFold disables plan-time constant folding of WHERE conjuncts.
 	NoFold bool
-	// NoPushdown disables pushing single-table predicates below joins.
+	// NoPushdown disables pushing single-table predicates below joins, and
+	// the equality lookup that reads only a `col = constant` conjunct's
+	// index candidates. Both are drop-only prefilters: with them off, rows
+	// an ill-typed comparison errors on are evaluated again (see the error
+	// scope in rewrite.go).
 	NoPushdown bool
 	// NoHashJoin disables equi-join key extraction; every join runs as a
 	// filtered nested-loop cross product.
@@ -88,8 +92,9 @@ func buildLogical(env execEnv, st *SelectStmt) (lnode, string, error) {
 	h := env.hints
 	nt := len(st.From)
 
-	// Bind FROM: snapshot each table (the cursor's view is fixed at plan
-	// time) and lay the tables out in one flattened column space.
+	// Bind FROM and lay the tables out in one flattened column space; the
+	// rows are snapshotted once the rewrite rules have chosen each scan's
+	// access path.
 	scans := make([]*lScan, nt)
 	schemas := make([]ctable.Schema, nt)
 	offs := make([]int, nt)
@@ -100,9 +105,7 @@ func buildLogical(env execEnv, st *SelectStmt) (lnode, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		// Snapshot under the catalog lock: a concurrent session's INSERT
-		// must not race this scan (it sees a consistent row prefix).
-		scans[i] = &lScan{table: tb.Name, alias: ref.Alias, tuples: env.db.Snapshot(tb), schema: tb.Schema}
+		scans[i] = &lScan{table: tb.Name, alias: ref.Alias, tb: tb, schema: tb.Schema}
 		schemas[i] = tb.Schema
 		offs[i] = width
 		width += len(tb.Schema)
@@ -195,6 +198,7 @@ func buildLogical(env execEnv, st *SelectStmt) (lnode, string, error) {
 	newOffs := offs
 	if !constFalse {
 		rewritePushdown(conjs, scans, offs, nt, h)
+		rewriteEqLookup(conjs, scans, offs, h)
 		rewriteHashKeys(conjs, offs, h)
 		globalMap, newOffs = rewritePrune(conjs, scans, offs, proj, agg, h)
 	}
@@ -206,6 +210,12 @@ func buildLogical(env execEnv, st *SelectStmt) (lnode, string, error) {
 	if constFalse {
 		input = &lEmpty{reason: foldReason}
 	} else {
+		// Snapshot under the catalog lock: a concurrent session's INSERT
+		// must not race the scans (each sees a consistent row prefix), and
+		// the cursor's view is fixed at plan time.
+		for _, s := range scans {
+			s.snapshot(env.db)
+		}
 		input = lnode(scans[0])
 		for k := 1; k < nt; k++ {
 			j := &lJoin{left: input, right: scans[k]}

@@ -142,6 +142,18 @@ func TestPlanShapeSnapshots(t *testing.T) {
     HashJoin (o.shipto = s.dest)
       Scan o [cols: cust, shipto]
       Scan s [pre: s.duration > 4.0]`},
+		{"equality-lookup",
+			"SELECT price FROM o WHERE cust = 'Amy'",
+			`Project (price)
+  Filter (cust = 'Amy')
+    Scan o [key: cust = 'Amy']`},
+		{"equality-lookup-below-join",
+			"SELECT o.price FROM o, s WHERE o.shipto = s.dest AND o.cust = 'Joe'",
+			`Project (price)
+  Filter (o.shipto = s.dest AND o.cust = 'Joe')
+    HashJoin (o.shipto = s.dest)
+      Scan o [key: o.cust = 'Joe'] [pre: o.cust = 'Joe']
+      Scan s [cols: dest]`},
 		{"three-table-left-deep",
 			"SELECT r.ra, u.uc FROM r, s2, u WHERE r.a = s2.a AND s2.b = u.b",
 			`Project (ra, uc)
@@ -195,13 +207,13 @@ func TestPlanShapeSnapshots(t *testing.T) {
 // TestPlanHints verifies context hints disable individual rules.
 func TestPlanHints(t *testing.T) {
 	db := plannerDB(t)
-	q := "SELECT o.cust FROM o, s WHERE o.shipto = s.dest AND s.duration > 4"
+	q := "SELECT o.cust FROM o, s WHERE o.shipto = s.dest AND s.duration > 4 AND o.cust = 'Joe'"
 	node, err := ExplainContext(WithHints(context.Background(), allRulesOff), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := node.String()
-	if strings.Contains(text, "HashJoin") || strings.Contains(text, "[pre:") || strings.Contains(text, "[cols:") {
+	if strings.Contains(text, "HashJoin") || strings.Contains(text, "[pre:") || strings.Contains(text, "[key:") || strings.Contains(text, "[cols:") {
 		t.Fatalf("rules-off plan still rewritten:\n%s", text)
 	}
 	if !strings.Contains(text, "NestedLoop") {
@@ -364,6 +376,10 @@ func TestRewriteErrorScope(t *testing.T) {
 		// pairs whose first conjunct errors.
 		{"pushdown-starves-erroring-conjunct",
 			"SELECT mt.mv FROM mt, nk WHERE mt.mv > 5 AND nk.nv = 'zz'", 0},
+		// The equality lookup for a numeric key never reads the string
+		// cell the full scan errors on.
+		{"eq-lookup-skips-kind-mismatch",
+			"SELECT mv FROM mt WHERE k = 1", 1},
 	}
 	for _, tc := range cases {
 		if _, err := ExecContext(WithHints(context.Background(), allRulesOff), db, tc.q); err == nil ||

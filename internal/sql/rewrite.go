@@ -10,6 +10,10 @@
 //	                     on their scan (rows that deterministically fail are
 //	                     skipped before joining; symbolic rows pass through
 //	                     and the final Filter conjoins their atoms).
+//	equality lookup      a col = constant conjunct makes its scan read only
+//	                     the catalog equality index's candidate rows (the
+//	                     key's rows plus every row no key can decide), in
+//	                     snapshot order; the Filter still applies it.
 //	equi-join extraction a.x = b.y conjuncts become hash-join pairing keys,
 //	                     replacing the filtered cross product.
 //	projection pruning   scans emit only the columns the query reads.
@@ -19,16 +23,18 @@
 // cell against a number) errors only on the tuple pairs that evaluate it,
 // and the rules above may prune exactly that enumeration — a constant-false
 // conjunct skips the scan, a pushed prefilter empties a join input, a hash
-// join never pairs keys of incomparable kinds — in which case the planned
-// query succeeds with the rows the error-free evaluation defines, where
-// rules-off evaluation would surface the per-row error. This mirrors how
-// deterministic SQL engines treat errors in unreached rows and is pinned
-// by TestRewriteErrorScope.
+// join never pairs keys of incomparable kinds, an equality lookup never
+// reads a string cell for a numeric key (or a number for a string key) —
+// in which case the planned query succeeds with the rows the error-free
+// evaluation defines, where rules-off evaluation would surface the per-row
+// error. This mirrors how deterministic SQL engines treat errors in
+// unreached rows and is pinned by TestRewriteErrorScope.
 
 package sql
 
 import (
 	"pip/internal/cond"
+	"pip/internal/core"
 	"pip/internal/ctable"
 )
 
@@ -87,6 +93,39 @@ func rewritePushdown(conjs []*conjunct, scans []*lScan, offs []int, nt int, h Hi
 			cmp:     remapCompare(c.cmp, local),
 			display: c.display,
 		})
+	}
+}
+
+// rewriteEqLookup gives each scan an equality lookup: the first conjunct,
+// in source order, of the form col = constant or constant = col on that
+// scan's table, where the constant — a literal or a bound placeholder — is
+// core.Probeable (an int, a non-NaN float or a string). Like a pushed
+// prefilter it only drops rows: the scan reads the index's candidates,
+// which include every row whose comparison could hold or be symbolic, and
+// the conjunct stays in the final filter, so row order, condition atoms and
+// sampled bits are those of the full scan. It applies to single-table
+// queries too, and is off under NoPushdown.
+func rewriteEqLookup(conjs []*conjunct, scans []*lScan, offs []int, h Hints) {
+	if h.NoPushdown {
+		return
+	}
+	for _, c := range conjs {
+		if c.cmp.Op != cond.EQ {
+			continue
+		}
+		col, lok := c.cmp.Left.(ctable.Col)
+		lit, rok := c.cmp.Right.(ctable.Lit)
+		if !lok || !rok {
+			col, lok = c.cmp.Right.(ctable.Col)
+			lit, rok = c.cmp.Left.(ctable.Lit)
+		}
+		if !lok || !rok || !core.Probeable(lit.V) {
+			continue
+		}
+		t := tableOf(int(col), offs, len(offs))
+		if scans[t].key == nil {
+			scans[t].key = &lkey{col: int(col) - offs[t], val: lit.V, display: c.display}
+		}
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"pip/internal/cond"
+	"pip/internal/core"
 	"pip/internal/ctable"
 )
 
@@ -212,7 +213,8 @@ func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, erro
 		for i, p := range t.pre {
 			pre[i] = p.cmp
 		}
-		o := &vecScanOp{vecBase: mk(t.outCols()), env: env, tuples: t.tuples, keep: t.keep, pre: pre}
+		o := &vecScanOp{vecBase: mk(t.outCols()), env: env, tuples: t.tuples, keep: t.keep, pre: pre,
+			keyed: t.key != nil, cand: t.cand}
 		o.self = o
 		return o, nil
 	case *lJoin:
@@ -301,7 +303,8 @@ func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, erro
 // ---------------------------------------------------------------------------
 // Scan
 
-// vecScanOp iterates a table snapshot in order: it fills a column batch
+// vecScanOp iterates a table snapshot in order — every row, or under an
+// equality lookup only the index's candidate rows: it fills a column batch
 // with up to max kept rows, skipping tuples with trivially false conditions,
 // applying the pushed-down drop-only prefilter, and projecting the kept
 // columns; it reads no snapshot row past the one that fills the batch.
@@ -316,6 +319,8 @@ type vecScanOp struct {
 	tuples []ctable.Tuple
 	keep   []int
 	pre    []ctable.Compare
+	keyed  bool
+	cand   core.EqCandidates // the equality lookup's rows when keyed
 	out    *ctable.Batch
 	i      int
 	done   bool
@@ -332,10 +337,38 @@ func (o *vecScanOp) NextBatch(max int) (*ctable.Batch, error) {
 		return o.emitBatch(t0, nil, err)
 	}
 	if o.out == nil {
-		o.out = ctable.NewBatch(len(o.cols), batchCap(len(o.tuples)-o.i, max))
+		avail := len(o.tuples) - o.i
+		if o.keyed {
+			avail = o.cand.Len()
+		}
+		o.out = ctable.NewBatch(len(o.cols), batchCap(avail, max))
 	}
 	o.out.Reset()
-	for o.out.Len() < max && o.i < len(o.tuples) {
+	if o.keyed {
+		// The equality lookup runs the full scan's loop over each candidate
+		// row in turn.
+		for o.out.Len() < max {
+			r := o.cand.Next()
+			if r < 0 {
+				break
+			}
+			o.i = r
+			o.scanRows(r+1, max)
+		}
+	} else {
+		o.scanRows(len(o.tuples), max)
+	}
+	if o.out.Len() == 0 {
+		o.done = true
+		return o.emitBatch(t0, nil, io.EOF)
+	}
+	return o.emitBatch(t0, o.out, nil)
+}
+
+// scanRows appends the kept rows among o.tuples[o.i:end] to the output
+// batch, stopping once it holds max rows.
+func (o *vecScanOp) scanRows(end, max int) {
+	for o.out.Len() < max && o.i < end {
 		t := &o.tuples[o.i]
 		o.i++
 		if t.Cond.IsFalse() {
@@ -361,11 +394,6 @@ func (o *vecScanOp) NextBatch(max int) (*ctable.Batch, error) {
 		}
 		o.out.Conds = append(o.out.Conds, t.Cond)
 	}
-	if o.out.Len() == 0 {
-		o.done = true
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	return o.emitBatch(t0, o.out, nil)
 }
 
 // Close implements Cursor.

@@ -28,26 +28,32 @@
 //
 // # Architecture
 //
-// internal/prng, internal/dist  — seeded PRNG and distribution classes
-// internal/expr, internal/cond  — the equation datatype and c-table conditions
-// internal/ctable               — c-tables and relational algebra (paper Fig. 1)
-// internal/sampler              — Algorithm 4.3, aggregate operators, and the
-//	deterministic parallel world-evaluation engine (bit-identical results
-//	at any Options.Workers; see docs/ARCHITECTURE.md)
-// internal/core                 — catalog, variables, views
-// internal/sql                  — the SQL subset and its two-stage query
-//	planner: logical plan IR + rewrite rules (constant folding, predicate
-//	pushdown, hash-join extraction, projection pruning) lowered onto
-//	streaming Cursor operators; EXPLAIN [ANALYZE] exposes the plan
-// internal/wal                  — durability: write-ahead statement log +
-//	catalog snapshots with crash recovery; pipd -data-dir wires it into the
-//	core statement-commit hook (acknowledged ⇒ durable; replaying the same
-//	seed and log rebuilds the catalog bit for bit)
-// internal/obs                  — telemetry primitives (counters, histograms,
-//	phase timers) behind SHOW STATS and /metrics; see docs/OBSERVABILITY.md
-// internal/samplefirst          — the MCDB-style baseline used in benchmarks
-// internal/iceberg, internal/tpch — the paper's evaluation datasets (§VI)
-// internal/bench                — experiment harnesses over both engines
+//	internal/prng, internal/dist    — seeded PRNG and distribution classes
+//	internal/expr, internal/cond    — the equation datatype and c-table conditions
+//	internal/ctable                 — c-tables and relational algebra (paper Fig. 1)
+//	internal/sampler                — Algorithm 4.3, aggregate operators, and the
+//	                                  deterministic parallel world-evaluation engine
+//	                                  (bit-identical results at any Options.Workers;
+//	                                  see docs/ARCHITECTURE.md)
+//	internal/core                   — catalog, variables, views, equality indexes
+//	internal/sql                    — the SQL subset and its two-stage query
+//	                                  planner: logical plan IR + rewrite rules
+//	                                  (constant folding, predicate pushdown, equality
+//	                                  lookup, hash-join extraction, projection
+//	                                  pruning) lowered onto streaming Cursor
+//	                                  operators; EXPLAIN [ANALYZE] exposes the plan
+//	internal/wal                    — durability: write-ahead statement log +
+//	                                  catalog snapshots with crash recovery; pipd
+//	                                  -data-dir wires it into the core
+//	                                  statement-commit hook (acknowledged ⇒ durable;
+//	                                  replaying the same seed and log rebuilds the
+//	                                  catalog bit for bit)
+//	internal/obs                    — telemetry primitives (counters, histograms,
+//	                                  phase timers) behind SHOW STATS and /metrics;
+//	                                  see docs/OBSERVABILITY.md
+//	internal/samplefirst            — the MCDB-style baseline used in benchmarks
+//	internal/iceberg, internal/tpch — the paper's evaluation datasets (§VI)
+//	internal/bench                  — experiment harnesses over both engines
 package pip
 
 import (

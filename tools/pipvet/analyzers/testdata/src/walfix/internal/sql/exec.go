@@ -30,6 +30,12 @@ func exclusiveGood(db *core.DB) error {
 	})
 }
 
+// probeOK builds and reads the equality index outside any hook: the index
+// is derived state the log never witnesses, so this is accepted.
+func probeOK(db *core.DB) int {
+	return len(db.SnapshotEq("t", 0, 1))
+}
+
 // BadExec is exported and reaches mutations without the hook: flagged.
 func BadExec(db *core.DB) error { // want `exported function BadExec reaches catalog mutations`
 	return db.Register("t")

@@ -36,6 +36,12 @@ import (
 //     (the `run()` fast path for non-mutating statements) — deliberate
 //     instances carry //pipvet:allow walcommit <reason>.
 //
+// Reads stay outside the hook, including core.DB.SnapshotEq: it creates
+// and extends a table's equality index under the catalog lock, but that
+// index is derived state — a function of the table's rows, never logged,
+// never snapshotted, rebuilt by the first probe after recovery — so it is
+// deliberately not a guarded mutation.
+//
 // `//pipvet:commitpath <reason>` in a function's doc comment asserts that
 // every caller reaches it under Commit (used for entry points the pass
 // cannot see); the suppress pass requires the reason.
