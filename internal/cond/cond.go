@@ -217,16 +217,6 @@ func (c Clause) String() string {
 	return strings.Join(parts, " AND ")
 }
 
-// Clone returns a copy whose backing array is independent of c.
-func (c Clause) Clone() Clause {
-	if c == nil {
-		return nil
-	}
-	out := make(Clause, len(c))
-	copy(out, c)
-	return out
-}
-
 // NegateToDNF returns NOT(c) as a DNF condition: by De Morgan, the negation
 // of a conjunction is the disjunction of the negated atoms. Used by the
 // c-table difference operator (Fig. 1).

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pip/internal/cond"
 	"pip/internal/ctable"
 	"pip/internal/dist"
 	"pip/internal/expr"
@@ -62,8 +61,9 @@ type catalog struct {
 	primaryAddr string
 	// version counts catalog mutations applied in this process: one per
 	// mutating statement (committed, recovered, or replicated) plus one per
-	// snapshot loaded. Lag accounting and telemetry read it; it is never
-	// part of durable state.
+	// snapshot loaded. It is exported only through CatalogVersion, so a
+	// cache of per-catalog work (a plan cache, say) can tell when that work
+	// went stale; it is never part of durable state.
 	version atomic.Uint64
 	// scopeMu guards scopes, the SHOW STATS contributions registered by
 	// subsystems outside the engine (e.g. replication). It has no ordering
@@ -73,8 +73,8 @@ type catalog struct {
 }
 
 // DB is a PIP probabilistic database instance. Handles created by Session
-// and WithConfig share one catalog (tables, variable namespace) but carry
-// independent sampling configurations.
+// share one catalog (tables, variable namespace) but carry independent
+// sampling configurations.
 type DB struct {
 	cat *catalog
 	// sid identifies this handle in the write-ahead statement log
@@ -178,17 +178,6 @@ func (db *DB) UpdateConfig(mutate func(*sampler.Config)) sampler.Config {
 	db.cfg = cfg
 	db.smp = sampler.New(cfg)
 	return cfg
-}
-
-// WithConfig returns a database sharing this database's catalog and
-// variable namespace but sampling under the given configuration. Useful
-// for fixed-sample experiment runs against the same data; Session is the
-// same operation seeded from the current configuration.
-func (db *DB) WithConfig(cfg sampler.Config) *DB {
-	if cfg.Stats == nil {
-		cfg.Stats = &db.cat.stats.Sampler
-	}
-	return &DB{cat: db.cat, sid: db.cat.allocSessionID(), smp: sampler.New(cfg), cfg: cfg}
 }
 
 // Stats returns the engine-wide telemetry root shared by every handle of
@@ -373,167 +362,4 @@ func TupleExpectation(smp *sampler.Sampler, t *ctable.Tuple, col int, getP bool)
 		return sampler.Result{}, r.Err
 	}
 	return r, nil
-}
-
-// ConfTable appends a confidence column computed per row and strips
-// conditions, producing a deterministic table (the conf() rewrite: "If the
-// confidence operator is present, all conditions applying to the row are
-// removed from the result").
-func (db *DB) ConfTable(t *ctable.Table, colName string) *ctable.Table {
-	sch := t.Schema.Clone()
-	sch = append(sch, ctable.Column{Name: colName})
-	out := &ctable.Table{Name: t.Name, Schema: sch}
-	// One sampler for the whole table: a concurrent SET must not swap
-	// configurations between rows of a single result.
-	smp := db.Sampler()
-	for i := range t.Tuples {
-		tp := &t.Tuples[i]
-		r := smp.AConf(tp.Cond)
-		vals := make([]ctable.Value, 0, len(tp.Values)+1)
-		vals = append(vals, tp.Values...)
-		vals = append(vals, ctable.Float(r.Prob))
-		out.Tuples = append(out.Tuples, ctable.NewTuple(vals...))
-	}
-	return out
-}
-
-// ExpectationTable replaces symbolic columns with their per-row conditional
-// expectations and strips conditions; deterministic cells pass through.
-func (db *DB) ExpectationTable(t *ctable.Table) (*ctable.Table, error) {
-	out := &ctable.Table{Name: t.Name, Schema: t.Schema.Clone()}
-	for i := range t.Tuples {
-		tp := &t.Tuples[i]
-		vals := make([]ctable.Value, len(tp.Values))
-		for c, v := range tp.Values {
-			if !v.IsSymbolic() {
-				vals[c] = v
-				continue
-			}
-			r, err := db.Expectation(tp, c, false)
-			if err != nil {
-				return nil, err
-			}
-			vals[c] = ctable.Float(r.Mean)
-		}
-		out.Tuples = append(out.Tuples, ctable.NewTuple(vals...))
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate operators with group-by (paper §II-C: group-by on
-// non-probabilistic columns poses no difficulty, and deferred sampling lets
-// the engine create exactly as many samples per group as needed).
-
-// AggKind enumerates the supported expectation aggregates.
-type AggKind int
-
-// Aggregate kinds.
-const (
-	AggSum AggKind = iota
-	AggCount
-	AggAvg
-	AggMax
-)
-
-// String names the aggregate as it appears in SQL.
-func (k AggKind) String() string {
-	switch k {
-	case AggSum:
-		return "expected_sum"
-	case AggCount:
-		return "expected_count"
-	case AggAvg:
-		return "expected_avg"
-	case AggMax:
-		return "expected_max"
-	default:
-		return "?"
-	}
-}
-
-// GroupedAggregate computes an expectation aggregate over target column
-// aggCol grouped by the deterministic columns keyCols. A nil/empty keyCols
-// aggregates the whole table into one row. The result schema is the key
-// columns followed by one aggregate column.
-func (db *DB) GroupedAggregate(t *ctable.Table, keyCols []int, aggCol int, kind AggKind, outName string) (*ctable.Table, error) {
-	var groups []ctable.GroupRows
-	var err error
-	if len(keyCols) == 0 {
-		all := make([]int, t.Len())
-		for i := range all {
-			all[i] = i
-		}
-		groups = []ctable.GroupRows{{Rows: all}}
-	} else {
-		groups, err = ctable.GroupBy(t, keyCols)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	sch := make(ctable.Schema, 0, len(keyCols)+1)
-	for _, c := range keyCols {
-		sch = append(sch, t.Schema[c])
-	}
-	sch = append(sch, ctable.Column{Name: outName})
-	out := &ctable.Table{Name: t.Name + "_" + kind.String(), Schema: sch}
-
-	// One sampler for the whole aggregate: a concurrent SET must not swap
-	// configurations between groups of a single result.
-	smp := db.Sampler()
-	for _, g := range groups {
-		sub := &ctable.Table{Name: t.Name, Schema: t.Schema}
-		for _, ri := range g.Rows {
-			sub.Tuples = append(sub.Tuples, t.Tuples[ri])
-		}
-		var res sampler.AggregateResult
-		switch kind {
-		case AggSum:
-			res, err = smp.ExpectedSum(sub, aggCol)
-		case AggCount:
-			res, err = smp.ExpectedCount(sub)
-		case AggAvg:
-			res, err = smp.ExpectedAvg(sub, aggCol)
-		case AggMax:
-			res, err = smp.ExpectedMax(sub, aggCol, 0)
-		default:
-			err = fmt.Errorf("core: unknown aggregate %v", kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]ctable.Value, 0, len(g.Key)+1)
-		vals = append(vals, g.Key...)
-		vals = append(vals, ctable.Float(res.Value))
-		out.Tuples = append(out.Tuples, ctable.NewTuple(vals...))
-	}
-	return out, nil
-}
-
-// Histogram draws n per-world samples of the aggregate over the table
-// (expected_sum_hist / expected_max_hist, §V-C).
-func (db *DB) Histogram(t *ctable.Table, col int, kind AggKind, n int) ([]float64, error) {
-	switch kind {
-	case AggSum:
-		return db.Sampler().AggregateHistogram(t, col, sampler.SumFold, n)
-	case AggMax:
-		return db.Sampler().AggregateHistogram(t, col, sampler.MaxFold, n)
-	default:
-		return nil, fmt.Errorf("core: histogram unsupported for %v", kind)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Convenience constructors for conditions and expressions
-
-// VarExpr wraps a variable as an expression.
-func VarExpr(v *expr.Variable) expr.Expr { return expr.NewVar(v) }
-
-// ConstExpr wraps a constant.
-func ConstExpr(f float64) expr.Expr { return expr.Const(f) }
-
-// Atom builds a condition atom.
-func Atom(l expr.Expr, op cond.CmpOp, r expr.Expr) cond.Atom {
-	return cond.NewAtom(l, op, r)
 }

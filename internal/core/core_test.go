@@ -114,131 +114,38 @@ func TestConfAndExpectationHelpers(t *testing.T) {
 	}
 }
 
-func TestConfTable(t *testing.T) {
-	db := testDB()
-	v, _ := db.CreateVariable("Uniform", 0, 1)
-	tb := ctable.New("t", "x")
-	tup := ctable.NewTuple(ctable.Float(3))
-	tup.Cond = cond.FromClause(cond.Clause{
-		cond.NewAtom(expr.NewVar(v), cond.GT, expr.Const(0.6)),
-	})
-	tb.MustAppend(tup)
-	out := db.ConfTable(tb, "conf")
-	if len(out.Schema) != 2 || out.Schema[1].Name != "conf" {
-		t.Fatalf("schema %v", out.Schema.Names())
-	}
-	got, _ := out.Tuples[0].Values[1].AsFloat()
-	if math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("conf col %v", got)
-	}
-	if !out.Tuples[0].Cond.IsTrue() {
-		t.Fatal("conditions should be stripped by conf")
-	}
-}
-
-func TestExpectationTable(t *testing.T) {
-	db := testDB()
-	v, _ := db.CreateVariable("Normal", 8, 1)
-	tb := ctable.New("t", "label", "val")
-	tb.MustAppend(ctable.NewTuple(ctable.String_("a"), ctable.Symbolic(expr.NewVar(v))))
-	out, err := db.ExpectationTable(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Tuples[0].Values[0].S != "a" {
-		t.Fatal("deterministic cell mangled")
-	}
-	got, _ := out.Tuples[0].Values[1].AsFloat()
-	if math.Abs(got-8) > 1e-9 {
-		t.Fatalf("expectation col %v", got)
-	}
-}
-
-func TestGroupedAggregate(t *testing.T) {
-	db := testDB()
-	va, _ := db.CreateVariable("Normal", 10, 1)
-	vb, _ := db.CreateVariable("Normal", 30, 1)
-	tb := ctable.New("t", "grp", "val")
-	tb.MustAppend(ctable.NewTuple(ctable.String_("a"), ctable.Symbolic(expr.NewVar(va))))
-	tb.MustAppend(ctable.NewTuple(ctable.String_("b"), ctable.Symbolic(expr.NewVar(vb))))
-	tb.MustAppend(ctable.NewTuple(ctable.String_("a"), ctable.Float(5)))
-
-	out, err := db.GroupedAggregate(tb, []int{0}, 1, AggSum, "total")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Fatalf("groups %d", out.Len())
-	}
-	byKey := map[string]float64{}
-	for _, tp := range out.Tuples {
-		f, _ := tp.Values[1].AsFloat()
-		byKey[tp.Values[0].S] = f
-	}
-	if math.Abs(byKey["a"]-15) > 1e-9 || math.Abs(byKey["b"]-30) > 1e-9 {
-		t.Fatalf("group sums %v", byKey)
-	}
-}
-
-func TestGroupedAggregateWholeTable(t *testing.T) {
-	db := testDB()
-	tb := ctable.New("t", "v")
-	tb.MustAppend(ctable.NewTuple(ctable.Float(2)))
-	tb.MustAppend(ctable.NewTuple(ctable.Float(3)))
-	out, err := db.GroupedAggregate(tb, nil, 0, AggSum, "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 {
-		t.Fatalf("rows %d", out.Len())
-	}
-	if f, _ := out.Tuples[0].Values[0].AsFloat(); f != 5 {
-		t.Fatalf("sum %v", f)
-	}
-	// Count and avg too.
-	out, _ = db.GroupedAggregate(tb, nil, 0, AggCount, "c")
-	if f, _ := out.Tuples[0].Values[0].AsFloat(); f != 2 {
-		t.Fatalf("count %v", f)
-	}
-	out, _ = db.GroupedAggregate(tb, nil, 0, AggAvg, "a")
-	if f, _ := out.Tuples[0].Values[0].AsFloat(); f != 2.5 {
-		t.Fatalf("avg %v", f)
-	}
-	out, _ = db.GroupedAggregate(tb, nil, 0, AggMax, "m")
-	if f, _ := out.Tuples[0].Values[0].AsFloat(); f != 3 {
-		t.Fatalf("max %v", f)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	db := testDB()
 	v, _ := db.CreateVariable("Normal", 5, 1)
 	tb := ctable.New("t", "v")
 	tb.MustAppend(ctable.NewTuple(ctable.Symbolic(expr.NewVar(v))))
-	hist, err := db.Histogram(tb, 0, AggSum, 1000)
+	hist, err := db.Sampler().AggregateHistogram(tb, 0, sampler.SumFold, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hist) != 1000 {
 		t.Fatalf("hist len %d", len(hist))
 	}
-	if _, err := db.Histogram(tb, 0, AggAvg, 10); err == nil {
-		t.Fatal("unsupported histogram kind accepted")
-	}
 }
 
-func TestWithConfigSharesCatalog(t *testing.T) {
+func TestSessionSharesCatalog(t *testing.T) {
 	db := testDB()
 	tb := ctable.New("shared", "v")
 	db.Register(tb)
-	cfg := db.Config()
-	cfg.FixedSamples = 10
-	db2 := db.WithConfig(cfg)
-	if _, err := db2.Table("shared"); err != nil {
-		t.Fatal("catalog not shared")
+	sess := db.Session()
+	if got, err := sess.Table("shared"); err != nil || got != tb {
+		t.Fatalf("catalog not shared: %v", err)
 	}
-	if db2.Config().FixedSamples != 10 {
+	sess.UpdateConfig(func(c *sampler.Config) { c.FixedSamples = 10 })
+	if sess.Config().FixedSamples != 10 {
 		t.Fatal("config not applied")
+	}
+	if db.Config().FixedSamples == 10 {
+		t.Fatal("session config leaked into the parent handle")
+	}
+	sess.Register(ctable.New("fromsession", "v"))
+	if _, err := db.Table("fromsession"); err != nil {
+		t.Fatal("session DDL not visible to the parent handle")
 	}
 }
 
@@ -267,7 +174,7 @@ func TestRunningExampleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := ctable.EquiJoin(joe, late, 1, 0)
+	joined, err := ctable.Select(ctable.Product(joe, late), ctable.Compare{Op: cond.EQ, Left: ctable.Col(1), Right: ctable.Col(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

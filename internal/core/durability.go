@@ -22,7 +22,7 @@ import (
 )
 
 // RootSessionID is the session identifier of the database handle returned
-// by NewDB. Handles created by Session/WithConfig get successive ids.
+// by NewDB. Handles created by Session get successive ids.
 const RootSessionID uint64 = 1
 
 // ErrUnloggedMutation reports a catalog-mutating statement that cannot be

@@ -54,8 +54,8 @@ func (db *DB) IsApplier() bool { return db.applier }
 // counter that increments once per catalog-mutating statement applied
 // (committed, recovered, or replicated) and once per snapshot loaded.
 // Comparing versions across processes is only meaningful relative to a
-// common boot path; replication lag accounting therefore pairs it with log
-// sequence numbers, which are globally meaningful.
+// common boot path; anything shared between processes (replication lag,
+// for one) uses log sequence numbers, which are globally meaningful.
 func (db *DB) CatalogVersion() uint64 { return db.cat.version.Load() }
 
 // StatsScope is one named group of SHOW STATS rows contributed by a

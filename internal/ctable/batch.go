@@ -61,12 +61,6 @@ func (b *Batch) RowIdx(k int) int {
 	return k
 }
 
-// At returns the cell of logical row k in column c.
-func (b *Batch) At(c, k int) Value { return b.Cols[c][b.RowIdx(k)] }
-
-// CondAt returns the local condition of logical row k.
-func (b *Batch) CondAt(k int) cond.Condition { return b.Conds[b.RowIdx(k)] }
-
 // GatherRow copies logical row k's cells into dst (which must have one slot
 // per column) and returns the row's condition. It allocates nothing, so
 // operators gather into a reusable row scratch.

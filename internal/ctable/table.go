@@ -263,60 +263,6 @@ func Product(a, b *Table) *Table {
 	return out
 }
 
-// Join is Product followed by Select — provided as a convenience so
-// planners can fuse the pair without materializing the full product for
-// deterministic equi-join predicates.
-func Join(a, b *Table, on Predicate) (*Table, error) {
-	return Select(Product(a, b), on)
-}
-
-// EquiJoin performs a hash join on deterministic key columns, a much faster
-// path than Product+Select when the join keys are non-probabilistic (the
-// usual case — the paper notes deterministic query optimizers do a
-// satisfactory job on the deterministic skeleton).
-func EquiJoin(a, b *Table, aCol, bCol int) (*Table, error) {
-	if aCol < 0 || aCol >= len(a.Schema) {
-		return nil, fmt.Errorf("ctable: join column %d out of range for %s", aCol, a.Name)
-	}
-	if bCol < 0 || bCol >= len(b.Schema) {
-		return nil, fmt.Errorf("ctable: join column %d out of range for %s", bCol, b.Name)
-	}
-	sch := make(Schema, 0, len(a.Schema)+len(b.Schema))
-	sch = append(sch, a.Schema...)
-	sch = append(sch, b.Schema...)
-	out := &Table{Name: a.Name + "_join_" + b.Name, Schema: sch}
-
-	idx := map[string][]int{}
-	for j := range b.Tuples {
-		v := b.Tuples[j].Values[bCol]
-		if v.IsSymbolic() {
-			return nil, fmt.Errorf("ctable: EquiJoin key column %s.%s is symbolic; use Join",
-				b.Name, b.Schema[bCol].Name)
-		}
-		idx[v.key()] = append(idx[v.key()], j)
-	}
-	for i := range a.Tuples {
-		ta := &a.Tuples[i]
-		v := ta.Values[aCol]
-		if v.IsSymbolic() {
-			return nil, fmt.Errorf("ctable: EquiJoin key column %s.%s is symbolic; use Join",
-				a.Name, a.Schema[aCol].Name)
-		}
-		for _, j := range idx[v.key()] {
-			tbp := &b.Tuples[j]
-			vals := make([]Value, 0, len(ta.Values)+len(tbp.Values))
-			vals = append(vals, ta.Values...)
-			vals = append(vals, tbp.Values...)
-			nc := ta.Cond.And(tbp.Cond)
-			if nc.IsFalse() {
-				continue
-			}
-			out.Tuples = append(out.Tuples, Tuple{Values: vals, Cond: nc})
-		}
-	}
-	return out, nil
-}
-
 // Union implements C_RuS: bag union (list concatenation).
 func Union(a, b *Table) (*Table, error) {
 	if len(a.Schema) != len(b.Schema) {

@@ -142,15 +142,6 @@ func (v Value) AsExpr() (expr.Expr, bool) {
 	}
 }
 
-// EvalWorld resolves the value in the possible world described by asn:
-// symbolic cells evaluate their equation, deterministic cells pass through.
-func (v Value) EvalWorld(asn expr.Assignment) Value {
-	if v.Kind != KindExpr {
-		return v
-	}
-	return Float(v.E.Eval(asn))
-}
-
 // CollectVars adds the value's random variables (if any) to set.
 func (v Value) CollectVars(set map[expr.VarKey]*expr.Variable) {
 	if v.Kind == KindExpr {
@@ -252,15 +243,9 @@ func (v Value) String() string {
 	}
 }
 
-// HashKey returns a hashable representation of a deterministic value,
-// consistent with Compare/Equal semantics: numerically equal int/float pairs
-// share a key. Used by hash-join pairing, grouping and distinct. Symbolic
-// values key by equation syntax and must not be used for equality pairing.
-func (v Value) HashKey() string { return v.key() }
-
 // AppendBinaryKey appends a compact binary key for v to dst and returns the
 // extended slice. The key partitions values into exactly the same
-// equivalence classes as HashKey — numerically equal int/float pairs share
+// equivalence classes as key — numerically equal int/float pairs share
 // a key (both go through AsFloat), every NaN is canonicalized to one
 // pattern (FormatFloat renders every NaN as "NaN"), and -0 stays distinct
 // from +0 (as "-0" differs from "0") — but costs no float formatting, which

@@ -297,6 +297,7 @@ func SumFold(present []float64) float64 {
 	return t
 }
 
+// maxFold is the per-world max (0 when no row is present).
 func maxFold(present []float64) float64 {
 	if len(present) == 0 {
 		return 0
@@ -308,17 +309,6 @@ func maxFold(present []float64) float64 {
 		}
 	}
 	return m
-}
-
-// MaxFold is the per-world max (0 when no row is present).
-func MaxFold(present []float64) float64 { return maxFold(present) }
-
-// AvgFold is the per-world average (0 when no row is present).
-func AvgFold(present []float64) float64 {
-	if len(present) == 0 {
-		return 0
-	}
-	return SumFold(present) / float64(len(present))
 }
 
 // StdDevFold is the per-world population standard deviation across present

@@ -171,9 +171,6 @@ func intervalMass(in dist.Instance, iv cond.Interval) (float64, float64) {
 	return math.Max(0, math.Min(1, lo)), math.Max(0, math.Min(1, hi))
 }
 
-// usable reports whether the group can produce samples at all.
-func (gs *groupSampler) usable() bool { return !gs.inconsistent }
-
 // usingMetropolis reports whether the group (or any batch-local clone of
 // it) has escalated to the random walk.
 func (gs *groupSampler) usingMetropolis() bool { return gs.metro != nil || gs.escalated }

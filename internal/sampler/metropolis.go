@@ -241,17 +241,3 @@ func (m *metroState) next(vals []float64) bool {
 	copy(vals, m.cur)
 	return true
 }
-
-// metropolisViable reports whether a clause's groups could all support a
-// Metropolis walk; exposed for tests and ablation benches.
-func metropolisViable(groups []cond.Group) bool {
-	for _, g := range groups {
-		for _, k := range g.Keys {
-			v := g.Vars[k]
-			if _, ok := v.Dist.Class.(dist.PDFer); !ok {
-				return false
-			}
-		}
-	}
-	return true
-}

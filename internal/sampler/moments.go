@@ -1,11 +1,9 @@
 package sampler
 
 import (
-	"fmt"
 	"math"
 
 	"pip/internal/cond"
-	"pip/internal/ctable"
 	"pip/internal/expr"
 )
 
@@ -171,77 +169,4 @@ func (s *Sampler) Variance(e expr.Expr, c cond.Clause) VarianceResult {
 		Mean:     mean,
 		N:        len(samples),
 	}
-}
-
-// AggregateVariance computes Var[fold over the table] (e.g. the variance
-// of sum(col) across possible worlds) by world sampling — the per-table
-// analogue of Variance, honoring inter-row variable sharing exactly.
-func (s *Sampler) AggregateVariance(tb *ctable.Table, col int, fold FoldFunc, n int) (VarianceResult, error) {
-	samples, err := s.AggregateHistogram(tb, col, fold, n)
-	if err != nil {
-		return VarianceResult{}, err
-	}
-	if len(samples) == 0 {
-		return VarianceResult{Variance: math.NaN(), StdDev: math.NaN(), Mean: math.NaN()}, nil
-	}
-	var sum, sumSq float64
-	for _, v := range samples {
-		sum += v
-		sumSq += v * v
-	}
-	fn := float64(len(samples))
-	mean := sum / fn
-	variance := sumSq/fn - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return VarianceResult{
-		Variance: variance,
-		StdDev:   math.Sqrt(variance),
-		Mean:     mean,
-		N:        len(samples),
-	}, nil
-}
-
-// HistogramBuckets bins samples into count equal-width buckets over
-// [min, max] of the data, returning bucket lower edges and counts — the
-// visualization helper behind expected_sum_hist (§V-C: "This array may be
-// used to generate histograms and similar visualizations").
-func HistogramBuckets(samples []float64, count int) (edges []float64, counts []int, err error) {
-	if count < 1 {
-		return nil, nil, fmt.Errorf("sampler: bucket count %d < 1", count)
-	}
-	if len(samples) == 0 {
-		return nil, nil, fmt.Errorf("sampler: no samples to bucket")
-	}
-	lo, hi := samples[0], samples[0]
-	for _, v := range samples {
-		if math.IsNaN(v) {
-			return nil, nil, fmt.Errorf("sampler: NaN sample")
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo == hi {
-		// Degenerate: all mass in one bucket.
-		return []float64{lo}, []int{len(samples)}, nil
-	}
-	width := (hi - lo) / float64(count)
-	edges = make([]float64, count)
-	counts = make([]int, count)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, v := range samples {
-		b := int((v - lo) / width)
-		if b >= count {
-			b = count - 1
-		}
-		counts[b]++
-	}
-	return edges, counts, nil
 }

@@ -97,61 +97,33 @@ func TestAggregateVariance(t *testing.T) {
 	tb := ctable.New("t", "v")
 	tb.MustAppend(ctable.NewTuple(ctable.Symbolic(expr.NewVar(y1))))
 	tb.MustAppend(ctable.NewTuple(ctable.Symbolic(expr.NewVar(y2))))
-	v, err := s.AggregateVariance(tb, 0, SumFold, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v.Variance-8) > 0.5 {
-		t.Fatalf("Var[sum] = %v, want 8", v.Variance)
+	if v := sumVariance(t, s, tb); math.Abs(v-8) > 0.5 {
+		t.Fatalf("Var[sum] = %v, want 8", v)
 	}
 	// Shared variable: sum = 2Y, Var = 4*Var[Y] = 16, not 8.
 	tb2 := ctable.New("t2", "v")
 	tb2.MustAppend(ctable.NewTuple(ctable.Symbolic(expr.NewVar(y1))))
 	tb2.MustAppend(ctable.NewTuple(ctable.Symbolic(expr.NewVar(y1))))
-	v2, err := s.AggregateVariance(tb2, 0, SumFold, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v2.Variance-16) > 1 {
-		t.Fatalf("Var[2Y] = %v, want 16 (correlation lost?)", v2.Variance)
+	if v := sumVariance(t, s, tb2); math.Abs(v-16) > 1 {
+		t.Fatalf("Var[2Y] = %v, want 16 (correlation lost?)", v)
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	samples := []float64{0, 0.1, 0.2, 0.9, 1.0}
-	edges, counts, err := HistogramBuckets(samples, 2)
+// sumVariance is the variance across possible worlds of sum(v) over tb,
+// computed from 20 000 AggregateHistogram worlds.
+func sumVariance(t *testing.T, s *Sampler, tb *ctable.Table) float64 {
+	t.Helper()
+	hist, err := s.AggregateHistogram(tb, 0, SumFold, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(edges) != 2 || len(counts) != 2 {
-		t.Fatalf("edges %v counts %v", edges, counts)
+	var sum, sumSq float64
+	for _, v := range hist {
+		sum += v
+		sumSq += v * v
 	}
-	if counts[0] != 3 || counts[1] != 2 {
-		t.Fatalf("counts %v", counts)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(samples) {
-		t.Fatal("bucket counts do not sum to sample count")
-	}
-}
-
-func TestHistogramBucketsDegenerate(t *testing.T) {
-	edges, counts, err := HistogramBuckets([]float64{5, 5, 5}, 4)
-	if err != nil || len(edges) != 1 || counts[0] != 3 {
-		t.Fatalf("degenerate: %v %v %v", edges, counts, err)
-	}
-	if _, _, err := HistogramBuckets(nil, 3); err == nil {
-		t.Fatal("empty samples accepted")
-	}
-	if _, _, err := HistogramBuckets([]float64{1}, 0); err == nil {
-		t.Fatal("zero buckets accepted")
-	}
-	if _, _, err := HistogramBuckets([]float64{math.NaN()}, 2); err == nil {
-		t.Fatal("NaN accepted")
-	}
+	mean := sum / float64(len(hist))
+	return sumSq/float64(len(hist)) - mean*mean
 }
 
 func TestVarianceUnsatisfiable(t *testing.T) {

@@ -126,20 +126,36 @@ func TestConfMatchesHoldsFrequency(t *testing.T) {
 	}
 }
 
-// TestMetropolisViable sanity-checks the viability predicate used by the
-// escalation logic.
+// TestMetropolisViable checks which groups the escalation logic can walk:
+// newMetroState builds a chain only when every variable has a univariate
+// PDF (Algorithm 4.3 line 20).
 func TestMetropolisViable(t *testing.T) {
+	cfg := DefaultConfig()
+	chain := func(v *expr.Variable) *metroState {
+		c := cond.Clause{cond.NewAtom(expr.NewVar(v), cond.GT, expr.Const(0))}
+		gs, err := newGroupSampler(cond.Partition(c, nil)[0], &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newMetroState(gs, 0)
+	}
 	x := &expr.Variable{Key: expr.VarKey{ID: 1}, Dist: dist.MustInstance(dist.Normal{}, 0, 1)}
-	c := cond.Clause{cond.NewAtom(expr.NewVar(x), cond.GT, expr.Const(0))}
-	groups := cond.Partition(c, nil)
-	if !metropolisViable(groups) {
+	if chain(x) == nil {
 		t.Fatal("normal variable should support Metropolis")
 	}
 	// A class without a PDF (only Generate) is not viable.
 	noPDF := &expr.Variable{Key: expr.VarKey{ID: 2}, Dist: dist.Instance{Class: generateOnly{}, Params: nil}}
-	c2 := cond.Clause{cond.NewAtom(expr.NewVar(noPDF), cond.GT, expr.Const(0))}
-	if metropolisViable(cond.Partition(c2, nil)) {
+	if chain(noPDF) != nil {
 		t.Fatal("PDF-less class reported viable")
+	}
+	// Neither is a multivariate component: its joint density is not exposed.
+	l, err := dist.CholeskyFromCovariance([][]float64{{1, 0.5}, {0.5, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := &expr.Variable{Key: expr.VarKey{ID: 3}, Dist: dist.MustInstance(dist.MVNormal{}, dist.MVNormalParams([]float64{0, 1}, l)...)}
+	if chain(mv) != nil {
+		t.Fatal("multivariate component reported viable")
 	}
 }
 

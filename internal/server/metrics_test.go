@@ -257,3 +257,161 @@ func TestQueryTrackerIdempotent(t *testing.T) {
 	var nilTracker *queryTracker
 	nilTracker.finish(0, -1, nil, false) // nil-safe
 }
+
+// engineSamples reads the engine-scope samples counter off SHOW STATS.
+func engineSamples(t *testing.T, sess *ClientSession) float64 {
+	t.Helper()
+	rows, err := sess.Query(context.Background(), "SHOW STATS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	got := -1.0
+	for rows.Next() {
+		scope, _ := rows.Native(0)
+		name, _ := rows.Native(1)
+		if scope == "engine" && name == "samples" {
+			v, _ := rows.Native(2)
+			got = v.(float64)
+		}
+	}
+	if err := rows.Err(); err != nil || got < 0 {
+		t.Fatalf("SHOW STATS engine samples: %v, err %v", got, err)
+	}
+	return got
+}
+
+// samplesSum totals pip_query_samples over both endpoints. Clients close
+// each stream after its done chunk, which drains the body to the end of
+// the response, so every handler has recorded its observation by the time
+// the test scrapes.
+func samplesSum(series map[string]float64) float64 {
+	return series[`pip_query_samples_sum{endpoint="query"}`] + series[`pip_query_samples_sum{endpoint="exec"}`]
+}
+
+// TestQuerySamplesOwnStatement: a statement's pip_query_samples observation
+// is the samples that statement drew. INSERTs over /v1/exec that follow a
+// sampled SELECT draw none and must record 0, not the SELECT's count.
+func TestQuerySamplesOwnStatement(t *testing.T) {
+	addr, _, ts := newTestServer(t, 5)
+	ctx := context.Background()
+	sess, err := NewClient(addr).Session(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close(ctx)
+	for _, q := range []string{
+		"CREATE TABLE t (k, v)",
+		"INSERT INTO t VALUES (1, CREATE_VARIABLE('Uniform', 0, 1))",
+	} {
+		if _, err := sess.Exec(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := sess.Query(ctx, "SELECT conf() FROM t WHERE v > 0.3 AND v * v > 0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := sess.Exec(ctx, "INSERT INTO t VALUES (2, 3)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := lintExposition(t, scrapeMetrics(t, ts.URL))
+	if got := series[`pip_query_samples_sum{endpoint="exec"}`]; got != 0 {
+		t.Fatalf(`pip_query_samples_sum{endpoint="exec"} = %g, want 0: DDL and INSERTs draw no samples`, got)
+	}
+	if got := series[`pip_query_samples_count{endpoint="exec"}`]; got != 5 {
+		t.Fatalf(`pip_query_samples_count{endpoint="exec"} = %g, want 5`, got)
+	}
+	if got := series[`pip_query_samples_sum{endpoint="query"}`]; got <= 0 {
+		t.Fatalf(`pip_query_samples_sum{endpoint="query"} = %g, want the conf() statement's samples`, got)
+	}
+}
+
+// TestQuerySamplesConcurrentExact: with 8 sessions interleaving
+// deterministic point reads and sampled statements on both endpoints, the
+// per-statement observations add up exactly to the engine-wide samples
+// counter — no statement is credited with another's samples.
+func TestQuerySamplesConcurrentExact(t *testing.T) {
+	addr, _, ts := newTestServer(t, 13)
+	client := NewClient(addr)
+	ctx := context.Background()
+	sess, err := client.Session(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close(ctx)
+	for _, q := range []string{
+		"CREATE TABLE t (k, v)",
+		"INSERT INTO t VALUES (1, CREATE_VARIABLE('Uniform', 0, 1)), (2, CREATE_VARIABLE('Normal', 0, 1)), (3, 7)",
+	} {
+		if _, err := sess.Exec(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := engineSamples(t, sess)
+	sumBefore := samplesSum(lintExposition(t, scrapeMetrics(t, ts.URL)))
+
+	const sampled = "SELECT conf() FROM t WHERE v > 0.3 AND v * v > 0.2"
+	const pointRead = "SELECT v FROM t WHERE k = ?"
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s, err := client.Session(ctx, nil)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer s.Close(ctx)
+			query := func(q string, args ...any) error {
+				rows, err := s.Query(ctx, q, args...)
+				if err != nil {
+					return err
+				}
+				defer rows.Close()
+				for rows.Next() {
+				}
+				return rows.Err()
+			}
+			for i := 0; i < 12; i++ {
+				var err error
+				switch (g + i) % 4 {
+				case 0:
+					_, err = s.Exec(ctx, sampled)
+				case 1:
+					_, err = s.Exec(ctx, pointRead, 1+i%3)
+				case 2:
+					err = query(sampled)
+				default:
+					err = query(pointRead, 1+i%3)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	after := engineSamples(t, sess)
+	sumAfter := samplesSum(lintExposition(t, scrapeMetrics(t, ts.URL)))
+	if after <= before {
+		t.Fatalf("engine samples %g -> %g: the sampled statements drew nothing", before, after)
+	}
+	if got, want := sumAfter-sumBefore, after-before; got != want {
+		t.Fatalf("pip_query_samples grew by %g, engine samples by %g", got, want)
+	}
+}

@@ -528,7 +528,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		err = werr
 	}
-	qt.finish(n, s.lastQuerySamples(), err, werr != nil || isCancel(err) || ctx.Err() != nil)
+	qt.finish(n, rows.Samples(), err, werr != nil || isCancel(err) || ctx.Err() != nil)
 	s.slowLog("query", req.Query, time.Since(start), n)
 }
 
@@ -557,26 +557,13 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	err = rows.Err()
 	rows.Close()
-	qt.finish(0, s.lastQuerySamples(), err, isCancel(err) || ctx.Err() != nil)
+	qt.finish(0, rows.Samples(), err, isCancel(err) || ctx.Err() != nil)
 	s.slowLog("exec", req.Query, time.Since(start), n)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ExecResponse{OK: true, Rows: n})
-}
-
-// lastQuerySamples reads the sample count from the engine's most recent
-// query trace. Under concurrent statements another query may have displaced
-// the trace between execution and this read, so the pip_query_samples
-// histogram is best-effort attribution; engine-wide sample totals (SHOW
-// STATS) are exact. Returns -1 when no trace exists.
-func (s *Server) lastQuerySamples() int64 {
-	q := s.db.Core().LastQuery()
-	if q == nil {
-		return -1
-	}
-	return q.Sampler.Snapshot().Samples
 }
 
 // isCancel reports whether err is a context cancellation/timeout.

@@ -136,60 +136,59 @@ func Explain(db *core.DB, src string, args ...ctable.Value) (*PlanNode, error) {
 // wall times. Placeholders bind from args exactly as in execution, so plans
 // reflect the bound constants.
 func ExplainContext(ctx context.Context, db *core.DB, src string, args ...ctable.Value) (*PlanNode, error) {
-	st, err := Parse(src)
+	p, err := Prepare(src)
 	if err != nil {
 		return nil, err
 	}
 	analyze := false
 	var sel *SelectStmt
-	switch s := st.(type) {
+	switch s := p.st.(type) {
 	case *ExplainStmt:
 		analyze = s.Analyze
 		sel = s.Query
 	case *SelectStmt:
 		sel = s
 	default:
-		return nil, fmt.Errorf("sql: EXPLAIN supports SELECT statements, got %T", st)
+		return nil, fmt.Errorf("sql: EXPLAIN supports SELECT statements, got %T", p.st)
 	}
-	if n := NumParams(sel); n != len(args) {
-		return nil, fmt.Errorf("%w: statement has %d placeholder(s), got %d argument(s)",
-			ErrBind, n, len(args))
+	if err := p.checkArity(args); err != nil {
+		return nil, err
 	}
-	env := newExecEnv(ctx, db, args)
-	env.qs.Query = src
+	env := p.newEnv(ctx, db, args)
 	if err := env.ctxErr(); err != nil {
 		return nil, err
 	}
+	node, _, err := explainPlan(env, sel, analyze)
+	return node, err
+}
+
+// explainPlan plans sel and, under analyze, executes it (discarding the
+// rows), returning the typed operator tree and the execution's wall time.
+func explainPlan(env execEnv, sel *SelectStmt, analyze bool) (*PlanNode, time.Duration, error) {
 	plan, err := planSelect(env, sel, analyze)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	var total time.Duration
 	if analyze {
+		//pipvet:allow detsource ANALYZE wall-clock telemetry, never feeds sampled state
+		start := time.Now()
 		if _, err := plan.drain(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		//pipvet:allow detsource ANALYZE wall-clock telemetry, never feeds sampled state
+		total = time.Since(start)
 	}
-	return toPlanNode(plan.root, analyze), nil
+	return toPlanNode(plan.root, analyze), total, nil
 }
 
 // execExplain runs an EXPLAIN [ANALYZE] statement, rendering the plan tree
 // into a one-column "QUERY PLAN" table.
 func execExplain(env execEnv, st *ExplainStmt) (*ctable.Table, error) {
-	plan, err := planSelect(env, st.Query, st.Analyze)
+	node, total, err := explainPlan(env, st.Query, st.Analyze)
 	if err != nil {
 		return nil, err
 	}
-	var total time.Duration
-	if st.Analyze {
-		//pipvet:allow detsource ANALYZE wall-clock telemetry, never feeds sampled state
-		start := time.Now()
-		if _, err := plan.drain(); err != nil {
-			return nil, err
-		}
-		//pipvet:allow detsource ANALYZE wall-clock telemetry, never feeds sampled state
-		total = time.Since(start)
-	}
-	node := toPlanNode(plan.root, st.Analyze)
 	out := &ctable.Table{Name: "explain", Schema: ctable.Schema{{Name: "QUERY PLAN"}}}
 	for _, line := range node.Lines() {
 		out.Tuples = append(out.Tuples, ctable.NewTuple(ctable.String_(line)))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"pip/internal/cond"
 	"pip/internal/core"
@@ -42,17 +41,12 @@ func QueryContext(ctx context.Context, db *core.DB, src string, args ...ctable.V
 	return p.QueryContext(ctx, db, args...)
 }
 
-// execStmtTraced executes a parsed statement under a request context with
-// bound placeholder arguments (Prepared has checked their count), carrying
-// the statement text and parse time into the execution's telemetry trace.
-// On cancellation the statement's side effects may be partially applied for
-// DML, but a SELECT never returns a partial table: the result is ctx.Err().
-func execStmtTraced(ctx context.Context, db *core.DB, st Stmt, src string, parseTime time.Duration, args []ctable.Value) (*ctable.Table, error) {
-	env := newExecEnv(ctx, db, args)
-	env.qs.Query = src
-	if parseTime > 0 {
-		env.qs.AddPhase("parse", parseTime)
-	}
+// execStmtTraced executes a parsed statement under env, whose trace already
+// carries the statement text and parse time. On cancellation the
+// statement's side effects may be partially applied for DML, but a SELECT
+// never returns a partial table: the result is ctx.Err().
+func execStmtTraced(env execEnv, st Stmt, src string) (*ctable.Table, error) {
+	db := env.db
 	if err := env.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -77,7 +71,7 @@ func execStmtTraced(ctx context.Context, db *core.DB, st Stmt, src string, parse
 				return nil, fmt.Errorf("%w: writes go to the primary at %s", core.ErrReadOnly, primary)
 			}
 		}
-		err = db.Commit(src, args, run)
+		err = db.Commit(src, env.args, run)
 	} else {
 		//pipvet:allow walcommit isMutation gates this path to non-mutating statements
 		err = run()

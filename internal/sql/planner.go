@@ -362,7 +362,7 @@ func bindAggregate(st *SelectStmt, r *resolver, env execEnv) (*lAggregate, error
 			case "expected_count", "conf", "aconf":
 				// no argument column needed
 			case "expected_sum_hist", "expected_max_hist":
-				return nil, fmt.Errorf("sql: %s is available through the Go API (core.DB.Histogram), not SQL", kind)
+				return nil, fmt.Errorf("sql: %s is not SQL; the Go API's pip.DB.Histogram draws per-world samples of the sum", kind)
 			default:
 				if fc.Star || len(fc.Args) != 1 {
 					return nil, fmt.Errorf("sql: %s takes exactly one argument", kind)

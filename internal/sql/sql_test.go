@@ -157,6 +157,20 @@ func TestCreateVariableAndConf(t *testing.T) {
 	if !out.Tuples[0].Cond.IsTrue() {
 		t.Fatal("conf() should strip conditions")
 	}
+	// A deterministic column rides along; its row's confidence is the
+	// probability of the symbolic WHERE conjunct.
+	mustExec(t, db, "CREATE TABLE d (x, u)")
+	mustExec(t, db, "INSERT INTO d VALUES (3, CREATE_VARIABLE('Uniform', 0, 1))")
+	out = mustExec(t, db, "SELECT x, conf() AS p FROM d WHERE u > 0.6")
+	if out.Len() != 1 || cell(t, out, 0, 0) != 3 || out.Schema[1].Name != "p" {
+		t.Fatalf("conf table: %s", out)
+	}
+	if got := cell(t, out, 0, 1); math.Abs(got-0.4) > 1e-12 {
+		t.Fatalf("conf %v, want 0.4", got)
+	}
+	if !out.Tuples[0].Cond.IsTrue() {
+		t.Fatal("conf() should strip conditions")
+	}
 }
 
 func TestExpectationFunction(t *testing.T) {
@@ -169,6 +183,16 @@ func TestExpectationFunction(t *testing.T) {
 	}
 	if out.Schema[0].Name != "ev" {
 		t.Fatalf("alias lost: %v", out.Schema.Names())
+	}
+	// Deterministic cells pass through; the symbolic one becomes its mean.
+	mustExec(t, db, "CREATE TABLE l (label, val)")
+	mustExec(t, db, "INSERT INTO l VALUES ('a', CREATE_VARIABLE('Normal', 8, 1))")
+	out = mustExec(t, db, "SELECT label, expectation(val) FROM l")
+	if out.Tuples[0].Values[0].S != "a" {
+		t.Fatalf("deterministic cell mangled: %s", out)
+	}
+	if got := cell(t, out, 0, 1); math.Abs(got-8) > 1e-9 {
+		t.Fatalf("expectation %v, want 8", got)
 	}
 }
 
@@ -278,6 +302,24 @@ func TestExpectedCountAndAvg(t *testing.T) {
 	out := mustExec(t, db, "SELECT expected_count(*) AS c, expected_avg(v) AS a FROM t")
 	if cell(t, out, 0, 0) != 2 || cell(t, out, 0, 1) != 15 {
 		t.Fatalf("count/avg: %s", out)
+	}
+	// The four aggregates side by side over deterministic rows, ungrouped and
+	// as one group: sum, count, avg and max of {2, 3}.
+	mustExec(t, db, "CREATE TABLE u (g, v)")
+	mustExec(t, db, "INSERT INTO u VALUES ('a', 2), ('a', 3)")
+	for _, q := range []string{
+		"SELECT expected_sum(v), expected_count(), expected_avg(v), expected_max(v) FROM u",
+		"SELECT expected_sum(v), expected_count(), expected_avg(v), expected_max(v) FROM u GROUP BY g",
+	} {
+		out := mustExec(t, db, q)
+		if out.Len() != 1 {
+			t.Fatalf("%s: %d rows", q, out.Len())
+		}
+		for i, want := range []float64{5, 2, 2.5, 3} {
+			if got := cell(t, out, 0, i); got != want {
+				t.Fatalf("%s: col %d = %v, want %v", q, i, got, want)
+			}
+		}
 	}
 }
 

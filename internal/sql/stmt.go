@@ -49,6 +49,15 @@ func (p *Prepared) checkArity(args []ctable.Value) error {
 	return nil
 }
 
+// newEnv starts one execution of the statement: a fresh environment whose
+// trace carries the statement text and its parse time.
+func (p *Prepared) newEnv(ctx context.Context, db *core.DB, args []ctable.Value) execEnv {
+	env := newExecEnv(ctx, db, args)
+	env.qs.Query = p.src
+	env.qs.AddPhase("parse", p.parseTime)
+	return env
+}
+
 // Exec executes the statement with bound arguments, returning the
 // materialized result table (nil for DDL/DML).
 func (p *Prepared) Exec(db *core.DB, args ...ctable.Value) (*ctable.Table, error) {
@@ -62,7 +71,7 @@ func (p *Prepared) ExecContext(ctx context.Context, db *core.DB, args ...ctable.
 	if err := p.checkArity(args); err != nil {
 		return nil, err
 	}
-	return execStmtTraced(ctx, db, p.st, p.src, p.parseTime, args)
+	return execStmtTraced(p.newEnv(ctx, db, args), p.st, p.src)
 }
 
 // QueryContext executes the statement with bound arguments under a request
@@ -81,10 +90,8 @@ func (p *Prepared) QueryContext(ctx context.Context, db *core.DB, args ...ctable
 			return nil, err
 		}
 	}
+	env := p.newEnv(ctx, db, args)
 	if sel, ok := p.st.(*SelectStmt); ok {
-		env := newExecEnv(ctx, db, args)
-		env.qs.Query = p.src
-		env.qs.AddPhase("parse", p.parseTime)
 		plan, err := planSelect(env, sel, false)
 		if err != nil {
 			return nil, err
@@ -94,9 +101,11 @@ func (p *Prepared) QueryContext(ctx context.Context, db *core.DB, args ...ctable
 		// "execute" phase as the consumer drains it.
 		return newSpanCursor(plan.root, env.qs), nil
 	}
-	tb, err := execStmtTraced(ctx, db, p.st, p.src, p.parseTime, args)
+	tb, err := execStmtTraced(env, p.st, p.src)
 	if err != nil {
 		return nil, err
 	}
-	return NewTableCursor(tb), nil
+	cur := NewTableCursor(tb)
+	cur.qs = env.qs
+	return cur, nil
 }

@@ -130,12 +130,31 @@ func (c *spanCursor) flush() {
 // ---------------------------------------------------------------------------
 // Materialized cursors
 
+// Samples returns the Monte Carlo samples drawn so far by the statement
+// whose cursor this package returned: that statement's own share, however
+// many others run concurrently. It is -1 for any other cursor.
+func Samples(cur Cursor) int64 {
+	var qs *obs.QueryStats
+	switch c := cur.(type) {
+	case *spanCursor:
+		qs = c.qs
+	case *TableCursor:
+		qs = c.qs
+	}
+	if qs == nil {
+		return -1
+	}
+	return qs.Sampler.Snapshot().Samples
+}
+
 // TableCursor iterates a materialized c-table — the cursor form of
-// DDL/DML/EXPLAIN results.
+// DDL/DML/EXPLAIN results. qs, when set, is the trace of the execution that
+// produced the table.
 type TableCursor struct {
 	tb   *ctable.Table
 	next int
 	done bool
+	qs   *obs.QueryStats
 }
 
 // NewTableCursor wraps a materialized table (nil yields an empty,

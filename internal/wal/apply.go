@@ -40,9 +40,6 @@ func NewApplier(root *core.DB, applied uint64) *Applier {
 	}
 }
 
-// Applied returns the sequence number of the last applied record.
-func (a *Applier) Applied() uint64 { return a.applied }
-
 // MaxSession returns the largest session id seen so far (0 if none beyond
 // the root). The session-id allocator is bumped past it as records apply,
 // so handles created after replay never collide with logged sessions.

@@ -131,9 +131,6 @@ func Open(dir string, db *core.DB, opts Options) (*Store, *RecoveryInfo, error) 
 	return s, info, nil
 }
 
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // AppendMutation implements core.MutationLog: frame the statement, append
 // it to the active segment, and (with Fsync on) sync before returning.
 // The commit hook calls it while holding the statement-commit lock, so

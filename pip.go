@@ -333,7 +333,7 @@ func (db *DB) ExpectedMax(tb *Table, col int, precision float64) (float64, error
 // Histogram draws n per-world samples of sum(col) for visualization
 // (expected_sum_hist).
 func (db *DB) Histogram(tb *Table, col int, n int) ([]float64, error) {
-	return db.core.Histogram(tb, col, core.AggSum, n)
+	return db.core.Sampler().AggregateHistogram(tb, col, sampler.SumFold, n)
 }
 
 // Atom comparison helpers for the programmatic interface.

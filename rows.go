@@ -78,6 +78,10 @@ func (r *Rows) Close() error {
 	return r.cur.Close()
 }
 
+// Samples returns the Monte Carlo samples this statement has drawn so far —
+// its own, never another statement's.
+func (r *Rows) Samples() int64 { return sql.Samples(r.cur) }
+
 // Cond returns the current row's condition — the c-table clause under which
 // the row exists. Deterministic rows report the always-true condition.
 func (r *Rows) Cond() Condition {
