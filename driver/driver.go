@@ -36,11 +36,12 @@
 //
 // routes every statement through the pipd wire protocol (internal/server).
 // Each pooled connection opens its own server-side session, created with
-// the DSN's settings: SET statements and prepared statements are
-// per-connection, while the catalog is shared by every session of the
-// server — DDL on one connection (or one client process) is visible to
-// all. The determinism contract crosses the wire intact: equal seeds give
-// bit-identical results whether the DSN is in-process or remote.
+// the DSN's settings: SET statements are per-connection, while the catalog
+// is shared by every session of the server — DDL on one connection (or one
+// client process) is visible to all. A prepared statement is its text,
+// sent again with each execution. The determinism contract crosses the
+// wire intact: equal seeds give bit-identical results whether the DSN is
+// in-process or remote.
 //
 // A remote DSN may name a **replicated topology** by listing hosts:
 //

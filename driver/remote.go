@@ -63,10 +63,9 @@ func parseRemoteDSN(dsn string) (hosts []string, settings map[string]json.Number
 // remoteConnector implements driver.Connector against a pipd topology:
 // every pooled connection opens its own server-side session on the primary
 // (and, in a multi-host DSN, a second one on a replica chosen round-robin),
-// so per-session state (SET settings, prepared statements) is
-// per-connection, while the catalog behind all sessions is shared — DDL on
-// one pooled connection is visible to every other, exactly like the
-// in-process backend.
+// so per-session state (SET settings) is per-connection, while the catalog
+// behind all sessions is shared — DDL on one pooled connection is visible
+// to every other, exactly like the in-process backend.
 type remoteConnector struct {
 	d        *Driver
 	primary  *server.Client
@@ -167,27 +166,12 @@ func (c *remoteConn) Prepare(query string) (driver.Stmt, error) {
 	return c.PrepareContext(context.Background(), query)
 }
 
-// PrepareContext implements driver.ConnPrepareContext: the statement is
-// parsed and cached server-side — on both sessions of a replicated
-// connection, so later Query calls run it on the replica and Exec calls on
-// the primary without re-preparing.
-func (c *remoteConn) PrepareContext(ctx context.Context, query string) (driver.Stmt, error) {
-	st, err := c.sess.Prepare(ctx, query)
-	if err != nil {
-		return nil, mapSessionErr(err)
-	}
-	rs := &remoteStmt{st: st, query: query}
-	if c.read != nil {
-		rst, rerr := c.read.Prepare(ctx, query)
-		if rerr != nil {
-			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			st.Close(cctx)
-			cancel()
-			return nil, mapSessionErr(rerr)
-		}
-		rs.rst = rst
-	}
-	return rs, nil
+// PrepareContext implements driver.ConnPrepareContext. On the wire a
+// statement is its text, so preparing makes no round trip and parses
+// nothing: the statement is sent with each execution and routed exactly as
+// an unprepared one, and a syntax error surfaces at its first execution.
+func (c *remoteConn) PrepareContext(_ context.Context, query string) (driver.Stmt, error) {
+	return &remoteStmt{c: c, query: query}, nil
 }
 
 // QueryContext implements driver.QueryerContext (direct, unprepared
@@ -230,53 +214,31 @@ func (c *remoteConn) ExecContext(ctx context.Context, query string, args []drive
 	return driver.ResultNoRows, nil
 }
 
-// remoteStmt implements driver.Stmt over a server-side prepared statement —
-// two of them on a replicated connection (primary for Exec, replica for
-// Query), prepared together and routed like unprepared statements.
+// remoteStmt implements driver.Stmt as the statement's text on its
+// connection; every execution goes through the connection's own Exec/Query
+// routing (SET on both sessions, reads on the replica, the read-only
+// bounce back to the primary).
 type remoteStmt struct {
-	st    *server.ClientStmt // on the primary session
-	rst   *server.ClientStmt // on the replica read session (nil = single host)
+	c     *remoteConn
 	query string
 }
 
-// Close implements driver.Stmt.
-func (s *remoteStmt) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var rerr error
-	if s.rst != nil {
-		rerr = s.rst.Close(ctx)
-	}
-	if err := s.st.Close(ctx); err != nil {
-		return err
-	}
-	return rerr
-}
+// Close implements driver.Stmt; there is nothing to release.
+func (s *remoteStmt) Close() error { return nil }
 
-// NumInput implements driver.Stmt.
-func (s *remoteStmt) NumInput() int { return s.st.NumInput() }
+// NumInput implements driver.Stmt. The placeholder count is unknown without
+// parsing, so database/sql leaves the arity check to the server, which
+// answers a mismatch with ErrBind.
+func (s *remoteStmt) NumInput() int { return -1 }
 
 // Exec implements driver.Stmt.
 func (s *remoteStmt) Exec(args []driver.Value) (driver.Result, error) {
 	return s.ExecContext(context.Background(), namedValues(args))
 }
 
-// ExecContext implements driver.StmtExecContext on the primary-session
-// statement; a prepared SET runs on both sessions like an unprepared one.
+// ExecContext implements driver.StmtExecContext.
 func (s *remoteStmt) ExecContext(ctx context.Context, args []driver.NamedValue) (driver.Result, error) {
-	bound, err := bindNamed(args)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.st.Exec(ctx, bound...); err != nil {
-		return nil, mapSessionErr(err)
-	}
-	if s.rst != nil && isSetStmt(s.query) {
-		if _, err := s.rst.Exec(ctx, bound...); err != nil {
-			return nil, mapSessionErr(err)
-		}
-	}
-	return driver.ResultNoRows, nil
+	return s.c.ExecContext(ctx, s.query, args)
 }
 
 // Query implements driver.Stmt.
@@ -284,24 +246,7 @@ func (s *remoteStmt) Query(args []driver.Value) (driver.Rows, error) {
 	return s.QueryContext(context.Background(), namedValues(args))
 }
 
-// QueryContext implements driver.StmtQueryContext on the replica-session
-// statement when one exists, falling back to the primary if the replica
-// rejects a mutation issued through Query.
+// QueryContext implements driver.StmtQueryContext.
 func (s *remoteStmt) QueryContext(ctx context.Context, args []driver.NamedValue) (driver.Rows, error) {
-	bound, err := bindNamed(args)
-	if err != nil {
-		return nil, err
-	}
-	qst := s.st
-	if s.rst != nil {
-		qst = s.rst
-	}
-	rows, err := qst.Query(ctx, bound...)
-	if err != nil && s.rst != nil && errors.Is(err, pip.ErrReadOnly) {
-		rows, err = s.st.Query(ctx, bound...)
-	}
-	if err != nil {
-		return nil, mapSessionErr(err)
-	}
-	return &Rows{rows: rows}, nil
+	return s.c.QueryContext(ctx, s.query, args)
 }

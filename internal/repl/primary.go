@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -193,10 +194,22 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxAckBody bounds the body of an ack, {"replica":…,"seq":…}: room for any
+// sensible replica id, and far below what could make a hostile client on
+// the query port (which mounts this handler too) cost the primary memory.
+const maxAckBody = 1 << 10
+
 // ServeAck handles POST /v1/repl/ack: record a replica's applied position.
+// A body over maxAckBody is refused with 413 before it is decoded.
 func (p *Primary) ServeAck(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAckBody))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, "ack body too large", http.StatusRequestEntityTooLarge)
+		return
+	}
 	var req ackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Replica == "" {
+	if err != nil || json.Unmarshal(body, &req) != nil || req.Replica == "" {
 		http.Error(w, "malformed ack", http.StatusBadRequest)
 		return
 	}

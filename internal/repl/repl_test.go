@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -471,5 +472,32 @@ func TestFollowerPrimaryBehindFailStops(t *testing.T) {
 	defer cancel()
 	if err := f.Run(ctx); !errors.Is(err, ErrPrimaryBehind) {
 		t.Fatalf("got %v, want ErrPrimaryBehind", err)
+	}
+}
+
+// TestServeAckBodyLimit: an ack is read through a small body limit. A 1 MiB
+// body — a valid ack padded with whitespace, or one carrying a megabyte
+// replica id — is refused with 413 and changes no replica's progress.
+func TestServeAckBodyLimit(t *testing.T) {
+	fx := newPrimaryFixture(t, 7)
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		fx.prim.ServeAck(rec, httptest.NewRequest(http.MethodPost, AckPath, strings.NewReader(body)))
+		return rec.Code
+	}
+	if code := post(`{"replica":"r1","seq":0}`); code != http.StatusNoContent {
+		t.Fatalf("well-formed ack: HTTP %d", code)
+	}
+	before := fx.prim.Stats().Replicas
+	for name, body := range map[string]string{
+		"padded":  `{"replica":"r2","seq":9}` + strings.Repeat(" ", 1<<20),
+		"long id": `{"replica":"` + strings.Repeat("r", 1<<20) + `","seq":9}`,
+	} {
+		if code := post(body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s 1 MiB ack: HTTP %d, want 413", name, code)
+		}
+	}
+	if after := fx.prim.Stats().Replicas; !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused acks changed replica progress (%d replicas known, was %d)", len(after), len(before))
 	}
 }

@@ -75,16 +75,6 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// postJSON issues one JSON request and decodes a single JSON response.
-func (c *Client) postJSON(ctx context.Context, path string, reqBody, respBody any) error {
-	resp, err := c.post(ctx, path, reqBody)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	return json.NewDecoder(resp.Body).Decode(respBody)
-}
-
 // Healthz checks server liveness.
 func (c *Client) Healthz(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
@@ -127,11 +117,16 @@ func (c *Client) Tables(ctx context.Context) ([]TableInfo, error) {
 // (same keys and bounds as SQL SET; see SessionRequest) and returns a
 // handle for executing statements in it.
 func (c *Client) Session(ctx context.Context, settings map[string]json.Number) (*ClientSession, error) {
-	var resp SessionResponse
-	if err := c.postJSON(ctx, "/v1/session", SessionRequest{Settings: settings}, &resp); err != nil {
+	resp, err := c.post(ctx, "/v1/session", SessionRequest{Settings: settings})
+	if err != nil {
 		return nil, err
 	}
-	return &ClientSession{c: c, id: resp.ID}, nil
+	defer drainClose(resp.Body)
+	var sr SessionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		return nil, err
+	}
+	return &ClientSession{c: c, id: sr.ID}, nil
 }
 
 // ClientSession is a handle on one server-side session: statements
@@ -186,68 +181,18 @@ func (s *ClientSession) Query(ctx context.Context, query string, args ...any) (*
 	return s.c.stream(ctx, QueryRequest{Session: s.id, Query: query, Args: wargs})
 }
 
-// Exec executes a statement, discarding result rows; it returns the
-// discarded row count (0 for DDL/DML).
+// Exec executes a statement through the same /v1/query stream as Query,
+// draining and discarding its result rows; it returns how many there were
+// (0 for DDL/DML).
 func (s *ClientSession) Exec(ctx context.Context, query string, args ...any) (int64, error) {
-	wargs, err := bindWire(args)
+	rows, err := s.Query(ctx, query, args...)
 	if err != nil {
 		return 0, err
 	}
-	var resp ExecResponse
-	if err := s.c.postJSON(ctx, "/v1/exec", QueryRequest{Session: s.id, Query: query, Args: wargs}, &resp); err != nil {
-		return 0, err
+	defer rows.Close()
+	for rows.Next() {
 	}
-	return resp.Rows, nil
-}
-
-// Prepare parses a statement server-side for repeated execution.
-func (s *ClientSession) Prepare(ctx context.Context, query string) (*ClientStmt, error) {
-	var resp PrepareResponse
-	if err := s.c.postJSON(ctx, "/v1/prepare", PrepareRequest{Session: s.id, Query: query}, &resp); err != nil {
-		return nil, err
-	}
-	return &ClientStmt{sess: s, id: resp.Stmt, numInput: resp.NumInput}, nil
-}
-
-// ClientStmt is a server-side prepared statement.
-type ClientStmt struct {
-	sess     *ClientSession
-	id       int64
-	numInput int
-}
-
-// NumInput returns the statement's ? placeholder count.
-func (st *ClientStmt) NumInput() int { return st.numInput }
-
-// Query executes the prepared statement with bound arguments, streaming
-// the result rows.
-func (st *ClientStmt) Query(ctx context.Context, args ...any) (*ClientRows, error) {
-	wargs, err := bindWire(args)
-	if err != nil {
-		return nil, err
-	}
-	return st.sess.c.stream(ctx, QueryRequest{Session: st.sess.id, Stmt: st.id, Args: wargs})
-}
-
-// Exec executes the prepared statement, discarding result rows.
-func (st *ClientStmt) Exec(ctx context.Context, args ...any) (int64, error) {
-	wargs, err := bindWire(args)
-	if err != nil {
-		return 0, err
-	}
-	var resp ExecResponse
-	if err := st.sess.c.postJSON(ctx, "/v1/exec", QueryRequest{Session: st.sess.id, Stmt: st.id, Args: wargs}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Rows, nil
-}
-
-// Close releases the server-side statement.
-func (st *ClientStmt) Close(ctx context.Context) error {
-	var resp struct {
-		OK bool `json:"ok"`
-	}
-	return st.sess.c.postJSON(ctx, "/v1/stmt/close", StmtCloseRequest{Session: st.sess.id, Stmt: st.id}, &resp)
+	return rows.RowCount(), rows.Err()
 }
 
 // stream opens a /v1/query NDJSON stream and consumes its head chunk.

@@ -1,9 +1,8 @@
 // Server metrics: the counter and histogram families behind /metrics,
 // rendered in the Prometheus text exposition format (version 0.0.4). The
 // flat counter families of earlier releases are all preserved; the
-// histogram families (latency, rows, samples per statement, labelled by
-// endpoint) are built on obs.Histogram so the hot path stays a few atomic
-// adds.
+// label-free histogram families (latency, rows, samples per statement) are
+// built on obs.Histogram so the hot path stays a few atomic adds.
 
 package server
 
@@ -20,11 +19,6 @@ import (
 	"pip/internal/wal"
 )
 
-// queryEndpoints are the label values of the per-endpoint histogram
-// families. Both series render from startup so scrapes see a stable set of
-// label sets regardless of traffic.
-var queryEndpoints = []string{"exec", "query"}
-
 // metrics is the server's counter set, exported in Prometheus text format
 // by /metrics. All counters are monotonic atomics except the gauges
 // (in-flight queries, live sessions) sampled at render time.
@@ -32,7 +26,7 @@ type metrics struct {
 	start time.Time
 
 	requestsTotal   atomic.Int64 // every HTTP request served
-	queriesTotal    atomic.Int64 // /v1/query + /v1/exec statements started
+	queriesTotal    atomic.Int64 // /v1/query statements started
 	queriesInflight atomic.Int64 // statements currently executing
 	errorsTotal     atomic.Int64 // statements that ended in an error chunk/status
 	cancelledTotal  atomic.Int64 // statements ended by client disconnect/cancel
@@ -43,27 +37,19 @@ type metrics struct {
 	sessionsSwept   atomic.Int64 // sessions reclaimed by the idle sweep
 	queryNanos      atomic.Int64 // cumulative statement wall time
 
-	// Per-endpoint histograms, keyed by queryEndpoints values.
-	querySeconds map[string]*obs.Histogram // statement latency
-	queryRows    map[string]*obs.Histogram // rows per statement
-	querySamples map[string]*obs.Histogram // Monte Carlo samples per statement
+	querySeconds *obs.Histogram // statement latency
+	queryRows    *obs.Histogram // rows per statement
+	querySamples *obs.Histogram // Monte Carlo samples per statement
 }
 
-// newMetrics starts the uptime clock and allocates one histogram series per
-// endpoint.
+// newMetrics starts the uptime clock and allocates the histograms.
 func newMetrics() *metrics {
-	m := &metrics{
+	return &metrics{
 		start:        time.Now(),
-		querySeconds: map[string]*obs.Histogram{},
-		queryRows:    map[string]*obs.Histogram{},
-		querySamples: map[string]*obs.Histogram{},
+		querySeconds: obs.NewHistogram(obs.ExpBuckets(1e-4, 4, 10)), // 100µs .. ~26s
+		queryRows:    obs.NewHistogram(obs.ExpBuckets(1, 4, 10)),    // 1 .. ~260k rows
+		querySamples: obs.NewHistogram(obs.ExpBuckets(64, 4, 10)),   // one batch .. ~16M samples
 	}
-	for _, ep := range queryEndpoints {
-		m.querySeconds[ep] = obs.NewHistogram(obs.ExpBuckets(1e-4, 4, 10)) // 100µs .. ~26s
-		m.queryRows[ep] = obs.NewHistogram(obs.ExpBuckets(1, 4, 10))       // 1 .. ~260k rows
-		m.querySamples[ep] = obs.NewHistogram(obs.ExpBuckets(64, 4, 10))   // one batch .. ~16M samples
-	}
-	return m
 }
 
 // queryTracker follows one statement from start to finish. finish is
@@ -73,17 +59,16 @@ func newMetrics() *metrics {
 // call wins.
 type queryTracker struct {
 	m        *metrics
-	endpoint string
 	start    time.Time
 	finished bool
 }
 
-// startQuery counts a statement as started and in flight on the given
-// endpoint ("query" or "exec") and returns its tracker.
-func (m *metrics) startQuery(endpoint string) *queryTracker {
+// startQuery counts a statement as started and in flight and returns its
+// tracker.
+func (m *metrics) startQuery() *queryTracker {
 	m.queriesTotal.Add(1)
 	m.queriesInflight.Add(1)
-	return &queryTracker{m: m, endpoint: endpoint, start: time.Now()}
+	return &queryTracker{m: m, start: time.Now()}
 }
 
 // finish records the statement's outcome: wall time, streamed rows, Monte
@@ -104,10 +89,10 @@ func (t *queryTracker) finish(rows, samples int64, err error, cancelled bool) {
 	} else if err != nil {
 		m.errorsTotal.Add(1)
 	}
-	m.querySeconds[t.endpoint].Observe(d.Seconds())
-	m.queryRows[t.endpoint].Observe(float64(rows))
+	m.querySeconds.Observe(d.Seconds())
+	m.queryRows.Observe(float64(rows))
 	if samples >= 0 {
-		m.querySamples[t.endpoint].Observe(float64(samples))
+		m.querySamples.Observe(float64(samples))
 	}
 }
 
@@ -139,7 +124,7 @@ func (m *metrics) write(w io.Writer, sessionsActive int) {
 	writeFlatFamilies(w, []metric{
 		{"pip_uptime_seconds", "Seconds since the server started.", "gauge", time.Since(m.start).Seconds()},
 		{"pip_requests_total", "HTTP requests served, all endpoints.", "counter", float64(m.requestsTotal.Load())},
-		{"pip_queries_total", "SQL statements started via /v1/query and /v1/exec.", "counter", float64(m.queriesTotal.Load())},
+		{"pip_queries_total", "SQL statements started via /v1/query.", "counter", float64(m.queriesTotal.Load())},
 		{"pip_queries_inflight", "SQL statements currently executing.", "gauge", float64(m.queriesInflight.Load())},
 		{"pip_query_errors_total", "Statements that ended in an error.", "counter", float64(m.errorsTotal.Load())},
 		{"pip_query_cancelled_total", "Statements ended by client cancellation or disconnect.", "counter", float64(m.cancelledTotal.Load())},
@@ -151,30 +136,9 @@ func (m *metrics) write(w io.Writer, sessionsActive int) {
 		{"pip_sessions_swept_total", "Sessions reclaimed by the idle sweep.", "counter", float64(m.sessionsSwept.Load())},
 		{"pip_query_seconds_total", "Cumulative statement execution wall time.", "counter", time.Duration(m.queryNanos.Load()).Seconds()},
 	})
-	writeHistogramFamily(w, "pip_query_seconds", "Statement execution latency in seconds.", m.querySeconds)
-	writeHistogramFamily(w, "pip_query_rows", "Result rows per statement.", m.queryRows)
-	writeHistogramFamily(w, "pip_query_samples", "Monte Carlo samples drawn per statement.", m.querySamples)
-}
-
-// writeHistogramFamily renders one histogram family with an endpoint label
-// per series, in the standard _bucket/_sum/_count shape with cumulative
-// bucket counts and a closing le="+Inf" bucket.
-func writeHistogramFamily(w io.Writer, name, help string, series map[string]*obs.Histogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	eps := make([]string, 0, len(series))
-	for ep := range series {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	for _, ep := range eps {
-		snap := series[ep].Snapshot()
-		for i, b := range snap.Bounds {
-			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d\n", name, ep, formatBound(b), snap.Counts[i])
-		}
-		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, ep, snap.Count)
-		fmt.Fprintf(w, "%s_sum{endpoint=%q} %g\n", name, ep, snap.Sum)
-		fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", name, ep, snap.Count)
-	}
+	writeHistogramSnapshot(w, "pip_query_seconds", "Statement execution latency in seconds.", m.querySeconds.Snapshot())
+	writeHistogramSnapshot(w, "pip_query_rows", "Result rows per statement.", m.queryRows.Snapshot())
+	writeHistogramSnapshot(w, "pip_query_samples", "Monte Carlo samples drawn per statement.", m.querySamples.Snapshot())
 }
 
 // formatBound renders a bucket upper bound the way Prometheus clients

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"regexp"
@@ -87,8 +86,8 @@ func lintExposition(t *testing.T, text string) map[string]float64 {
 	return series
 }
 
-// TestMetricsExposition boots a server, drives traffic over both
-// statement endpoints (including a failing statement), and lints the
+// TestMetricsExposition boots a server, drives traffic through Exec and
+// Query (including a failing statement), and lints the
 // resulting exposition: well-formed text, all expected families present,
 // histogram bucket counts cumulative with +Inf == count.
 func TestMetricsExposition(t *testing.T) {
@@ -137,56 +136,56 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	for _, family := range []string{"pip_query_seconds", "pip_query_rows", "pip_query_samples"} {
-		for _, ep := range queryEndpoints {
-			count, ok := series[fmt.Sprintf("%s_count{endpoint=%q}", family, ep)]
-			if !ok {
-				t.Fatalf("histogram %s missing series for endpoint %s", family, ep)
+		count, ok := series[family+"_count"]
+		if !ok {
+			t.Fatalf("histogram %s missing", family)
+		}
+		inf, ok := series[family+`_bucket{le="+Inf"}`]
+		if !ok || inf != count {
+			t.Fatalf("%s: +Inf bucket %g != count %g", family, inf, count)
+		}
+		// Bucket counts must be cumulative (non-decreasing in le order).
+		prev := -1.0
+		var last float64
+		for _, line := range strings.Split(text, "\n") {
+			if !strings.HasPrefix(line, family+"_bucket{le=") {
+				continue
 			}
-			inf, ok := series[fmt.Sprintf("%s_bucket{endpoint=%q,le=\"+Inf\"}", family, ep)]
-			if !ok || inf != count {
-				t.Fatalf("%s{endpoint=%s}: +Inf bucket %g != count %g", family, ep, inf, count)
+			v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
+			if err != nil {
+				t.Fatalf("bucket line %q: %v", line, err)
 			}
-			// Bucket counts must be cumulative (non-decreasing in le order).
-			prev := -1.0
-			var last float64
-			for _, line := range strings.Split(text, "\n") {
-				prefix := fmt.Sprintf("%s_bucket{endpoint=%q,le=", family, ep)
-				if !strings.HasPrefix(line, prefix) {
-					continue
-				}
-				v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
-				if err != nil {
-					t.Fatalf("bucket line %q: %v", line, err)
-				}
-				if v < prev {
-					t.Fatalf("%s{endpoint=%s}: bucket counts not cumulative: %g after %g", family, ep, v, prev)
-				}
-				prev, last = v, v
+			if v < prev {
+				t.Fatalf("%s: bucket counts not cumulative: %g after %g", family, v, prev)
 			}
-			if last != count {
-				t.Fatalf("%s{endpoint=%s}: final bucket %g != count %g", family, ep, last, count)
-			}
+			prev, last = v, v
+		}
+		if last != count {
+			t.Fatalf("%s: final bucket %g != count %g", family, last, count)
 		}
 	}
-	// The one /v1/query statement streamed 3 rows in head + first row + the
-	// rest with done: rows per flush and bytes per row read off the counters.
+	// The SELECT streamed 3 rows in head + first row + the rest with done;
+	// CREATE and INSERT each streamed a bare head and done; the malformed
+	// statement failed before its head. Rows per flush and bytes per row
+	// read off the counters.
 	if got := series["pip_rows_streamed_total"]; got != 3 {
 		t.Fatalf("pip_rows_streamed_total = %g, want 3", got)
 	}
-	if got := series["pip_stream_flushes_total"]; got != 3 {
-		t.Fatalf("pip_stream_flushes_total = %g, want 3 (head, first row, rest+done)", got)
+	if got := series["pip_stream_flushes_total"]; got != 2+2+3 {
+		t.Fatalf("pip_stream_flushes_total = %g, want 7 (head, done; head, done; head, first row, rest+done)", got)
 	}
-	want := len(`{"k":"head","columns":["v"]}`+"\n") + 3*len(`{"k":"row","row":[{"t":"f","f":"1"}]}`+"\n") + len(`{"k":"done","rows":3}`+"\n")
+	bare := len(`{"k":"head"}`+"\n") + len(`{"k":"done"}`+"\n")
+	want := 2*bare + len(`{"k":"head","columns":["v"]}`+"\n") + 3*len(`{"k":"row","row":[{"t":"f","f":"1"}]}`+"\n") + len(`{"k":"done","rows":3}`+"\n")
 	if got := series["pip_stream_bytes_total"]; got != float64(want) {
 		t.Fatalf("pip_stream_bytes_total = %g, want %d", got, want)
 	}
-	// The query endpoint streamed 3 rows; latency observations must exist.
-	if series[`pip_query_seconds_count{endpoint="query"}`] < 1 {
-		t.Fatal("no latency observations on the query endpoint")
+	// Four statements were observed; the failed one counts too.
+	if got := series["pip_query_seconds_count"]; got != 4 {
+		t.Fatalf("pip_query_seconds_count = %g, want 4", got)
 	}
 }
 
-// TestInflightNeverNegative hammers both endpoints concurrently with a mix
+// TestInflightNeverNegative hammers Exec and Query concurrently with a mix
 // of succeeding and failing statements; afterwards the in-flight gauge
 // must read exactly zero (the historical bug double-decremented on error
 // paths, driving it negative).
@@ -242,7 +241,7 @@ func TestInflightNeverNegative(t *testing.T) {
 // gauge exactly once.
 func TestQueryTrackerIdempotent(t *testing.T) {
 	m := newMetrics()
-	qt := m.startQuery("query")
+	qt := m.startQuery()
 	if got := m.queriesInflight.Load(); got != 1 {
 		t.Fatalf("inflight after start = %d, want 1", got)
 	}
@@ -281,17 +280,17 @@ func engineSamples(t *testing.T, sess *ClientSession) float64 {
 	return got
 }
 
-// samplesSum totals pip_query_samples over both endpoints. Clients close
-// each stream after its done chunk, which drains the body to the end of
-// the response, so every handler has recorded its observation by the time
-// the test scrapes.
+// samplesSum reads the pip_query_samples total. Clients close each stream
+// after its done chunk, which drains the body to the end of the response,
+// so every handler has recorded its observation by the time the test
+// scrapes.
 func samplesSum(series map[string]float64) float64 {
-	return series[`pip_query_samples_sum{endpoint="query"}`] + series[`pip_query_samples_sum{endpoint="exec"}`]
+	return series["pip_query_samples_sum"]
 }
 
 // TestQuerySamplesOwnStatement: a statement's pip_query_samples observation
-// is the samples that statement drew. INSERTs over /v1/exec that follow a
-// sampled SELECT draw none and must record 0, not the SELECT's count.
+// is the samples that statement drew. INSERTs that follow a sampled SELECT
+// draw none and must record 0, not the SELECT's count.
 func TestQuerySamplesOwnStatement(t *testing.T) {
 	addr, _, ts := newTestServer(t, 5)
 	ctx := context.Background()
@@ -308,6 +307,10 @@ func TestQuerySamplesOwnStatement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	series := lintExposition(t, scrapeMetrics(t, ts.URL))
+	if got := series["pip_query_samples_sum"]; got != 0 {
+		t.Fatalf("pip_query_samples_sum = %g after DDL and an INSERT, want 0", got)
+	}
 	rows, err := sess.Query(ctx, "SELECT conf() FROM t WHERE v > 0.3 AND v * v > 0.2")
 	if err != nil {
 		t.Fatal(err)
@@ -317,25 +320,26 @@ func TestQuerySamplesOwnStatement(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
+	selected := lintExposition(t, scrapeMetrics(t, ts.URL))["pip_query_samples_sum"]
+	if selected <= 0 {
+		t.Fatalf("pip_query_samples_sum = %g, want the conf() statement's samples", selected)
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := sess.Exec(ctx, "INSERT INTO t VALUES (2, 3)"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	series := lintExposition(t, scrapeMetrics(t, ts.URL))
-	if got := series[`pip_query_samples_sum{endpoint="exec"}`]; got != 0 {
-		t.Fatalf(`pip_query_samples_sum{endpoint="exec"} = %g, want 0: DDL and INSERTs draw no samples`, got)
+	series = lintExposition(t, scrapeMetrics(t, ts.URL))
+	if got := series["pip_query_samples_sum"]; got != selected {
+		t.Fatalf("pip_query_samples_sum = %g after three INSERTs, want %g: INSERTs draw no samples", got, selected)
 	}
-	if got := series[`pip_query_samples_count{endpoint="exec"}`]; got != 5 {
-		t.Fatalf(`pip_query_samples_count{endpoint="exec"} = %g, want 5`, got)
-	}
-	if got := series[`pip_query_samples_sum{endpoint="query"}`]; got <= 0 {
-		t.Fatalf(`pip_query_samples_sum{endpoint="query"} = %g, want the conf() statement's samples`, got)
+	if got := series["pip_query_samples_count"]; got != 6 {
+		t.Fatalf("pip_query_samples_count = %g, want 6", got)
 	}
 }
 
 // TestQuerySamplesConcurrentExact: with 8 sessions interleaving
-// deterministic point reads and sampled statements on both endpoints, the
+// deterministic point reads and sampled statements through Exec and Query, the
 // per-statement observations add up exactly to the engine-wide samples
 // counter — no statement is credited with another's samples.
 func TestQuerySamplesConcurrentExact(t *testing.T) {

@@ -96,10 +96,7 @@ func New(cfg Config) *Server {
 	//pipvet:allow walcommit session-create settings mutate session-local config only, never durable catalog state
 	mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
 	mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
-	mux.HandleFunc("POST /v1/prepare", s.handlePrepare)
-	mux.HandleFunc("POST /v1/stmt/close", s.handleStmtClose)
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	mux.HandleFunc("POST /v1/exec", s.handleExec)
 	mux.HandleFunc("GET /v1/tables", s.handleTables)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -155,15 +152,13 @@ func (s *Server) sweeper() {
 }
 
 // slowLog emits a Warn record when a statement exceeded the slow-query
-// threshold. query is the statement text when known (prepared-statement
-// requests carry only the id).
-func (s *Server) slowLog(endpoint, query string, d time.Duration, rows int64) {
+// threshold.
+func (s *Server) slowLog(query string, d time.Duration, rows int64) {
 	if s.logger == nil || s.slowQuery <= 0 || d < s.slowQuery {
 		return
 	}
 	s.logger.Warn("slow query",
-		"endpoint", endpoint, "query", query,
-		"duration", d, "threshold", s.slowQuery, "rows", rows)
+		"query", query, "duration", d, "threshold", s.slowQuery, "rows", rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -275,10 +270,10 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 // maxRequestBody bounds the bytes one request body may make the server read
-// and buffer. The largest legitimate statements are bulk prepared INSERTs —
-// the benchmark's 1 024-row batch binds ≈ 6 k arguments in ≈ 150 KiB — so
-// 64 MiB is far above any of them and still a bound a careless or hostile
-// client cannot push the process past.
+// and buffer. The largest legitimate statements are bulk INSERTs with bound
+// arguments — the benchmark's 1 024-row batch binds ≈ 6 k arguments in
+// ≈ 150 KiB — so 64 MiB is far above any of them and still a bound a
+// careless or hostile client cannot push the process past.
 const maxRequestBody = 64 << 20
 
 // decodeBody parses a JSON request body of at most maxRequestBody bytes into
@@ -328,52 +323,12 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	}{true})
 }
 
-// handlePrepare implements POST /v1/prepare.
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req PrepareRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	sess, release, err := s.sessions.acquire(req.Session)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer release()
-	id, st, err := sess.prepare(req.Query)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, PrepareResponse{Stmt: id, NumInput: st.NumInput()})
-}
-
-// handleStmtClose implements POST /v1/stmt/close.
-func (s *Server) handleStmtClose(w http.ResponseWriter, r *http.Request) {
-	var req StmtCloseRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	sess, release, err := s.sessions.acquire(req.Session)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer release()
-	sess.closeStmt(req.Stmt)
-	writeJSON(w, http.StatusOK, struct {
-		OK bool `json:"ok"`
-	}{true})
-}
-
 // ---------------------------------------------------------------------------
-// Statement endpoints
+// Statement endpoint
 
 // openRows resolves a QueryRequest to a streaming result: session lookup,
-// argument decoding, and prepared-vs-text dispatch, all under the request
-// context so a disconnected client aborts the sampler.
+// argument decoding, then parsing and planning the text, all under the
+// request context so a disconnected client aborts the sampler.
 func (s *Server) openRows(ctx context.Context, req *QueryRequest) (*pip.Rows, func(), error) {
 	sess, release, err := s.sessions.acquire(req.Session)
 	if err != nil {
@@ -384,28 +339,10 @@ func (s *Server) openRows(ctx context.Context, req *QueryRequest) (*pip.Rows, fu
 		release()
 		return nil, nil, err
 	}
-	var rows *pip.Rows
-	if req.Stmt != 0 {
-		if req.Query != "" {
-			release()
-			return nil, nil, fmt.Errorf("server: request sets both query text and a prepared statement id")
-		}
-		st, err := sess.stmt(req.Stmt)
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		rows, err = st.QueryContext(ctx, args...)
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-	} else {
-		rows, err = sess.db.QueryContext(ctx, req.Query, args...)
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
+	rows, err := sess.db.QueryContext(ctx, req.Query, args...)
+	if err != nil {
+		release()
+		return nil, nil, err
 	}
 	return rows, release, nil
 }
@@ -471,11 +408,13 @@ func (st *rowStream) flush() error {
 	return err
 }
 
-// handleQuery implements POST /v1/query: an NDJSON stream of head, row...,
-// done|err chunks. Errors before the first chunk (unknown session, parse
-// failures) are plain JSON error responses with a non-200 status; once
-// streaming begins, failures arrive as a terminal err chunk. A failed
-// write ends the statement there, counted as cancelled.
+// handleQuery implements POST /v1/query, the one statement endpoint: every
+// statement — SELECT, DDL, DML, SET — is its text plus bound arguments, and
+// every reply an NDJSON stream of head, row..., done|err chunks (a statement
+// without a result is a bare head and done). Errors before the first chunk
+// (unknown session, parse failures) are plain JSON error responses with a
+// non-200 status; once streaming begins, failures arrive as a terminal err
+// chunk. A failed write ends the statement there, counted as cancelled.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -483,7 +422,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	qt := s.met.startQuery("query")
+	qt := s.met.startQuery()
 	// Safety net: finish is idempotent, so this keeps pip_queries_inflight
 	// exact even if the handler unwinds early; the explicit finish below
 	// carries the real counts.
@@ -529,41 +468,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		err = werr
 	}
 	qt.finish(n, rows.Samples(), err, werr != nil || isCancel(err) || ctx.Err() != nil)
-	s.slowLog("query", req.Query, time.Since(start), n)
-}
-
-// handleExec implements POST /v1/exec: execute a statement, discard any
-// result rows, report how many there were.
-func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx := r.Context()
-	qt := s.met.startQuery("exec")
-	defer qt.finish(0, -1, nil, false) // safety net; see handleQuery
-	start := time.Now()
-	rows, release, err := s.openRows(ctx, &req)
-	if err != nil {
-		qt.finish(0, -1, err, isCancel(err))
-		writeError(w, err)
-		return
-	}
-	defer release()
-	var n int64
-	for rows.Next() {
-		n++
-	}
-	err = rows.Err()
-	rows.Close()
-	qt.finish(0, rows.Samples(), err, isCancel(err) || ctx.Err() != nil)
-	s.slowLog("exec", req.Query, time.Since(start), n)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ExecResponse{OK: true, Rows: n})
+	s.slowLog(req.Query, time.Since(start), n)
 }
 
 // isCancel reports whether err is a context cancellation/timeout.

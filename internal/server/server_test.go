@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -169,8 +170,9 @@ func TestRemoteVsLocalBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPreparedStatementOverWire exercises the prepare/bind/execute path:
-// arity is reported, rebinding works, and results match the text path.
+// TestPreparedStatementOverWire exercises the bind/execute path of a
+// statement sent as text with arguments: rebinding works, Exec and Query
+// agree on the row count, and a wrong arity surfaces as a bind error.
 func TestPreparedStatementOverWire(t *testing.T) {
 	addr, _, _ := newTestServer(t, 7)
 	client := NewClient(addr)
@@ -184,15 +186,9 @@ func TestPreparedStatementOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := sess.Prepare(ctx, "SELECT cust FROM orders WHERE price > ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumInput() != 1 {
-		t.Fatalf("NumInput = %d, want 1", st.NumInput())
-	}
+	const q = "SELECT cust FROM orders WHERE price > ?"
 	for _, threshold := range []float64{60, 90} {
-		rows, err := st.Query(ctx, threshold)
+		rows, err := sess.Query(ctx, q, threshold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,16 +203,99 @@ func TestPreparedStatementOverWire(t *testing.T) {
 		if n != 3 {
 			t.Errorf("threshold %v: %d rows, want 3 (symbolic prices condition every row)", threshold, n)
 		}
+		if got, err := sess.Exec(ctx, q, threshold); err != nil || got != 3 {
+			t.Errorf("threshold %v: Exec counted %d rows (%v), want 3", threshold, got, err)
+		}
 	}
-	// Wrong arity surfaces as a bind error.
-	if _, err := st.Query(ctx); !errors.Is(err, pip.ErrBind) {
+	// Wrong arity surfaces as a bind error, through both calls.
+	if _, err := sess.Query(ctx, q); !errors.Is(err, pip.ErrBind) {
 		t.Errorf("arity error = %v, want ErrBind", err)
 	}
-	if err := st.Close(ctx); err != nil {
-		t.Fatal(err)
+	if _, err := sess.Exec(ctx, q, 90.0, 1.0); !errors.Is(err, pip.ErrBind) {
+		t.Errorf("arity error = %v, want ErrBind", err)
 	}
-	if _, err := st.Query(ctx, 90.0); err == nil {
-		t.Error("query on closed statement succeeded")
+}
+
+// TestStatementLifecycleStockHTTP drives the whole protocol with nothing
+// but net/http and encoding/json — session, DDL, an INSERT with arguments,
+// a streamed SELECT, session delete — and pins that the retired statement
+// routes are gone: /v1/query is the only statement endpoint.
+func TestStatementLifecycleStockHTTP(t *testing.T) {
+	_, _, ts := newTestServer(t, 3)
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	// lines posts one statement and returns its NDJSON reply, line by line.
+	lines := func(session, body string) []map[string]any {
+		t.Helper()
+		resp := post("/v1/query", fmt.Sprintf(`{"session":%q,%s}`, session, body))
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+			t.Fatalf("%s: HTTP %d %s", body, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		var out []map[string]any
+		dec := json.NewDecoder(resp.Body)
+		for dec.More() {
+			var m map[string]any
+			if err := dec.Decode(&m); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			out = append(out, m)
+		}
+		return out
+	}
+
+	resp := post("/v1/session", `{"settings":{"seed":3}}`)
+	var sr struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || sr.ID == "" {
+		t.Fatalf("session: %+v %v", sr, err)
+	}
+	resp.Body.Close()
+
+	for _, body := range []string{
+		`"query":"CREATE TABLE t (k, name)"`,
+		`"query":"INSERT INTO t VALUES (?, ?)","args":[{"t":"i","i":7},{"t":"s","s":"seven"}]`,
+	} {
+		got := lines(sr.ID, body)
+		if len(got) != 2 || got[0]["k"] != "head" || got[0]["columns"] != nil || got[1]["k"] != "done" || got[1]["rows"] != nil {
+			t.Fatalf("%s: reply %v, want a bare head and done", body, got)
+		}
+	}
+	got := lines(sr.ID, `"query":"SELECT k, name FROM t WHERE k = ?","args":[{"t":"i","i":7}]`)
+	want := []map[string]any{
+		{"k": "head", "columns": []any{"k", "name"}},
+		{"k": "row", "row": []any{map[string]any{"t": "i", "i": 7.0}, map[string]any{"t": "s", "s": "seven"}}},
+		{"k": "done", "rows": 1.0},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SELECT reply\n got %v\nwant %v", got, want)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/"+sr.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("session delete: %v %v", resp, err)
+	}
+	resp.Body.Close()
+	resp = post("/v1/query", fmt.Sprintf(`{"session":%q,"query":"SELECT k FROM t"}`, sr.ID))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("query on a deleted session: HTTP %d, want 404", resp.StatusCode)
+	}
+
+	for _, path := range []string{"/v1/exec", "/v1/prepare", "/v1/stmt/close"} {
+		resp := post(path, fmt.Sprintf(`{"session":%q,"query":"SELECT 1"}`, sr.ID))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s: HTTP %d, want 404 or 405", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -13,17 +13,14 @@ import (
 )
 
 // session is one remote client's state: a database view with private
-// sampling settings (pip.DB.Session) over the server's shared catalog, and
-// the statements prepared through it. Statement-level requests name the
-// session by id; concurrent requests on one session are safe but share its
-// settings.
+// sampling settings (pip.DB.Session) over the server's shared catalog.
+// Statement-level requests name the session by id; concurrent requests on
+// one session are safe but share its settings.
 type session struct {
 	id string
 	db *pip.DB
 
 	mu       sync.Mutex
-	stmts    map[int64]*pip.Stmt
-	nextStmt int64
 	lastUsed time.Time
 	inflight int
 }
@@ -41,38 +38,6 @@ func (s *session) touch() func() {
 		s.inflight--
 		s.mu.Unlock()
 	}
-}
-
-// prepare parses a statement and registers it under a fresh id.
-func (s *session) prepare(query string) (int64, *pip.Stmt, error) {
-	st, err := s.db.Prepare(query)
-	if err != nil {
-		return 0, nil, err
-	}
-	s.mu.Lock()
-	s.nextStmt++
-	id := s.nextStmt
-	s.stmts[id] = st
-	s.mu.Unlock()
-	return id, st, nil
-}
-
-// stmt resolves a prepared statement id.
-func (s *session) stmt(id int64) (*pip.Stmt, error) {
-	s.mu.Lock()
-	st := s.stmts[id]
-	s.mu.Unlock()
-	if st == nil {
-		return nil, fmt.Errorf("server: session %s has no prepared statement %d", s.id, id)
-	}
-	return st, nil
-}
-
-// closeStmt releases a prepared statement id (idempotent).
-func (s *session) closeStmt(id int64) {
-	s.mu.Lock()
-	delete(s.stmts, id)
-	s.mu.Unlock()
 }
 
 // sessionManager owns the server's session table: creation (with initial
@@ -110,7 +75,7 @@ func (m *sessionManager) create(settings map[string]json.Number) (*session, erro
 	m.mu.Lock()
 	m.nextID++
 	id := fmt.Sprintf("s%d-%08x", m.nextID, randTag())
-	s := &session{id: id, db: db, stmts: map[int64]*pip.Stmt{}, lastUsed: time.Now()}
+	s := &session{id: id, db: db, lastUsed: time.Now()}
 	m.sessions[id] = s
 	m.mu.Unlock()
 	return s, nil

@@ -287,7 +287,7 @@ func TestRequestBodyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The benchmark's shape: one prepared 1 024-row INSERT, 6 144 arguments.
+	// The benchmark's shape: one 1 024-row INSERT, 6 144 arguments.
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO ev VALUES ")
 	args := make([]any, 0, 1024*6)
@@ -298,11 +298,7 @@ func TestRequestBodyLimit(t *testing.T) {
 		sb.WriteString("(?, ?, ?, ?, ?, ?)")
 		args = append(args, int64(i), float64(i)*1.5, "FRANCE", 0.25, int64(7), 99.5)
 	}
-	st, err := sess.Prepare(ctx, sb.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Exec(ctx, args...); err != nil {
+	if _, err := sess.Exec(ctx, sb.String(), args...); err != nil {
 		t.Fatalf("bulk INSERT of %d arguments refused: %v", len(args), err)
 	}
 
@@ -314,7 +310,7 @@ func TestRequestBodyLimit(t *testing.T) {
 		pad := size - int64(len(head)+len(tail))
 		body := io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, pad), strings.NewReader(tail))
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/exec", body))
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", body))
 		return rec
 	}
 	if rec := post(1 << 20); rec.Code != http.StatusOK {
@@ -508,10 +504,7 @@ func BenchmarkStreamRows(b *testing.B) {
 		b.Fatal(err)
 	}
 	loadWide(b, sess, 2000)
-	st, err := sess.Prepare(ctx, "SELECT a, b * 1.08, c FROM wide WHERE a >= ?")
-	if err != nil {
-		b.Fatal(err)
-	}
+	const q = "SELECT a, b * 1.08, c FROM wide WHERE a >= ?"
 	flushes0 := srv.met.streamFlushes.Load()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -519,7 +512,7 @@ func BenchmarkStreamRows(b *testing.B) {
 	b.ResetTimer()
 	var rowsSeen int64
 	for i := 0; i < b.N; i++ {
-		rows, err := st.Query(ctx, int64(0))
+		rows, err := sess.Query(ctx, q, int64(0))
 		if err != nil {
 			b.Fatal(err)
 		}

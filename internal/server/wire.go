@@ -10,18 +10,25 @@
 //
 //	POST   /v1/session        create a session; body {"settings": {...}}
 //	DELETE /v1/session/{id}   close a session
-//	POST   /v1/prepare        prepare a statement in a session
-//	POST   /v1/query          execute (text or prepared), stream result rows
-//	POST   /v1/exec           execute, discard rows, report the row count
-//	POST   /v1/stmt/close     release a prepared statement
+//	POST   /v1/query          execute a statement, stream its result rows
+//	GET    /v1/tables         list the shared catalog
 //	GET    /healthz           liveness + uptime
 //	GET    /metrics           Prometheus text-format counters
 //
-// A query response is newline-delimited JSON (NDJSON) over a chunked HTTP
-// body: one head chunk naming the result columns, one chunk per row, and a
+// On the wire a statement is its text: every statement — SELECT, DDL, DML,
+// SET — is one POST /v1/query of {"session","query","args"}, parsed and
+// planned by the server on every call, exactly as the write-ahead log and
+// replicas identify it. There are no server-side statement ids to allocate,
+// look up or release. A prepared statement of the remote database/sql
+// driver is its text, sent again with each execution's arguments.
+//
+// The response is newline-delimited JSON (NDJSON) over a chunked HTTP body:
+// one head chunk naming the result columns, one chunk per row, and a
 // terminal done (with the row count) or err chunk — each line one JSON
-// object of the Chunk grammar, which any JSON library reads. Closing the
-// request body cancels the server-side query through its context.
+// object of the Chunk grammar, which any JSON library reads. A statement
+// without a result (DDL, DML, SET) answers a head with no columns and a
+// done. Closing the request body cancels the server-side query through its
+// context.
 //
 // Both ends of the stream run one hand-written codec for that grammar
 // (codec.go): append-style encoders that write a row straight from the
@@ -199,40 +206,12 @@ type SessionResponse struct {
 	ID string `json:"id"`
 }
 
-// PrepareRequest prepares one statement inside a session.
-type PrepareRequest struct {
-	Session string `json:"session"`
-	Query   string `json:"query"`
-}
-
-// PrepareResponse identifies the server-side prepared statement and its
-// placeholder arity.
-type PrepareResponse struct {
-	Stmt     int64 `json:"stmt"`
-	NumInput int   `json:"num_input"`
-}
-
-// StmtCloseRequest releases a prepared statement.
-type StmtCloseRequest struct {
-	Session string `json:"session"`
-	Stmt    int64  `json:"stmt"`
-}
-
-// QueryRequest executes a statement — either Query text or a prepared
-// Stmt id (exactly one must be set) — with bound placeholder arguments.
-// The same body drives /v1/query (streaming rows) and /v1/exec (rows
-// discarded).
+// QueryRequest executes one statement: its Query text with Args bound to
+// the ? placeholders in order.
 type QueryRequest struct {
 	Session string  `json:"session"`
-	Query   string  `json:"query,omitempty"`
-	Stmt    int64   `json:"stmt,omitempty"`
+	Query   string  `json:"query"`
 	Args    []Value `json:"args,omitempty"`
-}
-
-// ExecResponse reports a completed /v1/exec statement.
-type ExecResponse struct {
-	OK   bool  `json:"ok"`
-	Rows int64 `json:"rows"`
 }
 
 // TableInfo describes one catalog table in a GET /v1/tables listing. The

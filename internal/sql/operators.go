@@ -295,7 +295,10 @@ func computeAgg(env execEnv, a *lAggregate, staged *ctable.Table) (*ctable.Table
 				if at.kind == "expected_variance" {
 					fold = sampler.VarianceFold
 				}
-				n := env.db.Config().FixedSamples
+				// The statement's own sampler, not the handle's live
+				// settings: a SET after planning must not reach a
+				// statement already running.
+				n := smp.Config().FixedSamples
 				if n <= 0 {
 					n = 1000
 				}

@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -116,5 +118,49 @@ func TestSetWorkersAffectsQueries(t *testing.T) {
 	b, _ := par.Tuples[0].Values[0].AsFloat()
 	if a != b {
 		t.Fatalf("workers=8 changed the result: %v != %v", b, a)
+	}
+}
+
+// TestSetAfterPlanningKeepsRunningAggregate: a SET on the same handle after
+// a statement is planned and before its first row must not change that
+// statement's answer — in-flight queries finish under the settings they
+// started with. expected_stddev sizes its world count from the settings, so
+// it is the aggregate that would notice.
+func TestSetAfterPlanningKeepsRunningAggregate(t *testing.T) {
+	answer := func(set string) float64 {
+		t.Helper()
+		cfg := sampler.DefaultConfig()
+		cfg.WorldSeed = 3
+		db := core.NewDB(cfg)
+		for _, q := range []string{`CREATE TABLE t (v)`,
+			`INSERT INTO t VALUES (CREATE_VARIABLE('Normal', 0, 1)), (CREATE_VARIABLE('Normal', 0, 1)), (CREATE_VARIABLE('Normal', 0, 1)), (CREATE_VARIABLE('Normal', 0, 1))`} {
+			if _, err := Exec(db, q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		p, err := Prepare(`SELECT expected_stddev(v) FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := p.QueryContext(context.Background(), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		if set != "" {
+			if _, err := Exec(db, set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tup, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := tup.Values[0].AsFloat()
+		return f
+	}
+	want := answer("")
+	if got := answer(`SET samples = 10`); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("SET samples = 10 after planning changed the running statement's answer: %v, want %v", got, want)
 	}
 }
