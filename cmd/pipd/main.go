@@ -31,8 +31,8 @@
 //
 // With -replicate-addr (requires -data-dir) the server is a replication
 // primary: a second listener serves committed write-ahead-log records (and
-// whole catalog snapshots, for replicas whose resume point was pruned) as
-// an NDJSON stream to any number of replicas. With -follow pip://host:port
+// whole catalog snapshots, for replicas whose resume point was pruned),
+// framed exactly as on disk, to any number of replicas. With -follow pip://host:port
 // the server is a read-only replica: it bootstraps from the primary's
 // stream (snapshot, then log replay through the ordinary SQL path), applies
 // live records as they commit, and serves queries whose answers are

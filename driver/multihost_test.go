@@ -78,7 +78,6 @@ func replTopology(t *testing.T, seed uint64) (primAddr, replAddr string, f *repl
 	}
 	t.Cleanup(func() { store.Close() })
 	prim := repl.NewPrimary(store, seed)
-	prim.PingEvery = 20 * time.Millisecond
 	psrv := server.New(server.Config{DB: pdb, WAL: store, Repl: prim})
 	pts := httptest.NewServer(psrv.Handler())
 	t.Cleanup(func() { pts.Close(); psrv.Close() })

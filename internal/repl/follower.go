@@ -1,5 +1,5 @@
 // Follower: the replica side of replication. It owns the full lifecycle —
-// connect, hello handshake, snapshot bootstrap when the resume point was
+// connect, header checks, snapshot bootstrap when the resume point was
 // pruned, suffix replay, live apply, progress acks — plus reconnection
 // with resume-from-seq after transient failures and fail-stop latching on
 // integrity failures.
@@ -11,12 +11,14 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,14 +28,10 @@ import (
 )
 
 // ackEveryRecords is how many applied records may accumulate before the
-// follower reports progress mid-stream. Idle-time pings always trigger an
-// ack, so lag converges to zero within one ping interval regardless.
+// follower reports progress mid-stream. The follower also acks whenever
+// it has applied everything it has read, so the primary's view of its
+// lag converges right after the last apply.
 const ackEveryRecords = 32
-
-// maxStreamLine bounds one NDJSON stream line. Snapshot chunks are the
-// largest frames: snapChunkSize bytes of image inflate by 4/3 as base64
-// plus JSON overhead, comfortably under 1MiB.
-const maxStreamLine = 1 << 20
 
 // FollowerOptions configures a Follower.
 type FollowerOptions struct {
@@ -48,9 +46,6 @@ type FollowerOptions struct {
 	Seed uint64
 	// Logger receives connection lifecycle events (nil for none).
 	Logger *slog.Logger
-	// Client is the HTTP client used for streaming and acks (nil for a
-	// default with no overall timeout — streams are long-lived).
-	Client *http.Client
 	// ReconnectBackoff is the initial delay before redialing after a
 	// transient failure, doubling to 16x (default 250ms).
 	ReconnectBackoff time.Duration
@@ -73,7 +68,6 @@ type Follower struct {
 
 	applied    atomic.Uint64 // newest applied record
 	primarySeq atomic.Uint64 // primary's newest record, as last heard
-	acked      atomic.Uint64 // newest acked record
 	records    atomic.Uint64 // records applied
 	bytesIn    atomic.Uint64 // payload bytes applied
 	snapshots  atomic.Uint64 // snapshot images loaded
@@ -100,10 +94,6 @@ func NewFollower(db *core.DB, o FollowerOptions) *Follower {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	client := o.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	backoff := o.ReconnectBackoff
 	if backoff <= 0 {
 		backoff = 250 * time.Millisecond
@@ -117,7 +107,7 @@ func NewFollower(db *core.DB, o FollowerOptions) *Follower {
 		id:      id,
 		seed:    o.Seed,
 		log:     logger,
-		client:  client,
+		client:  &http.Client{}, // no overall timeout: streams are long-lived
 		backoff: backoff,
 	}
 }
@@ -142,7 +132,6 @@ func (f *Follower) Err() error {
 // restarts — reconnect with exponential backoff, resuming from the
 // applied position.
 func (f *Follower) Run(ctx context.Context) error {
-	defer f.connected.Store(false)
 	backoff := f.backoff
 	for {
 		madeProgress, err := f.streamOnce(ctx)
@@ -184,13 +173,13 @@ func isFatal(err error) bool {
 		errors.Is(err, wal.ErrSnapshotCorrupt)
 }
 
-// streamOnce runs one connection epoch: dial, handshake, optional
-// snapshot bootstrap, then apply records until the stream ends. It
-// reports whether any forward progress was made (for backoff reset).
+// streamOnce runs one connection epoch: dial, check the headers, load the
+// snapshot the body opens with (if any), then apply records until the
+// stream ends. It reports whether any forward progress was made (for
+// backoff reset).
 func (f *Follower) streamOnce(ctx context.Context) (progress bool, err error) {
-	from := f.applied.Load() + 1
-	url := fmt.Sprintf("%s%s?from=%d&replica=%s", f.base, StreamPath, from, f.id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	q := url.Values{"from": {strconv.FormatUint(f.applied.Load()+1, 10)}, "replica": {f.id}}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.base+StreamPath+"?"+q.Encode(), nil)
 	if err != nil {
 		return false, err
 	}
@@ -209,139 +198,107 @@ func (f *Follower) streamOnce(ctx context.Context) (progress bool, err error) {
 	f.connected.Store(true)
 	defer f.connected.Store(false)
 
+	var hdr [4]uint64
+	for i, name := range []string{hdrSeed, hdrLastSeq, hdrSnapshotSeq, hdrSnapshotBytes} {
+		v := resp.Header.Get(name)
+		if hdr[i], err = strconv.ParseUint(v, 10, 64); err != nil {
+			return false, fmt.Errorf("%w: header %s: %q", ErrStreamCorrupt, name, v)
+		}
+	}
+	seed, lastSeq, snapSeq, snapBytes := hdr[0], hdr[1], hdr[2], hdr[3]
+	if seed != f.seed {
+		return false, fmt.Errorf("%w: primary seed %d, replica seed %d", ErrSeedMismatch, seed, f.seed)
+	}
+	applied := f.applied.Load()
+	if lastSeq < applied {
+		return false, fmt.Errorf("%w: primary ends at %d, replica applied %d", ErrPrimaryBehind, lastSeq, applied)
+	}
+	f.primarySeq.Store(lastSeq)
+
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	var (
-		ap           *wal.Applier
-		snapBuf      []byte
-		expectSnap   bool
-		helloSeen    bool
-		sinceLastAck uint64
-	)
-	for {
-		line, rerr := readLine(br)
-		if rerr != nil {
-			// Network cut or primary shutdown mid-line: transient.
-			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-				return progress, nil
+	if (snapSeq == 0) != (snapBytes == 0) || snapBytes > math.MaxInt64 {
+		return false, fmt.Errorf("%w: snapshot covering %d declared %d bytes long", ErrStreamCorrupt, snapSeq, snapBytes)
+	}
+	if snapSeq > 0 {
+		if snapSeq < applied {
+			return false, fmt.Errorf("%w: primary streams snapshot covering %d, replica applied %d", ErrPrimaryBehind, snapSeq, applied)
+		}
+		// The image is buffered as it arrives, never allocated at its
+		// declared size, so a lying header costs only the bytes sent.
+		var img bytes.Buffer
+		if _, err := io.CopyN(&img, br, int64(snapBytes)); err != nil {
+			if errors.Is(err, io.EOF) {
+				// The body ended cleanly inside the image: the primary
+				// declared bytes it never sent. (A cut connection reads
+				// as io.ErrUnexpectedEOF and reconnects.)
+				return false, fmt.Errorf("%w: body ends %d bytes into a %d-byte snapshot image", ErrStreamCorrupt, img.Len(), snapBytes)
 			}
+			return false, err
+		}
+		seq, err := wal.DecodeSnapshotImage(img.Bytes(), f.db)
+		if err != nil {
+			return false, err
+		}
+		if seq != snapSeq {
+			return false, fmt.Errorf("%w: snapshot image covers %d, header says %d", ErrStreamCorrupt, seq, snapSeq)
+		}
+		f.snapshots.Add(1)
+		f.log.Info("replication snapshot loaded", "covers_seq", seq)
+		f.ack(ctx, seq)
+		f.applied.Store(seq)
+		applied, progress = seq, true
+	}
+
+	ap := wal.NewApplier(f.db, applied)
+	var sinceLastAck uint64
+	for {
+		rec, n, rerr := wal.ReadRecord(br)
+		switch {
+		case errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF):
+			// Network cut or primary shutdown: transient.
+			return progress, nil
+		case errors.Is(rerr, wal.ErrCorruptRecord):
+			return progress, fmt.Errorf("%w: %w", ErrStreamCorrupt, rerr)
+		case rerr != nil:
 			return progress, rerr
 		}
-		var c streamChunk
-		if jerr := json.Unmarshal(line, &c); jerr != nil {
-			return progress, fmt.Errorf("%w: undecodable frame: %w", ErrStreamCorrupt, jerr)
+		if aerr := ap.Apply(ctx, rec); aerr != nil {
+			if errors.Is(aerr, wal.ErrGap) {
+				return progress, fmt.Errorf("%w: %w", ErrStreamGap, aerr)
+			}
+			// ErrReplayDiverged (or a context cancellation mid-apply).
+			return progress, aerr
 		}
-		switch c.K {
-		case "hello":
-			if helloSeen {
-				return progress, fmt.Errorf("%w: duplicate hello", ErrStreamCorrupt)
-			}
-			helloSeen = true
-			if c.Seed != f.seed {
-				return progress, fmt.Errorf("%w: primary seed %d, replica seed %d", ErrSeedMismatch, c.Seed, f.seed)
-			}
-			applied := f.applied.Load()
-			if c.LastSeq < applied {
-				return progress, fmt.Errorf("%w: primary ends at %d, replica applied %d", ErrPrimaryBehind, c.LastSeq, applied)
-			}
-			f.primarySeq.Store(c.LastSeq)
-			if c.SnapSeq > 0 {
-				if c.SnapSeq < applied {
-					return progress, fmt.Errorf("%w: primary streams snapshot covering %d, replica applied %d", ErrPrimaryBehind, c.SnapSeq, applied)
-				}
-				expectSnap = true
-			} else {
-				ap = wal.NewApplier(f.db, applied)
-			}
-		case "snap":
-			if !helloSeen || !expectSnap || ap != nil {
-				return progress, fmt.Errorf("%w: unexpected snapshot chunk", ErrStreamCorrupt)
-			}
-			snapBuf = append(snapBuf, c.Data...)
-		case "snapend":
-			if !helloSeen || !expectSnap || ap != nil {
-				return progress, fmt.Errorf("%w: unexpected snapshot end", ErrStreamCorrupt)
-			}
-			if int64(len(snapBuf)) != c.Size || wal.Checksum(snapBuf) != c.CRC {
-				return progress, fmt.Errorf("%w: snapshot image %d bytes CRC %08x, expected %d bytes CRC %08x",
-					ErrStreamCorrupt, len(snapBuf), wal.Checksum(snapBuf), c.Size, c.CRC)
-			}
-			seq, derr := wal.DecodeSnapshotImage(snapBuf, f.db)
-			if derr != nil {
-				return progress, derr
-			}
-			snapBuf = nil
-			f.applied.Store(seq)
-			f.snapshots.Add(1)
-			f.log.Info("replication snapshot loaded", "covers_seq", seq)
-			ap = wal.NewApplier(f.db, seq)
-			progress = true
-			f.ack(ctx, seq)
-		case "rec":
-			if ap == nil {
-				return progress, fmt.Errorf("%w: record before handshake completed", ErrStreamCorrupt)
-			}
-			if wal.Checksum(c.Payload) != c.PCRC {
-				return progress, fmt.Errorf("%w: record %d payload CRC mismatch", ErrStreamCorrupt, c.Seq)
-			}
-			rec, derr := wal.DecodePayload(c.Payload)
-			if derr != nil {
-				return progress, fmt.Errorf("%w: record %d: %w", ErrStreamCorrupt, c.Seq, derr)
-			}
-			if rec.Seq != c.Seq {
-				return progress, fmt.Errorf("%w: frame says record %d, payload says %d", ErrStreamCorrupt, c.Seq, rec.Seq)
-			}
-			if aerr := ap.Apply(ctx, rec); aerr != nil {
-				if errors.Is(aerr, wal.ErrGap) {
-					return progress, fmt.Errorf("%w: %w", ErrStreamGap, aerr)
-				}
-				// ErrReplayDiverged (or a context cancellation mid-apply).
-				return progress, aerr
-			}
-			f.applied.Store(rec.Seq)
-			f.records.Add(1)
-			f.bytesIn.Add(uint64(len(c.Payload)))
-			if rec.Seq > f.primarySeq.Load() {
-				f.primarySeq.Store(rec.Seq)
-			}
-			progress = true
-			if sinceLastAck++; sinceLastAck >= ackEveryRecords {
-				sinceLastAck = 0
-				f.ack(ctx, rec.Seq)
-			}
-		case "ping":
-			if c.LastSeq > f.primarySeq.Load() {
-				f.primarySeq.Store(c.LastSeq)
-			}
-			if a := f.applied.Load(); a > f.acked.Load() {
-				f.ack(ctx, a)
-			}
-		default:
-			return progress, fmt.Errorf("%w: unknown frame kind %q", ErrStreamCorrupt, c.K)
+		f.records.Add(1)
+		f.bytesIn.Add(uint64(n))
+		if rec.Seq > f.primarySeq.Load() {
+			f.primarySeq.Store(rec.Seq)
 		}
+		progress = true
+		// Ack before publishing the new position, so a replica that
+		// reports having applied N has already told the primary.
+		if sinceLastAck++; sinceLastAck >= ackEveryRecords || br.Buffered() == 0 {
+			sinceLastAck = 0
+			f.ack(ctx, rec.Seq)
+		}
+		f.applied.Store(rec.Seq)
 	}
 }
 
 // ack reports applied progress to the primary, best-effort: a lost ack
 // only delays lag accounting, never correctness.
 func (f *Follower) ack(ctx context.Context, seq uint64) {
-	body, err := json.Marshal(ackRequest{Replica: f.id, Seq: seq})
+	q := url.Values{"replica": {f.id}, "seq": {strconv.FormatUint(seq, 10)}}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.base+AckPath+"?"+q.Encode(), nil)
 	if err != nil {
 		return
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.base+AckPath, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := f.client.Do(req)
 	if err != nil {
 		return
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
 	resp.Body.Close()
-	if seq > f.acked.Load() {
-		f.acked.Store(seq)
-	}
 }
 
 // WaitForSeq blocks until the follower has applied through seq, the
@@ -381,11 +338,13 @@ type FollowerStats struct {
 
 // Stats returns the follower's counters.
 func (f *Follower) Stats() FollowerStats {
-	st := FollowerStats{
+	applied, primary := f.applied.Load(), f.primarySeq.Load()
+	return FollowerStats{
 		Primary:         f.display,
 		ReplicaID:       f.id,
-		AppliedSeq:      f.applied.Load(),
-		PrimarySeq:      f.primarySeq.Load(),
+		AppliedSeq:      applied,
+		PrimarySeq:      primary,
+		LagRecords:      primary - min(primary, applied),
 		RecordsApplied:  f.records.Load(),
 		BytesApplied:    f.bytesIn.Load(),
 		SnapshotsLoaded: f.snapshots.Load(),
@@ -393,10 +352,6 @@ func (f *Follower) Stats() FollowerStats {
 		Connected:       f.connected.Load(),
 		FailStopped:     f.Err() != nil,
 	}
-	if st.PrimarySeq > st.AppliedSeq {
-		st.LagRecords = st.PrimarySeq - st.AppliedSeq
-	}
-	return st
 }
 
 // StatsMap flattens the follower's counters for the SHOW STATS repl scope.
@@ -419,25 +374,5 @@ func (f *Follower) StatsMap() map[string]float64 {
 		"reconnects":       float64(st.Reconnects),
 		"connected":        b2f(st.Connected),
 		"fail_stopped":     b2f(st.FailStopped),
-	}
-}
-
-// readLine reads one NDJSON line, bounding its length so a garbage stream
-// cannot balloon memory.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		part, err := br.ReadSlice('\n')
-		line = append(line, part...)
-		switch {
-		case err == nil:
-			return bytes.TrimRight(line, "\r\n"), nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			if len(line) > maxStreamLine {
-				return nil, fmt.Errorf("%w: stream line exceeds %d bytes", ErrStreamCorrupt, maxStreamLine)
-			}
-		default:
-			return nil, err
-		}
 	}
 }

@@ -1,35 +1,27 @@
 // Primary: the serving side of replication. It wraps the primary's
-// wal.Store, turns tail-follow subscriptions into NDJSON record streams,
-// streams snapshot files to bootstrapping replicas whose resume point was
-// pruned, and tracks per-replica progress from ack reports.
+// wal.Store, turns tail-follow subscriptions into record streams framed as
+// the log frames them on disk, streams snapshot files to bootstrapping
+// replicas whose resume point was pruned, and tracks per-replica progress
+// from ack reports.
 package repl
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pip/internal/wal"
 )
 
-// snapChunkSize is how many snapshot-image bytes ride in one snap frame.
-// Base64 inflates it by 4/3 on the wire; 256KiB keeps lines comfortably
-// under every reader buffer while amortizing per-frame JSON overhead.
-const snapChunkSize = 256 << 10
-
-// defaultPingEvery is how often an idle stream sends a keep-alive ping.
-// Pings also refresh the replica's view of the primary's position, so lag
-// metrics converge to zero within one interval of the last write.
-const defaultPingEvery = 3 * time.Second
+// maxReplicaID bounds a replica id. An id becomes a permanent key of the
+// primary's replica table, and both endpoints are mounted on the query
+// port too, so an unbounded id would let any client grow that table.
+const maxReplicaID = 128
 
 // Primary serves a store's log to replicas. Create one with NewPrimary and
 // mount Handler (or the two exported handlers) on the replication
@@ -37,9 +29,6 @@ const defaultPingEvery = 3 * time.Second
 type Primary struct {
 	store *wal.Store
 	seed  uint64
-	// PingEvery is the idle keep-alive interval (default 3s). Set it
-	// before serving; tests shorten it to converge lag quickly.
-	PingEvery time.Duration
 
 	mu       sync.Mutex
 	replicas map[string]*replicaInfo
@@ -63,10 +52,9 @@ type replicaInfo struct {
 // follower must match for replayed state to be bit-identical.
 func NewPrimary(store *wal.Store, seed uint64) *Primary {
 	return &Primary{
-		store:     store,
-		seed:      seed,
-		PingEvery: defaultPingEvery,
-		replicas:  map[string]*replicaInfo{},
+		store:    store,
+		seed:     seed,
+		replicas: map[string]*replicaInfo{},
 	}
 }
 
@@ -83,47 +71,41 @@ func (p *Primary) Handler() http.Handler {
 	return mux
 }
 
-// ServeStream handles GET /v1/repl/stream: an NDJSON stream of hello,
-// optional snapshot, then records from the requested resume point onward,
-// held open with pings while idle. The stream ends when the client goes
-// away, the store closes, or the subscriber falls so far behind that the
-// store drops it (the follower then reconnects and resumes).
+// ServeStream handles GET /v1/repl/stream: headers naming the seed and log
+// position, the newest snapshot file verbatim when the resume point was
+// pruned, then every record from there on, framed as in a segment file.
+// The stream ends when the client goes away, the store closes, or the
+// subscriber falls so far behind that the store drops it (the follower
+// then reconnects and resumes).
 func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
-	from, err := parseSeqParam(r.URL.Query().Get("from"))
+	replica, from, err := replicaRequest(r, "from")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	replica := r.URL.Query().Get("replica")
-	if replica == "" {
-		replica = r.RemoteAddr
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
 
-	hello := streamChunk{K: "hello", Seed: p.seed, LastSeq: p.store.Stats().LastSeq}
-	var snapImage []byte
+	lastSeq := p.store.Stats().LastSeq
+	var (
+		snapSeq   uint64
+		snapImage []byte
+	)
 	sub, err := p.store.Subscribe(from)
 	if errors.Is(err, wal.ErrCompacted) {
 		// The resume point was pruned: its records live only inside a
 		// snapshot now. Stream the newest snapshot and resume past it —
 		// pruning guarantees the records after any retained snapshot are
 		// still on disk, so the re-subscribe below cannot miss.
-		snapSeq, snapPath, found := p.store.NewestSnapshot()
+		var snapPath string
+		var found bool
+		snapSeq, snapPath, found = p.store.NewestSnapshot()
 		if !found {
 			http.Error(w, "records pruned but no snapshot present", http.StatusInternalServerError)
 			return
 		}
 		snapImage, err = os.ReadFile(snapPath)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		if err == nil {
+			sub, err = p.store.Subscribe(snapSeq + 1)
 		}
-		hello.SnapSeq = snapSeq
-		sub, err = p.store.Subscribe(snapSeq + 1)
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -131,120 +113,100 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sub.Close()
 
-	p.streamOpened(replica)
-	defer p.streamClosed(replica)
+	p.mu.Lock()
+	p.replicaLocked(replica).streams++
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.replicas[replica].streams--
+		p.mu.Unlock()
+	}()
 	p.streamsTotal.Add(1)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	send := func(c streamChunk) bool {
-		if err := enc.Encode(c); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	if !send(hello) {
-		return
-	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set(hdrSeed, strconv.FormatUint(p.seed, 10))
+	h.Set(hdrLastSeq, strconv.FormatUint(lastSeq, 10))
+	h.Set(hdrSnapshotSeq, strconv.FormatUint(snapSeq, 10))
+	h.Set(hdrSnapshotBytes, strconv.Itoa(len(snapImage)))
+	w.WriteHeader(http.StatusOK)
 	if snapImage != nil {
-		for off := 0; off < len(snapImage); off += snapChunkSize {
-			end := min(off+snapChunkSize, len(snapImage))
-			if !send(streamChunk{K: "snap", Data: snapImage[off:end]}) {
-				return
-			}
-		}
-		if !send(streamChunk{K: "snapend", CRC: wal.Checksum(snapImage), Size: int64(len(snapImage))}) {
+		if _, err := w.Write(snapImage); err != nil {
 			return
 		}
 		p.snapshotsShipped.Add(1)
 	}
-
-	ping := p.PingEvery
-	if ping <= 0 {
-		ping = defaultPingEvery
+	rc := http.NewResponseController(w)
+	if rc.Flush() != nil {
+		return
 	}
+
+	var frame []byte
 	for {
-		waitCtx, cancel := context.WithTimeout(r.Context(), ping)
-		rec, err := sub.Next(waitCtx)
-		cancel()
-		switch {
-		case err == nil:
-			payload, perr := wal.EncodePayload(rec)
-			if perr != nil {
-				// The record encoded once already when the store appended
-				// it, so this cannot happen; end the stream rather than
-				// ship a frame we cannot checksum.
-				return
-			}
-			if !send(streamChunk{K: "rec", Seq: rec.Seq, Payload: payload, PCRC: wal.Checksum(payload)}) {
-				return
-			}
-			p.recordsShipped.Add(1)
-			p.bytesShipped.Add(uint64(len(payload)))
-		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
-			if !send(streamChunk{K: "ping", LastSeq: p.store.Stats().LastSeq}) {
-				return
-			}
-		default:
-			// Client gone, store closed, or subscriber lagged out: end the
-			// stream and let the follower reconnect from its own position.
+		// Client gone, store closed, or subscriber lagged out: end the
+		// stream and let the follower reconnect from its own position.
+		rec, err := sub.Next(r.Context())
+		if err != nil {
 			return
 		}
+		if frame, err = wal.AppendRecord(frame[:0], rec); err != nil {
+			// The record encoded once already when the store appended
+			// it, so this cannot happen.
+			return
+		}
+		if _, err := w.Write(frame); err != nil || rc.Flush() != nil {
+			return
+		}
+		p.recordsShipped.Add(1)
+		p.bytesShipped.Add(uint64(len(frame) - wal.FrameHeaderLen))
 	}
 }
 
-// maxAckBody bounds the body of an ack, {"replica":…,"seq":…}: room for any
-// sensible replica id, and far below what could make a hostile client on
-// the query port (which mounts this handler too) cost the primary memory.
-const maxAckBody = 1 << 10
-
-// ServeAck handles POST /v1/repl/ack: record a replica's applied position.
-// A body over maxAckBody is refused with 413 before it is decoded.
+// ServeAck handles POST /v1/repl/ack?replica=ID&seq=N: record that the
+// replica has applied every record through N. The body is ignored.
 func (p *Primary) ServeAck(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAckBody))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		http.Error(w, "ack body too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	var req ackRequest
-	if err != nil || json.Unmarshal(body, &req) != nil || req.Replica == "" {
-		http.Error(w, "malformed ack", http.StatusBadRequest)
+	replica, seq, err := replicaRequest(r, "seq")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	p.mu.Lock()
-	ri := p.replicas[req.Replica]
-	if ri == nil {
-		ri = &replicaInfo{}
-		p.replicas[req.Replica] = ri
-	}
-	if req.Seq > ri.acked {
-		ri.acked = req.Seq
-	}
+	ri := p.replicaLocked(replica)
+	ri.acked = max(ri.acked, seq)
 	p.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// streamOpened registers a replica's live stream.
-func (p *Primary) streamOpened(replica string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ri := p.replicas[replica]
-	if ri == nil {
-		ri = &replicaInfo{}
-		p.replicas[replica] = ri
+// replicaRequest reads the two query parameters both endpoints take: the
+// replica id, falling back to the client's address and refused unless it
+// is 1 to maxReplicaID bytes, and the sequence number named seqParam
+// (empty means 1).
+func replicaRequest(r *http.Request, seqParam string) (id string, seq uint64, err error) {
+	q := r.URL.Query()
+	if id = q.Get("replica"); id == "" {
+		id = r.RemoteAddr
 	}
-	ri.streams++
+	if id == "" || len(id) > maxReplicaID {
+		return "", 0, fmt.Errorf("replica id must be 1 to %d bytes, got %d", maxReplicaID, len(id))
+	}
+	seq = 1
+	if v := q.Get(seqParam); v != "" {
+		if seq, err = strconv.ParseUint(v, 10, 64); err != nil || seq == 0 {
+			return "", 0, fmt.Errorf("malformed %s parameter %q", seqParam, v)
+		}
+	}
+	return id, seq, nil
 }
 
-// streamClosed drops a replica's live stream registration.
-func (p *Primary) streamClosed(replica string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ri := p.replicas[replica]; ri != nil {
-		ri.streams--
+// replicaLocked returns the entry for replica id, creating it on first
+// sight. The caller holds p.mu.
+func (p *Primary) replicaLocked(id string) *replicaInfo {
+	ri := p.replicas[id]
+	if ri == nil {
+		ri = &replicaInfo{}
+		p.replicas[id] = ri
 	}
+	return ri
 }
 
 // ReplicaStatus is the primary's view of one replica for telemetry.
@@ -286,10 +248,7 @@ func (p *Primary) Stats() PrimaryStats {
 	sort.Strings(ids)
 	for _, id := range ids {
 		ri := p.replicas[id]
-		rs := ReplicaStatus{ID: id, AckedSeq: ri.acked, Connected: ri.streams > 0}
-		if last > ri.acked {
-			rs.LagRecords = last - ri.acked
-		}
+		rs := ReplicaStatus{ID: id, AckedSeq: ri.acked, LagRecords: last - min(last, ri.acked), Connected: ri.streams > 0}
 		if rs.Connected {
 			st.ConnectedReplicas++
 		}
@@ -306,9 +265,7 @@ func (p *Primary) StatsMap() map[string]float64 {
 	st := p.Stats()
 	var maxLag uint64
 	for _, r := range st.Replicas {
-		if r.LagRecords > maxLag {
-			maxLag = r.LagRecords
-		}
+		maxLag = max(maxLag, r.LagRecords)
 	}
 	return map[string]float64{
 		"role_primary":       1,
@@ -321,16 +278,4 @@ func (p *Primary) StatsMap() map[string]float64 {
 		"streams_total":      float64(st.StreamsTotal),
 		"max_replica_lag":    float64(maxLag),
 	}
-}
-
-// parseSeqParam parses the from query parameter (empty means 1).
-func parseSeqParam(s string) (uint64, error) {
-	if s == "" {
-		return 1, nil
-	}
-	n, err := strconv.ParseUint(s, 10, 64)
-	if err != nil || n == 0 {
-		return 0, fmt.Errorf("malformed from parameter %q", s)
-	}
-	return n, nil
 }

@@ -16,20 +16,24 @@
 // One Primary wraps the primary's wal.Store and serves two HTTP endpoints
 // (mounted on pipd's -replicate-addr listener):
 //
-//	GET  /v1/repl/stream?from=N&replica=ID   NDJSON record stream
-//	POST /v1/repl/ack                        replica progress reports
+//	GET  /v1/repl/stream?from=N&replica=ID   the log from record N onward
+//	POST /v1/repl/ack?replica=ID&seq=N       replica progress report
 //
-// A stream opens with a hello frame carrying the primary's boot seed and
-// log position. When the requested resume point is still on disk the
-// primary streams records directly; when pruning has compacted it into a
-// snapshot, the primary first streams the newest snapshot file in chunks
-// (snap frames, then a snapend with checksum), and the record stream
-// resumes past its coverage. Record frames carry the exact payload bytes
-// the WAL's CRC-32C protects, re-verified on the replica, so the wire
-// cannot silently corrupt a statement.
+// A stream's response headers say where it starts: Pip-Seed is the
+// primary's boot seed, Pip-Last-Seq its newest record, and
+// Pip-Snapshot-Seq / Pip-Snapshot-Bytes the coverage and size of the
+// snapshot the body opens with (both 0 when none is needed). When the
+// requested resume point is still on disk the body is records only; when
+// pruning has compacted it into a snapshot, the body starts with the
+// newest snapshot file verbatim and the records resume past its coverage.
+// Records are framed exactly as in a segment file — u32 length, u32
+// CRC-32C, payload — and read back by the WAL's own frame decoder, so the
+// bytes on the wire are the bytes on disk and the replica verifies the
+// checksum the primary's log stores. Order is fixed by position, so there
+// are no frame kinds to police.
 //
-// A Follower owns the replica side: connect → hello → (snapshot load) →
-// replay → live apply, acking applied sequence numbers back for the
+// A Follower owns the replica side: connect → header checks → (snapshot
+// load) → replay → live apply, acking applied sequence numbers back for the
 // primary's lag accounting, and reconnecting with resume-from-seq after
 // network failures. Failures of integrity — corrupt or out-of-order
 // frames, a seed mismatch, a replay whose outcome contradicts the logged
@@ -55,10 +59,11 @@ const (
 // are terminal for a follower: it latches the error, stops applying, and
 // Run returns it (transient network failures, by contrast, reconnect).
 var (
-	// ErrStreamCorrupt reports a stream frame that failed its checksum,
-	// decode, or protocol-shape checks — the bytes on the wire are not the
-	// bytes the primary's log holds.
-	ErrStreamCorrupt = errors.New("repl: corrupt replication stream frame")
+	// ErrStreamCorrupt reports a stream whose headers are malformed or
+	// contradict its body, or a frame that failed its length, checksum or
+	// decode checks — the bytes on the wire are not the bytes the
+	// primary's log holds.
+	ErrStreamCorrupt = errors.New("repl: corrupt replication stream")
 	// ErrStreamGap reports records arriving out of sequence: a gap or
 	// reordering the replica cannot apply without breaking the
 	// same-log ⇒ same-catalog contract.
@@ -74,38 +79,13 @@ var (
 	ErrPrimaryBehind = errors.New("repl: primary log is behind this replica")
 )
 
-// streamChunk is one NDJSON line of a replication stream. K selects the
-// variant:
-//
-//	"hello"   opens the stream: Seed is the primary's boot world seed,
-//	          LastSeq its newest record, SnapSeq the coverage of the
-//	          snapshot about to be streamed (0 when none is needed)
-//	"snap"    one chunk of the snapshot image in Data (base64 via JSON)
-//	"snapend" ends the snapshot: CRC and Size cover the whole image
-//	"rec"     one log record: Seq, the WAL payload bytes in Payload, and
-//	          PCRC, the payload's CRC-32C as the primary's log stores it
-//	"ping"    keep-alive carrying the primary's LastSeq for lag tracking
-type streamChunk struct {
-	K       string `json:"k"`
-	Seed    uint64 `json:"seed,omitempty"`
-	LastSeq uint64 `json:"last_seq,omitempty"`
-	SnapSeq uint64 `json:"snap_seq,omitempty"`
-	Data    []byte `json:"data,omitempty"`
-	CRC     uint32 `json:"crc,omitempty"`
-	Size    int64  `json:"size,omitempty"`
-	Seq     uint64 `json:"seq,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
-	PCRC    uint32 `json:"pcrc,omitempty"`
-}
-
-// ackRequest is a replica's progress report: every record through Seq has
-// been applied. The primary uses it for per-replica lag accounting only;
-// acks carry no correctness weight (re-sending an applied record is
-// impossible because the replica names its own resume point).
-type ackRequest struct {
-	Replica string `json:"replica"`
-	Seq     uint64 `json:"seq"`
-}
+// Response headers of a stream; each value is a decimal integer.
+const (
+	hdrSeed          = "Pip-Seed"
+	hdrLastSeq       = "Pip-Last-Seq"
+	hdrSnapshotSeq   = "Pip-Snapshot-Seq"
+	hdrSnapshotBytes = "Pip-Snapshot-Bytes"
+)
 
 // normalizePrimary turns the user-facing primary address forms —
 // "host:port", "pip://host:port", "http://host:port" — into an http base

@@ -3,13 +3,19 @@ package repl
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +81,6 @@ func newPrimaryFixture(t *testing.T, seed uint64) *primaryFixture {
 	}
 	t.Cleanup(func() { store.Close() })
 	prim := NewPrimary(store, seed)
-	prim.PingEvery = 20 * time.Millisecond
 	ts := httptest.NewServer(prim.Handler())
 	t.Cleanup(ts.Close)
 	return &primaryFixture{db: db, store: store, prim: prim, ts: ts}
@@ -171,9 +176,10 @@ func TestFollowerBitIdentity(t *testing.T) {
 		t.Fatalf("replica session DDL: got %v, want ErrReadOnly", err)
 	}
 
-	// Lag accounting converges: the primary sees the replica acked at its
-	// own tail within a ping interval or two.
-	deadline := time.Now().Add(5 * time.Second)
+	// Lag accounting converges with no keep-alive traffic: the follower
+	// acks once it has applied everything it read, so the primary sees
+	// the replica acked at its own tail right after the last commit.
+	deadline := time.Now().Add(time.Second)
 	for {
 		st := fx.prim.Stats()
 		if len(st.Replicas) == 1 && st.Replicas[0].ID == "r1" &&
@@ -271,7 +277,6 @@ func TestFollowerReconnectResume(t *testing.T) {
 	}
 	defer store.Close()
 	prim := NewPrimary(store, 7)
-	prim.PingEvery = 20 * time.Millisecond
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -336,20 +341,34 @@ func TestFollowerReconnectResume(t *testing.T) {
 	}
 }
 
-// fakePrimary serves a scripted NDJSON stream (and swallows acks), for
-// driving the follower's integrity checks with malformed input no real
-// primary would produce.
-func fakePrimary(t *testing.T, chunks ...streamChunk) *httptest.Server {
+// fakeStream is a scripted stream response: the four header values and
+// the body.
+type fakeStream struct {
+	seed, lastSeq, snapSeq, snapBytes uint64
+	body                              []byte
+}
+
+// serve writes fs as a primary would answer GET /v1/repl/stream.
+func (fs fakeStream) serve(w http.ResponseWriter) {
+	h := w.Header()
+	h.Set(hdrSeed, strconv.FormatUint(fs.seed, 10))
+	h.Set(hdrLastSeq, strconv.FormatUint(fs.lastSeq, 10))
+	h.Set(hdrSnapshotSeq, strconv.FormatUint(fs.snapSeq, 10))
+	h.Set(hdrSnapshotBytes, strconv.FormatUint(fs.snapBytes, 10))
+	w.Write(fs.body)
+}
+
+// fakePrimary serves a scripted stream (and swallows acks), for driving
+// the follower's integrity checks with malformed input no real primary
+// would produce.
+func fakePrimary(t *testing.T, fs fakeStream) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+AckPath, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET "+StreamPath, func(w http.ResponseWriter, r *http.Request) {
-		enc := json.NewEncoder(w)
-		for _, c := range chunks {
-			enc.Encode(c)
-		}
+		fs.serve(w)
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -379,29 +398,60 @@ func runUntilFatal(t *testing.T, ts *httptest.Server, seed uint64) error {
 	return err
 }
 
-// encodeRecord builds a valid wire payload for one logged statement.
-func encodeRecord(t *testing.T, seq uint64, text string, failed bool) streamChunk {
+// encodeRecord frames one logged statement exactly as a segment file holds
+// it.
+func encodeRecord(t *testing.T, seq uint64, text string, failed bool) []byte {
 	t.Helper()
-	payload, err := wal.EncodePayload(wal.Record{Seq: seq, M: core.Mutation{
+	frame, err := wal.AppendRecord(nil, wal.Record{Seq: seq, M: core.Mutation{
 		Session: core.RootSessionID, Seed: 7, Text: text, Failed: failed,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return streamChunk{K: "rec", Seq: seq, Payload: payload, PCRC: wal.Checksum(payload)}
+	return frame
+}
+
+// snapshotImage returns a real snapshot file of a seed-7 store and the
+// sequence number it covers.
+func snapshotImage(t *testing.T) ([]byte, uint64) {
+	t.Helper()
+	fx := newPrimaryFixture(t, 7)
+	mustExec(t, fx.db, "CREATE TABLE t (a)")
+	mustExec(t, fx.db, "INSERT INTO t VALUES (1)")
+	if err := fx.store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	seq, path, ok := fx.store.NewestSnapshot()
+	if !ok {
+		t.Fatal("no snapshot after Snapshot")
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, seq
 }
 
 func TestFollowerSeedMismatchFailStops(t *testing.T) {
-	ts := fakePrimary(t, streamChunk{K: "hello", Seed: 99, LastSeq: 0})
+	ts := fakePrimary(t, fakeStream{seed: 99})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrSeedMismatch) {
 		t.Fatalf("got %v, want ErrSeedMismatch", err)
 	}
 }
 
 func TestFollowerCorruptFrameFailStops(t *testing.T) {
-	rec := encodeRecord(t, 1, "CREATE TABLE t (a)", false)
-	rec.PCRC ^= 0xdeadbeef // bit rot on the wire
-	ts := fakePrimary(t, streamChunk{K: "hello", Seed: 7, LastSeq: 1}, rec)
+	frame := encodeRecord(t, 1, "CREATE TABLE t (a)", false)
+	frame[4] ^= 0xef // bit rot on the wire, in the frame's CRC
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 1, body: frame})
+	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrStreamCorrupt) {
+		t.Fatalf("got %v, want ErrStreamCorrupt", err)
+	}
+}
+
+func TestFollowerImplausibleFrameLengthFailStops(t *testing.T) {
+	frame := encodeRecord(t, 1, "CREATE TABLE t (a)", false)
+	binary.LittleEndian.PutUint32(frame, 1<<31) // past the log's record bound
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 1, body: frame})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrStreamCorrupt) {
 		t.Fatalf("got %v, want ErrStreamCorrupt", err)
 	}
@@ -409,9 +459,10 @@ func TestFollowerCorruptFrameFailStops(t *testing.T) {
 
 func TestFollowerUndecodablePayloadFailStops(t *testing.T) {
 	garbage := []byte("not a wal payload")
-	ts := fakePrimary(t,
-		streamChunk{K: "hello", Seed: 7, LastSeq: 1},
-		streamChunk{K: "rec", Seq: 1, Payload: garbage, PCRC: wal.Checksum(garbage)})
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(garbage)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(garbage, crc32.MakeTable(crc32.Castagnoli)))
+	frame = append(frame, garbage...)
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 1, body: frame})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrStreamCorrupt) {
 		t.Fatalf("got %v, want ErrStreamCorrupt", err)
 	}
@@ -419,9 +470,7 @@ func TestFollowerUndecodablePayloadFailStops(t *testing.T) {
 
 func TestFollowerReorderedStreamFailStops(t *testing.T) {
 	// Record 2 arrives where record 1 belongs: a gap the applier refuses.
-	ts := fakePrimary(t,
-		streamChunk{K: "hello", Seed: 7, LastSeq: 2},
-		encodeRecord(t, 2, "CREATE TABLE t (a)", false))
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 2, body: encodeRecord(t, 2, "CREATE TABLE t (a)", false)})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrStreamGap) {
 		t.Fatalf("got %v, want ErrStreamGap", err)
 	}
@@ -430,9 +479,7 @@ func TestFollowerReorderedStreamFailStops(t *testing.T) {
 func TestFollowerReplayDivergenceFailStops(t *testing.T) {
 	// The primary logged this insert as a success; on the replica the
 	// table does not exist, so the outcome contradicts the log.
-	ts := fakePrimary(t,
-		streamChunk{K: "hello", Seed: 7, LastSeq: 1},
-		encodeRecord(t, 1, "INSERT INTO nosuch VALUES (1)", false))
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 1, body: encodeRecord(t, 1, "INSERT INTO nosuch VALUES (1)", false)})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, wal.ErrReplayDiverged) {
 		t.Fatalf("got %v, want ErrReplayDiverged", err)
 	}
@@ -440,10 +487,7 @@ func TestFollowerReplayDivergenceFailStops(t *testing.T) {
 
 func TestFollowerCorruptSnapshotImageFailStops(t *testing.T) {
 	img := []byte("PIPSNP01 but not really a snapshot")
-	ts := fakePrimary(t,
-		streamChunk{K: "hello", Seed: 7, LastSeq: 1, SnapSeq: 1},
-		streamChunk{K: "snap", Data: img},
-		streamChunk{K: "snapend", CRC: wal.Checksum(img), Size: int64(len(img))})
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 1, snapSeq: 1, snapBytes: uint64(len(img)), body: img})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, wal.ErrSnapshotCorrupt) {
 		t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 	}
@@ -451,17 +495,43 @@ func TestFollowerCorruptSnapshotImageFailStops(t *testing.T) {
 
 func TestFollowerTruncatedSnapshotFailStops(t *testing.T) {
 	img := []byte("some snapshot image bytes")
-	ts := fakePrimary(t,
-		streamChunk{K: "hello", Seed: 7, LastSeq: 1, SnapSeq: 1},
-		streamChunk{K: "snap", Data: img[:10]},
-		streamChunk{K: "snapend", CRC: wal.Checksum(img), Size: int64(len(img))})
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 1, snapSeq: 1, snapBytes: uint64(len(img)), body: img[:10]})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrStreamCorrupt) {
 		t.Fatalf("got %v, want ErrStreamCorrupt", err)
 	}
 }
 
+// TestFollowerSnapshotSeqMismatchFailStops: a valid image whose covered
+// sequence is not the one Pip-Snapshot-Seq announced is refused.
+func TestFollowerSnapshotSeqMismatchFailStops(t *testing.T) {
+	img, seq := snapshotImage(t)
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: seq + 1, snapSeq: seq + 1, snapBytes: uint64(len(img)), body: img})
+	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrStreamCorrupt) {
+		t.Fatalf("got %v, want ErrStreamCorrupt", err)
+	}
+}
+
+// TestFollowerHugeSnapshotHeader: a primary declaring a 1 TiB snapshot and
+// sending 10 bytes costs the follower the bytes sent, not the bytes
+// declared, and ends the epoch in an error Run either retries or latches
+// as ErrStreamCorrupt.
+func TestFollowerHugeSnapshotHeader(t *testing.T) {
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 1, snapSeq: 1, snapBytes: 1 << 40, body: []byte("PIPSNP01xx")})
+	f := NewFollower(newDB(7), FollowerOptions{Primary: ts.URL, Seed: 7})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := f.streamOnce(context.Background())
+	runtime.ReadMemStats(&after)
+	if err != nil && isFatal(err) && !errors.Is(err, ErrStreamCorrupt) {
+		t.Fatalf("got %v, want a transient error or ErrStreamCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("reading a 10-byte body allocated %d bytes", grew)
+	}
+}
+
 func TestFollowerPrimaryBehindFailStops(t *testing.T) {
-	ts := fakePrimary(t, streamChunk{K: "hello", Seed: 7, LastSeq: 2})
+	ts := fakePrimary(t, fakeStream{seed: 7, lastSeq: 2})
 	f := NewFollower(newDB(7), FollowerOptions{
 		Primary:          ts.URL,
 		Seed:             7,
@@ -475,29 +545,88 @@ func TestFollowerPrimaryBehindFailStops(t *testing.T) {
 	}
 }
 
-// TestServeAckBodyLimit: an ack is read through a small body limit. A 1 MiB
-// body — a valid ack padded with whitespace, or one carrying a megabyte
-// replica id — is refused with 413 and changes no replica's progress.
-func TestServeAckBodyLimit(t *testing.T) {
-	fx := newPrimaryFixture(t, 7)
-	post := func(body string) int {
-		rec := httptest.NewRecorder()
-		fx.prim.ServeAck(rec, httptest.NewRequest(http.MethodPost, AckPath, strings.NewReader(body)))
-		return rec.Code
+// TestStreamIsTheLogOnDisk: for a store that was never snapshotted, the
+// stream from record 1 is the four headers and then, byte for byte, the
+// segment files' bodies after their magic.
+func TestStreamIsTheLogOnDisk(t *testing.T) {
+	db := newDB(7)
+	dir := t.TempDir()
+	store, _, err := wal.Open(dir, db, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := post(`{"replica":"r1","seq":0}`); code != http.StatusNoContent {
-		t.Fatalf("well-formed ack: HTTP %d", code)
+	defer store.Close()
+	mustExec(t, db, "CREATE TABLE orders (cust, price)")
+	mustExec(t, db, "INSERT INTO orders VALUES ('Joe', CREATE_VARIABLE('Normal', 100, 10))")
+	if _, err := sql.Exec(db, "INSERT INTO nosuch VALUES (1)"); err == nil {
+		t.Fatal("insert into a missing table succeeded")
+	} // and is logged, as failed
+	mustExec(t, db, "SET samples = 500")
+	ts := httptest.NewServer(NewPrimary(store, 7).Handler())
+	defer ts.Close()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (%v)", dir, err)
 	}
-	before := fx.prim.Stats().Replicas
-	for name, body := range map[string]string{
-		"padded":  `{"replica":"r2","seq":9}` + strings.Repeat(" ", 1<<20),
-		"long id": `{"replica":"` + strings.Repeat("r", 1<<20) + `","seq":9}`,
-	} {
-		if code := post(body); code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s 1 MiB ack: HTTP %d, want 413", name, code)
+	var disk []byte
+	for _, path := range segs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk = append(disk, b[len("PIPWAL01"):]...)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+StreamPath+"?from=1&replica=t", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	for name, want := range map[string]string{hdrSeed: "7", hdrLastSeq: "4", hdrSnapshotSeq: "0", hdrSnapshotBytes: "0"} {
+		if got := resp.Header.Get(name); got != want {
+			t.Errorf("header %s = %q, want %q", name, got, want)
 		}
 	}
+	wire := make([]byte, len(disk))
+	if _, err := io.ReadFull(resp.Body, wire); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wire, disk) {
+		t.Fatalf("stream body differs from the segment bodies:\n wire %x\n disk %x", wire, disk)
+	}
+}
+
+// TestReplicaIDBound: both endpoints take the replica id from the query
+// and refuse one longer than maxReplicaID bytes with 400, before it can
+// become a key of the primary's replica table.
+func TestReplicaIDBound(t *testing.T) {
+	fx := newPrimaryFixture(t, 7)
+	ack := func(id string) int {
+		rec := httptest.NewRecorder()
+		fx.prim.ServeAck(rec, httptest.NewRequest(http.MethodPost, AckPath+"?seq=9&replica="+id, nil))
+		return rec.Code
+	}
+	if code := ack(strings.Repeat("r", maxReplicaID)); code != http.StatusNoContent {
+		t.Fatalf("ack with a %d-byte id: HTTP %d", maxReplicaID, code)
+	}
+	before := fx.prim.Stats().Replicas
+	long := strings.Repeat("r", 1<<20)
+	if code := ack(long); code != http.StatusBadRequest {
+		t.Errorf("ack with a 1 MiB id: HTTP %d, want 400", code)
+	}
+	// An accepted stream would stay open; the deadline ends it.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	fx.prim.ServeStream(rec, httptest.NewRequestWithContext(ctx, http.MethodGet, StreamPath+"?from=1&replica="+long, nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("stream with a 1 MiB id: HTTP %d, want 400", rec.Code)
+	}
 	if after := fx.prim.Stats().Replicas; !reflect.DeepEqual(after, before) {
-		t.Fatalf("refused acks changed replica progress (%d replicas known, was %d)", len(after), len(before))
+		t.Fatalf("refused requests changed replica progress (%d replicas known, was %d)", len(after), len(before))
 	}
 }

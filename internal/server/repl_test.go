@@ -27,7 +27,6 @@ func replPair(t *testing.T, seed uint64) (primAddr, replAddr string, prim *repl.
 	}
 	t.Cleanup(func() { store.Close() })
 	prim = repl.NewPrimary(store, seed)
-	prim.PingEvery = 20 * time.Millisecond
 	psrv := New(Config{DB: pdb, WAL: store, Repl: prim})
 	pts := httptest.NewServer(psrv.Handler())
 	t.Cleanup(func() { pts.Close(); psrv.Close() })

@@ -10,9 +10,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"pip/internal/core"
 	"pip/internal/ctable"
@@ -20,6 +22,10 @@ import (
 
 // recordVersion is the current record payload encoding version.
 const recordVersion = 1
+
+// FrameHeaderLen is the size of a frame's header: the u32 payload length
+// and the u32 CRC-32C that precede every payload.
+const FrameHeaderLen = 8
 
 // maxRecordLen bounds a record frame's declared payload length; anything
 // larger is treated as corruption rather than allocated.
@@ -56,20 +62,6 @@ func AppendRecord(buf []byte, r Record) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 	return append(buf, payload...), nil
-}
-
-// EncodePayload returns r's unframed payload encoding — the bytes a frame's
-// CRC covers and DecodePayload inverts. The replication stream ships
-// records in this form (with its own framing), so primary and replica
-// agree on the exact bytes the checksum protects.
-func EncodePayload(r Record) ([]byte, error) {
-	return appendPayload(nil, r)
-}
-
-// Checksum returns the CRC-32C (Castagnoli) checksum the log and the
-// replication stream use for payload and snapshot integrity.
-func Checksum(p []byte) uint32 {
-	return crc32.Checksum(p, castagnoli)
 }
 
 // appendPayload appends the unframed record payload.
@@ -137,6 +129,69 @@ func DecodePayload(p []byte) (Record, error) {
 	return r, nil
 }
 
+// frameHeader parses the frame header at the start of hdr (at least
+// FrameHeaderLen bytes) — the one place a frame header is read — and
+// returns the whole frame's length and its payload's CRC. ok is false when
+// the declared payload length is implausible. It builds no error, so
+// tailHoldsRecord can probe every byte offset of a damaged tail cheaply.
+func frameHeader(hdr []byte) (n int, crc uint32, ok bool) {
+	length := int(binary.LittleEndian.Uint32(hdr))
+	return FrameHeaderLen + length, binary.LittleEndian.Uint32(hdr[4:]), length > 0 && length <= maxRecordLen
+}
+
+// decodeFrame decodes the frame at the start of b and returns its record
+// and length. It fails with ErrTruncatedTail when b ends before the frame
+// does, and with ErrCorruptRecord for an implausible length, a CRC
+// mismatch or an undecodable payload.
+func decodeFrame(b []byte) (Record, int, error) {
+	if len(b) < FrameHeaderLen {
+		return Record{}, 0, fmt.Errorf("%w: %d dangling header bytes", ErrTruncatedTail, len(b))
+	}
+	n, crc, ok := frameHeader(b)
+	if !ok {
+		return Record{}, 0, fmt.Errorf("%w: implausible frame length %d", ErrCorruptRecord, n-FrameHeaderLen)
+	}
+	if len(b) < n {
+		return Record{}, 0, fmt.Errorf("%w: frame of %d bytes cut to %d", ErrTruncatedTail, n-FrameHeaderLen, len(b)-FrameHeaderLen)
+	}
+	if crc32.Checksum(b[FrameHeaderLen:n], castagnoli) != crc {
+		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
+	}
+	r, err := DecodePayload(b[FrameHeaderLen:n])
+	return r, n, err
+}
+
+// ReadRecord reads one frame from r — a stream laid out like a segment
+// body after its magic, as the replication stream's records are — and
+// returns its record and payload length. The frame is buffered as it
+// arrives, so a hostile length costs memory only for bytes actually sent.
+// It returns io.EOF when r ends cleanly between frames,
+// io.ErrUnexpectedEOF when it ends inside one, r's own read errors, and
+// errors wrapping ErrCorruptRecord as decodeFrame does.
+func ReadRecord(r io.Reader) (Record, int, error) {
+	var frame bytes.Buffer
+	if _, err := io.CopyN(&frame, r, FrameHeaderLen); err != nil {
+		if err == io.EOF && frame.Len() > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Record{}, 0, err
+	}
+	// Past an implausible length nothing is read; decodeFrame reports it.
+	if n, _, ok := frameHeader(frame.Bytes()); ok {
+		if _, err := io.CopyN(&frame, r, int64(n-FrameHeaderLen)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Record{}, 0, err
+		}
+	}
+	rec, n, err := decodeFrame(frame.Bytes())
+	if err != nil {
+		return Record{}, 0, err
+	}
+	return rec, n - FrameHeaderLen, nil
+}
+
 // scanSegment walks the framed records of one segment body (magic already
 // stripped), verifying sequence continuity starting at firstSeq. It returns
 // the valid records, the byte length of the valid prefix, and the typed
@@ -148,23 +203,7 @@ func scanSegment(body []byte, firstSeq uint64) (recs []Record, goodLen int, tail
 	off := 0
 	next := firstSeq
 	for off < len(body) {
-		rem := len(body) - off
-		if rem < 8 {
-			return recs, off, fmt.Errorf("%w: %d dangling header bytes at offset %d", ErrTruncatedTail, rem, off)
-		}
-		length := int(binary.LittleEndian.Uint32(body[off:]))
-		if length == 0 || length > maxRecordLen {
-			return recs, off, fmt.Errorf("%w: implausible frame length %d at offset %d", ErrCorruptRecord, length, off)
-		}
-		if rem < 8+length {
-			return recs, off, fmt.Errorf("%w: frame of %d bytes cut to %d at offset %d", ErrTruncatedTail, length, rem-8, off)
-		}
-		wantCRC := binary.LittleEndian.Uint32(body[off+4:])
-		payload := body[off+8 : off+8+length]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return recs, off, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorruptRecord, off)
-		}
-		r, err := DecodePayload(payload)
+		r, n, err := decodeFrame(body[off:])
 		if err != nil {
 			return recs, off, fmt.Errorf("record at offset %d: %w", off, err)
 		}
@@ -172,7 +211,7 @@ func scanSegment(body []byte, firstSeq uint64) (recs []Record, goodLen int, tail
 			return recs, off, fmt.Errorf("%w: record %d where %d expected at offset %d", ErrGap, r.Seq, next, off)
 		}
 		next++
-		off += 8 + length
+		off += n
 		recs = append(recs, r)
 	}
 	return recs, off, nil

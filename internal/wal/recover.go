@@ -9,9 +9,7 @@ package wal
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,7 +146,7 @@ func recoverState(dir string, db *core.DB, repair bool) (*RecoveryInfo, layout, 
 				info.TailErr = fmt.Errorf("%w: segment %s cut off during creation", ErrTruncatedTail, segName(first))
 				info.TailTruncated = int64(len(data))
 				if repair {
-					if werr := rewriteSegmentHeader(dir, path); werr != nil {
+					if werr := durably(dir, path, os.WriteFile(path, []byte(segMagic), 0o644)); werr != nil {
 						return info, lay, werr
 					}
 				}
@@ -178,7 +176,7 @@ func recoverState(dir string, db *core.DB, repair bool) (*RecoveryInfo, layout, 
 			info.TailErr = fmt.Errorf("segment %s: %w", segName(first), tailErr)
 			info.TailTruncated = int64(len(data) - len(segMagic) - goodLen)
 			if repair {
-				if werr := truncateSegment(dir, path, int64(len(segMagic)+goodLen)); werr != nil {
+				if werr := durably(dir, path, os.Truncate(path, int64(len(segMagic)+goodLen))); werr != nil {
 					return info, lay, werr
 				}
 			}
@@ -233,52 +231,34 @@ func recoverState(dir string, db *core.DB, repair bool) (*RecoveryInfo, layout, 
 // sequence numbers below next are ignored: a duplicate of an
 // already-recovered frame loses nothing when dropped.
 func tailHoldsRecord(tail []byte, next uint64) int {
-	for off := 0; off+8 < len(tail); off++ {
-		length := int(binary.LittleEndian.Uint32(tail[off:]))
-		if length == 0 || length > maxRecordLen || off+8+length > len(tail) {
+	for off := 0; off+FrameHeaderLen < len(tail); off++ {
+		if n, _, ok := frameHeader(tail[off:]); !ok || off+n > len(tail) {
 			continue
 		}
-		payload := tail[off+8 : off+8+length]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(tail[off+4:]) {
-			continue
-		}
-		if r, err := DecodePayload(payload); err == nil && r.Seq >= next {
+		if r, _, err := decodeFrame(tail[off:]); err == nil && r.Seq >= next {
 			return off
 		}
 	}
 	return -1
 }
 
-// rewriteSegmentHeader resets a creation-torn segment file to exactly the
-// magic header, durably.
-func rewriteSegmentHeader(dir, path string) error {
-	if err := os.WriteFile(path, []byte(segMagic), 0o644); err != nil {
-		return err
+// durably finishes a repair of the segment file at path: it returns the
+// repair's own error if it failed, and otherwise fsyncs the file and then
+// dir so the repair survives a crash.
+func durably(dir, path string, repairErr error) error {
+	if repairErr != nil {
+		return repairErr
 	}
-	if err := syncFile(path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// truncateSegment durably cuts a segment file to size, dropping a torn
-// tail.
-func truncateSegment(dir, path string, size int64) error {
-	if err := os.Truncate(path, size); err != nil {
-		return err
-	}
-	if err := syncFile(path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncFile fsyncs the file at path.
-func syncFile(path string) error {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return f.Sync()
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return syncDir(dir)
 }

@@ -42,21 +42,17 @@ func writeSnapshotFile(dir string, seq uint64, db *core.DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
+	if err == nil {
+		err = os.Rename(tmp, final)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return "", err
 	}
