@@ -13,20 +13,28 @@
 // The core generator is splitmix64, which passes BigCrush, needs no warm-up
 // and has a trivially seedable 64-bit state. On top of it the package
 // provides the standard transforms used by the distribution classes:
-// uniform, normal (both Box–Muller and inverse-CDF), exponential and
-// Poisson draws.
+// uniform, normal (a 256-layer ziggurat, see ziggurat.go), exponential and
+// Poisson draws. The distribution layer adds inverse-CDF draws of its own.
+//
+// Which bits a given key produces is a contract, versioned by DrawVersion.
 package prng
 
 import "math"
+
+// DrawVersion numbers the mapping from generator state to drawn values.
+// Changing what any draw of this package returns for a given seed — a new
+// transform, a different bit layout, a different rejection loop — bumps
+// it. Replication compares it between primary and replica, because two
+// builds that draw differently answer the same sampled query differently.
+//
+// Version 1 drew normals by Box–Muller; version 2 by the ziggurat.
+const DrawVersion = 2
 
 // Rand is a small, fast, deterministic pseudorandom generator based on
 // splitmix64. The zero value is a valid generator seeded with 0; use New or
 // NewKeyed to obtain a well-mixed stream.
 type Rand struct {
 	state uint64
-	// cached spare normal deviate for Box–Muller pairs
-	hasSpare bool
-	spare    float64
 }
 
 // New returns a generator seeded with the given seed. Two generators built
@@ -42,9 +50,9 @@ func NewKeyed(parts ...uint64) *Rand {
 	return New(MixKey(parts...))
 }
 
-// Reseed resets r in place to the stream New(seed) would produce, dropping
-// any cached Box–Muller spare. Hot loops keep one Rand value in their scratch
-// and reseed it per draw instead of allocating a generator per key.
+// Reseed resets r in place to the stream New(seed) would produce. Hot loops
+// keep one Rand value in their scratch and reseed it per draw instead of
+// allocating a generator per key.
 func (r *Rand) Reseed(seed uint64) {
 	*r = Rand{state: seed}
 }
@@ -141,22 +149,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	lo |= (t & mask) << 32
 	hi = aHi*bHi + c + (t >> 32)
 	return hi, lo
-}
-
-// NormFloat64 returns a standard normal (mean 0, variance 1) deviate using
-// the Box–Muller transform with spare caching.
-func (r *Rand) NormFloat64() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	u1 := r.Float64Open()
-	u2 := r.Float64()
-	radius := math.Sqrt(-2 * math.Log(u1))
-	theta := 2 * math.Pi * u2
-	r.spare = radius * math.Sin(theta)
-	r.hasSpare = true
-	return radius * math.Cos(theta)
 }
 
 // ExpFloat64 returns an exponential deviate with rate 1 via inverse-CDF.

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"pip/internal/core"
+	"pip/internal/prng"
 	"pip/internal/wal"
 )
 
@@ -208,6 +209,15 @@ func (f *Follower) streamOnce(ctx context.Context) (progress bool, err error) {
 	seed, lastSeq, snapSeq, snapBytes := hdr[0], hdr[1], hdr[2], hdr[3]
 	if seed != f.seed {
 		return false, fmt.Errorf("%w: primary seed %d, replica seed %d", ErrSeedMismatch, seed, f.seed)
+	}
+	draw := uint64(1) // primaries that predate the header drew version 1
+	if v := resp.Header.Get(hdrDrawVersion); v != "" {
+		if draw, err = strconv.ParseUint(v, 10, 64); err != nil {
+			return false, fmt.Errorf("%w: header %s: %q", ErrStreamCorrupt, hdrDrawVersion, v)
+		}
+	}
+	if draw != prng.DrawVersion {
+		return false, fmt.Errorf("%w: primary draws version %d, replica version %d", ErrDrawVersionMismatch, draw, prng.DrawVersion)
 	}
 	applied := f.applied.Load()
 	if lastSeq < applied {

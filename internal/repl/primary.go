@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pip/internal/prng"
 	"pip/internal/wal"
 )
 
@@ -126,6 +127,7 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(hdrSeed, strconv.FormatUint(p.seed, 10))
+	h.Set(hdrDrawVersion, strconv.Itoa(prng.DrawVersion))
 	h.Set(hdrLastSeq, strconv.FormatUint(lastSeq, 10))
 	h.Set(hdrSnapshotSeq, strconv.FormatUint(snapSeq, 10))
 	h.Set(hdrSnapshotBytes, strconv.Itoa(len(snapImage)))

@@ -20,7 +20,9 @@
 //	POST /v1/repl/ack?replica=ID&seq=N       replica progress report
 //
 // A stream's response headers say where it starts: Pip-Seed is the
-// primary's boot seed, Pip-Last-Seq its newest record, and
+// primary's boot seed, Pip-Draw-Version its build's prng.DrawVersion (a
+// missing header reads as 1, the last version before the header existed),
+// Pip-Last-Seq its newest record, and
 // Pip-Snapshot-Seq / Pip-Snapshot-Bytes the coverage and size of the
 // snapshot the body opens with (both 0 when none is needed). When the
 // requested resume point is still on disk the body is records only; when
@@ -36,16 +38,17 @@
 // load) → replay → live apply, acking applied sequence numbers back for the
 // primary's lag accounting, and reconnecting with resume-from-seq after
 // network failures. Failures of integrity — corrupt or out-of-order
-// frames, a seed mismatch, a replay whose outcome contradicts the logged
-// one — are not retried: the follower latches a typed error and stops,
-// because a replica that cannot prove it matches the log must fail-stop
-// rather than serve silently wrong reads. The replica database is marked
-// read-only (core.ErrReadOnly names the primary); only the follower's
-// applier handles may mutate it.
+// frames, a seed or draw-version mismatch, a replay whose outcome
+// contradicts the logged one — are not retried: the follower latches a
+// typed error and stops, because a replica that cannot prove it matches
+// the log must fail-stop rather than serve silently wrong reads. The
+// replica database is marked read-only (core.ErrReadOnly names the
+// primary); only the follower's applier handles may mutate it.
 package repl
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 )
 
@@ -55,7 +58,7 @@ const (
 	AckPath    = "/v1/repl/ack"
 )
 
-// Typed failures of the replication stream; match with errors.Is. All four
+// Typed failures of the replication stream; match with errors.Is. All
 // are terminal for a follower: it latches the error, stops applying, and
 // Run returns it (transient network failures, by contrast, reconnect).
 var (
@@ -72,6 +75,11 @@ var (
 	// world seeds. Replay would produce a catalog that answers queries
 	// differently, so the follower refuses to start.
 	ErrSeedMismatch = errors.New("repl: primary and replica seeds differ")
+	// ErrDrawVersionMismatch reports a primary and replica built with
+	// different prng.DrawVersion: equal seeds, but the same log would
+	// answer sampled queries with different values. It is a seed mismatch
+	// in effect, and errors.Is matches it against ErrSeedMismatch too.
+	ErrDrawVersionMismatch = fmt.Errorf("%w: draw versions differ", ErrSeedMismatch)
 	// ErrPrimaryBehind reports a primary whose log ends before this
 	// replica's applied position — the primary lost acknowledged history
 	// (restored from an old backup, or wiped), and following it would
@@ -82,6 +90,7 @@ var (
 // Response headers of a stream; each value is a decimal integer.
 const (
 	hdrSeed          = "Pip-Seed"
+	hdrDrawVersion   = "Pip-Draw-Version"
 	hdrLastSeq       = "Pip-Last-Seq"
 	hdrSnapshotSeq   = "Pip-Snapshot-Seq"
 	hdrSnapshotBytes = "Pip-Snapshot-Bytes"

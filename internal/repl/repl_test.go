@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"pip/internal/core"
+	"pip/internal/prng"
 	"pip/internal/sampler"
 	"pip/internal/sql"
 	"pip/internal/wal"
@@ -341,17 +342,27 @@ func TestFollowerReconnectResume(t *testing.T) {
 	}
 }
 
-// fakeStream is a scripted stream response: the four header values and
-// the body.
+// fakeStream is a scripted stream response: the header values and the
+// body.
 type fakeStream struct {
 	seed, lastSeq, snapSeq, snapBytes uint64
 	body                              []byte
+	// drawVersion is the Pip-Draw-Version value: "" sends this build's
+	// prng.DrawVersion, "none" omits the header.
+	drawVersion string
 }
 
 // serve writes fs as a primary would answer GET /v1/repl/stream.
 func (fs fakeStream) serve(w http.ResponseWriter) {
 	h := w.Header()
 	h.Set(hdrSeed, strconv.FormatUint(fs.seed, 10))
+	switch fs.drawVersion {
+	case "":
+		h.Set(hdrDrawVersion, strconv.Itoa(prng.DrawVersion))
+	case "none":
+	default:
+		h.Set(hdrDrawVersion, fs.drawVersion)
+	}
 	h.Set(hdrLastSeq, strconv.FormatUint(fs.lastSeq, 10))
 	h.Set(hdrSnapshotSeq, strconv.FormatUint(fs.snapSeq, 10))
 	h.Set(hdrSnapshotBytes, strconv.FormatUint(fs.snapBytes, 10))
@@ -436,6 +447,31 @@ func TestFollowerSeedMismatchFailStops(t *testing.T) {
 	ts := fakePrimary(t, fakeStream{seed: 99})
 	if err := runUntilFatal(t, ts, 7); !errors.Is(err, ErrSeedMismatch) {
 		t.Fatalf("got %v, want ErrSeedMismatch", err)
+	}
+}
+
+// TestFollowerDrawVersionMismatchFailStops: a primary whose build draws
+// differently — by header, or by sending none, as builds before the header
+// did — is refused as a seed mismatch, and an unreadable version as
+// corruption.
+func TestFollowerDrawVersionMismatchFailStops(t *testing.T) {
+	for _, c := range []struct {
+		header string
+		want   error
+	}{
+		{"none", ErrDrawVersionMismatch},
+		{"1", ErrDrawVersionMismatch},
+		{strconv.Itoa(prng.DrawVersion + 1), ErrDrawVersionMismatch},
+		{"two", ErrStreamCorrupt},
+	} {
+		ts := fakePrimary(t, fakeStream{seed: 7, drawVersion: c.header})
+		err := runUntilFatal(t, ts, 7)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s %q: got %v, want %v", hdrDrawVersion, c.header, err, c.want)
+		}
+		if c.want == ErrDrawVersionMismatch && !errors.Is(err, ErrSeedMismatch) {
+			t.Fatalf("%s %q: %v is not an ErrSeedMismatch", hdrDrawVersion, c.header, err)
+		}
 	}
 }
 
@@ -546,7 +582,7 @@ func TestFollowerPrimaryBehindFailStops(t *testing.T) {
 }
 
 // TestStreamIsTheLogOnDisk: for a store that was never snapshotted, the
-// stream from record 1 is the four headers and then, byte for byte, the
+// stream from record 1 is the five headers and then, byte for byte, the
 // segment files' bodies after their magic.
 func TestStreamIsTheLogOnDisk(t *testing.T) {
 	db := newDB(7)
@@ -586,7 +622,7 @@ func TestStreamIsTheLogOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	for name, want := range map[string]string{hdrSeed: "7", hdrLastSeq: "4", hdrSnapshotSeq: "0", hdrSnapshotBytes: "0"} {
+	for name, want := range map[string]string{hdrSeed: "7", hdrDrawVersion: strconv.Itoa(prng.DrawVersion), hdrLastSeq: "4", hdrSnapshotSeq: "0", hdrSnapshotBytes: "0"} {
 		if got := resp.Header.Get(name); got != want {
 			t.Errorf("header %s = %q, want %q", name, got, want)
 		}

@@ -13,6 +13,8 @@
 package tpch
 
 import (
+	"math"
+
 	"pip/internal/prng"
 )
 
@@ -171,18 +173,30 @@ func Generate(sc Scale, seed uint64) *Data {
 		cust := d.Customers[r.Intn(sc.Customers)]
 		part := d.Parts[r.Intn(sc.Parts)]
 		supp := d.Suppliers[r.Intn(sc.Suppliers)]
+		year := 2008 + r.Intn(2)
+		price := part.RetailPrice * (0.9 + 0.2*r.Float64())
+		manuf, ship := boxMuller(r)
 		d.Orders = append(d.Orders, Order{
 			OrderKey:  i + 1,
 			CustKey:   cust.CustKey,
 			PartKey:   part.PartKey,
 			SuppKey:   supp.SuppKey,
-			Year:      2008 + r.Intn(2),
-			Price:     part.RetailPrice * (0.9 + 0.2*r.Float64()),
-			ManufDays: supp.ManufMean + supp.ManufStd*r.NormFloat64(),
-			ShipDays:  supp.ShipMean + supp.ShipStd*r.NormFloat64(),
+			Year:      year,
+			Price:     price,
+			ManufDays: supp.ManufMean + supp.ManufStd*manuf,
+			ShipDays:  supp.ShipMean + supp.ShipStd*ship,
 		})
 	}
 	return d
+}
+
+// boxMuller draws two independent standard normals by the Box–Muller
+// transform. The generator keeps its own normal so that the dataset every
+// benchmark loads does not move when prng's draws do (TestGenerateIsFrozen).
+func boxMuller(r *prng.Rand) (float64, float64) {
+	radius := math.Sqrt(-2 * math.Log(r.Float64Open()))
+	theta := 2 * math.Pi * r.Float64()
+	return radius * math.Cos(theta), radius * math.Sin(theta)
 }
 
 // JapaneseSuppliers returns the suppliers from JAPAN (the Q2 filter).

@@ -1,6 +1,12 @@
 package tpch
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+)
 
 func TestGenerateSizes(t *testing.T) {
 	sc := Scale{Customers: 30, Parts: 40, Suppliers: 10, OrdersPerCustomer: 3}
@@ -85,4 +91,69 @@ func TestNationsCycle(t *testing.T) {
 	if japan != 2 {
 		t.Fatalf("japan suppliers %d, want 2 of 12", japan)
 	}
+}
+
+// frozenDefaultSeed1 is the SHA-256 of Generate(DefaultScale(), 1) under
+// encodeData. Every benchmark workload loads this dataset, so a generator
+// change that moved one bit of it would confound a before/after comparison
+// of anything else; it must only change on purpose.
+const frozenDefaultSeed1 = "45cc7d1c2934f286e6811df7d2ff5a9e80e188772430640883a46b7b61dfc7e4"
+
+// TestGenerateIsFrozen pins the generated dataset bit for bit.
+func TestGenerateIsFrozen(t *testing.T) {
+	sum := sha256.Sum256(encodeData(Generate(DefaultScale(), 1)))
+	if got := hex.EncodeToString(sum[:]); got != frozenDefaultSeed1 {
+		t.Fatalf("Generate(DefaultScale(), 1) hashes to %s, want %s", got, frozenDefaultSeed1)
+	}
+}
+
+// encodeData serializes every field of d in declaration order: integers as
+// little-endian 64-bit words, floats as their IEEE bits, strings
+// length-prefixed.
+func encodeData(d *Data) []byte {
+	var b []byte
+	i := func(v int) { b = binary.LittleEndian.AppendUint64(b, uint64(v)) }
+	f := func(v float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
+	s := func(v string) { i(len(v)); b = append(b, v...) }
+	i(d.Scale.Customers)
+	i(d.Scale.Parts)
+	i(d.Scale.Suppliers)
+	i(d.Scale.OrdersPerCustomer)
+	for _, c := range d.Customers {
+		i(c.CustKey)
+		s(c.Name)
+		f(c.Purchases2YearsAgo)
+		f(c.PurchasesLastYear)
+		f(c.AvgOrderPrice)
+		f(c.SatisfactionThreshold)
+	}
+	for _, p := range d.Parts {
+		i(p.PartKey)
+		s(p.Name)
+		f(p.RetailPrice)
+		f(p.Quantity)
+		f(p.PopularityRate)
+		f(p.GrowthLambda)
+	}
+	for _, sp := range d.Suppliers {
+		i(sp.SuppKey)
+		s(sp.Name)
+		s(sp.Nation)
+		f(sp.ManufMean)
+		f(sp.ManufStd)
+		f(sp.ShipMean)
+		f(sp.ShipStd)
+		f(sp.ProductionRate)
+	}
+	for _, o := range d.Orders {
+		i(o.OrderKey)
+		i(o.CustKey)
+		i(o.PartKey)
+		i(o.SuppKey)
+		i(o.Year)
+		f(o.Price)
+		f(o.ManufDays)
+		f(o.ShipDays)
+	}
+	return b
 }
