@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pip"
+	"pip/internal/sampler"
 )
 
 // buildConcurrencyDB seeds a handle with a probabilistic table large enough
@@ -14,6 +15,9 @@ import (
 func buildConcurrencyDB(t *testing.T, workers int) *pip.DB {
 	t.Helper()
 	db := pip.Open(pip.Options{Seed: 77, FixedSamples: 200, Workers: workers})
+	// Normal prices under one-sided cuts have closed-form answers; these
+	// tests exercise the parallel sampler.
+	db.Core().UpdateConfig(func(cfg *sampler.Config) { cfg.DisableClosedForm = true })
 	db.MustExec(`CREATE TABLE orders (cust, price)`)
 	for i := 0; i < 30; i++ {
 		db.MustExec(fmt.Sprintf(

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pip/internal/sampler"
 )
 
 // heavyDB builds a database whose queries spend real sampling time, so a
@@ -13,6 +15,9 @@ import (
 func heavyDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open(Options{Seed: 7, FixedSamples: 5000})
+	// w > v - 10 bounds one linear form of two Normals, whose answers have
+	// closed forms; these tests need a query that samples.
+	db.core.UpdateConfig(func(cfg *sampler.Config) { cfg.DisableClosedForm = true })
 	db.MustExec("CREATE TABLE t (v, w)")
 	for i := 0; i < 40; i++ {
 		db.MustExec("INSERT INTO t VALUES (CREATE_VARIABLE('Normal', 10, 3), CREATE_VARIABLE('Normal', 0, 1))")

@@ -73,8 +73,11 @@ func TestExpectedSumSymbolicTargets(t *testing.T) {
 func TestExpectedSumConditionedTarget(t *testing.T) {
 	// One row: value Y ~ N(0,1) conditioned on Y > 1.
 	// Contribution = P[Y>1] * E[Y | Y>1] = phi(1) (Mills ratio identity:
-	// E[Y|Y>t]*P[Y>t] = phi(t)).
-	s := testSampler()
+	// E[Y|Y>t]*P[Y>t] = phi(t)). Sampled: the closed form would answer it
+	// exactly.
+	cfg := testSampler().Config()
+	cfg.DisableClosedForm = true
+	s := New(cfg)
 	y := mkVar(t, dist.Normal{}, 0, 1)
 	tb := ctable.New("t", "v")
 	tup := ctable.NewTuple(ctable.Symbolic(expr.NewVar(y)))

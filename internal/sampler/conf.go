@@ -11,11 +11,22 @@ import (
 // Conf computes the probability of a conjunctive clause — the confidence of
 // a c-table row (paper §V-C conf()). Independent groups multiply; each
 // group is integrated exactly via CDFs when it reduces to a single-variable
-// interval (Algorithm 4.3 line 32), and by (bounded, CDF-restricted)
-// rejection sampling otherwise.
+// interval (Algorithm 4.3 line 32) or an interval on one linear form of
+// Gaussian variables, and by (bounded, CDF-restricted) rejection sampling
+// otherwise.
 func (s *Sampler) Conf(c cond.Clause) Result {
 	if c.IsTrue() {
 		return Result{Mean: math.NaN(), Prob: 1, Exact: true}
+	}
+	// A clause that is one interval on a linear form of several Gaussian
+	// variables is a single group whose integral is closed-form: skip the
+	// consistency check and the partition. (A single variable takes the
+	// group path below, where its class's own CDF integrates it.)
+	if !s.cfg.DisableExactCDF && !s.cfg.DisableClosedForm {
+		if lg, ok := asLinearGaussian(c); ok && len(lg.keys) > 1 {
+			s.cfg.Stats.AddExactCDFHit()
+			return Result{Mean: math.NaN(), Prob: lg.prob(), Exact: true}
+		}
 	}
 	res := cond.CheckConsistency(c)
 	if res.Verdict == cond.Inconsistent {
@@ -127,16 +138,24 @@ func (s *Sampler) clauseProbDetail(g cond.Group) (prob float64, exact bool, n in
 	return prob, exact, n, nil
 }
 
-// exactGroupProb integrates a group without sampling when it is atom-free
-// or reduces to a single-variable interval (Algorithm 4.3 line 32).
+// exactGroupProb integrates a group without sampling when it is atom-free,
+// reduces to a single-variable interval (Algorithm 4.3 line 32), or is an
+// interval on one linear form of jointly Gaussian variables (closedform.go).
 func (s *Sampler) exactGroupProb(g cond.Group) (float64, bool) {
 	if len(g.Atoms) == 0 {
 		return 1, true
 	}
-	if !s.cfg.DisableExactCDF {
-		if p, ok := exactSingleVarProb(g); ok {
+	if s.cfg.DisableExactCDF {
+		return 0, false
+	}
+	if p, ok := exactSingleVarProb(g); ok {
+		s.cfg.Stats.AddExactCDFHit()
+		return p, true
+	}
+	if !s.cfg.DisableClosedForm {
+		if lg, ok := asLinearGaussian(g.Atoms); ok {
 			s.cfg.Stats.AddExactCDFHit()
-			return p, true
+			return lg.prob(), true
 		}
 	}
 	return 0, false
@@ -166,7 +185,8 @@ func (s *Sampler) sampleGroupProb(gs *groupSampler) (float64, bool, int) {
 	}
 	we := gs.indicatorEngine()
 	var acc Accumulator
-	for s.cfg.wantMore(acc) && s.cfg.ctxErr() == nil {
+	z := s.cfg.zTarget()
+	for s.cfg.wantMore(acc, z) && s.cfg.ctxErr() == nil {
 		round := s.cfg.nextRoundSize(acc.N)
 		if round <= 0 {
 			break

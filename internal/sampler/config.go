@@ -125,7 +125,9 @@ func (c *Config) ctxErr() error {
 }
 
 // zTarget returns sqrt(2) * erfinv(1 - epsilon): the z-score half-width of
-// the (1-epsilon) confidence interval (Algorithm 4.3 line 3).
+// the (1-epsilon) confidence interval (Algorithm 4.3 line 3). It costs an
+// erf evaluation, so each sampling loop computes it once and hands it to
+// every barrier check.
 func (c Config) zTarget() float64 {
 	eps := c.Epsilon
 	if eps <= 0 {
@@ -138,8 +140,8 @@ func (c Config) zTarget() float64 {
 }
 
 // wantSamples reports whether sampling should continue after n accepted
-// samples with running sums sum and sumSq.
-func (c Config) wantSamples(n int, sum, sumSq float64) bool {
+// samples with running sums sum and sumSq; z is c.zTarget().
+func (c Config) wantSamples(n int, sum, sumSq, z float64) bool {
 	if c.FixedSamples > 0 {
 		return n < c.FixedSamples
 	}
@@ -159,20 +161,21 @@ func (c Config) wantSamples(n int, sum, sumSq float64) bool {
 	// Stop when the confidence half-width is within Delta relative error
 	// (with a small absolute floor so a zero mean can converge).
 	tol := c.Delta * math.Max(math.Abs(mean), 1e-9)
-	return c.zTarget()*stderr > tol
+	return z*stderr > tol
 }
 
 // wantMore is wantSamples over a merged accumulator — the (epsilon, delta)
 // stopping check applied at batch barriers by the parallel engine.
-func (c Config) wantMore(a Accumulator) bool {
-	return c.wantSamples(a.N, a.Sum, a.SumSq)
+func (c Config) wantMore(a Accumulator, z float64) bool {
+	return c.wantSamples(a.N, a.Sum, a.SumSq, z)
 }
 
 // relWidth returns the z-scaled confidence half-width of the accumulator's
 // running mean, relative to the same mean floor the stopping rule uses —
 // the quantity wantSamples compares against Delta. It parameterizes the
-// recorded epsilon-trajectory; it never feeds back into control flow.
-func (c Config) relWidth(a Accumulator) float64 {
+// recorded epsilon-trajectory; it never feeds back into control flow. z is
+// c.zTarget().
+func (c Config) relWidth(a Accumulator, z float64) float64 {
 	if a.N == 0 {
 		return 0
 	}
@@ -183,7 +186,7 @@ func (c Config) relWidth(a Accumulator) float64 {
 		variance = 0
 	}
 	stderr := math.Sqrt(variance / fn)
-	return c.zTarget() * stderr / math.Max(math.Abs(mean), 1e-9)
+	return z * stderr / math.Max(math.Abs(mean), 1e-9)
 }
 
 // nextRoundSize returns how many further samples the adaptive engine should

@@ -80,23 +80,26 @@ func (s *Sampler) WithStats(st *obs.SamplerStats) *Sampler {
 // set, P[c]. The clause is partitioned into minimal independent groups;
 // only groups sharing variables with e need sampling for the mean, and
 // groups disjoint from e contribute to the probability only — computed
-// exactly via CDF integration when possible (line 32–33).
+// exactly via CDF integration when possible (line 32–33). The mean itself
+// is exact when e has degree ≤ 2 over unconstrained variables, or is linear
+// over one linear-Gaussian group (closedform.go).
 func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
-	// Fast path: deterministic expression under a trivially-true clause.
-	eKeys, eVars := expr.Vars(e)
-	if len(eKeys) == 0 && c.IsTrue() {
-		return Result{Mean: e.Eval(nil), Prob: 1, Exact: true}
-	}
-
-	// Exact path: unconstrained linear target with closed-form variable
-	// means ("potentially even sidestep [sampling] entirely", §III-A).
-	if c.IsTrue() && !s.cfg.DisableClosedForm {
-		if mean, ok := linearClosedFormMean(e, eVars); ok {
-			s.cfg.Stats.AddClosedFormHit()
-			return Result{Mean: mean, Prob: 1, Exact: true}
+	if c.IsTrue() {
+		// Fast path: deterministic expression under a trivially-true clause.
+		if e.Degree() == 0 {
+			return Result{Mean: e.Eval(nil), Prob: 1, Exact: true}
+		}
+		// Exact path: unconstrained target of degree ≤ 2 with closed-form
+		// moments ("potentially even sidestep [sampling] entirely", §III-A).
+		if !s.cfg.DisableClosedForm {
+			if mean, ok := closedFormMean(e); ok {
+				s.cfg.Stats.AddClosedFormHit()
+				return Result{Mean: mean, Prob: 1, Exact: true}
+			}
 		}
 	}
 
+	eKeys, eVars := expr.Vars(e)
 	extras := make([]*expr.Variable, 0, len(eKeys))
 	for _, k := range eKeys {
 		extras = append(extras, eVars[k])
@@ -107,6 +110,14 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 	eKeySet := map[expr.VarKey]bool{}
 	for _, k := range eKeys {
 		eKeySet[k] = true
+	}
+
+	// Exact path: linear target over one linear-Gaussian group, whose
+	// conditional mean is a truncated-normal moment.
+	if !s.cfg.DisableClosedForm {
+		if r, ok := s.exactConditionalMean(e, groups, eKeySet, getP); ok {
+			return r
+		}
 	}
 
 	var samplingGroups []*groupSampler // groups overlapping e: must be sampled
@@ -131,7 +142,7 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 	// Independence + closed form: if no constraint atom touches any
 	// variable of e (all of e's groups are atom-free), the conditional
 	// mean equals the unconditional mean — use the closed form when the
-	// target is linear with known variable means. Constrained groups then
+	// target has degree ≤ 2 with known moments. Constrained groups then
 	// only contribute probability.
 	if !s.cfg.DisableClosedForm {
 		atomFree := true
@@ -142,7 +153,7 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 			}
 		}
 		if atomFree {
-			if mean, ok := linearClosedFormMean(e, eVars); ok {
+			if mean, ok := closedFormMean(e); ok {
 				s.cfg.Stats.AddClosedFormHit()
 				res.Mean = mean
 				res.Exact = true
@@ -293,7 +304,8 @@ func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 			acc.Add(v)
 		}
 	} else {
-		for s.cfg.wantMore(acc) && attempts < maxAttempts && s.cfg.ctxErr() == nil {
+		z := s.cfg.zTarget()
+		for s.cfg.wantMore(acc, z) && attempts < maxAttempts && s.cfg.ctxErr() == nil {
 			round := worldRoundSize(attempts, maxAttempts)
 			if round <= 0 {
 				break
@@ -341,32 +353,6 @@ func (s *Sampler) partition(c cond.Clause, extras []*expr.Variable) []cond.Group
 	}
 	sortVarKeys(merged.Keys)
 	return []cond.Group{merged}
-}
-
-// linearClosedFormMean computes E[e] exactly when e is linear
-// (c0 + sum ci*Xi) and every variable has a closed-form mean. Linearity of
-// expectation needs no independence assumption.
-func linearClosedFormMean(e expr.Expr, vars map[expr.VarKey]*expr.Variable) (float64, bool) {
-	lf, ok := expr.Linearize(e)
-	if !ok {
-		return 0, false
-	}
-	// Accumulate in sorted key order: float addition is not associative, so
-	// map-order summation would break same-seed bit-identity.
-	mean := lf.Constant
-	for _, k := range lf.SortedKeys() {
-		c := lf.Coeffs[k]
-		v := vars[k]
-		if v == nil {
-			v = lf.Vars[k]
-		}
-		m, ok := v.Dist.Mean()
-		if !ok {
-			return 0, false
-		}
-		mean += c * m
-	}
-	return mean, true
 }
 
 func sortedKeys(vars map[expr.VarKey]*expr.Variable) []expr.VarKey {

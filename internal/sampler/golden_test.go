@@ -193,12 +193,15 @@ func goldenScenarios() []goldenScenario {
 			}
 			return resultBits(s.Expectation(expr.Add(xy, expr.NewVar(x)), c, true))
 		}},
-		{name: "metropolis-pre-escalation", run: func(t *testing.T, s *sampler.Sampler) []float64 {
-			a, b := nv(7, 0, 1), nv(8, 0, 1)
-			e := expr.Add(expr.NewVar(a), expr.NewVar(b))
-			c := cond.Clause{cond.NewAtom(e, cond.GT, expr.Const(6))}
-			return resultBits(s.Expectation(e, c, true))
-		}},
+		// A+B > 6 is a linear-Gaussian group: without DisableClosedForm it
+		// is answered exactly and never reaches the walk.
+		{name: "metropolis-pre-escalation", cfg: func(c *sampler.Config) { c.DisableClosedForm = true },
+			run: func(t *testing.T, s *sampler.Sampler) []float64 {
+				a, b := nv(7, 0, 1), nv(8, 0, 1)
+				e := expr.Add(expr.NewVar(a), expr.NewVar(b))
+				c := cond.Clause{cond.NewAtom(e, cond.GT, expr.Const(6))}
+				return resultBits(s.Expectation(e, c, true))
+			}},
 		{name: "metropolis-mid-stream-fixed", cfg: func(c *sampler.Config) {
 			c.FixedSamples = 300
 			c.MetropolisThreshold = 0.9
@@ -272,21 +275,24 @@ func goldenScenarios() []goldenScenario {
 			out := resultBits(s.Expectation(e, c, true))
 			return append(out, resultBits(s.Conf(c))...)
 		}},
-		{name: "mvnormal-group", run: func(t *testing.T, s *sampler.Sampler) []float64 {
-			pr := mvParams(t)
-			m0, m1, m2 := gv(77, 0, dist.MVNormal{}, pr...), gv(77, 1, dist.MVNormal{}, pr...), gv(77, 2, dist.MVNormal{}, pr...)
-			x := nv(78, 0, 1)
-			e := expr.Add(expr.Mul(expr.NewVar(m1), expr.NewVar(m2)), expr.NewVar(m0))
-			c := cond.Clause{
-				cond.NewAtom(expr.NewVar(m2), cond.GT, expr.NewVar(x)),
-				cond.NewAtom(expr.NewVar(m1), cond.LT, expr.Const(0)),
-			}
-			out := resultBits(s.Expectation(e, c, true))
-			out = append(out, resultBits(s.Conf(c))...)
-			// Subscript 0 never mentioned: Partition materialises it.
-			c2 := cond.Clause{cond.NewAtom(expr.NewVar(m2), cond.GT, expr.NewVar(m1))}
-			return append(out, resultBits(s.Expectation(expr.NewVar(m2), c2, true))...)
-		}},
+		// c2 bounds one linear form of the joint's components, which the
+		// closed forms would answer without sampling.
+		{name: "mvnormal-group", cfg: func(c *sampler.Config) { c.DisableClosedForm = true },
+			run: func(t *testing.T, s *sampler.Sampler) []float64 {
+				pr := mvParams(t)
+				m0, m1, m2 := gv(77, 0, dist.MVNormal{}, pr...), gv(77, 1, dist.MVNormal{}, pr...), gv(77, 2, dist.MVNormal{}, pr...)
+				x := nv(78, 0, 1)
+				e := expr.Add(expr.Mul(expr.NewVar(m1), expr.NewVar(m2)), expr.NewVar(m0))
+				c := cond.Clause{
+					cond.NewAtom(expr.NewVar(m2), cond.GT, expr.NewVar(x)),
+					cond.NewAtom(expr.NewVar(m1), cond.LT, expr.Const(0)),
+				}
+				out := resultBits(s.Expectation(e, c, true))
+				out = append(out, resultBits(s.Conf(c))...)
+				// Subscript 0 never mentioned: Partition materialises it.
+				c2 := cond.Clause{cond.NewAtom(expr.NewVar(m2), cond.GT, expr.NewVar(m1))}
+				return append(out, resultBits(s.Expectation(expr.NewVar(m2), c2, true))...)
+			}},
 		{name: "dnf-world-sample", run: func(t *testing.T, s *sampler.Sampler) []float64 {
 			x, y := nv(9, 0, 1), nv(10, 1, 1)
 			d := cond.Condition{Clauses: []cond.Clause{

@@ -72,28 +72,13 @@ type MomentResult struct {
 
 // Moment computes the k-th raw moment E[e^k | c] (paper §III-D: the
 // framework exposes "the higher moments" to statistical methods). k = 1 is
-// the plain expectation; k = 2 feeds variance. Closed forms are used for
-// unconstrained single variables with known mean/variance at k <= 2;
-// everything else samples through the same goal-directed machinery as
-// Expectation.
+// the plain expectation; k = 2 feeds variance. e^k goes through
+// Expectation, so it is exact whenever Expectation's closed forms cover it
+// (an unconstrained e^k of degree ≤ 2, or a linear e over one
+// linear-Gaussian group at k = 1); everything else samples.
 func (s *Sampler) Moment(e expr.Expr, c cond.Clause, k int) MomentResult {
 	if k < 1 {
 		return MomentResult{Moment: math.NaN()}
-	}
-	// Closed form: raw second moment of a bare variable, unconstrained.
-	if k <= 2 && c.IsTrue() && !s.cfg.DisableClosedForm {
-		if v, ok := e.(expr.Var); ok {
-			mean, okM := v.V.Dist.Mean()
-			if k == 1 && okM {
-				s.cfg.Stats.AddClosedFormHit()
-				return MomentResult{Moment: mean, Exact: true}
-			}
-			variance, okV := v.V.Dist.Variance()
-			if k == 2 && okM && okV {
-				s.cfg.Stats.AddClosedFormHit()
-				return MomentResult{Moment: variance + mean*mean, Exact: true}
-			}
-		}
 	}
 	powed := e
 	for i := 1; i < k; i++ {

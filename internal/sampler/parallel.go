@@ -405,7 +405,8 @@ func (ge *groupEngine) runBatch(sc *batchScratch, start, n int, res *groupBatch)
 // barrier (or a rejection cap fires). It returns the merged accumulator and
 // whether every requested sample was produced.
 func (ge *groupEngine) runAdaptive() (Accumulator, bool) {
-	for ge.cfg.wantMore(ge.acc) {
+	z := ge.cfg.zTarget()
+	for ge.cfg.wantMore(ge.acc, z) {
 		round := ge.cfg.nextRoundSize(ge.acc.N)
 		if round <= 0 {
 			break
@@ -415,7 +416,7 @@ func (ge *groupEngine) runAdaptive() (Accumulator, bool) {
 		}
 		// Epsilon-trajectory: one barrier observation of the confidence
 		// half-width the stopping rule just evaluated.
-		ge.cfg.Stats.RecordTrajectory(ge.acc.N, ge.cfg.relWidth(ge.acc))
+		ge.cfg.Stats.RecordTrajectory(ge.acc.N, ge.cfg.relWidth(ge.acc, z))
 	}
 	return ge.acc, true
 }

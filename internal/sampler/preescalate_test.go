@@ -54,6 +54,8 @@ func TestPilotRunsOnlyWhereSamplesAreDrawn(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.WorldSeed = 5
 		cfg.FixedSamples = 100
+		// The deep-tail group is linear-Gaussian: only sampling can walk.
+		cfg.DisableClosedForm = true
 		st := &obs.SamplerStats{}
 		cfg.Stats = st
 		return cfg, st

@@ -77,7 +77,17 @@ func TestExpectationDeterministicExpression(t *testing.T) {
 func TestTruncatedNormalExpectation(t *testing.T) {
 	// Example 4.1 shape: E[Y | a < Y < b] for Y ~ N(mu, sigma).
 	// Analytic: mu + sigma * (phi(alpha) - phi(beta)) / (Phi(beta) - Phi(alpha)).
-	s := testSampler()
+	// The closed form answers it exactly; with it disabled, CDF-inverted
+	// sampling must land within tolerance.
+	for _, closed := range []bool{true, false} {
+		cfg := testSampler().Config()
+		cfg.DisableClosedForm = !closed
+		testTruncatedNormal(t, New(cfg), closed)
+	}
+}
+
+func testTruncatedNormal(t *testing.T, s *Sampler, exact bool) {
+	t.Helper()
 	mu, sigma := 5.0, math.Sqrt(10)
 	a, b := -3.0, 2.0
 	y := mkVar(t, dist.Normal{}, mu, sigma)
@@ -90,6 +100,9 @@ func TestTruncatedNormalExpectation(t *testing.T) {
 	wantP := Phi(beta) - Phi(alpha)
 
 	r := s.Expectation(expr.NewVar(y), c, true)
+	if r.Exact != exact || (r.N == 0) != exact {
+		t.Fatalf("exact=%v n=%d, want exact=%v", r.Exact, r.N, exact)
+	}
 	if math.Abs(r.Mean-want) > 0.15 {
 		t.Fatalf("truncated mean %v, want %v (n=%d)", r.Mean, want, r.N)
 	}
@@ -225,8 +238,11 @@ func TestConfDiscreteEquality(t *testing.T) {
 }
 
 func TestConfTwoVariableRejection(t *testing.T) {
-	// P[X > Y] for iid N(0,1) is exactly 0.5; requires joint sampling.
-	s := testSampler()
+	// P[X > Y] for iid N(0,1) is exactly 0.5; with the closed forms off it
+	// requires joint sampling.
+	cfg := testSampler().Config()
+	cfg.DisableClosedForm = true
+	s := New(cfg)
 	x := mkVar(t, dist.Normal{}, 0, 1)
 	y := mkVar(t, dist.Normal{}, 0, 1)
 	r := s.Conf(cond.Clause{atom(expr.NewVar(x), cond.GT, expr.NewVar(y))})
@@ -287,6 +303,7 @@ func TestCDFInversionSelectiveQuery(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WorldSeed = 99
 	cfg.FixedSamples = 200
+	cfg.DisableClosedForm = true // the truncated-normal mean is exact otherwise
 	s := New(cfg)
 	y := mkVar(t, dist.Normal{}, 0, 1)
 	c := cond.Clause{atom(expr.NewVar(y), cond.GT, expr.Const(3))}
@@ -349,6 +366,7 @@ func TestMetropolisDeepTail(t *testing.T) {
 	cfg.WorldSeed = 7
 	cfg.FixedSamples = 400
 	cfg.RejectionCap = 20000
+	cfg.DisableClosedForm = true // Y1+Y2 > 6 is a linear-Gaussian group
 	s := New(cfg)
 	y1 := mkVar(t, dist.Normal{}, 0, 1)
 	y2 := mkVar(t, dist.Normal{}, 0, 1)
@@ -374,6 +392,7 @@ func TestMetropolisDisabledFallsBack(t *testing.T) {
 	cfg.WorldSeed = 7
 	cfg.FixedSamples = 5
 	cfg.DisableMetropolis = true
+	cfg.DisableClosedForm = true
 	cfg.RejectionCap = 2000 // too small for the tail
 	s := New(cfg)
 	y1 := mkVar(t, dist.Normal{}, 0, 1)
@@ -407,6 +426,7 @@ func TestAdaptiveStoppingRespectsBounds(t *testing.T) {
 func TestFixedSamplesExactCount(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FixedSamples = 123
+	cfg.DisableClosedForm = true // E[Y²] = Var + μ² otherwise
 	s := New(cfg)
 	y := mkVar(t, dist.Normal{}, 0, 1)
 	r := s.Expectation(expr.Mul(expr.NewVar(y), expr.NewVar(y)), cond.TrueClause(), false)
@@ -457,6 +477,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	mk := func() Result {
 		cfg := DefaultConfig()
 		cfg.WorldSeed = 777
+		cfg.DisableClosedForm = true // determinism of the sampled answer
 		s := New(cfg)
 		y := &expr.Variable{Key: expr.VarKey{ID: 4242}, Dist: dist.MustInstance(dist.Normal{}, 0, 1)}
 		c := cond.Clause{atom(expr.NewVar(y), cond.GT, expr.Const(1))}

@@ -45,6 +45,7 @@ func TestStatsCountsAndTrajectory(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WorldSeed = 7
 	cfg.Workers = 4
+	cfg.DisableClosedForm = true // the truncated-normal mean is exact otherwise
 	st := &obs.SamplerStats{}
 	cfg.Stats = st
 	s := New(cfg)
@@ -83,6 +84,7 @@ func TestMetropolisStatsRecorded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WorldSeed = 42
 	cfg.FixedSamples = 300
+	cfg.DisableClosedForm = true
 	st := &obs.SamplerStats{}
 	cfg.Stats = st
 	s := New(cfg)

@@ -47,6 +47,10 @@ type PlanNode struct {
 	// batches the operator's sampler work consumed.
 	Samples int64
 	Batches int64
+	// Exact counts the answers the operator's sampler work found without
+	// sampling: closed-form means plus exactly integrated probabilities. It
+	// is why an operator over Gaussian linear constraints shows samples=0.
+	Exact int64
 	// AcceptRate is the rejection sampler's acceptance fraction for this
 	// operator, negative when no rejection attempts were made.
 	AcceptRate float64
@@ -79,7 +83,7 @@ func (n *PlanNode) render(out *[]string, depth int) {
 		}
 		line += fmt.Sprintf(" time=%s", n.Elapsed.Round(time.Microsecond))
 		if n.Sampling {
-			line += fmt.Sprintf(" samples=%d batches=%d", n.Samples, n.Batches)
+			line += fmt.Sprintf(" samples=%d batches=%d exact=%d", n.Samples, n.Batches, n.Exact)
 			if n.AcceptRate >= 0 {
 				line += fmt.Sprintf(" accept=%.3f", n.AcceptRate)
 			}
@@ -110,6 +114,7 @@ func toPlanNode(op operator, analyzed bool) *PlanNode {
 			n.Sampling = true
 			n.Samples = snap.Samples
 			n.Batches = snap.Batches
+			n.Exact = snap.ExactCDFHits + snap.ClosedFormHits
 			if rate, ok := snap.AcceptRate(); ok {
 				n.AcceptRate = rate
 			} else {

@@ -1,8 +1,11 @@
 package sql
 
 import (
+	"regexp"
 	"strings"
 	"testing"
+
+	"pip/internal/sampler"
 )
 
 // TestShowStats pins the SHOW STATS contract: the fixed (scope, name,
@@ -83,8 +86,10 @@ func TestExplainAnalyzeSamplerAnnotations(t *testing.T) {
 		t.Fatalf("EXPLAIN ANALYZE lacks sampler annotations:\n%s", text)
 	}
 
-	// A two-variable comparison defeats the exact-CDF shortcut, so conf()
-	// rejection-samples and the operator reports its acceptance rate.
+	// With the closed forms off, a two-variable comparison defeats the
+	// exact shortcuts, so conf() rejection-samples and the operator reports
+	// its acceptance rate.
+	db.UpdateConfig(func(cfg *sampler.Config) { cfg.DisableClosedForm = true })
 	out = mustExec(t, db, "EXPLAIN ANALYZE SELECT cust, conf() AS p FROM o, s WHERE o.price > s.duration")
 	plan.Reset()
 	for _, tp := range out.Tuples {
@@ -100,5 +105,22 @@ func TestExplainAnalyzeSamplerAnnotations(t *testing.T) {
 		if strings.Contains(tp.Values[0].S, "samples=") {
 			t.Fatalf("plain EXPLAIN leaked runtime counters: %s", tp.Values[0].S)
 		}
+	}
+}
+
+// TestExplainAnalyzeExactAnswers: a conf() over Normal prices compared with
+// Normal or constant durations is an interval on one linear form of
+// Gaussian variables per row, integrated exactly. EXPLAIN ANALYZE must say
+// so with exact=N beside samples=0.
+func TestExplainAnalyzeExactAnswers(t *testing.T) {
+	db := plannerDB(t)
+	out := mustExec(t, db, "EXPLAIN ANALYZE SELECT cust, conf() AS p FROM o, s WHERE o.price > s.duration")
+	project := out.Tuples[0].Values[0].S
+	m := regexp.MustCompile(`samples=(\d+) batches=\d+ exact=(\d+)`).FindStringSubmatch(project)
+	if m == nil {
+		t.Fatalf("Project line lacks samples=/exact= annotations: %s", project)
+	}
+	if m[1] != "0" || m[2] == "0" {
+		t.Fatalf("Gaussian conf() drew %s samples with %s exact answers, want 0 and > 0: %s", m[1], m[2], project)
 	}
 }
