@@ -1,8 +1,8 @@
 // Primary: the serving side of replication. It wraps the primary's
-// wal.Store, turns tail-follow subscriptions into record streams framed as
-// the log frames them on disk, streams snapshot files to bootstrapping
-// replicas whose resume point was pruned, and tracks per-replica progress
-// from ack reports.
+// wal.Store, copies what a wal.Tail reads from the segment files onto each
+// replica's stream, streams snapshot files to bootstrapping replicas whose
+// resume point was pruned, and tracks per-replica progress from ack
+// reports.
 package repl
 
 import (
@@ -74,10 +74,11 @@ func (p *Primary) Handler() http.Handler {
 
 // ServeStream handles GET /v1/repl/stream: headers naming the seed and log
 // position, the newest snapshot file verbatim when the resume point was
-// pruned, then every record from there on, framed as in a segment file.
-// The stream ends when the client goes away, the store closes, or the
-// subscriber falls so far behind that the store drops it (the follower
-// then reconnects and resumes).
+// pruned, then every record from there on — the segment files' bytes as
+// a wal.Tail reads and checks them, one write and one flush per batch.
+// The stream ends when the client goes away, the store closes, the tail
+// falls behind pruning, or a frame on disk fails its checks; the follower
+// then reconnects and resumes (past a pruned position, from a snapshot).
 func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	replica, from, err := replicaRequest(r, "from")
 	if err != nil {
@@ -90,12 +91,12 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		snapSeq   uint64
 		snapImage []byte
 	)
-	sub, err := p.store.Subscribe(from)
+	tail, err := p.store.Tail(from)
 	if errors.Is(err, wal.ErrCompacted) {
 		// The resume point was pruned: its records live only inside a
 		// snapshot now. Stream the newest snapshot and resume past it —
 		// pruning guarantees the records after any retained snapshot are
-		// still on disk, so the re-subscribe below cannot miss.
+		// still on disk, so the tail below cannot miss.
 		var snapPath string
 		var found bool
 		snapSeq, snapPath, found = p.store.NewestSnapshot()
@@ -105,14 +106,14 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		}
 		snapImage, err = os.ReadFile(snapPath)
 		if err == nil {
-			sub, err = p.store.Subscribe(snapSeq + 1)
+			tail, err = p.store.Tail(snapSeq + 1)
 		}
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	defer sub.Close()
+	defer tail.Close()
 
 	p.mu.Lock()
 	p.replicaLocked(replica).streams++
@@ -143,24 +144,18 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var frame []byte
+	var batch []byte
 	for {
-		// Client gone, store closed, or subscriber lagged out: end the
-		// stream and let the follower reconnect from its own position.
-		rec, err := sub.Next(r.Context())
-		if err != nil {
+		pos := tail.Pos()
+		if batch, err = tail.Next(r.Context(), batch[:0]); err != nil {
 			return
 		}
-		if frame, err = wal.AppendRecord(frame[:0], rec); err != nil {
-			// The record encoded once already when the store appended
-			// it, so this cannot happen.
+		if _, err := w.Write(batch); err != nil || rc.Flush() != nil {
 			return
 		}
-		if _, err := w.Write(frame); err != nil || rc.Flush() != nil {
-			return
-		}
-		p.recordsShipped.Add(1)
-		p.bytesShipped.Add(uint64(len(frame) - wal.FrameHeaderLen))
+		n := tail.Pos() - pos
+		p.recordsShipped.Add(n)
+		p.bytesShipped.Add(uint64(len(batch)) - n*wal.FrameHeaderLen)
 	}
 }
 

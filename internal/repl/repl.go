@@ -29,10 +29,14 @@
 // pruning has compacted it into a snapshot, the body starts with the
 // newest snapshot file verbatim and the records resume past its coverage.
 // Records are framed exactly as in a segment file — u32 length, u32
-// CRC-32C, payload — and read back by the WAL's own frame decoder, so the
-// bytes on the wire are the bytes on disk and the replica verifies the
-// checksum the primary's log stores. Order is fixed by position, so there
-// are no frame kinds to police.
+// CRC-32C, payload — because they are the segment files' bytes: the
+// primary copies what a wal.Tail reads from its log onto the stream, one
+// write per batch, and the follower reads them back with the WAL's own
+// frame decoder, so the replica verifies the checksum the primary's log
+// stores. The primary holds no records in memory for a replica: a slow or
+// stalled one costs it an open file, and one that falls behind pruning
+// gets its stream ended and re-bootstraps from a snapshot. Order is fixed
+// by position, so there are no frame kinds to police.
 //
 // A Follower owns the replica side: connect → header checks → (snapshot
 // load) → replay → live apply, acking applied sequence numbers back for the

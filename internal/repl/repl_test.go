@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,9 +233,39 @@ func TestFollowerAppliesRetiredVectorizeSetting(t *testing.T) {
 	}
 }
 
+// gatedStreams serves prim's endpoints with every stream write waiting on
+// gate, so a test can hold the primary's tail behind the log.
+func gatedStreams(t *testing.T, prim *Primary, gate *sync.Mutex) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.Handle("/", prim.Handler())
+	mux.HandleFunc("GET "+StreamPath, func(w http.ResponseWriter, r *http.Request) {
+		prim.ServeStream(gatedWriter{w, gate}, r)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// gatedWriter is a ResponseWriter whose body writes wait on gate.
+type gatedWriter struct {
+	http.ResponseWriter
+	gate *sync.Mutex
+}
+
+func (g gatedWriter) Write(p []byte) (int, error) {
+	g.gate.Lock()
+	defer g.gate.Unlock()
+	return g.ResponseWriter.Write(p)
+}
+
+func (g gatedWriter) Unwrap() http.ResponseWriter { return g.ResponseWriter }
+
 // TestFollowerSnapshotBootstrap covers the catch-up path: a replica whose
 // resume point was pruned into a snapshot bootstraps from the streamed
-// image, replays the suffix, and still matches bit-for-bit.
+// image, replays the suffix, and still matches bit-for-bit. It does so
+// both when it connects after the pruning and when pruning overtakes the
+// primary's tail of a stream already open.
 func TestFollowerSnapshotBootstrap(t *testing.T) {
 	fx := newPrimaryFixture(t, 7)
 	mustExec(t, fx.db, "CREATE TABLE orders (cust, price)")
@@ -247,7 +278,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Record 1..3 now live only inside snapshots; the wire must ship one.
-	if _, err := fx.store.Subscribe(1); !errors.Is(err, wal.ErrCompacted) {
+	if _, err := fx.store.Tail(1); !errors.Is(err, wal.ErrCompacted) {
 		t.Fatalf("precondition: expected pruned history, got %v", err)
 	}
 	mustExec(t, fx.db, "INSERT INTO orders VALUES ('Bob', 42.5)")
@@ -263,6 +294,93 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	pr, rr := expectedRevenue(t, fx.db), expectedRevenue(t, rdb)
 	if math.Float64bits(pr) != math.Float64bits(rr) {
 		t.Fatalf("sampled aggregate differs after bootstrap: primary %v, replica %v", pr, rr)
+	}
+
+	// Mid-stream: a second replica follows a gated stream. While its
+	// writes are held, record 5 is read from the first segment and three
+	// snapshots prune both that segment and the one after it, so the
+	// tail, once released, finds its next record compacted. The stream
+	// ends; the follower reconnects and bootstraps from the newest
+	// snapshot.
+	var gate sync.Mutex
+	gts := gatedStreams(t, fx.prim, &gate)
+	rdb2 := newDB(7)
+	f2 := NewFollower(rdb2, FollowerOptions{Primary: gts.URL, ReplicaID: "r2", Seed: 7, ReconnectBackoff: 10 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); f2.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	waitSeq(t, f2, 4)
+	loaded := f2.Stats().SnapshotsLoaded
+	gate.Lock()
+	for _, who := range []string{"Eve", "Mal", "Ted"} {
+		mustExec(t, fx.db, "INSERT INTO orders VALUES ('"+who+"', CREATE_VARIABLE('Normal', 50, 5))")
+		if err := fx.store.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, fx.db, "INSERT INTO orders VALUES ('Zed', 1)")
+	gate.Unlock()
+	waitSeq(t, f2, 8)
+	if st := f2.Stats(); st.SnapshotsLoaded != loaded+1 || st.FailStopped {
+		t.Fatalf("follower overtaken by pruning did not re-bootstrap once: %+v (had loaded %d)", st, loaded)
+	}
+	if got, want := catalogBytes(t, rdb2), catalogBytes(t, fx.db); !bytes.Equal(got, want) {
+		t.Fatalf("re-bootstrapped catalog not bit-identical (%d vs %d bytes)", len(got), len(want))
+	}
+	pr, rr = expectedRevenue(t, fx.db), expectedRevenue(t, rdb2)
+	if math.Float64bits(pr) != math.Float64bits(rr) {
+		t.Fatalf("sampled aggregate differs after re-bootstrap: primary %v, replica %v", pr, rr)
+	}
+}
+
+// TestDamagedSegmentNeverShipped: a byte flipped in a finished segment on
+// the primary's disk ends the stream before the damaged record. The
+// follower applies every record before it and none from it on, however
+// often it reconnects.
+func TestDamagedSegmentNeverShipped(t *testing.T) {
+	db := newDB(7)
+	dir := t.TempDir()
+	store, _, err := wal.Open(dir, db, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	mustExec(t, db, "CREATE TABLE orders (cust, price)")
+	mustExec(t, db, "INSERT INTO orders VALUES ('Joe', CREATE_VARIABLE('Normal', 100, 10))")
+	mustExec(t, db, "INSERT INTO orders VALUES ('Ann', 80)")
+	if err := store.Snapshot(); err != nil { // finishes the segment
+		t.Fatal(err)
+	}
+	mustExec(t, db, "INSERT INTO orders VALUES ('Bob', 42.5)")
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("want 2 segments, found %v (%v)", segs, err)
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-3] ^= 0x20 // inside record 3, the segment's last
+	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fx := &primaryFixture{db: db, store: store, prim: NewPrimary(store, 7)}
+	fx.ts = httptest.NewServer(fx.prim.Handler())
+	defer fx.ts.Close()
+
+	_, f := follow(t, fx, 7)
+	waitSeq(t, f, 2)
+	// Let the follower reconnect a few times against the damage.
+	deadline := time.Now().Add(2 * time.Second)
+	for f.Stats().Reconnects < 3 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := f.Stats(); st.AppliedSeq != 2 || st.Reconnects < 3 || st.FailStopped {
+		t.Fatalf("follower past a damaged record: %+v; want applied 2 after 3+ reconnects", st)
+	}
+	if shipped := fx.prim.Stats().RecordsShipped; shipped != 2 {
+		t.Fatalf("primary shipped %d records, want the 2 before the damage", shipped)
 	}
 }
 
@@ -598,7 +716,8 @@ func TestStreamIsTheLogOnDisk(t *testing.T) {
 		t.Fatal("insert into a missing table succeeded")
 	} // and is logged, as failed
 	mustExec(t, db, "SET samples = 500")
-	ts := httptest.NewServer(NewPrimary(store, 7).Handler())
+	prim := NewPrimary(store, 7)
+	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
 
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
@@ -633,6 +752,17 @@ func TestStreamIsTheLogOnDisk(t *testing.T) {
 	}
 	if !bytes.Equal(wire, disk) {
 		t.Fatalf("stream body differs from the segment bodies:\n wire %x\n disk %x", wire, disk)
+	}
+	// The counters keep their per-record meaning under batched writes:
+	// records, and payload bytes without the frame headers.
+	var st PrimaryStats
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if st = prim.Stats(); st.RecordsShipped == 4 {
+			break
+		}
+	}
+	if want := uint64(len(disk) - 4*wal.FrameHeaderLen); st.RecordsShipped != 4 || st.BytesShipped != want {
+		t.Fatalf("shipped %d records / %d bytes, want 4 / %d", st.RecordsShipped, st.BytesShipped, want)
 	}
 }
 

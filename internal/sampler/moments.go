@@ -123,14 +123,7 @@ func (s *Sampler) Variance(e expr.Expr, c cond.Clause) VarianceResult {
 			}
 		}
 	}
-	n := s.cfg.FixedSamples
-	if n <= 0 {
-		n = s.cfg.MaxSamples
-		if n <= 0 || n > 10000 {
-			n = 2000
-		}
-	}
-	samples, err := s.ExpectationHistogram(e, c, n)
+	samples, err := s.ExpectationHistogram(e, c, s.histogramSize())
 	if err != nil {
 		return VarianceResult{Err: err}
 	}

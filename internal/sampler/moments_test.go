@@ -89,6 +89,23 @@ func TestVarianceOfExpression(t *testing.T) {
 	}
 }
 
+// TestVarianceSampleBudget: a sampled variance draws the fixed world
+// budget every per-world fallback draws — max_samples up to its 10 000
+// cap — so raising max_samples past the cap never draws fewer samples.
+func TestVarianceSampleBudget(t *testing.T) {
+	for _, c := range []struct{ maxSamples, want int }{{500, 500}, {10000, 10000}, {20000, 10000}} {
+		cfg := DefaultConfig()
+		cfg.WorldSeed = 4
+		cfg.MaxSamples = c.maxSamples
+		s := New(cfg)
+		u := mkVar(t, dist.Uniform{}, 0, 1)
+		v := s.Variance(expr.NewVar(u), cond.Clause{atom(expr.NewVar(u), cond.GT, expr.Const(0.5))})
+		if v.Exact || v.N != c.want {
+			t.Fatalf("max_samples = %d: variance drew N = %d (exact %v), want %d", c.maxSamples, v.N, v.Exact, c.want)
+		}
+	}
+}
+
 func TestAggregateVariance(t *testing.T) {
 	// Sum of two independent N(0,2) rows: Var = 8.
 	s := testSampler()

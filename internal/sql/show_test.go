@@ -124,3 +124,21 @@ func TestExplainAnalyzeExactAnswers(t *testing.T) {
 		t.Fatalf("Gaussian conf() drew %s samples with %s exact answers, want 0 and > 0: %s", m[1], m[2], project)
 	}
 }
+
+// TestVarianceSampleBudget: variance() draws the fixed world budget, which
+// max_samples sets up to its cap, so SET max_samples = 20000 draws as many
+// samples as 10000 does rather than fewer.
+func TestVarianceSampleBudget(t *testing.T) {
+	db := plannerDB(t)
+	mustExec(t, db, "CREATE TABLE un (u)")
+	mustExec(t, db, "INSERT INTO un VALUES (CREATE_VARIABLE('Uniform', 0, 1))")
+	for _, c := range []struct{ maxSamples, want string }{{"500", "500"}, {"10000", "10000"}, {"20000", "10000"}} {
+		mustExec(t, db, "SET max_samples = "+c.maxSamples)
+		out := mustExec(t, db, "EXPLAIN ANALYZE SELECT variance(u) AS v FROM un WHERE u > 0.5")
+		project := out.Tuples[0].Values[0].S
+		m := regexp.MustCompile(`samples=(\d+) `).FindStringSubmatch(project)
+		if m == nil || m[1] != c.want {
+			t.Fatalf("max_samples = %s: variance() line %q, want samples=%s", c.maxSamples, project, c.want)
+		}
+	}
+}

@@ -21,22 +21,28 @@ import (
 // Store is an open write-ahead log bound to one database. It implements
 // core.MutationLog; Open attaches it, Close detaches it. All methods are
 // safe for concurrent use.
+//
+// mu serializes the writer — append, rotation, pruning — and guards the
+// fields below it. Readers (tails, NewestSnapshot, Stats) hold it only to
+// copy a few of those fields, never across file I/O, so no reader can
+// stall a commit.
 type Store struct {
 	dir  string
 	opts Options
 	db   *core.DB
 
 	mu          sync.Mutex
-	f           *os.File // active segment, positioned at its end
-	segFirst    uint64   // active segment's first sequence number
-	seq         uint64   // last appended sequence number
-	lastSnapSeq uint64   // sequence the newest snapshot covers through
-	sinceSnap   int      // records appended since that snapshot
-	lastSnapErr string   // most recent automatic-snapshot failure
-	poisoned    error    // first append/sync failure; fail-stop, see AppendMutation
+	f           *os.File      // active segment, positioned at its end
+	segFirst    uint64        // active segment's first sequence number
+	segEnd      int64         // active segment's committed length in bytes
+	commitCh    chan struct{} // closed and replaced on each commit and on Close
+	seq         uint64        // last appended sequence number
+	lastSnapSeq uint64        // sequence the newest snapshot covers through
+	sinceSnap   int           // records appended since that snapshot
+	lastSnapErr string        // most recent automatic-snapshot failure
+	poisoned    error         // first append/sync failure; fail-stop, see AppendMutation
 	closed      bool
-	buf         []byte          // scratch frame buffer, reused across appends
-	subs        []*Subscription // live tail-follow subscriptions (subscribe.go)
+	buf         []byte // scratch frame buffer, reused across appends
 
 	records   atomic.Uint64
 	bytes     atomic.Uint64
@@ -109,6 +115,7 @@ func Open(dir string, db *core.DB, opts Options) (*Store, *RecoveryInfo, error) 
 		seq:         lay.lastSeq,
 		lastSnapSeq: info.SnapshotSeq,
 		sinceSnap:   sinceSnap,
+		commitCh:    make(chan struct{}),
 		fsyncHist:   obs.NewHistogram(obs.ExpBuckets(1e-5, 4, 10)), // 10µs .. ~2.6s
 		recovery:    *info,
 	}
@@ -117,7 +124,12 @@ func Open(dir string, db *core.DB, opts Options) (*Store, *RecoveryInfo, error) 
 		if ferr != nil {
 			return nil, info, ferr
 		}
-		s.f, s.segFirst = f, lay.activeFirst
+		fi, ferr := f.Stat()
+		if ferr != nil {
+			f.Close()
+			return nil, info, ferr
+		}
+		s.f, s.segFirst, s.segEnd = f, lay.activeFirst, fi.Size()
 	} else if err := s.startSegmentLocked(s.seq + 1); err != nil {
 		return nil, info, err
 	}
@@ -176,12 +188,12 @@ func (s *Store) AppendMutation(m core.Mutation) error {
 	}
 	s.seq++
 	s.sinceSnap++
+	s.segEnd += int64(len(frame))
 	s.records.Add(1)
 	s.bytes.Add(uint64(len(frame)))
-	// The record is durable; hand it to tail-follow subscribers while still
-	// holding s.mu, so delivery order is commit order with no gaps even
-	// across a concurrent Subscribe, rotation, or prune.
-	s.notifySubscribersLocked(Record{Seq: s.seq, M: m})
+	// The record is committed: wake every tail waiting for it.
+	close(s.commitCh)
+	s.commitCh = make(chan struct{})
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		select {
 		case s.snapCh <- struct{}{}:
@@ -256,7 +268,7 @@ func (s *Store) Close() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.closed = true
-		s.closeSubscribersLocked(ErrClosed)
+		close(s.commitCh)
 		if s.f != nil {
 			err = s.f.Sync()
 			if cerr := s.f.Close(); err == nil {
@@ -295,10 +307,9 @@ func (s *Store) Stats() Stats {
 // it covers through and its full path (ok is false when none exists yet).
 // The path stays valid until two newer snapshots have been taken — prune
 // always retains the two newest — so a reader that opens it promptly never
-// races the pruner.
+// races the pruner. A snapshot appears under its name only once complete
+// (see writeSnapshotFile), so the listing needs no lock.
 func (s *Store) NewestSnapshot() (seq uint64, path string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, snaps, err := listDir(s.dir)
 	if err != nil || len(snaps) == 0 {
 		return 0, "", false
@@ -328,7 +339,7 @@ func (s *Store) startSegmentLocked(first uint64) error {
 		f.Close()
 		return err
 	}
-	s.f, s.segFirst = f, first
+	s.f, s.segFirst, s.segEnd = f, first, int64(len(segMagic))
 	return nil
 }
 

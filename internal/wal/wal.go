@@ -72,16 +72,11 @@ var (
 	ErrReplayDiverged = errors.New("wal: replay diverged from logged outcome")
 	// ErrClosed reports an operation on a closed store.
 	ErrClosed = errors.New("wal: store closed")
-	// ErrCompacted reports a Subscribe starting point older than the oldest
-	// record still on disk: pruning compacted that history into a snapshot.
-	// Subscribers wanting it (a bootstrapping replica) must load the newest
-	// snapshot first and resubscribe past its coverage.
+	// ErrCompacted reports a tail whose next record is no longer on disk:
+	// pruning compacted that history into a snapshot. A reader wanting it
+	// (a bootstrapping replica) must load the newest snapshot first and
+	// tail from past its coverage.
 	ErrCompacted = errors.New("wal: requested records compacted into a snapshot")
-	// ErrSubscriberLagged reports a subscription dropped because its
-	// consumer fell too far behind the append rate to buffer. The
-	// subscriber's next Next returns it; resubscribing from the last
-	// delivered record (or a snapshot) resumes cleanly.
-	ErrSubscriberLagged = errors.New("wal: subscriber lagged too far behind appends")
 	// ErrPoisoned reports a mutation refused because an earlier append or
 	// sync failed. The store fail-stops on the first such failure: the disk
 	// may hold torn bytes or an unacknowledged frame at the next sequence
