@@ -66,31 +66,15 @@ type TrajectoryPoint struct {
 // double their round sizes, so real trajectories are far shorter.
 const maxTrajectory = 64
 
-// AddSamples counts n accepted samples (merged at a round barrier).
-func (s *SamplerStats) AddSamples(n int64) {
-	for p := s; p != nil; p = p.Parent {
-		p.samples.Add(n)
-	}
-}
-
-// AddBatches counts n dispatched sample batches.
-func (s *SamplerStats) AddBatches(n int64) {
-	for p := s; p != nil; p = p.Parent {
-		p.batches.Add(n)
-	}
-}
-
-// AddRound counts one completed engine round (a barrier merge).
-func (s *SamplerStats) AddRound() {
+// AddRound counts one completed engine round (a barrier merge): the
+// batches it dispatched, the samples it merged, and the rejection work
+// behind them — attempts candidate draws of which accepts satisfied their
+// constraint group.
+func (s *SamplerStats) AddRound(batches, samples, attempts, accepts int64) {
 	for p := s; p != nil; p = p.Parent {
 		p.rounds.Add(1)
-	}
-}
-
-// AddRejection counts rejection-sampler work: attempts candidate draws of
-// which accepts satisfied their constraint group.
-func (s *SamplerStats) AddRejection(attempts, accepts int64) {
-	for p := s; p != nil; p = p.Parent {
+		p.batches.Add(batches)
+		p.samples.Add(samples)
 		p.rejAttempts.Add(attempts)
 		p.rejAccepts.Add(accepts)
 	}

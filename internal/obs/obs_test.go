@@ -11,16 +11,13 @@ func TestSamplerStatsParentChain(t *testing.T) {
 	mid := &SamplerStats{Parent: root}
 	leaf := &SamplerStats{Parent: mid}
 
-	leaf.AddSamples(5)
-	leaf.AddBatches(2)
-	leaf.AddRound()
-	leaf.AddRejection(10, 4)
+	leaf.AddRound(2, 5, 10, 4)
 	leaf.AddMetropolis(true)
 	leaf.AddMetropolis(false)
 	leaf.AddEscalation()
 	leaf.AddExactCDFHit()
 	leaf.AddClosedFormHit()
-	mid.AddSamples(3) // mid-level adds must not reach the leaf
+	mid.AddRound(1, 3, 0, 0) // mid-level adds must not reach the leaf
 
 	for _, tc := range []struct {
 		name string
@@ -30,10 +27,10 @@ func TestSamplerStatsParentChain(t *testing.T) {
 		{"leaf", leaf, SamplerSnapshot{Samples: 5, Batches: 2, Rounds: 1,
 			RejectionAttempts: 10, RejectionAccepts: 4, MetropolisProposals: 2,
 			MetropolisAccepts: 1, Escalations: 1, ExactCDFHits: 1, ClosedFormHits: 1}},
-		{"mid", mid, SamplerSnapshot{Samples: 8, Batches: 2, Rounds: 1,
+		{"mid", mid, SamplerSnapshot{Samples: 8, Batches: 3, Rounds: 2,
 			RejectionAttempts: 10, RejectionAccepts: 4, MetropolisProposals: 2,
 			MetropolisAccepts: 1, Escalations: 1, ExactCDFHits: 1, ClosedFormHits: 1}},
-		{"root", root, SamplerSnapshot{Samples: 8, Batches: 2, Rounds: 1,
+		{"root", root, SamplerSnapshot{Samples: 8, Batches: 3, Rounds: 2,
 			RejectionAttempts: 10, RejectionAccepts: 4, MetropolisProposals: 2,
 			MetropolisAccepts: 1, Escalations: 1, ExactCDFHits: 1, ClosedFormHits: 1}},
 	} {
@@ -45,10 +42,7 @@ func TestSamplerStatsParentChain(t *testing.T) {
 
 func TestSamplerStatsNilSafe(t *testing.T) {
 	var s *SamplerStats
-	s.AddSamples(1)
-	s.AddBatches(1)
-	s.AddRound()
-	s.AddRejection(1, 1)
+	s.AddRound(1, 1, 1, 1)
 	s.AddMetropolis(true)
 	s.AddEscalation()
 	s.AddExactCDFHit()
@@ -206,7 +200,7 @@ func TestEngineStatsLastQuery(t *testing.T) {
 		t.Fatalf("last query %v, want the most recent", got)
 	}
 	// Query-scope counters roll up into the engine scope via the chain.
-	q2.Sampler.AddSamples(7)
+	q2.Sampler.AddRound(1, 7, 0, 0)
 	if es.Sampler.Snapshot().Samples != 7 {
 		t.Fatal("query samples did not roll up to the engine scope")
 	}

@@ -57,22 +57,16 @@ func (s *Sampler) forEachRowBatch(rows int, per func(sub *Sampler, row int) (flo
 	// worker-count-independent by contract, so this only changes where the
 	// work runs. Otherwise per-row sampling pins to one worker to avoid
 	// oversubscribing with nested pools.
-	offs := splitRange(0, rows, rowBatchSize)
+	batches := (rows + rowBatchSize - 1) / rowBatchSize
 	workers := s.cfg.effectiveWorkers()
 	innerWorkers := 1
-	if len(offs) < workers {
-		innerWorkers = (workers + len(offs) - 1) / len(offs)
+	if batches < workers {
+		innerWorkers = (workers + batches - 1) / batches
 	}
 	inner := s.withWorkers(innerWorkers)
-	results := make([]rowAggBatch, len(offs))
-	forEachBatch(s.cfg.Ctx, workers, len(offs), func(_, b int) {
-		end := offs[b] + rowBatchSize
-		if end > rows {
-			end = rows
-		}
-		r := &results[b]
+	results, err := fanOut(&s.cfg, workers, 0, rows, rowBatchSize, func(_, lo, hi int, r *rowAggBatch) {
 		r.exact = true
-		for i := offs[b]; i < end; i++ {
+		for i := lo; i < hi; i++ {
 			v, n, exact, err := per(inner, i)
 			if err != nil {
 				r.err = err
@@ -83,9 +77,7 @@ func (s *Sampler) forEachRowBatch(rows int, per func(sub *Sampler, row int) (flo
 			r.exact = r.exact && exact
 		}
 	})
-	// Row barrier: on cancellation the undispatched batches hold zero
-	// partial sums — discard the whole aggregate rather than report them.
-	if err := s.cfg.ctxErr(); err != nil {
+	if err != nil {
 		return AggregateResult{}, err
 	}
 	out := AggregateResult{Exact: true, RowsScanned: rows}
@@ -391,8 +383,6 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 		}
 	}
 	out := make([]float64, n)
-	offs := splitRange(0, n, sampleBatchSize)
-	errs := make([]error, len(offs))
 	workers := s.cfg.effectiveWorkers()
 	// Worker w's world and its list of present values, built on first use.
 	type histScratch struct {
@@ -400,16 +390,12 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 		present []float64
 	}
 	scratches := make([]histScratch, max(1, workers))
-	forEachBatch(s.cfg.Ctx, workers, len(offs), func(w, b int) {
-		end := offs[b] + sampleBatchSize
-		if end > n {
-			end = n
-		}
+	errs, err := fanOut(&s.cfg, workers, 0, n, sampleBatchSize, func(w, lo, hi int, berr *error) {
 		sc := &scratches[w]
 		if sc.scratch == nil {
 			sc.scratch = newScratch(fr.size(), nstack)
 		}
-		for i := offs[b]; i < end; i++ {
+		for i := lo; i < hi; i++ {
 			fr.drawWorld(sc.vals, &sc.rng, uint64(i))
 			sc.present = sc.present[:0]
 			for r := range rows {
@@ -421,7 +407,7 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 				case row.cell != nil:
 					sc.present = append(sc.present, row.cell.EvalSlots(sc.vals, sc.stack))
 				case row.bad:
-					errs[b] = fmt.Errorf("sampler: non-numeric histogram target %s", tb.Tuples[r].Values[col])
+					*berr = fmt.Errorf("sampler: non-numeric histogram target %s", tb.Tuples[r].Values[col])
 					return
 				default:
 					sc.present = append(sc.present, row.val)
@@ -430,7 +416,7 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 			out[i] = fold(sc.present)
 		}
 	})
-	if err := s.cfg.ctxErr(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for _, err := range errs {
@@ -438,13 +424,8 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 			return nil, err
 		}
 	}
-	// Barrier point: the batch fan-out is complete, so counting here is
-	// deterministic-neutral. Every drawn world is kept (no rejection).
-	if st := s.cfg.Stats; st != nil {
-		st.AddRound()
-		st.AddBatches(int64(len(offs)))
-		st.AddSamples(int64(n))
-	}
+	// One round; every drawn world is kept (no rejection).
+	s.cfg.Stats.AddRound(int64(len(errs)), int64(n), 0, 0)
 	return out, nil
 }
 
@@ -537,12 +518,11 @@ func (s *Sampler) ExpectationHistogram(e expr.Expr, c cond.Clause, n int) ([]flo
 	if err != nil {
 		return nil, err
 	}
-	values, _, _ := engine.runFixed(n)
-	if engine.err != nil {
-		return nil, engine.err
+	if err := engine.runRound(0, n); err != nil {
+		return nil, err
 	}
-	if values == nil {
-		values = []float64{}
+	if engine.values == nil {
+		return []float64{}, nil
 	}
-	return values, nil
+	return engine.values, nil
 }

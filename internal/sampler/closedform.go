@@ -228,6 +228,7 @@ func (s *Sampler) exactConditionalMean(e expr.Expr, groups []cond.Group, eKeys m
 		prob = p
 		s.cfg.Stats.AddExactCDFHit()
 	}
+	var others []*groupSampler
 	for i, g := range groups {
 		if i == target {
 			continue
@@ -239,12 +240,13 @@ func (s *Sampler) exactConditionalMean(e expr.Expr, groups []cond.Group, eKeys m
 		if gs.inconsistent {
 			return Result{Mean: math.NaN(), Prob: 0, Exact: true}, true
 		}
-		if getP {
-			prob *= s.groupProb(gs)
-		}
+		others = append(others, gs)
 	}
-	if err := s.cfg.ctxErr(); err != nil {
-		return Result{Err: err}, true
+	if getP {
+		var err error
+		if prob, err = s.probOf(prob, others); err != nil {
+			return Result{Err: err}, true
+		}
 	}
 	s.cfg.Stats.AddClosedFormHit()
 	return Result{Mean: mean, Prob: prob, Exact: true}, true

@@ -48,9 +48,6 @@ func (s *Sampler) Conf(c cond.Clause) Result {
 			break
 		}
 	}
-	if err := s.cfg.ctxErr(); err != nil {
-		return Result{Err: err}
-	}
 	return Result{Mean: math.NaN(), Prob: prob, Exact: exact, N: n}
 }
 
@@ -134,8 +131,7 @@ func (s *Sampler) clauseProbDetail(g cond.Group) (prob float64, exact bool, n in
 	if err != nil {
 		return 0, false, 0, err
 	}
-	prob, exact, n = s.sampleGroupProb(gs)
-	return prob, exact, n, nil
+	return s.sampleGroupProb(gs)
 }
 
 // exactGroupProb integrates a group without sampling when it is atom-free,
@@ -161,14 +157,25 @@ func (s *Sampler) exactGroupProb(g cond.Group) (float64, bool) {
 	return 0, false
 }
 
-// groupProb returns the probability of an already-built sampler's group:
-// exactly when possible, else from the sampler's candidate stream.
-func (s *Sampler) groupProb(gs *groupSampler) float64 {
-	if p, ok := s.exactGroupProb(gs.group); ok {
-		return p
+// probOf multiplies prob by each group's probability, in order: a sampled
+// group's free estimate when it has one (Algorithm 4.3 line 29), else the
+// exact integral when possible, else the group's candidate stream. The error
+// is the context's.
+func (s *Sampler) probOf(prob float64, groups []*groupSampler) (float64, error) {
+	for _, gs := range groups {
+		p, ok := gs.probEstimate()
+		if !ok {
+			p, ok = s.exactGroupProb(gs.group)
+		}
+		if !ok {
+			var err error
+			if p, _, _, err = s.sampleGroupProb(gs); err != nil {
+				return 0, err
+			}
+		}
+		prob *= p
 	}
-	p, _, _ := s.sampleGroupProb(gs)
-	return p
+	return prob, nil
 }
 
 // sampleGroupProb estimates P[group atoms] by counting acceptances of the
@@ -179,25 +186,28 @@ func (s *Sampler) groupProb(gs *groupSampler) float64 {
 // accumulators merge in batch order, so the estimate is identical for any
 // worker count. Only the plan is used — never the sampler's counters or
 // chain — so no Metropolis pilot runs here.
-func (s *Sampler) sampleGroupProb(gs *groupSampler) (float64, bool, int) {
+func (s *Sampler) sampleGroupProb(gs *groupSampler) (prob float64, exact bool, n int, err error) {
 	if gs.inconsistent {
-		return 0, true, 0
+		return 0, true, 0, nil
 	}
 	we := gs.indicatorEngine()
 	var acc Accumulator
 	z := s.cfg.zTarget()
-	for s.cfg.wantMore(acc, z) && s.cfg.ctxErr() == nil {
+	for s.cfg.wantMore(acc, z) {
 		round := s.cfg.nextRoundSize(acc.N)
 		if round <= 0 {
 			break
 		}
-		wb := we.runRound(acc.N, round, false)
+		wb, err := we.runRound(acc.N, round, false)
+		if err != nil {
+			return 0, false, 0, err
+		}
 		acc.Merge(wb.acc)
 	}
 	if acc.N == 0 {
-		return 0, false, 0
+		return 0, false, 0, nil
 	}
-	return gs.massFraction * acc.Sum / float64(acc.N), false, acc.N
+	return gs.massFraction * acc.Sum / float64(acc.N), false, acc.N, nil
 }
 
 // indicatorEngine returns the world engine over the group's candidate stream

@@ -115,8 +115,8 @@ func DefaultConfig() Config {
 }
 
 // ctxErr returns the configuration context's error, or nil when no context
-// is attached. It is the cancellation check applied at the parallel engine's
-// batch dispatch and round barriers.
+// is attached. It is the cancellation check fanOut applies before each batch
+// and at the round barrier.
 func (c *Config) ctxErr() error {
 	if c.Ctx == nil {
 		return nil

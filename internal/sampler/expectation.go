@@ -160,9 +160,9 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 				if !getP {
 					return res
 				}
-				prob := 1.0
-				for _, gs := range probGroups {
-					prob *= s.groupProb(gs)
+				prob, err := s.probOf(1, probGroups)
+				if err != nil {
+					return Result{Err: err}
 				}
 				res.Prob = prob
 				return res
@@ -179,14 +179,14 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 		if err != nil {
 			return Result{Err: err}
 		}
-		acc, ok := engine.runAdaptive()
-		if engine.err != nil {
-			return Result{Err: engine.err}
+		if err := engine.runAdaptive(); err != nil {
+			return Result{Err: err}
 		}
-		if !ok {
+		if engine.failed {
 			// Constraint region unreachable within budget.
 			return Result{Mean: math.NaN(), Prob: 0}
 		}
+		acc := engine.acc
 		res.N = acc.N
 		res.Mean = acc.Mean()
 		res.StdErr = acc.StdErr()
@@ -209,23 +209,11 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 	// sampled give N/Count for free (line 29) unless they escalated to
 	// Metropolis, in which case they are re-integrated by rejection — over
 	// the draw plan they already own.
-	prob := 1.0
-	for _, gs := range samplingGroups {
-		if p, ok := gs.probEstimate(); ok {
-			prob *= p
-			continue
-		}
-		prob *= s.groupProb(gs)
-	}
-	for _, gs := range probGroups {
-		prob *= s.groupProb(gs)
-	}
-	res.Prob = prob
-	// Final cancellation gate: probability integration above may have been
-	// cut short by the context; report the abort, never the partial value.
-	if err := s.cfg.ctxErr(); err != nil {
+	prob, err := s.probOf(1, append(samplingGroups, probGroups...))
+	if err != nil {
 		return Result{Err: err}
 	}
+	res.Prob = prob
 	return res
 }
 
@@ -283,12 +271,15 @@ func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 		maxAttempts = fixed * 1000
 		var values []float64
 		var idxs []int
-		for len(values) < fixed && attempts < maxAttempts && s.cfg.ctxErr() == nil {
+		for len(values) < fixed && attempts < maxAttempts {
 			round := worldRoundSize(attempts, maxAttempts)
 			if round <= 0 {
 				break
 			}
-			wb := we.runRound(attempts, round, true)
+			wb, err := we.runRound(attempts, round, true)
+			if err != nil {
+				return Result{Err: err}
+			}
 			values = append(values, wb.values...)
 			idxs = append(idxs, wb.idxs...)
 			attempts += wb.attempts
@@ -305,18 +296,18 @@ func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 		}
 	} else {
 		z := s.cfg.zTarget()
-		for s.cfg.wantMore(acc, z) && attempts < maxAttempts && s.cfg.ctxErr() == nil {
+		for s.cfg.wantMore(acc, z) && attempts < maxAttempts {
 			round := worldRoundSize(attempts, maxAttempts)
 			if round <= 0 {
 				break
 			}
-			wb := we.runRound(attempts, round, false)
+			wb, err := we.runRound(attempts, round, false)
+			if err != nil {
+				return Result{Err: err}
+			}
 			acc.Merge(wb.acc)
 			attempts += wb.attempts
 		}
-	}
-	if err := s.cfg.ctxErr(); err != nil {
-		return Result{Err: err}
 	}
 
 	res := Result{N: acc.N}

@@ -45,7 +45,7 @@ func rejectionKernel(tb testing.TB) func() {
 		tb.Fatal("kernel group pre-escalated; the rejection loop is not what is measured")
 	}
 	sc := ge.workerScratch(0)
-	res := groupBatch{attempts: make([]int, 1), accepts: make([]int, 1), escalated: make([]bool, 1)}
+	res := groupBatch{counts: make([]groupCounts, 1)}
 	start := 0
 	return func() {
 		res.acc = Accumulator{}

@@ -1,7 +1,6 @@
 package sampler
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,10 +24,10 @@ import (
 // independent of Config.Workers. Equal seed + any worker count => bit
 // identical results. The only engine state that is not a pure function of
 // the sample index — the Metropolis random walk, whose chain is inherently
-// sequential — is handled by falling back to in-order batch execution on a
-// single goroutine whenever a group pre-escalates, and by making mid-stream
-// escalation a batch-local decision (fresh per-batch counters), which is
-// again a pure function of the batch's index range.
+// sequential — is handled by running the batches on one worker, in order
+// (fanOut with workers = 1), whenever a group escalates, and by making
+// mid-stream escalation a batch-local decision (fresh per-batch counters),
+// which is again a pure function of the batch's index range.
 //
 // Adaptive (epsilon, delta) stopping is checked at batch barriers instead of
 // per sample: after each round the merged accumulator is tested with
@@ -54,67 +53,52 @@ func (c Config) effectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachBatch runs fn(w, b) for every b in [0, numBatches) on up to workers
-// goroutines; w < workers identifies the goroutine, so fn may use scratch
-// owned by worker w. Beyond that fn must touch only state owned by batch b
-// (plus read-only shared structures); results must be written into per-batch
-// slots so the caller can merge them in batch order. With workers <= 1 the
-// batches run inline, in order, on the calling goroutine as worker 0 — same
-// slots, same merge.
+// fanOut is the round barrier, the one place the sampler runs work on more
+// than one goroutine. It splits the index range [start, start+count) into
+// batches of size indices (the last may be short), runs run(w, lo, hi, out)
+// for each on up to workers goroutines, and returns the per-batch results in
+// batch order. w < workers identifies the goroutine, so run may use scratch
+// owned by worker w; beyond that it must touch only its batch's out (plus
+// read-only shared structures). With workers <= 1 the batches run inline,
+// in order, as worker 0. The split depends only on (start, count, size), so
+// a caller that merges the results in order gets the same bits at every
+// worker count.
 //
-// A cancelled ctx stops further batch dispatch; already-running batches
-// finish. Callers must re-check the context after the barrier and discard
-// the round on cancellation (slots of undispatched batches are zero), so
-// cancellation can never surface as a partial result.
-func forEachBatch(ctx context.Context, workers, numBatches int, fn func(w, b int)) {
-	if workers > numBatches {
-		workers = numBatches
+// A cancelled cfg.Ctx stops further dispatch (running batches finish) and
+// fanOut returns cfg.ctxErr() and no results, so a cancellation can never
+// surface as a partial round.
+func fanOut[T any](cfg *Config, workers, start, count, size int, run func(w, lo, hi int, out *T)) ([]T, error) {
+	out := make([]T, max(0, (count+size-1)/size))
+	batch := func(w, b int) {
+		lo := start + b*size
+		run(w, lo, min(lo+size, start+count), &out[b])
 	}
-	if workers <= 1 {
-		for b := 0; b < numBatches; b++ {
-			if ctxCancelled(ctx) {
-				return
-			}
-			fn(0, b)
+	if workers = min(workers, len(out)); workers <= 1 {
+		for b := 0; b < len(out) && cfg.ctxErr() == nil; b++ {
+			batch(0, b)
 		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for !ctxCancelled(ctx) {
-				b := int(atomic.AddInt64(&next, 1)) - 1
-				if b >= numBatches {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := range workers {
+			go func() {
+				defer wg.Done()
+				for cfg.ctxErr() == nil {
+					b := int(next.Add(1)) - 1
+					if b >= len(out) {
+						return
+					}
+					batch(w, b)
 				}
-				fn(w, b)
-			}
-		}(w)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-}
-
-// ctxCancelled reports whether a (possibly nil) context has been cancelled.
-func ctxCancelled(ctx context.Context) bool {
-	return ctx != nil && ctx.Err() != nil
-}
-
-// splitRange shards the index range [start, start+count) into batches of at
-// most size indices, returning the batch start offsets (the last batch may
-// be short). The split depends only on (start, count, size).
-func splitRange(start, count, size int) []int {
-	if count <= 0 {
-		return nil
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
 	}
-	n := (count + size - 1) / size
-	offs := make([]int, n)
-	for i := range offs {
-		offs[i] = start + i*size
-	}
-	return offs
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -129,13 +113,16 @@ type groupBatch struct {
 	// failedAt is the first sample index whose rejection cap was exhausted
 	// (-1 when the whole batch succeeded). Samples after it were not drawn.
 	failedAt int
-	// attempts / accepts / escalated mirror the per-group rejection counters
-	// of the batch's private group-sampler copies, indexed like the engine's
-	// prototype slice (nil in sequential mode, where the prototypes
-	// themselves advance).
-	attempts  []int
-	accepts   []int
-	escalated []bool
+	// counts mirrors the rejection counters of the batch's private
+	// group-sampler copies, indexed like the engine's prototype slice (nil
+	// in sequential mode, where the prototypes themselves advance).
+	counts []groupCounts
+}
+
+// groupCounts is one group's rejection counters as a batch left them.
+type groupCounts struct {
+	attempts, accepts int
+	escalated         bool
 }
 
 // batchScratch is one worker's working memory for runBatch, sized once per
@@ -167,21 +154,20 @@ type groupEngine struct {
 	// the moment accumulator.
 	collect bool
 
-	// sequential is set when any group pre-escalated to Metropolis: the
-	// chain's state must persist across samples, so batches run in order on
-	// the calling goroutine against the prototypes themselves. The decision
-	// is made once, from setup state that is a pure function of the query,
-	// so it is identical for every worker count.
+	// sequential is set when any group escalated to Metropolis: the chain's
+	// state must persist across samples, so batches run on one worker, in
+	// order, against the prototypes themselves. The decision is a pure
+	// function of the query and the merged rounds, so it is identical for
+	// every worker count.
 	sequential bool
 	// scratch[w] belongs to worker w, built on the worker's first batch.
 	scratch []*batchScratch
 
 	acc    Accumulator
 	values []float64
+	// failed is set once a sample exhausted its rejection cap: the
+	// constraint region is unreachable within budget.
 	failed bool
-	// err is the context error that aborted the run, if any. Once set, the
-	// accumulated state is partial and must not be reported.
-	err error
 }
 
 // newGroupEngine lays the groups' frames end to end, compiles the target
@@ -238,80 +224,34 @@ func (ge *groupEngine) workerScratch(w int) *batchScratch {
 }
 
 // runRound draws the sample index range [start, start+count), merging batch
-// results in batch order. It returns false once a sample exhausts its
-// rejection cap (the constraint region is unreachable within budget) or the
-// configuration context is cancelled (ge.err distinguishes the two).
-func (ge *groupEngine) runRound(start, count int) bool {
-	if ge.failed || ge.err != nil || count <= 0 {
-		return !ge.failed && ge.err == nil
+// results in batch order; a batch that exhausts its rejection cap sets
+// ge.failed and ends the merge. The error is the context's: the round was
+// abandoned and the engine's state must not be reported.
+func (ge *groupEngine) runRound(start, count int) error {
+	if count <= 0 {
+		return nil
 	}
-	if err := ge.cfg.ctxErr(); err != nil {
-		ge.err = err
-		return false
+	ng, workers := len(ge.protos), 1
+	var counts []groupCounts
+	if !ge.sequential {
+		// Parallel batches report their private samplers' counters into
+		// windows of one per-round array.
+		workers = ge.cfg.effectiveWorkers()
+		counts = make([]groupCounts, ng*((count+sampleBatchSize-1)/sampleBatchSize))
 	}
-	offs := splitRange(start, count, sampleBatchSize)
 	// Telemetry baselines, recorded as deltas once the barrier merge has
 	// completed (or failed mid-merge). The counters never steer the round.
 	preN := ge.acc.N
-	preAtt, preAcc := 0, 0
-	for _, gs := range ge.protos {
-		preAtt += gs.attempts
-		preAcc += gs.accepts
-	}
-	record := func() {
-		if st := ge.cfg.Stats; st != nil {
-			att, acc := 0, 0
-			for _, gs := range ge.protos {
-				att += gs.attempts
-				acc += gs.accepts
-			}
-			st.AddRound()
-			st.AddBatches(int64(len(offs)))
-			st.AddSamples(int64(ge.acc.N - preN))
-			st.AddRejection(int64(att-preAtt), int64(acc-preAcc))
-		}
-	}
-	results := make([]groupBatch, len(offs))
-	// Parallel batches report their private samplers' counters into windows
-	// of one per-round array (attempts, then accepts, per group per batch).
-	ng := len(ge.protos)
-	var counts []int
-	var esc []bool
-	if !ge.sequential {
-		counts = make([]int, 2*ng*len(offs))
-		esc = make([]bool, ng*len(offs))
-	}
-	run := func(w, b int) {
-		n := sampleBatchSize
-		if rem := start + count - offs[b]; rem < n {
-			n = rem
-		}
-		r := &results[b]
+	preAtt, preAcc := ge.tally()
+	results, err := fanOut(ge.cfg, workers, start, count, sampleBatchSize, func(w, lo, hi int, r *groupBatch) {
 		if counts != nil {
-			r.attempts = counts[2*ng*b : 2*ng*b+ng]
-			r.accepts = counts[2*ng*b+ng : 2*ng*(b+1)]
-			r.escalated = esc[ng*b : ng*(b+1)]
+			b := (lo - start) / sampleBatchSize
+			r.counts = counts[ng*b : ng*(b+1)]
 		}
-		ge.runBatch(ge.workerScratch(w), offs[b], n, r)
-	}
-	if ge.sequential {
-		// In-order execution against the live prototypes: Metropolis chain
-		// state carries across batches, exactly as in a sequential engine.
-		for b := range offs {
-			if ctxCancelled(ge.cfg.Ctx) {
-				break
-			}
-			run(0, b)
-		}
-	} else {
-		forEachBatch(ge.cfg.Ctx, ge.cfg.effectiveWorkers(), len(offs), run)
-	}
-	// Round barrier: a cancellation observed here aborts before the merge —
-	// undispatched batches hold zero slots, so merging them would corrupt
-	// the accumulator silently.
-	if err := ge.cfg.ctxErr(); err != nil {
-		ge.err = err
-		return false
+		ge.runBatch(ge.workerScratch(w), lo, hi-lo, r)
+	})
+	if err != nil {
+		return err
 	}
 	// Barrier merge, strictly in batch order.
 	for b := range results {
@@ -320,34 +260,37 @@ func (ge *groupEngine) runRound(start, count int) bool {
 		if ge.collect {
 			ge.values = append(ge.values, r.values...)
 		}
-		for gi := range r.attempts {
-			ge.protos[gi].attempts += r.attempts[gi]
-			ge.protos[gi].accepts += r.accepts[gi]
-			if r.escalated[gi] {
-				ge.protos[gi].escalated = true
-			}
+		for gi, c := range r.counts {
+			gs := ge.protos[gi]
+			gs.attempts += c.attempts
+			gs.accepts += c.accepts
+			gs.escalated = gs.escalated || c.escalated
 		}
 		if r.failedAt >= 0 {
 			ge.failed = true
-			record()
-			return false
+			break
 		}
 	}
-	record()
+	att, acc := ge.tally()
+	ge.cfg.Stats.AddRound(int64(len(results)), int64(ge.acc.N-preN), int64(att-preAtt), int64(acc-preAcc))
 	// If any batch escalated this round, later rounds run sequentially on
 	// the prototypes: their merged counters immediately re-trigger the
 	// escalation inside drawInto, so the burn-in is paid once for the rest
 	// of the run instead of once per batch. The flip is a pure function of
 	// the merged round results, hence identical at every worker count.
-	if !ge.sequential {
-		for _, gs := range ge.protos {
-			if gs.escalated {
-				ge.sequential = true
-				break
-			}
-		}
+	for _, gs := range ge.protos {
+		ge.sequential = ge.sequential || gs.escalated
 	}
-	return true
+	return nil
+}
+
+// tally sums the prototypes' rejection counters.
+func (ge *groupEngine) tally() (attempts, accepts int) {
+	for _, gs := range ge.protos {
+		attempts += gs.attempts
+		accepts += gs.accepts
+	}
+	return attempts, accepts
 }
 
 // runBatch draws samples [start, start+n) into res, which the caller has
@@ -394,38 +337,28 @@ func (ge *groupEngine) runBatch(sc *batchScratch, start, n int, res *groupBatch)
 			res.values = append(make([]float64, 0, drawn), sc.out[:drawn]...)
 		}
 	}
-	for i := range res.attempts {
-		res.attempts[i] = gss[i].attempts
-		res.accepts[i] = gss[i].accepts
-		res.escalated[i] = gss[i].usingMetropolis()
+	for i := range res.counts {
+		res.counts[i] = groupCounts{gss[i].attempts, gss[i].accepts, gss[i].usingMetropolis()}
 	}
 }
 
 // runAdaptive draws rounds until the (epsilon, delta) bound is met at a
-// barrier (or a rejection cap fires). It returns the merged accumulator and
-// whether every requested sample was produced.
-func (ge *groupEngine) runAdaptive() (Accumulator, bool) {
+// barrier or a rejection cap fires (ge.failed). The error is the context's.
+func (ge *groupEngine) runAdaptive() error {
 	z := ge.cfg.zTarget()
 	for ge.cfg.wantMore(ge.acc, z) {
 		round := ge.cfg.nextRoundSize(ge.acc.N)
 		if round <= 0 {
 			break
 		}
-		if !ge.runRound(ge.acc.N, round) {
-			return ge.acc, false
+		if err := ge.runRound(ge.acc.N, round); err != nil || ge.failed {
+			return err
 		}
 		// Epsilon-trajectory: one barrier observation of the confidence
 		// half-width the stopping rule just evaluated.
 		ge.cfg.Stats.RecordTrajectory(ge.acc.N, ge.cfg.relWidth(ge.acc, z))
 	}
-	return ge.acc, true
-}
-
-// runFixed draws exactly n samples (stopping early only on rejection-cap
-// failure), returning the per-sample values when collecting.
-func (ge *groupEngine) runFixed(n int) ([]float64, Accumulator, bool) {
-	ok := ge.runRound(0, n)
-	return ge.values, ge.acc, ok
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -503,20 +436,16 @@ func (we *worldEngine) runBatch(sc *scratch, start, n int, collect bool, r *worl
 
 // runRound draws attempt indices [start, start+count), merging batch
 // accumulators in batch order. With collect set, accepted values and their
-// attempt indices are also returned, in attempt order. Callers must check
-// cfg.ctxErr() after the round and discard the batch on cancellation.
-func (we *worldEngine) runRound(start, count int, collect bool) worldBatch {
-	cfg := we.cfg
-	offs := splitRange(start, count, sampleBatchSize)
-	results := make([]worldBatch, len(offs))
-	forEachBatch(cfg.Ctx, cfg.effectiveWorkers(), len(offs), func(w, b int) {
-		n := sampleBatchSize
-		if rem := start + count - offs[b]; rem < n {
-			n = rem
-		}
-		we.runBatch(we.workerScratch(w), offs[b], n, collect, &results[b])
-	})
+// attempt indices are also returned, in attempt order. The error is the
+// context's: the round was abandoned.
+func (we *worldEngine) runRound(start, count int, collect bool) (worldBatch, error) {
 	var merged worldBatch
+	results, err := fanOut(we.cfg, we.cfg.effectiveWorkers(), start, count, sampleBatchSize, func(w, lo, hi int, r *worldBatch) {
+		we.runBatch(we.workerScratch(w), lo, hi-lo, collect, r)
+	})
+	if err != nil {
+		return merged, err
+	}
 	for b := range results {
 		merged.acc.Merge(results[b].acc)
 		merged.attempts += results[b].attempts
@@ -525,11 +454,6 @@ func (we *worldEngine) runRound(start, count int, collect bool) worldBatch {
 			merged.idxs = append(merged.idxs, results[b].idxs...)
 		}
 	}
-	if st := cfg.Stats; st != nil {
-		st.AddRound()
-		st.AddBatches(int64(len(offs)))
-		st.AddSamples(int64(merged.acc.N))
-		st.AddRejection(int64(merged.attempts), int64(merged.acc.N))
-	}
-	return merged
+	we.cfg.Stats.AddRound(int64(len(results)), int64(merged.acc.N), int64(merged.attempts), int64(merged.acc.N))
+	return merged, nil
 }

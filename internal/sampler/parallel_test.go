@@ -1,7 +1,9 @@
 package sampler
 
 import (
+	"context"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -34,39 +36,57 @@ func eq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-func TestSplitRange(t *testing.T) {
-	offs := splitRange(10, 130, 64)
-	want := []int{10, 74, 138}
-	if len(offs) != len(want) {
-		t.Fatalf("offsets %v, want %v", offs, want)
-	}
-	for i := range want {
-		if offs[i] != want[i] {
-			t.Fatalf("offsets %v, want %v", offs, want)
-		}
-	}
-	if splitRange(0, 0, 64) != nil {
-		t.Fatal("empty range should produce no batches")
-	}
-}
-
-func TestForEachBatchCoversAllBatches(t *testing.T) {
+// TestFanOut pins the round barrier: every index runs exactly once under a
+// worker id in range, results come back in batch order with a short last
+// batch, an empty range yields nothing, and a cancelled context runs no
+// batch and returns its error.
+func TestFanOut(t *testing.T) {
+	type span struct{ lo, hi int }
 	for _, workers := range []int{1, 3, 16} {
-		hits := make([]int, 57)
+		cfg := DefaultConfig()
+		hits := make([]atomic.Int32, 140)
 		var badWorker atomic.Bool
-		forEachBatch(nil, workers, len(hits), func(w, b int) {
-			hits[b]++
+		spans, err := fanOut(&cfg, workers, 10, 130, 64, func(w, lo, hi int, out *span) {
 			if w < 0 || w >= workers {
 				badWorker.Store(true)
 			}
-		})
-		if badWorker.Load() {
-			t.Fatalf("workers=%d: a batch ran under a worker index outside [0, workers)", workers)
-		}
-		for b, n := range hits {
-			if n != 1 {
-				t.Fatalf("workers=%d: batch %d ran %d times", workers, b, n)
+			for i := lo; i < hi; i++ {
+				hits[i].Add(1)
 			}
+			*out = span{lo, hi}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if badWorker.Load() {
+			t.Fatalf("workers=%d: a batch ran under a worker id outside [0, workers)", workers)
+		}
+		for i := range hits {
+			want := int32(0)
+			if i >= 10 {
+				want = 1
+			}
+			if hits[i].Load() != want {
+				t.Fatalf("workers=%d: index %d ran %d times, want %d", workers, i, hits[i].Load(), want)
+			}
+		}
+		if want := []span{{10, 74}, {74, 138}, {138, 140}}; !slices.Equal(spans, want) {
+			t.Fatalf("workers=%d: batches %v, want %v", workers, spans, want)
+		}
+		var ran atomic.Bool
+		mark := func(int, int, int, *span) { ran.Store(true) }
+		for _, count := range []int{0, -1, -200} {
+			got, err := fanOut(&cfg, workers, 5, count, 64, mark)
+			if err != nil || len(got) != 0 || ran.Load() {
+				t.Fatalf("workers=%d count=%d: %v, %v; want no batch and no results", workers, count, got, err)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		cfg.Ctx = ctx
+		got, err := fanOut(&cfg, workers, 0, 1000, 64, mark)
+		if err != context.Canceled || got != nil || ran.Load() {
+			t.Fatalf("workers=%d: cancelled fanOut ran a batch or returned %v, %v", workers, got, err)
 		}
 	}
 }
