@@ -36,24 +36,49 @@ func eq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// TestFanOut pins the round barrier: every index runs exactly once under a
-// worker id in range, results come back in batch order with a short last
-// batch, an empty range yields nothing, and a cancelled context runs no
-// batch and returns its error.
-func TestFanOut(t *testing.T) {
-	type span struct{ lo, hi int }
+type span struct{ lo, hi int }
+
+// TestSplitRange pins how fanOut splits its index range: fixed batches in
+// batch order with a short last batch, and no batch for an empty or negative
+// count, at every worker count.
+func TestSplitRange(t *testing.T) {
+	for _, workers := range []int{1, 3, 16} {
+		cfg := DefaultConfig()
+		spans, err := fanOut(&cfg, workers, 10, 130, 64, func(_, lo, hi int, out *span) {
+			*out = span{lo, hi}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []span{{10, 74}, {74, 138}, {138, 140}}; !slices.Equal(spans, want) {
+			t.Fatalf("workers=%d: batches %v, want %v", workers, spans, want)
+		}
+		var ran atomic.Bool
+		mark := func(int, int, int, *span) { ran.Store(true) }
+		for _, count := range []int{0, -1, -200} {
+			got, err := fanOut(&cfg, workers, 5, count, 64, mark)
+			if err != nil || len(got) != 0 || ran.Load() {
+				t.Fatalf("workers=%d count=%d: %v, %v; want no batch and no results", workers, count, got, err)
+			}
+		}
+	}
+}
+
+// TestForEachBatchCoversAllBatches checks that fanOut runs every index of its
+// range exactly once, none outside it, and each batch under a worker id in
+// [0, workers).
+func TestForEachBatchCoversAllBatches(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		cfg := DefaultConfig()
 		hits := make([]atomic.Int32, 140)
 		var badWorker atomic.Bool
-		spans, err := fanOut(&cfg, workers, 10, 130, 64, func(w, lo, hi int, out *span) {
+		_, err := fanOut(&cfg, workers, 10, 130, 64, func(w, lo, hi int, _ *span) {
 			if w < 0 || w >= workers {
 				badWorker.Store(true)
 			}
 			for i := lo; i < hi; i++ {
 				hits[i].Add(1)
 			}
-			*out = span{lo, hi}
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -70,21 +95,19 @@ func TestFanOut(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times, want %d", workers, i, hits[i].Load(), want)
 			}
 		}
-		if want := []span{{10, 74}, {74, 138}, {138, 140}}; !slices.Equal(spans, want) {
-			t.Fatalf("workers=%d: batches %v, want %v", workers, spans, want)
-		}
-		var ran atomic.Bool
-		mark := func(int, int, int, *span) { ran.Store(true) }
-		for _, count := range []int{0, -1, -200} {
-			got, err := fanOut(&cfg, workers, 5, count, 64, mark)
-			if err != nil || len(got) != 0 || ran.Load() {
-				t.Fatalf("workers=%d count=%d: %v, %v; want no batch and no results", workers, count, got, err)
-			}
-		}
+	}
+}
+
+// TestFanOut checks the round barrier's cancellation: a cancelled context
+// runs no batch and returns its error and no results.
+func TestFanOut(t *testing.T) {
+	for _, workers := range []int{1, 3, 16} {
+		cfg := DefaultConfig()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		cfg.Ctx = ctx
-		got, err := fanOut(&cfg, workers, 0, 1000, 64, mark)
+		var ran atomic.Bool
+		got, err := fanOut(&cfg, workers, 0, 1000, 64, func(int, int, int, *span) { ran.Store(true) })
 		if err != context.Canceled || got != nil || ran.Load() {
 			t.Fatalf("workers=%d: cancelled fanOut ran a batch or returned %v, %v", workers, got, err)
 		}
