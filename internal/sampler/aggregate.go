@@ -237,6 +237,42 @@ func (s *Sampler) expectedMaxByWorlds(tb *ctable.Table, col int) (AggregateResul
 	return AggregateResult{Value: total / float64(n), N: n, RowsScanned: tb.Len()}, nil
 }
 
+// ExpectedSpread computes E[stddev(col)] (or, when variance, E[variance])
+// over a group: the per-world population spread across its rows, averaged
+// over worlds (per-table semantics, §IV-C). A group of certain rows whose
+// cells are linear in Gaussian variables is answered exactly (exactSpread)
+// with one closed-form hit and no samples. Any other group averages the
+// spread over AggregateHistogram's worlds: exactly FixedSamples of them
+// when set, else 1 000.
+func (s *Sampler) ExpectedSpread(tb *ctable.Table, col int, variance bool) (AggregateResult, error) {
+	if err := checkCol(tb, col); err != nil {
+		return AggregateResult{}, err
+	}
+	if !s.cfg.DisableClosedForm {
+		if v, ok := exactSpread(tb, col, variance); ok {
+			s.cfg.Stats.AddClosedFormHit()
+			return AggregateResult{Value: v, Exact: true, RowsScanned: tb.Len()}, nil
+		}
+	}
+	fold := StdDevFold
+	if variance {
+		fold = VarianceFold
+	}
+	n := s.cfg.FixedSamples
+	if n <= 0 {
+		n = 1000
+	}
+	hist, err := s.AggregateHistogram(tb, col, fold, n)
+	if err != nil {
+		return AggregateResult{}, err
+	}
+	total := SumFold(hist)
+	if len(hist) > 0 {
+		total /= float64(len(hist))
+	}
+	return AggregateResult{Value: total, N: len(hist), RowsScanned: tb.Len()}, nil
+}
+
 // rowsIndependent reports whether no two rows of the table share a random
 // variable (in conditions or target cells) — the premise of the sorted
 // expected-max algorithm.
@@ -310,24 +346,23 @@ func StdDevFold(present []float64) float64 {
 	return math.Sqrt(VarianceFold(present))
 }
 
-// VarianceFold is the per-world population variance across present rows.
+// VarianceFold is the per-world population variance across present rows,
+// in two passes: the mean first, then Σ(v − mean)². A one-pass
+// sumSq/n − mean² cancels on data far from zero: it gives 0 for
+// {1e9, 1e9+1, 1e9+2}, not 2/3.
 func VarianceFold(present []float64) float64 {
 	n := len(present)
 	if n < 2 {
 		return 0
 	}
-	var sum, sumSq float64
-	for _, v := range present {
-		sum += v
-		sumSq += v * v
-	}
 	fn := float64(n)
-	mean := sum / fn
-	variance := sumSq/fn - mean*mean
-	if variance < 0 {
-		variance = 0
+	mean := SumFold(present) / fn
+	ss := 0.0
+	for _, v := range present {
+		d := v - mean
+		ss += d * d
 	}
-	return variance
+	return ss / fn
 }
 
 // histRow is one table row compiled for world sampling: its presence

@@ -265,6 +265,23 @@ func TestAggregateHistogram(t *testing.T) {
 	}
 }
 
+// TestVarianceFoldOffsetData: the fold keeps its precision on data far
+// from zero, where a one-pass sumSq/n − mean² cancels to 0 or to 2.
+func TestVarianceFoldOffsetData(t *testing.T) {
+	for _, off := range []float64{0, 1e8, 1e9, 1e12} {
+		vals := []float64{off, off + 1, off + 2}
+		if got := VarianceFold(vals); math.Abs(got-2.0/3) > 1e-15 {
+			t.Errorf("VarianceFold(%g + {0, 1, 2}) = %.17g, want 2/3", off, got)
+		}
+		if got := StdDevFold(vals); math.Abs(got-math.Sqrt(2.0/3)) > 1e-15 {
+			t.Errorf("StdDevFold(%g + {0, 1, 2}) = %.17g, want √(2/3)", off, got)
+		}
+	}
+	if VarianceFold([]float64{5}) != 0 || VarianceFold(nil) != 0 {
+		t.Error("fewer than two rows must have zero spread")
+	}
+}
+
 func TestHistogramRespectsPresence(t *testing.T) {
 	// A row with P = 0.5 contributes in about half the worlds.
 	s := testSampler()

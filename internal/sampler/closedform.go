@@ -2,8 +2,10 @@ package sampler
 
 import (
 	"math"
+	"sort"
 
 	"pip/internal/cond"
+	"pip/internal/ctable"
 	"pip/internal/dist"
 	"pip/internal/expr"
 )
@@ -19,7 +21,11 @@ import (
 //     E[T | a < S < b] = μ_T + Cov(T,S)/σ_S · (φ(α)−φ(β))/(Φ(β)−Φ(α));
 //   - unconditional means of polynomial targets of degree ≤ 2:
 //     E[X²] = Var + μ², E[XᵢXⱼ] = μᵢμⱼ for independent variables (MVNormal
-//     components: Σᵢⱼ + μᵢμⱼ).
+//     components: Σᵢⱼ + μᵢμⱼ);
+//   - the spread of a group of certain rows whose cells are linear in
+//     Gaussian variables: the cells form a Gaussian vector Y ~ N(m, Σ), and
+//     n·S² = YᵀCY (C = I − 11ᵀ/n) is a Gaussian quadratic form, so E[S²]
+//     is a trace and E[S] one smooth 1-D integral (Imhof 1961).
 
 // gaussMean returns the mean of v when v is jointly Gaussian with every other
 // Gaussian variable: a univariate Normal or a component of an MVNormal.
@@ -409,4 +415,243 @@ func expandQuadratic(e expr.Expr, scale float64, out []monomial) ([]monomial, bo
 		}
 	}
 	return nil, false
+}
+
+// spreadCap is the largest group the spread closed form takes. Its cost
+// grows as n³ (the Jacobi sweeps) against the n·1 000 cell evaluations of
+// the world-sampled fallback. On one core of a shared 2-core Xeon,
+// BenchmarkExpectedSpread has the two cross at n ≈ 80 (4.2–5.0 ms exact
+// against 4.5–6.5 ms sampled; at n = 10, 0.07 ms against 0.76 ms), so a
+// larger group samples.
+const spreadCap = 80
+
+// gaussianCells returns the mean vector m and the row-major covariance Σ
+// of a group's target cells when every row is certain and every cell is a
+// number or linear in Gaussian variables (Normals, MVNormal components);
+// cells may share variables. Σ is accumulated in sorted key order, so it is
+// a pure function of the table.
+func gaussianCells(tb *ctable.Table, col int) (m, cov []float64, ok bool) {
+	type term struct {
+		key expr.VarKey
+		row int
+		c   float64
+		v   *expr.Variable
+	}
+	n := tb.Len()
+	m = make([]float64, n)
+	var terms []term
+	for i := range tb.Tuples {
+		t := &tb.Tuples[i]
+		if !t.Cond.IsTrue() {
+			return nil, nil, false
+		}
+		v := t.Values[col]
+		if !v.IsSymbolic() {
+			if m[i], ok = v.AsFloat(); !ok {
+				return nil, nil, false
+			}
+			continue
+		}
+		lf, ok := expr.Linearize(v.E)
+		if !ok {
+			return nil, nil, false
+		}
+		m[i] = lf.Constant
+		for _, k := range lf.SortedKeys() {
+			mu, ok := gaussMean(lf.Vars[k])
+			if !ok {
+				return nil, nil, false
+			}
+			m[i] += lf.Coeffs[k] * mu
+			terms = append(terms, term{key: k, row: i, c: lf.Coeffs[k], v: lf.Vars[k]})
+		}
+	}
+	sort.Slice(terms, func(a, b int) bool {
+		if terms[a].key != terms[b].key {
+			return terms[a].key.Less(terms[b].key)
+		}
+		return terms[a].row < terms[b].row
+	})
+	// Only variables with one id covary, so each id's terms pair up alone.
+	cov = make([]float64, n*n)
+	for lo := 0; lo < len(terms); {
+		hi := lo + 1
+		for hi < len(terms) && terms[hi].key.ID == terms[lo].key.ID {
+			hi++
+		}
+		for _, x := range terms[lo:hi] {
+			for _, y := range terms[lo:hi] {
+				cov[x.row*n+y.row] += x.c * y.c * gaussCov(x.v, y.v)
+			}
+		}
+		lo = hi
+	}
+	return m, cov, true
+}
+
+// exactSpread answers the expected population variance (variance) or
+// standard deviation of a group's cells, S² = (1/n)·Σ(Yᵢ − Ȳ)², when
+// gaussianCells accepts the group and n ≤ spreadCap. With Y ~ N(m, Σ) and
+// C = I − 11ᵀ/n, n·S² = Q = YᵀCY = |CY|², and CY ~ N(Cm, A), A = CΣC:
+//
+//   - E[S²] = (tr A + mᵀCm)/n;
+//   - E[S] = E[√Q]/√n, where A = Σⱼ λⱼqⱼqⱼᵀ (cyclic Jacobi) splits Q into
+//     κ + Σⱼ (√λⱼ Zⱼ + aⱼ)² with aⱼ = qⱼᵀCm over λⱼ > tol and κ = mᵀCm −
+//     Σⱼ aⱼ², the part of Cm that no variable moves.
+func exactSpread(tb *ctable.Table, col int, variance bool) (float64, bool) {
+	n := tb.Len()
+	if n > spreadCap {
+		return 0, false
+	}
+	m, cov, ok := gaussianCells(tb, col)
+	if !ok {
+		return 0, false
+	}
+	if n < 2 {
+		return 0, true
+	}
+	fn := float64(n)
+	// b = Cm, by two passes; A = Σ − r1ᵀ − 1rᵀ + s11ᵀ with r the row means
+	// of Σ and s their mean.
+	mean := SumFold(m) / fn
+	b := make([]float64, n)
+	bb := 0.0
+	for i, v := range m {
+		b[i] = v - mean
+		bb += b[i] * b[i]
+	}
+	r := make([]float64, n)
+	s, trSigma := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			r[i] += cov[i*n+j]
+		}
+		r[i] /= fn
+		s += r[i]
+		trSigma += cov[i*n+i]
+	}
+	s /= fn
+	a := cov // A overwrites Σ
+	trA := 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a[i*n+j] += s - r[i] - r[j]
+		}
+		trA += a[i*n+i]
+	}
+	eq := math.Max(trA, 0) + bb // E[Q]
+	if math.IsNaN(eq) || math.IsInf(eq, 0) {
+		return 0, false
+	}
+	if variance {
+		return eq / fn, true
+	}
+	if !jacobiEigen(a, n, b) {
+		return 0, false
+	}
+	// Eigenvalues at rounding level (the 1 direction, shared variables that
+	// cancel under C) are directions no variable moves: their part of Cm
+	// is deterministic and joins κ.
+	tol := 1e-12 * trSigma
+	var lambda, a2 []float64
+	kappa := 0.0
+	for j := 0; j < n; j++ {
+		if l := a[j*n+j]; l > tol {
+			lambda = append(lambda, l/eq)
+			a2 = append(a2, b[j]*b[j]/eq)
+		} else {
+			kappa += b[j] * b[j]
+		}
+	}
+	if len(lambda) == 0 {
+		return math.Sqrt(kappa / fn), true
+	}
+	v := math.Sqrt(eq/fn) * sqrtMeanUnit(lambda, a2, kappa/eq)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, false
+	}
+	return v, true
+}
+
+// sqrtMeanUnit returns E[√Q] for Q = κ + Σⱼ (√λⱼ Zⱼ + aⱼ)² scaled to
+// E[Q] = 1 (a2 holds aⱼ²). With the Laplace transform
+// E[e^{−tQ}] = e^{L(t)}, L(t) = −tκ − Σⱼ [½·log1p(2tλⱼ) + t·aⱼ²/(1+2tλⱼ)],
+// E[√Q] = (1/(2√π)) ∫₀^∞ (1 − e^{L(t)}) t^{−3/2} dt. The substitution
+// t = e^{u+2}, u = 2·sinh(v) makes the integrand decay double-exponentially
+// in both directions, and the trapezoid rule in v with h = 1/8 over
+// |v| ≤ 4.5 (73 nodes) meets the χ and folded-normal truths to rounding.
+// The shift puts the densest nodes at t = e², past the bend of 1 − e^{−t}:
+// centred at t = 1 they left 1e-12 relative error on groups whose Q is
+// concentrated (n = 96, or a mean difference 14σ apart).
+func sqrtMeanUnit(lambda, a2 []float64, kappa float64) float64 {
+	const h, nodes = 1.0 / 8, 36
+	sum := 0.0
+	for i := -nodes; i <= nodes; i++ {
+		v := float64(i) * h
+		t := math.Exp(2*math.Sinh(v) + 2)
+		l := -t * kappa
+		for j, lj := range lambda {
+			d := 2 * t * lj
+			l -= 0.5*math.Log1p(d) + t*a2[j]/(1+d)
+		}
+		// dt·t^{−3/2} = t^{−1/2}·2cosh(v)·dv.
+		sum += -math.Expm1(l) * 2 * math.Cosh(v) / math.Sqrt(t)
+	}
+	return h * sum / (2 * math.SqrtPi)
+}
+
+// jacobiEigen diagonalises the symmetric n×n matrix a (row-major, read and
+// kept in its upper triangle only) in place by cyclic Jacobi rotations,
+// leaving the eigenvalues on its diagonal, and rotates b along with it, so b
+// ends as Qᵀb in the eigenbasis Q. a is positive semidefinite, so its
+// trace bounds every eigenvalue: an off-diagonal entry below 1e-17 of it is
+// rounding, and is zeroed rather than rotated. It reports false if the
+// sweeps fail to converge.
+func jacobiEigen(a []float64, n int, b []float64) bool {
+	// rot applies the rotation to the pair of entries at x and y.
+	rot := func(c, s float64, x, y int) {
+		g, h := a[x], a[y]
+		a[x], a[y] = c*g-s*h, s*g+c*h
+	}
+	tiny := 0.0
+	for i := 0; i < n; i++ {
+		tiny += math.Abs(a[i*n+i])
+	}
+	tiny *= 1e-17
+	for sweep := 0; sweep < 64; sweep++ {
+		rotated := false
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := a[p*n+q]
+				if math.Abs(apq) <= tiny {
+					a[p*n+q] = 0
+					continue
+				}
+				app, aqq := a[p*n+p], a[q*n+q]
+				rotated = true
+				theta := (aqq - app) / (2 * apq)
+				t := 1 / (math.Abs(theta) + math.Hypot(1, theta))
+				if theta < 0 {
+					t = -t
+				}
+				c := 1 / math.Sqrt(1+t*t)
+				s := t * c
+				a[p*n+p], a[q*n+q], a[p*n+q] = app-t*apq, aqq+t*apq, 0
+				for k := 0; k < p; k++ {
+					rot(c, s, k*n+p, k*n+q)
+				}
+				for k := p + 1; k < q; k++ {
+					rot(c, s, p*n+k, k*n+q)
+				}
+				for k := q + 1; k < n; k++ {
+					rot(c, s, p*n+k, q*n+k)
+				}
+				b[p], b[q] = c*b[p]-s*b[q], s*b[p]+c*b[q]
+			}
+		}
+		if !rotated {
+			return true
+		}
+	}
+	return false
 }

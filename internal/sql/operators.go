@@ -17,7 +17,6 @@ import (
 	"pip/internal/core"
 	"pip/internal/ctable"
 	"pip/internal/obs"
-	"pip/internal/sampler"
 )
 
 // opStats holds per-operator execution counters for EXPLAIN ANALYZE.
@@ -289,31 +288,14 @@ func computeAgg(env execEnv, a *lAggregate, staged *ctable.Table) (*ctable.Table
 				}
 				aggVals[ai] = ctable.Float(res.Value)
 			case "expected_stddev", "expected_variance":
-				// Per-world spread across the group's rows, averaged over
-				// sampled worlds (per-table semantics).
-				fold := sampler.StdDevFold
-				if at.kind == "expected_variance" {
-					fold = sampler.VarianceFold
-				}
 				// The statement's own sampler, not the handle's live
 				// settings: a SET after planning must not reach a
 				// statement already running.
-				n := smp.Config().FixedSamples
-				if n <= 0 {
-					n = 1000
-				}
-				hist, err := smp.AggregateHistogram(sub, at.argCol, fold, n)
+				res, err := smp.ExpectedSpread(sub, at.argCol, at.kind == "expected_variance")
 				if err != nil {
 					return nil, err
 				}
-				total := 0.0
-				for _, v := range hist {
-					total += v
-				}
-				if len(hist) > 0 {
-					total /= float64(len(hist))
-				}
-				aggVals[ai] = ctable.Float(total)
+				aggVals[ai] = ctable.Float(res.Value)
 			case "conf", "aconf":
 				// Joint probability that at least one row of the group
 				// exists (aconf over the disjunction of row conditions).

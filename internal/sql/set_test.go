@@ -124,43 +124,60 @@ func TestSetWorkersAffectsQueries(t *testing.T) {
 // TestSetAfterPlanningKeepsRunningAggregate: a SET on the same handle after
 // a statement is planned and before its first row must not change that
 // statement's answer — in-flight queries finish under the settings they
-// started with. expected_stddev sizes its world count from the settings, so
-// it is the aggregate that would notice.
+// started with. expected_stddev over Uniform rows sizes its world count from
+// the settings, so it is the aggregate that would notice.
 func TestSetAfterPlanningKeepsRunningAggregate(t *testing.T) {
-	answer := func(set string) float64 {
-		t.Helper()
-		cfg := sampler.DefaultConfig()
-		cfg.WorldSeed = 3
-		db := core.NewDB(cfg)
-		for _, q := range []string{`CREATE TABLE t (v)`,
-			`INSERT INTO t VALUES (CREATE_VARIABLE('Normal', 0, 1)), (CREATE_VARIABLE('Normal', 0, 1)), (CREATE_VARIABLE('Normal', 0, 1)), (CREATE_VARIABLE('Normal', 0, 1))`} {
-			if _, err := Exec(db, q); err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-		}
-		p, err := Prepare(`SELECT expected_stddev(v) FROM t`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, err := p.QueryContext(context.Background(), db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		if set != "" {
-			if _, err := Exec(db, set); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tup, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, _ := tup.Values[0].AsFloat()
-		return f
-	}
-	want := answer("")
-	if got := answer(`SET samples = 10`); math.Float64bits(got) != math.Float64bits(want) {
+	want := stddevAfterSet(t, "CREATE_VARIABLE('Uniform', -1, 1)", "")
+	if got := stddevAfterSet(t, "CREATE_VARIABLE('Uniform', -1, 1)", `SET samples = 10`); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("SET samples = 10 after planning changed the running statement's answer: %v, want %v", got, want)
 	}
+}
+
+// TestClosedformStddevIgnoresSamples: over Normal rows expected_stddev is the
+// closed form E[S] = σ·√(2/n)·Γ(n/2)/Γ((n−1)/2), which draws no worlds, so
+// no samples setting moves it.
+func TestClosedformStddevIgnoresSamples(t *testing.T) {
+	want := math.Sqrt(2.0/4) * math.Gamma(2) / math.Gamma(1.5)
+	for _, set := range []string{"", `SET samples = 10`, `SET samples = 5000`} {
+		if got := stddevAfterSet(t, "CREATE_VARIABLE('Normal', 0, 1)", set); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("%q: expected_stddev of four N(0, 1) rows = %.17g, want %.17g", set, got, want)
+		}
+	}
+}
+
+// stddevAfterSet opens a cursor on expected_stddev over four rows holding
+// the cell text, runs set (if any) on the same handle, then reads the
+// answer.
+func stddevAfterSet(t *testing.T, cell, set string) float64 {
+	t.Helper()
+	cfg := sampler.DefaultConfig()
+	cfg.WorldSeed = 3
+	db := core.NewDB(cfg)
+	row := "(" + cell + ")"
+	for _, q := range []string{`CREATE TABLE t (v)`,
+		`INSERT INTO t VALUES ` + row + `, ` + row + `, ` + row + `, ` + row} {
+		if _, err := Exec(db, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	p, err := Prepare(`SELECT expected_stddev(v) FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := p.QueryContext(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if set != "" {
+		if _, err := Exec(db, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tup, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := tup.Values[0].AsFloat()
+	return f
 }

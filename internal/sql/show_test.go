@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -110,8 +111,9 @@ func TestExplainAnalyzeSamplerAnnotations(t *testing.T) {
 
 // TestExplainAnalyzeExactAnswers: a conf() over Normal prices compared with
 // Normal or constant durations is an interval on one linear form of
-// Gaussian variables per row, integrated exactly. EXPLAIN ANALYZE must say
-// so with exact=N beside samples=0.
+// Gaussian variables per row, integrated exactly, and an expected_stddev
+// over certain Gaussian rows is one closed form per group. EXPLAIN ANALYZE
+// must say so with exact=N beside samples=0.
 func TestExplainAnalyzeExactAnswers(t *testing.T) {
 	db := plannerDB(t)
 	out := mustExec(t, db, "EXPLAIN ANALYZE SELECT cust, conf() AS p FROM o, s WHERE o.price > s.duration")
@@ -122,6 +124,18 @@ func TestExplainAnalyzeExactAnswers(t *testing.T) {
 	}
 	if m[1] != "0" || m[2] == "0" {
 		t.Fatalf("Gaussian conf() drew %s samples with %s exact answers, want 0 and > 0: %s", m[1], m[2], project)
+	}
+	// The benchmark's group-stddev statement: certain rows whose cells are a
+	// sum of two Normals, so each group's spread is one closed form.
+	mustExec(t, db, "CREATE TABLE suppliers (supp, nation, manuf, ship)")
+	for i := 1; i <= 12; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO suppliers VALUES (%d, '%s', CREATE_VARIABLE('Normal', %d, 2), CREATE_VARIABLE('Normal', 3, 0.5))",
+			i, []string{"JAPAN", "KENYA", "FRANCE"}[i%3], i))
+	}
+	out = mustExec(t, db, "EXPLAIN ANALYZE SELECT nation, expected_stddev(manuf + ship) FROM suppliers WHERE supp > 2 GROUP BY nation")
+	agg := out.Tuples[0].Values[0].S
+	if !strings.HasPrefix(agg, "Aggregate") || !strings.Contains(agg, "rows=3 ") || !strings.Contains(agg, "samples=0 batches=0 exact=3]") {
+		t.Fatalf("group-stddev over three nations: want samples=0 exact=3 on the Aggregate line: %s", agg)
 	}
 }
 

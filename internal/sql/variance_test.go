@@ -43,6 +43,20 @@ func TestExpectedStddevAggregate(t *testing.T) {
 	}
 }
 
+// TestExpectedVarianceOffsetCells: cells k + U, U ~ Uniform(1e9, 1e9 + 1)
+// for k = 0, 1, 2 still sample, and their per-world variance must not
+// cancel away against the 1e9 offset: E[S²] = Var{0, 1, 2} + (2/3)·(1/12).
+func TestExpectedVarianceOffsetCells(t *testing.T) {
+	db := testDB(t)
+	mustExec(t, db, "CREATE TABLE t (v)")
+	mustExec(t, db, "INSERT INTO t VALUES (CREATE_VARIABLE('Uniform', 1e9, 1e9 + 1)), (CREATE_VARIABLE('Uniform', 1e9 + 1, 1e9 + 2)), (CREATE_VARIABLE('Uniform', 1e9 + 2, 1e9 + 3))")
+	out := mustExec(t, db, "SELECT expected_variance(v) AS vr FROM t")
+	want := 2.0/3 + 2.0/3/12
+	if got := cell(t, out, 0, 0); math.Abs(got-want) > 0.02 {
+		t.Fatalf("expected_variance %v, want %v", got, want)
+	}
+}
+
 func TestExpectedStddevGrouped(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, "CREATE TABLE t (g, v)")
