@@ -348,7 +348,7 @@ func StdDevFold(present []float64) float64 {
 
 // VarianceFold is the per-world population variance across present rows,
 // in two passes: the mean first, then Σ(v − mean)². A one-pass
-// sumSq/n − mean² cancels on data far from zero: it gives 0 for
+// Σv²/n − mean² cancels on data far from zero: it gives 0 for
 // {1e9, 1e9+1, 1e9+2}, not 2/3.
 func VarianceFold(present []float64) float64 {
 	n := len(present)

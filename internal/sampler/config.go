@@ -139,54 +139,28 @@ func (c Config) zTarget() float64 {
 	return math.Sqrt2 * dist.ErfInv(1-eps)
 }
 
-// wantSamples reports whether sampling should continue after n accepted
-// samples with running sums sum and sumSq; z is c.zTarget().
-func (c Config) wantSamples(n int, sum, sumSq, z float64) bool {
-	if c.FixedSamples > 0 {
-		return n < c.FixedSamples
-	}
-	if n < c.MinSamples {
+// wantMore reports whether sampling should continue after the accepted
+// samples merged into a — the (epsilon, delta) stopping check applied at
+// batch barriers by the parallel engine; z is c.zTarget(). MaxSamples caps
+// every other rule, MinSamples included.
+func (c Config) wantMore(a Accumulator, z float64) bool {
+	switch {
+	case c.FixedSamples > 0:
+		return a.N < c.FixedSamples
+	case a.N >= c.MaxSamples:
+		return false
+	case a.N < c.MinSamples:
 		return true
 	}
-	if n >= c.MaxSamples {
-		return false
-	}
-	fn := float64(n)
-	mean := sum / fn
-	variance := sumSq/fn - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	stderr := math.Sqrt(variance / fn)
-	// Stop when the confidence half-width is within Delta relative error
-	// (with a small absolute floor so a zero mean can converge).
-	tol := c.Delta * math.Max(math.Abs(mean), 1e-9)
-	return z*stderr > tol
-}
-
-// wantMore is wantSamples over a merged accumulator — the (epsilon, delta)
-// stopping check applied at batch barriers by the parallel engine.
-func (c Config) wantMore(a Accumulator, z float64) bool {
-	return c.wantSamples(a.N, a.Sum, a.SumSq, z)
+	return c.relWidth(a, z) > c.Delta
 }
 
 // relWidth returns the z-scaled confidence half-width of the accumulator's
-// running mean, relative to the same mean floor the stopping rule uses —
-// the quantity wantSamples compares against Delta. It parameterizes the
-// recorded epsilon-trajectory; it never feeds back into control flow. z is
-// c.zTarget().
+// running mean, relative to the mean (with a small absolute floor so a zero
+// mean can converge) — the quantity wantMore compares against Delta, and the
+// one the recorded epsilon-trajectory reports. z is c.zTarget().
 func (c Config) relWidth(a Accumulator, z float64) float64 {
-	if a.N == 0 {
-		return 0
-	}
-	fn := float64(a.N)
-	mean := a.Sum / fn
-	variance := a.SumSq/fn - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	stderr := math.Sqrt(variance / fn)
-	return z * stderr / math.Max(math.Abs(mean), 1e-9)
+	return z * a.StdErr() / math.Max(math.Abs(a.Mean()), 1e-9)
 }
 
 // nextRoundSize returns how many further samples the adaptive engine should
@@ -197,22 +171,17 @@ func (c Config) relWidth(a Accumulator, z float64) float64 {
 //
 //   - fixed budgets run as one round;
 //   - the first adaptive round draws MinSamples;
-//   - later rounds double the pool (bounded below by one batch and above by
-//     MaxSamples), amortizing barrier overhead while keeping overshoot
-//     within 2x of the sequential per-sample check.
+//   - later rounds double the pool (bounded below by one batch), amortizing
+//     barrier overhead while keeping overshoot within 2x of the sequential
+//     per-sample check;
+//   - no adaptive round draws past MaxSamples, the first one included.
 func (c Config) nextRoundSize(n int) int {
 	if c.FixedSamples > 0 {
 		return c.FixedSamples - n
 	}
-	if n < c.MinSamples {
-		return c.MinSamples - n
+	r := c.MinSamples - n
+	if n >= c.MinSamples {
+		r = max(n, sampleBatchSize)
 	}
-	r := n
-	if r < sampleBatchSize {
-		r = sampleBatchSize
-	}
-	if n+r > c.MaxSamples {
-		r = c.MaxSamples - n
-	}
-	return r
+	return min(r, c.MaxSamples-n)
 }

@@ -297,7 +297,9 @@ func (s *Sampler) worldSampleDNF(e expr.Expr, d cond.Condition, getP bool) Resul
 	} else {
 		z := s.cfg.zTarget()
 		for s.cfg.wantMore(acc, z) && attempts < maxAttempts {
-			round := worldRoundSize(attempts, maxAttempts)
+			// An attempt accepts at most one sample, so a round no longer
+			// than MaxSamples − N cannot overshoot the cap.
+			round := min(worldRoundSize(attempts, maxAttempts), s.cfg.MaxSamples-acc.N)
 			if round <= 0 {
 				break
 			}

@@ -7,31 +7,46 @@ import (
 	"pip/internal/expr"
 )
 
-// Accumulator tracks the running first and second raw moments of a sample
-// stream. It is the unit of merging in the parallel evaluation engine: each
-// batch of sample indices accumulates into its own Accumulator, and batch
-// accumulators are merged in batch order at round barriers, so the final
-// floating-point sums are independent of how batches were scheduled across
-// workers (see parallel.go for the determinism contract).
+// Accumulator tracks the count, sum and centred second moment (M2, the sum
+// of squared deviations from the running mean) of a sample stream. It is the
+// unit of merging in the parallel evaluation engine: each batch of sample
+// indices accumulates into its own Accumulator, and batch accumulators are
+// merged in batch order at round barriers, so the final floating-point
+// values are independent of how batches were scheduled across workers (see
+// parallel.go for the determinism contract). M2 never subtracts two large
+// squares, so the spread of values far from zero does not cancel (Chan,
+// Golub & LeVeque, "Algorithms for computing the sample variance", 1983).
 type Accumulator struct {
 	// N is the number of accumulated samples.
 	N int
-	// Sum and SumSq are the running sums of values and squared values.
-	Sum, SumSq float64
+	// Sum is the running sum of values; M2 is Σ(v − mean)².
+	Sum, M2 float64
 }
 
-// Add folds one sample into the accumulator.
+// Add folds one sample into the accumulator by Welford's recurrence:
+// M2 grows by δ²·n/(n+1), δ the sample's distance from the old mean.
 func (a *Accumulator) Add(v float64) {
+	if a.N > 0 {
+		fn := float64(a.N)
+		d := v - a.Sum/fn
+		a.M2 += d * d * fn / (fn + 1)
+	}
 	a.Sum += v
-	a.SumSq += v * v
 	a.N++
 }
 
-// Merge folds another accumulator into this one. Merging is performed in
-// batch order only; it is not commutative in floating point.
+// Merge folds another accumulator into this one by the pairwise rule
+// M2 = M2ₐ + M2_b + δ²·nₐn_b/n, δ the distance between the two means.
+// Merging is performed in batch order only; it is not commutative in
+// floating point.
 func (a *Accumulator) Merge(o Accumulator) {
+	if a.N > 0 && o.N > 0 {
+		na, nb := float64(a.N), float64(o.N)
+		d := o.Sum/nb - a.Sum/na
+		a.M2 += d * d * na * nb / (na + nb)
+	}
+	a.M2 += o.M2
 	a.Sum += o.Sum
-	a.SumSq += o.SumSq
 	a.N += o.N
 }
 
@@ -43,18 +58,20 @@ func (a Accumulator) Mean() float64 {
 	return a.Sum / float64(a.N)
 }
 
+// Var returns the population variance M2/N of the samples (0 when empty).
+func (a Accumulator) Var() float64 {
+	if a.N == 0 {
+		return 0
+	}
+	return a.M2 / float64(a.N)
+}
+
 // StdErr returns the standard error of the mean estimate (0 when empty).
 func (a Accumulator) StdErr() float64 {
 	if a.N == 0 {
 		return 0
 	}
-	fn := float64(a.N)
-	mean := a.Sum / fn
-	variance := a.SumSq/fn - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return math.Sqrt(variance / fn)
+	return math.Sqrt(a.Var() / float64(a.N))
 }
 
 // MomentResult reports a higher-moment computation.
@@ -103,10 +120,10 @@ type VarianceResult struct {
 	Err error
 }
 
-// Variance computes Var[e | c] = E[e^2 | c] - E[e | c]^2. To avoid the
-// catastrophic cancellation of estimating the two moments independently,
-// the sampled path draws one set of conditional samples and computes both
-// moments from it.
+// Variance computes Var[e | c] = E[(e - E[e | c])^2 | c]. The sampled path
+// draws one set of conditional samples and folds it twice: SumFold for the
+// mean, the two-pass VarianceFold for the spread, which does not cancel on
+// values far from zero.
 func (s *Sampler) Variance(e expr.Expr, c cond.Clause) VarianceResult {
 	// Closed form for a bare unconstrained variable.
 	if c.IsTrue() && !s.cfg.DisableClosedForm {
@@ -130,21 +147,11 @@ func (s *Sampler) Variance(e expr.Expr, c cond.Clause) VarianceResult {
 	if len(samples) == 0 {
 		return VarianceResult{Variance: math.NaN(), StdDev: math.NaN(), Mean: math.NaN()}
 	}
-	var sum, sumSq float64
-	for _, v := range samples {
-		sum += v
-		sumSq += v * v
-	}
-	fn := float64(len(samples))
-	mean := sum / fn
-	variance := sumSq/fn - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
+	variance := VarianceFold(samples)
 	return VarianceResult{
 		Variance: variance,
 		StdDev:   math.Sqrt(variance),
-		Mean:     mean,
+		Mean:     SumFold(samples) / float64(len(samples)),
 		N:        len(samples),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"pip/internal/ctable"
 	"pip/internal/dist"
 	"pip/internal/expr"
+	"pip/internal/prng"
 )
 
 func TestMomentClosedForms(t *testing.T) {
@@ -123,6 +124,58 @@ func TestAggregateVariance(t *testing.T) {
 	tb2.MustAppend(ctable.NewTuple(ctable.Symbolic(expr.NewVar(y1))))
 	if v := sumVariance(t, s, tb2); math.Abs(v-16) > 1 {
 		t.Fatalf("Var[2Y] = %v, want 16 (correlation lost?)", v)
+	}
+}
+
+// TestAccumulatorOffsetSpread: 1e9 + U draws, accumulated in batches of 64
+// merged in batch order as the engines do, keep their spread, where a
+// one-pass sumSq/n − mean² cancels it to 0 or to rounding noise. The stop
+// rule reads that same half-width, and M2 has the same bits at every worker
+// count.
+func TestAccumulatorOffsetSpread(t *testing.T) {
+	const n = 5000
+	draw := func(i int) float64 { return 1e9 + prng.NewKeyed(7, uint64(i)).Float64() }
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = draw(i)
+	}
+	want := VarianceFold(xs)
+	cfg := DefaultConfig()
+	z := cfg.zTarget()
+	wantWidth := z * math.Sqrt(want/n) / (SumFold(xs) / n)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-6*math.Abs(want) }
+	var m2 []float64
+	for _, workers := range []int{1, 3, 16} {
+		batches, err := fanOut(&cfg, workers, 0, n, sampleBatchSize, func(_, lo, hi int, a *Accumulator) {
+			for i := lo; i < hi; i++ {
+				a.Add(draw(i))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc Accumulator
+		for _, b := range batches {
+			acc.Merge(b)
+		}
+		m2 = append(m2, acc.M2)
+		if !near(acc.Var(), want) || !near(acc.StdErr(), math.Sqrt(want/n)) || !near(cfg.relWidth(acc, z), wantWidth) {
+			t.Fatalf("workers %d: Var %v StdErr %v relWidth %v, want %v %v %v", workers,
+				acc.Var(), acc.StdErr(), cfg.relWidth(acc, z), want, math.Sqrt(want/n), wantWidth)
+		}
+		// The stop rule continues exactly while the half-width exceeds Delta.
+		for _, f := range []float64{0.5, 2} {
+			cfg := cfg
+			cfg.Delta = f * wantWidth
+			if cfg.wantMore(acc, z) != (f < 1) {
+				t.Fatalf("workers %d: wantMore at Delta = %v × half-width is %v", workers, f, !(f < 1))
+			}
+		}
+	}
+	for i := range m2[1:] {
+		if math.Float64bits(m2[i+1]) != math.Float64bits(m2[0]) {
+			t.Fatalf("M2 differs across worker counts: %v", m2)
+		}
 	}
 }
 

@@ -355,7 +355,7 @@ func (ge *groupEngine) runAdaptive() error {
 			return err
 		}
 		// Epsilon-trajectory: one barrier observation of the confidence
-		// half-width the stopping rule just evaluated.
+		// half-width the stopping rule compares against Delta next.
 		ge.cfg.Stats.RecordTrajectory(ge.acc.N, ge.cfg.relWidth(ge.acc, z))
 	}
 	return nil

@@ -406,20 +406,46 @@ func TestMetropolisDisabledFallsBack(t *testing.T) {
 	}
 }
 
+// TestAdaptiveStoppingRespectsBounds: every adaptive path ends inside
+// [min(MinSamples, MaxSamples), MaxSamples] — MaxSamples caps MinSamples
+// when it is the smaller of the two.
 func TestAdaptiveStoppingRespectsBounds(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WorldSeed = 3
-	cfg.MinSamples = 25
-	cfg.MaxSamples = 5000
-	s := New(cfg)
-	y := mkVar(t, dist.Uniform{}, 0, 1)
-	c := cond.Clause{atom(expr.NewVar(y), cond.GT, expr.Const(0.5))}
-	r := s.Expectation(expr.NewVar(y), c, false)
-	if r.N < cfg.MinSamples || r.N > cfg.MaxSamples {
-		t.Fatalf("sample count %d outside [%d, %d]", r.N, cfg.MinSamples, cfg.MaxSamples)
-	}
-	if math.Abs(r.Mean-0.75) > 0.05 {
-		t.Fatalf("E[U | U>0.5] = %v", r.Mean)
+	for _, b := range []struct{ min, max int }{{25, 5000}, {30, 5}, {5000, 50}} {
+		cfg := DefaultConfig()
+		cfg.WorldSeed = 3
+		cfg.MinSamples, cfg.MaxSamples = b.min, b.max
+		cfg.DisableClosedForm = true
+		s := New(cfg)
+		// x − y > 0.5 over two Exponential(1) variables: one group that
+		// rejection-samples, with no CDF to integrate it exactly.
+		x := mkVar(t, dist.Exponential{}, 1)
+		y := mkVar(t, dist.Exponential{}, 1)
+		c := cond.Clause{atom(expr.Sub(expr.NewVar(x), expr.NewVar(y)), cond.GT, expr.Const(0.5))}
+		gs, err := newGroupSampler(s.partition(c, nil)[0], &s.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, confN, err := s.sampleGroupProb(gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := s.Expectation(expr.NewVar(x), c, false)
+		// E[x | x − y > 0.5] = E[y | ·] + 0.5 + 1 = 2 (y | · ~ Exponential(2)).
+		if b.min <= b.max && math.Abs(ex.Mean-2) > 0.2 {
+			t.Errorf("min %d max %d: E[x | x − y > 0.5] = %v, want 2", b.min, b.max, ex.Mean)
+		}
+		for _, r := range []struct {
+			path string
+			n    int
+		}{
+			{"Expectation", ex.N},
+			{"sampleGroupProb", confN},
+			{"worldSampleDNF", s.worldSampleDNF(expr.NewVar(x), cond.Condition{Clauses: []cond.Clause{c}}, true).N},
+		} {
+			if r.n < min(b.min, b.max) || r.n > b.max {
+				t.Errorf("min %d max %d: %s drew %d samples", b.min, b.max, r.path, r.n)
+			}
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ var settings = []setting{
 	{"epsilon", "confidence parameter in (0, 1): the error bound holds with confidence 1-epsilon", 0, func(c *Config) any { return &c.Epsilon }},
 	{"delta", "relative-error parameter in (0, 1)", 0, func(c *Config) any { return &c.Delta }},
 	{"samples", "fixed sample count, a non-negative integer (0 = adaptive stopping)", 0, func(c *Config) any { return &c.FixedSamples }},
-	{"max_samples", "adaptive sampling cap, a positive integer", 1, func(c *Config) any { return &c.MaxSamples }},
+	{"max_samples", "adaptive sampling cap, a positive integer; it also caps min_samples", 1, func(c *Config) any { return &c.MaxSamples }},
 	{"min_samples", "adaptive sampling floor, a non-negative integer", 0, func(c *Config) any { return &c.MinSamples }},
 }
 

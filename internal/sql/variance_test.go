@@ -18,14 +18,28 @@ func TestPerRowVarianceAndStddev(t *testing.T) {
 }
 
 func TestPerRowVarianceConditional(t *testing.T) {
-	// Var[U | U > 0.5] = (0.5)^2 / 12 for U ~ Uniform(0,1).
+	// Var[U | U > 0.5] = (0.5)^2 / 12 for U ~ Uniform(0,1). Adding an
+	// offset moves no draw, so every offset must give the off = 0 answers
+	// to 1e-6: a one-pass sumSq/n − mean² cancels them away (0 at 1e8).
 	db := testDB(t)
 	mustExec(t, db, "CREATE TABLE m (v)")
 	mustExec(t, db, "INSERT INTO m VALUES (CREATE_VARIABLE('Uniform', 0, 1))")
-	out := mustExec(t, db, "SELECT variance(v) AS vv FROM m WHERE v > 0.5")
-	want := 0.25 / 12
-	if got := cell(t, out, 0, 0); math.Abs(got-want) > 0.25*want {
-		t.Fatalf("conditional variance %v, want %v", got, want)
+	var base [2]float64
+	for _, off := range []string{"0", "1e3", "1e6", "1e8", "1e9"} {
+		out := mustExec(t, db, "SELECT variance(v + "+off+") AS vv, stddev(v + "+off+") AS sd FROM m WHERE v > 0.5")
+		got := [2]float64{cell(t, out, 0, 0), cell(t, out, 0, 1)}
+		if off == "0" {
+			base = got
+			if want := 0.25 / 12; math.Abs(got[0]-want) > 0.25*want {
+				t.Fatalf("conditional variance %v, want %v", got[0], want)
+			}
+			continue
+		}
+		for i, name := range []string{"variance", "stddev"} {
+			if math.Abs(got[i]-base[i]) > 1e-6*base[i] {
+				t.Errorf("%s(v + %s) = %v, want %v (off = 0)", name, off, got[i], base[i])
+			}
+		}
 	}
 }
 
