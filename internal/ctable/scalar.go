@@ -54,8 +54,9 @@ type Arith struct {
 	Left, Right Scalar
 }
 
-// Resolve implements Scalar: deterministic operands fold to constants;
-// symbolic operands build an equation tree.
+// Resolve implements Scalar: deterministic operands compute as floats,
+// with the bits folding a Bin of two Consts would give; a symbolic operand
+// builds an equation tree.
 func (a Arith) Resolve(t *Tuple) (Value, error) {
 	l, err := a.Left.Resolve(t)
 	if err != nil {
@@ -67,6 +68,28 @@ func (a Arith) Resolve(t *Tuple) (Value, error) {
 	}
 	if l.IsNull() || r.IsNull() {
 		return Null(), nil
+	}
+	if !l.IsSymbolic() && !r.IsSymbolic() {
+		lf, ok := l.AsFloat()
+		if !ok {
+			return Value{}, fmt.Errorf("ctable: non-numeric operand %s in arithmetic", l)
+		}
+		rf, ok := r.AsFloat()
+		if !ok {
+			return Value{}, fmt.Errorf("ctable: non-numeric operand %s in arithmetic", r)
+		}
+		switch a.Op {
+		case expr.OpAdd:
+			return Float(lf + rf), nil
+		case expr.OpSub:
+			return Float(lf - rf), nil
+		case expr.OpMul:
+			return Float(lf * rf), nil
+		case expr.OpDiv:
+			return Float(lf / rf), nil
+		default:
+			return Value{}, fmt.Errorf("ctable: unknown arithmetic op %v", a.Op)
+		}
 	}
 	le, ok := l.AsExpr()
 	if !ok {

@@ -287,7 +287,7 @@ func (r *ClientRows) Next() bool {
 		r.err = err
 		return false
 	}
-	switch k := string(r.dec.k); k {
+	switch string(r.dec.k) {
 	case "row":
 		r.haveRow = true
 		r.count++
@@ -301,7 +301,7 @@ func (r *ClientRows) Next() bool {
 		}
 	default:
 		r.done = true
-		r.err = fmt.Errorf("server: protocol error: unexpected chunk %q", k)
+		r.err = fmt.Errorf("server: protocol error: unexpected chunk %q", r.dec.k)
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -416,7 +417,8 @@ func normalize(o oracleChunk) oracleChunk {
 
 // TestCodecAllocs pins the per-row cost both ends were rebuilt for: a warm
 // buffer takes a three-cell row with no allocation and a warm decoder scans
-// it back with none; turning the cells into Go values then costs only what
+// it back with none, as does a warm ClientRows.Next stepping through a body
+// of row chunks; turning the cells into Go values then costs only what
 // handing them out as `any` (database/sql's driver.Value) must — one box per
 // int64 and float64, and the string's bytes plus its header.
 func TestCodecAllocs(t *testing.T) {
@@ -447,5 +449,19 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	if want := [3]any{int64(123456), 270.54000000000002, "FRANCE"}; natives != want {
 		t.Errorf("natives = %#v, want %#v", natives, want)
+	}
+
+	const runs = 1000
+	var body []byte
+	for range runs + 2 {
+		body = append(body, buf...)
+	}
+	rows := &ClientRows{rd: bufio.NewReader(bytes.NewReader(body))}
+	if n := testing.AllocsPerRun(runs, func() {
+		if !rows.Next() {
+			t.Fatalf("ClientRows.Next stopped after %d rows: %v", rows.RowCount(), rows.Err())
+		}
+	}); n != 0 {
+		t.Errorf("ClientRows.Next allocates %v times per row, want 0", n)
 	}
 }

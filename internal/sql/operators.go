@@ -44,6 +44,10 @@ type opBase struct {
 	// Aggregate), scopes their sampler work for EXPLAIN ANALYZE's samples=
 	// / batches= / accept= annotations. It chains to the statement scope.
 	samp *obs.SamplerStats
+	// execute, set on a streamed statement's root by spanCursor,
+	// accumulates the wall time the row facade spends pulling batches:
+	// the trace's "execute" phase.
+	execute *time.Duration
 }
 
 func (b *opBase) base() *opBase { return b }
@@ -118,41 +122,18 @@ func opScope(env execEnv, b *opBase) execEnv {
 	return env
 }
 
-// mergeSorted merges two ascending index lists (either may be empty).
-func mergeSorted(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// finishProject computes the projection targets for one row and applies the
-// per-row probability functions: expectation() and variance()/stddev()
-// evaluate their cell under the request-scoped sampler, and conf() is
+// finishProject computes the projection targets for one row into vals (one
+// slot per target, owned by the caller) and applies the per-row
+// probability functions: expectation() and variance()/stddev() evaluate
+// their cell under the request-scoped sampler, and conf() is
 // probability-removing — it fills in the row's probability and strips the
-// condition. The returned tuple is freshly allocated.
-func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, error) {
-	vals := make([]ctable.Value, len(q.targets))
+// condition. The returned tuple's Values is vals, so a deterministic row
+// costs no allocation here.
+func finishProject(env execEnv, q *lProject, t *ctable.Tuple, vals []ctable.Value) (ctable.Tuple, error) {
 	for j, tgt := range q.targets {
 		v, err := tgt.Resolve(t)
 		if err != nil {
-			return nil, err
+			return ctable.Tuple{}, err
 		}
 		vals[j] = v
 	}
@@ -164,7 +145,7 @@ func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, er
 		}
 		res, err := core.TupleExpectation(env.smp, &out, pos, false)
 		if err != nil {
-			return nil, err
+			return ctable.Tuple{}, err
 		}
 		out.Values[pos] = ctable.Float(res.Mean)
 	}
@@ -172,7 +153,7 @@ func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, er
 		pos, kind := vc.pos, vc.kind
 		e, ok := out.Values[pos].AsExpr()
 		if !ok {
-			return nil, fmt.Errorf("sql: non-numeric %s() target %s", kind, out.Values[pos])
+			return ctable.Tuple{}, fmt.Errorf("sql: non-numeric %s() target %s", kind, out.Values[pos])
 		}
 		var clause cond.Clause
 		switch len(out.Cond.Clauses) {
@@ -182,11 +163,11 @@ func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, er
 		case 1:
 			clause = out.Cond.Clauses[0]
 		default:
-			return nil, fmt.Errorf("sql: %s() over disjunctive conditions is not supported", kind)
+			return ctable.Tuple{}, fmt.Errorf("sql: %s() over disjunctive conditions is not supported", kind)
 		}
 		v := env.smp.Variance(e, clause)
 		if v.Err != nil {
-			return nil, v.Err
+			return ctable.Tuple{}, v.Err
 		}
 		if kind == "stddev" {
 			out.Values[pos] = ctable.Float(v.StdDev)
@@ -197,14 +178,14 @@ func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, er
 	if len(q.confCols) > 0 {
 		res := env.smp.AConf(out.Cond)
 		if res.Err != nil {
-			return nil, res.Err
+			return ctable.Tuple{}, res.Err
 		}
 		for _, pos := range q.confCols {
 			out.Values[pos] = ctable.Float(res.Prob)
 		}
 		out.Cond = cond.TrueCondition()
 	}
-	return &out, nil
+	return out, nil
 }
 
 // stageAggRow resolves the [group keys..., agg args...] staging targets for

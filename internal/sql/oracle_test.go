@@ -72,11 +72,11 @@ func evalNaive(env execEnv, n lnode) (*ctable.Table, error) {
 	case *lProject:
 		out := ctable.New("", t.names...)
 		for i := range in.Tuples {
-			row, err := finishProject(env, t, &in.Tuples[i])
+			row, err := finishProject(env, t, &in.Tuples[i], make([]ctable.Value, len(t.targets)))
 			if err != nil {
 				return nil, err
 			}
-			out.Tuples = append(out.Tuples, *row)
+			out.Tuples = append(out.Tuples, row)
 		}
 		return out, nil
 	case *lAggregate:

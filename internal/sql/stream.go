@@ -73,8 +73,9 @@ func (env *execEnv) bindArg(i int) (ctable.Value, error) {
 	return env.args[i], nil
 }
 
-// spanCursor wraps the streaming SELECT cursor, accumulating the wall time
-// the consumer spends inside Next as the trace's "execute" phase. The phase
+// spanCursor wraps the streaming SELECT cursor and reports the wall time
+// the root operator's row facade spends pulling batches as the trace's
+// "execute" phase — one clock read pair per batch, not per row. The phase
 // is flushed exactly once — at EOF, on the first error, or at Close — so a
 // partially drained stream still reports the time it actually spent.
 type spanCursor struct {
@@ -88,7 +89,9 @@ func newSpanCursor(inner operator, qs *obs.QueryStats) Cursor {
 	if qs == nil {
 		return inner
 	}
-	return &spanCursor{inner: inner, qs: qs}
+	c := &spanCursor{inner: inner, qs: qs}
+	inner.base().execute = &c.elapsed
+	return c
 }
 
 // base exposes the wrapped root operator's metadata: the span wrapper is
@@ -101,11 +104,7 @@ func (c *spanCursor) Columns() []string { return c.inner.Columns() }
 
 // Next implements Cursor.
 func (c *spanCursor) Next() (*ctable.Tuple, error) {
-	//pipvet:allow detsource span-trace telemetry, never feeds sampled state
-	start := time.Now()
 	t, err := c.inner.Next()
-	//pipvet:allow detsource span-trace telemetry, never feeds sampled state
-	c.elapsed += time.Since(start)
 	if err != nil {
 		c.flush()
 	}

@@ -1,10 +1,13 @@
 // Physical operators, one per logical node: the batch-at-a-time relational
 // engine. Operators exchange ctable.Batch column vectors through
 // NextBatch(max), so the scan/filter/join spine pays interface dispatch and
-// allocation per batch, not per row. Every operator is also a row Cursor
-// (vecBase adapts NextBatch behind Next), which is how streaming Rows and
-// the span cursor consume a plan; eager drain and the operators themselves
-// pull batches.
+// allocation per batch, not per row. Scan, Project and Join fill output
+// batches drawn from ctable's batch pool and return them on Close, so a
+// statement reuses the storage an earlier one left behind instead of
+// regrowing columns through the demand ramp. Every operator is also a row
+// Cursor (vecBase adapts NextBatch behind Next), which is how streaming
+// Rows and the span cursor consume a plan; eager drain and the operators
+// themselves pull batches.
 //
 // Three contracts are load-bearing; corpus_test.go holds every operator to
 // them against recorded goldens (rows and per-operator rows=) and a naive
@@ -45,10 +48,8 @@ import (
 // vecBatchSize is the target number of rows per column batch.
 const vecBatchSize = 1024
 
-// batchCap sizes a batch's initial allocation: the caller's need capped by
-// the rows known to be available. Small queries allocate small batches (the
-// demo catalog never pays for 1024-row columns); large scans still get one
-// full-width allocation. Append grows the columns if the estimate is low.
+// batchCap sizes a blocking operator's output batch: the caller's need
+// capped by the rows left to emit.
 func batchCap(avail, max int) int {
 	if avail < 0 || avail > max {
 		return max
@@ -67,7 +68,7 @@ type vecOperator interface {
 	// NextBatch returns the next batch of at most max rows. It never
 	// returns an empty batch: the stream ends with (nil, io.EOF), fails
 	// with (nil, err). The batch is valid until the following NextBatch
-	// call on the same operator.
+	// or Close call on the same operator.
 	NextBatch(max int) (*ctable.Batch, error)
 }
 
@@ -99,10 +100,20 @@ type vecBase struct {
 //
 // The returned tuple is a buffer refilled by the following call (the
 // validity Cursor.Next documents), so a streamed row costs no allocation
-// here.
+// here. When the statement's execute clock is attached (spanCursor), each
+// batch pull is timed, not each row.
 func (b *vecBase) Next() (*ctable.Tuple, error) {
 	for b.cur == nil || b.ri >= b.cur.Len() {
+		var t0 time.Time
+		if b.execute != nil {
+			//pipvet:allow detsource span-trace telemetry, never feeds sampled state
+			t0 = time.Now()
+		}
 		batch, err := b.self.NextBatch(min(max(b.served, 1), vecBatchSize))
+		if b.execute != nil {
+			//pipvet:allow detsource span-trace telemetry, never feeds sampled state
+			*b.execute += time.Since(t0)
+		}
 		if err != nil {
 			b.cur = nil
 			return nil, err
@@ -116,6 +127,19 @@ func (b *vecBase) Next() (*ctable.Tuple, error) {
 	b.ri++
 	b.served++
 	return &b.row, nil
+}
+
+// shut ends the row facade, hands the operator's pooled output batch (if
+// any) back to the batch pool and closes the children. Dropping the
+// facade's batch makes Next after Close report io.EOF rather than read
+// storage another statement may be filling.
+func (b *vecBase) shut(out **ctable.Batch) error {
+	b.cur = nil
+	if out != nil && *out != nil {
+		(*out).Release()
+		*out = nil
+	}
+	return b.closeKids()
 }
 
 // emitBatch closes the timing window and counts the emitted batch, passing
@@ -311,8 +335,8 @@ func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, erro
 // Prefilter evaluation errors are deferred to the final Filter, which
 // re-evaluates the same comparison on every surviving row; rows the
 // prefilter drops (or starves downstream of) follow the rewriter's
-// error-scope contract (see rewrite.go). The output batch is reused across
-// calls.
+// error-scope contract (see rewrite.go). The output batch comes from the
+// batch pool, is reused across calls and goes back on Close.
 type vecScanOp struct {
 	vecBase
 	env    execEnv
@@ -337,11 +361,7 @@ func (o *vecScanOp) NextBatch(max int) (*ctable.Batch, error) {
 		return o.emitBatch(t0, nil, err)
 	}
 	if o.out == nil {
-		avail := len(o.tuples) - o.i
-		if o.keyed {
-			avail = o.cand.Len()
-		}
-		o.out = ctable.NewBatch(len(o.cols), batchCap(avail, max))
+		o.out = ctable.GetBatch(len(o.cols))
 	}
 	o.out.Reset()
 	if o.keyed {
@@ -399,7 +419,7 @@ func (o *vecScanOp) scanRows(end, max int) {
 // Close implements Cursor.
 func (o *vecScanOp) Close() error {
 	o.done = true
-	return nil
+	return o.shut(&o.out)
 }
 
 // ---------------------------------------------------------------------------
@@ -493,7 +513,7 @@ func (o *vecFilterOp) NextBatch(max int) (*ctable.Batch, error) {
 // Close implements Cursor.
 func (o *vecFilterOp) Close() error {
 	o.done = true
-	return o.closeKids()
+	return o.shut(nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +521,9 @@ func (o *vecFilterOp) Close() error {
 
 // vecProjectOp computes the SELECT targets and the per-row probability
 // functions (finishProject, sampling included) for each input row, in input
-// order, into a dense output batch reused across calls. Rows map 1:1, so
+// order, into a dense pooled output batch reused across calls. Each row is
+// gathered into the operator's own input tuple and projected into its own
+// result row, so a deterministic row allocates nothing. Rows map 1:1, so
 // the child chunk size is the caller's need and no row is sampled that the
 // caller did not ask for. A row that fails ends the stream with that error
 // after the rows before it have been emitted.
@@ -510,7 +532,8 @@ type vecProjectOp struct {
 	env     execEnv
 	child   vecOperator
 	spec    *lProject
-	row     []ctable.Value
+	in      ctable.Tuple   // the input row being projected
+	res     []ctable.Value // its projected cells
 	out     *ctable.Batch
 	pendErr error
 	done    bool
@@ -531,16 +554,16 @@ func (o *vecProjectOp) NextBatch(max int) (*ctable.Batch, error) {
 		o.done = true
 		return o.emitBatch(t0, nil, err)
 	}
-	if o.row == nil {
-		o.row = make([]ctable.Value, len(o.child.Columns()))
-		o.out = ctable.NewBatch(len(o.cols), batchCap(b.Len(), max))
+	if o.out == nil {
+		o.in.Values = make([]ctable.Value, len(o.child.Columns()))
+		o.res = make([]ctable.Value, len(o.spec.targets))
+		o.out = ctable.GetBatch(len(o.cols))
 	}
 	o.out.Reset()
 	n := b.Len()
 	for k := 0; k < n; k++ {
-		c := b.GatherRow(k, o.row)
-		t := ctable.Tuple{Values: o.row, Cond: c}
-		res, err := finishProject(o.env, o.spec, &t)
+		o.in.Cond = b.GatherRow(k, o.in.Values)
+		res, err := finishProject(o.env, o.spec, &o.in, o.res)
 		if err != nil {
 			if o.out.Len() == 0 {
 				o.done = true
@@ -549,7 +572,7 @@ func (o *vecProjectOp) NextBatch(max int) (*ctable.Batch, error) {
 			o.pendErr = err
 			break
 		}
-		o.out.AppendTuple(res)
+		o.out.AppendRow(res.Values, res.Cond)
 	}
 	return o.emitBatch(t0, o.out, nil)
 }
@@ -557,7 +580,7 @@ func (o *vecProjectOp) NextBatch(max int) (*ctable.Batch, error) {
 // Close implements Cursor.
 func (o *vecProjectOp) Close() error {
 	o.done = true
-	return o.closeKids()
+	return o.shut(&o.out)
 }
 
 // ---------------------------------------------------------------------------
@@ -579,6 +602,13 @@ func (o *vecProjectOp) Close() error {
 // under limit pressure) and in-flight matches are buffered across NextBatch
 // calls, so no probe row is pulled before its predecessors' matches have
 // been delivered.
+//
+// The hash build writes every deterministic key into one byte arena,
+// converted to a string once, and indexes rows by a map from key to the
+// first build row with that key plus a next chain linking each row to the
+// following one with the same key; the chain is built back to front, so
+// every bucket lists its rows in build order. Building costs a handful of
+// allocations whatever the number of build rows.
 type vecJoinOp struct {
 	vecBase
 	env                 execEnv
@@ -588,11 +618,13 @@ type vecJoinOp struct {
 	nLeft               int
 	pressure            bool
 
-	bb            *ctable.Batch // build side, dense column-major
-	anyBuildFalse bool          // some build row has a false condition
-	buckets       map[string][]int
-	symb          []int
+	bb            *ctable.Batch    // build side, dense column-major
+	anyBuildFalse bool             // some build row has a false condition
+	heads         map[string]int32 // key → first build row with that key
+	next          []int32          // build row → next row with its key, or -1
+	symb          []int            // build rows with a symbolic key cell
 	keyBuf        []byte
+	matchBuf      []int // backs matches for deterministic probe keys
 	built         bool
 
 	pb        *ctable.Batch // current probe batch
@@ -637,29 +669,12 @@ func (o *vecJoinOp) NextBatch(max int) (*ctable.Batch, error) {
 			}
 		}
 		if o.hash {
-			o.buckets = make(map[string][]int, len(bb.Conds))
-			for i := range bb.Conds {
-				kb, ok := o.keyBuf[:0], true
-				for _, c := range o.rightKeys {
-					v := bb.Cols[c][i]
-					if v.IsSymbolic() {
-						ok = false
-						break
-					}
-					kb = v.AppendBinaryKey(kb)
-				}
-				o.keyBuf = kb
-				if ok {
-					o.buckets[string(kb)] = append(o.buckets[string(kb)], i)
-				} else {
-					o.symb = append(o.symb, i)
-				}
-			}
+			o.buildIndex()
 		}
 		o.built = true
 	}
 	if o.out == nil {
-		o.out = ctable.NewBatch(len(o.cols), batchCap(len(o.bb.Conds), max))
+		o.out = ctable.GetBatch(len(o.cols))
 	}
 	o.out.Reset()
 	for o.out.Len() < max {
@@ -703,7 +718,7 @@ func (o *vecJoinOp) NextBatch(max int) (*ctable.Batch, error) {
 				}
 				o.keyBuf = kb
 				if ok {
-					o.matches = mergeSorted(o.buckets[string(kb)], o.symb)
+					o.matches = o.chainMatches(kb)
 				} else {
 					o.all = true
 				}
@@ -762,10 +777,73 @@ func (o *vecJoinOp) NextBatch(max int) (*ctable.Batch, error) {
 	return o.emitBatch(t0, o.out, nil)
 }
 
+// buildIndex builds the hash index over the build batch's key columns.
+func (o *vecJoinOp) buildIndex() {
+	n := len(o.bb.Conds)
+	// ends[i] is where row i's key ends in the arena; a row with a
+	// symbolic key cell writes no bytes, and a deterministic key is never
+	// empty.
+	ends := make([]int, n)
+	var arena []byte
+	for i := 0; i < n; i++ {
+		start := len(arena)
+		for _, c := range o.rightKeys {
+			v := o.bb.Cols[c][i]
+			if v.IsSymbolic() {
+				arena = arena[:start]
+				o.symb = append(o.symb, i)
+				break
+			}
+			arena = v.AppendBinaryKey(arena)
+		}
+		ends[i] = len(arena)
+	}
+	keys := string(arena)
+	o.heads = make(map[string]int32, n)
+	o.next = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		if start == ends[i] {
+			continue
+		}
+		k := keys[start:ends[i]]
+		if h, ok := o.heads[k]; ok {
+			o.next[i] = h
+		} else {
+			o.next[i] = -1
+		}
+		o.heads[k] = int32(i)
+	}
+}
+
+// chainMatches lists the build rows a deterministic probe key pairs with,
+// in build order: the key's chain merged with the rows whose key is
+// symbolic. The list reuses one buffer across probe rows.
+func (o *vecJoinOp) chainMatches(key []byte) []int {
+	head, ok := o.heads[string(key)]
+	if !ok {
+		head = -1
+	}
+	m, symb := o.matchBuf[:0], o.symb
+	for j := head; j >= 0; j = o.next[j] {
+		for len(symb) > 0 && symb[0] < int(j) {
+			m = append(m, symb[0])
+			symb = symb[1:]
+		}
+		m = append(m, int(j))
+	}
+	m = append(m, symb...)
+	o.matchBuf = m
+	return m
+}
+
 // Close implements Cursor.
 func (o *vecJoinOp) Close() error {
 	o.done = true
-	return o.closeKids()
+	return o.shut(&o.out)
 }
 
 // ---------------------------------------------------------------------------
@@ -856,7 +934,7 @@ func (o *vecAggOp) NextBatch(max int) (*ctable.Batch, error) {
 // Close implements Cursor.
 func (o *vecAggOp) Close() error {
 	o.done = true
-	return o.closeKids()
+	return o.shut(nil)
 }
 
 // vecDistinctOp is blocking: on the first call it materializes its input
@@ -897,7 +975,7 @@ func (o *vecDistinctOp) NextBatch(max int) (*ctable.Batch, error) {
 // Close implements Cursor.
 func (o *vecDistinctOp) Close() error {
 	o.done = true
-	return o.closeKids()
+	return o.shut(nil)
 }
 
 // vecSortOp is blocking: on the first call it materializes its input and
@@ -958,7 +1036,7 @@ func (o *vecSortOp) NextBatch(max int) (*ctable.Batch, error) {
 // Close implements Cursor.
 func (o *vecSortOp) Close() error {
 	o.done = true
-	return o.closeKids()
+	return o.shut(nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -998,7 +1076,7 @@ func (o *vecLimitOp) NextBatch(max int) (*ctable.Batch, error) {
 // Close implements Cursor.
 func (o *vecLimitOp) Close() error {
 	o.done = true
-	return o.closeKids()
+	return o.shut(nil)
 }
 
 // vecEmptyOp is the zero-row relation of a constant-false WHERE.
