@@ -223,9 +223,6 @@ func TestConsistencyContinuousEquality(t *testing.T) {
 	if res := CheckConsistency(c); res.Verdict != Inconsistent {
 		t.Fatalf("continuous equality: %v", res.Verdict)
 	}
-	if res := CheckConsistencyOpt(c, false); res.Verdict == Inconsistent {
-		t.Fatal("opt-out still treated equality as inconsistent")
-	}
 }
 
 func TestConsistencyIntervalContradiction(t *testing.T) {

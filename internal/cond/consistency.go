@@ -58,22 +58,17 @@ const maxTightenIterations = 64
 //  1. Discrete contradictions: X = c1 AND X = c2 with c1 != c2 (and the
 //     directly evaluable variants X = c AND X <> c, bounds excluding c).
 //  2. Continuous equality handling (§III-C item 3): Y = e atoms over
-//     continuous variables carry zero probability mass and may be treated
-//     as inconsistent; Y <> e is treated as true and ignored. The caller
-//     controls this via treatContinuousEq.
-//  3. Interval bounds fixpoint with tighten1 on each linear atom; an empty
+//     continuous variables carry zero probability mass and are treated as
+//     inconsistent; Y <> e is treated as true and ignored.
+//  3. Comparisons with NaN: every one is false except <>, so an atom
+//     with a deterministic NaN side, or a NaN constant or coefficient in
+//     its linear form, is inconsistent.
+//  4. Interval bounds fixpoint with tighten1 on each linear atom; an empty
 //     interval is a strong inconsistency.
 //
 // Atoms that are not linear are skipped, downgrading the verdict to
 // WeaklyConsistent.
 func CheckConsistency(c Clause) CheckResult {
-	return CheckConsistencyOpt(c, true)
-}
-
-// CheckConsistencyOpt is CheckConsistency with control over whether
-// zero-mass continuous equalities are treated as inconsistent (the paper's
-// recommended treatment) or merely skipped.
-func CheckConsistencyOpt(c Clause, treatContinuousEq bool) CheckResult {
 	bounds := Bounds{}
 	skipped := 0
 
@@ -105,11 +100,7 @@ func CheckConsistencyOpt(c Clause, treatContinuousEq bool) CheckResult {
 			discrete := v != nil && v.Dist.IntegerValued()
 			if !discrete {
 				// Continuous equality: zero mass (§III-C item 3).
-				if treatContinuousEq {
-					return CheckResult{Verdict: Inconsistent, Bounds: bounds}
-				}
-				skipped++
-				continue
+				return CheckResult{Verdict: Inconsistent, Bounds: bounds}
 			}
 			if prev, seen := eqConst[k]; seen && prev != val {
 				return CheckResult{Verdict: Inconsistent, Bounds: bounds}
@@ -131,6 +122,9 @@ func CheckConsistencyOpt(c Clause, treatContinuousEq bool) CheckResult {
 			continue
 		}
 		la, ok := makeLinAtom(a)
+		if a.Op != NEQ && comparesNaN(a, la, ok) {
+			return CheckResult{Verdict: Inconsistent, Bounds: bounds}
+		}
 		if !ok {
 			// Non-linear (degree > 1 or non-polynomial): tightenN for
 			// higher degrees is not implemented, so skip (Alg 3.2 line 11).
@@ -168,6 +162,29 @@ func CheckConsistencyOpt(c Clause, treatContinuousEq bool) CheckResult {
 		return CheckResult{Verdict: WeaklyConsistent, Bounds: bounds}
 	}
 	return CheckResult{Verdict: Consistent, Bounds: bounds}
+}
+
+// comparesNaN reports whether atom a compares against NaN: its linear form
+// (la, when linear) has a NaN constant or coefficient, or a deterministic
+// side of a nonlinear atom evaluates to NaN.
+func comparesNaN(a Atom, la linAtom, linear bool) bool {
+	if linear {
+		if math.IsNaN(la.lf.Constant) {
+			return true
+		}
+		for _, k := range la.keys {
+			if math.IsNaN(la.lf.Coeffs[k]) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, side := range [2]expr.Expr{a.Left, a.Right} {
+		if expr.IsDeterministic(side) && math.IsNaN(side.Eval(nil)) {
+			return true
+		}
+	}
+	return false
 }
 
 // varEqualsConst recognises atoms of the form X = c or c = X with exactly

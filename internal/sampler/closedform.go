@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math"
-	"sort"
 
 	"pip/internal/cond"
 	"pip/internal/ctable"
@@ -42,13 +41,10 @@ func gaussMean(v *expr.Variable) (float64, bool) {
 	return 0, false
 }
 
-// gaussCov returns Cov(a, b) of two Gaussian variables (see gaussMean).
-// Variables with distinct ids are drawn independently; components of one
-// MVNormal covary through its Cholesky factor, Σ = L·Lᵀ.
+// gaussCov returns Cov(a, b) of two Gaussian variables with one id (see
+// gaussMean); variables with distinct ids are drawn independently.
+// Components of one MVNormal covary through its Cholesky factor, Σ = L·Lᵀ.
 func gaussCov(a, b *expr.Variable) float64 {
-	if a.Key.ID != b.Key.ID {
-		return 0
-	}
 	if _, ok := a.Dist.Class.(dist.MVNormal); !ok {
 		sd := a.Dist.Params[1]
 		return sd * sd
@@ -67,90 +63,86 @@ func mvCov(p []float64, i, j int) float64 {
 	return sum
 }
 
+// gaussLower is the one Gaussian lowering of the closed forms: for k linear
+// forms of jointly Gaussian variables it writes each form's mean (its
+// Constant plus Σ c·μ) into m[:k] and their k×k covariance, row-major,
+// into cov[:k*k]. Terms are added in (key, form) order and pair up only
+// within one variable id, since only those covary, so both are pure
+// functions of the forms. It reports false when a variable is not Gaussian.
+func gaussLower(forms []expr.LinearForm, m, cov []float64) bool {
+	type term struct {
+		key  expr.VarKey
+		form int
+		c    float64
+		v    *expr.Variable
+	}
+	terms := make([]term, 0, 8)
+	for f, lf := range forms {
+		m[f] = lf.Constant
+		//pipvet:ordered the terms are sorted by (key, form) before any is read
+		for k, c := range lf.Coeffs {
+			terms = append(terms, term{key: k, form: f, c: c, v: lf.Vars[k]})
+		}
+	}
+	for i := 1; i < len(terms); i++ {
+		for j := i; j > 0; j-- {
+			a, b := terms[j-1], terms[j]
+			if a.key.Less(b.key) || a.key == b.key && a.form < b.form {
+				break
+			}
+			terms[j-1], terms[j] = b, a
+		}
+	}
+	k := len(forms)
+	clear(cov[:k*k])
+	for lo := 0; lo < len(terms); {
+		hi := lo + 1
+		for hi < len(terms) && terms[hi].key.ID == terms[lo].key.ID {
+			hi++
+		}
+		for _, x := range terms[lo:hi] {
+			mu, ok := gaussMean(x.v)
+			if !ok {
+				return false
+			}
+			m[x.form] += x.c * mu
+			for _, y := range terms[lo:hi] {
+				cov[x.form*k+y.form] += x.c * y.c * gaussCov(x.v, y.v)
+			}
+		}
+		lo = hi
+	}
+	return true
+}
+
 // linearGaussian is a constraint group reduced to one open interval
 // lo < S < hi on a linear form S = Σ aₖXₖ of jointly Gaussian variables.
 type linearGaussian struct {
-	s        expr.LinearForm // S; its Constant is not part of S
-	keys     []expr.VarKey   // S's variables, sorted
+	s        expr.LinearForm // S, with Constant 0
 	mean, sd float64         // of S
 	lo, hi   float64
 }
 
 // asLinearGaussian reports whether the atoms qualify for the linear-Gaussian
-// closed forms: there is at least one, every atom is the same linear form S
-// up to a nonzero scale, and every variable of S is Gaussian (a variable
-// whose coefficients cancel is not part of S and cannot move the event).
-// Strictness carries no mass for a continuous S, and a <> atom excludes a
-// single point; an = atom pins S to a point and is left to the general path.
+// closed forms: reduceAtoms bounds one form S by them, and every variable of
+// S is Gaussian. Strictness carries no mass for a continuous S, and a <>
+// atom excludes a single point; an = atom pins S to a point and is left to
+// the general path.
 func asLinearGaussian(atoms cond.Clause) (linearGaussian, bool) {
-	if len(atoms) == 0 {
+	s, iv, ok := reduceAtoms(atoms, expr.LinearForm{})
+	if !ok || iv.pinned {
 		return linearGaussian{}, false
 	}
-	lg := linearGaussian{lo: math.Inf(-1), hi: math.Inf(1)}
-	for i, a := range atoms {
-		lf, ok := expr.Linearize(expr.Sub(a.Left, a.Right))
-		if !ok || len(lf.Coeffs) == 0 {
-			return linearGaussian{}, false
-		}
-		r := 1.0
-		if i == 0 {
-			lg.s, lg.keys = lf, lf.SortedKeys()
-		} else if r, ok = proportion(lf, lg.s, lg.keys); !ok {
-			return linearGaussian{}, false
-		}
-		// r·S + c (op) 0  =>  S (op') −c/r, flipping op when r < 0.
-		t := -lf.Constant / r
-		op := a.Op
-		if r < 0 {
-			op = flipForNegation(op)
-		}
-		switch op {
-		case cond.GT, cond.GE:
-			lg.lo = math.Max(lg.lo, t)
-		case cond.LT, cond.LE:
-			lg.hi = math.Min(lg.hi, t)
-		case cond.NEQ:
-		default:
-			return linearGaussian{}, false
-		}
+	s.Constant = 0
+	var m, v [1]float64
+	if !gaussLower([]expr.LinearForm{s}, m[:], v[:]) {
+		return linearGaussian{}, false
 	}
-	variance := 0.0
-	for _, ki := range lg.keys {
-		vi := lg.s.Vars[ki]
-		m, ok := gaussMean(vi)
-		if !ok {
-			return linearGaussian{}, false
-		}
-		lg.mean += lg.s.Coeffs[ki] * m
-		for _, kj := range lg.keys {
-			variance += lg.s.Coeffs[ki] * lg.s.Coeffs[kj] * gaussCov(vi, lg.s.Vars[kj])
-		}
-	}
-	lg.sd = math.Sqrt(variance)
+	lg := linearGaussian{s: s, mean: m[0], sd: math.Sqrt(v[0]), lo: iv.lo, hi: iv.hi}
 	if !(lg.sd > 0) || math.IsInf(lg.sd, 0) {
 		return linearGaussian{}, false
 	}
 	return lg, true
-}
-
-// proportion returns r with lf's coefficients = r · ref's (over the same
-// variables, to a relative 1e-12), so that an atom over lf bounds ref's form.
-func proportion(lf, ref expr.LinearForm, refKeys []expr.VarKey) (float64, bool) {
-	if len(lf.Coeffs) != len(refKeys) {
-		return 0, false
-	}
-	r := lf.Coeffs[refKeys[0]] / ref.Coeffs[refKeys[0]]
-	if r == 0 || math.IsNaN(r) {
-		return 0, false
-	}
-	for _, k := range refKeys {
-		b, ok := lf.Coeffs[k]
-		want := r * ref.Coeffs[k]
-		if !ok || math.Abs(b-want) > 1e-12*math.Max(math.Abs(b), math.Abs(want)) {
-			return 0, false
-		}
-	}
-	return r, true
 }
 
 // bounds returns the interval's edges in standard units of S.
@@ -174,20 +166,12 @@ func (lg linearGaussian) prob() float64 {
 // condMean returns E[T | lo < S < hi] for a linear target T, given
 // p = P[lo < S < hi] > 0; ok is false unless T's variables are Gaussian.
 func (lg linearGaussian) condMean(t expr.LinearForm, p float64) (float64, bool) {
-	mean, cov := t.Constant, 0.0
-	for _, k := range t.SortedKeys() {
-		v := t.Vars[k]
-		m, ok := gaussMean(v)
-		if !ok {
-			return 0, false
-		}
-		mean += t.Coeffs[k] * m
-		for _, ks := range lg.keys {
-			cov += t.Coeffs[k] * lg.s.Coeffs[ks] * gaussCov(v, lg.s.Vars[ks])
-		}
+	var m, cov [4]float64
+	if !gaussLower([]expr.LinearForm{t, lg.s}, m[:], cov[:]) {
+		return 0, false
 	}
 	alpha, beta := lg.bounds()
-	return mean + cov/lg.sd*(stdNormalPDF(alpha)-stdNormalPDF(beta))/p, true
+	return m[0] + cov[1]/lg.sd*(stdNormalPDF(alpha)-stdNormalPDF(beta))/p, true
 }
 
 // stdNormalPDF is φ(z); φ(±∞) = 0 falls out of math.Exp(−∞).
@@ -426,20 +410,12 @@ func expandQuadratic(e expr.Expr, scale float64, out []monomial) ([]monomial, bo
 const spreadCap = 80
 
 // gaussianCells returns the mean vector m and the row-major covariance Σ
-// of a group's target cells when every row is certain and every cell is a
-// number or linear in Gaussian variables (Normals, MVNormal components);
-// cells may share variables. Σ is accumulated in sorted key order, so it is
-// a pure function of the table.
+// of a group's target cells (gaussLower, one form per cell) when every row
+// is certain and every cell is a number or linear in Gaussian variables;
+// cells may share variables.
 func gaussianCells(tb *ctable.Table, col int) (m, cov []float64, ok bool) {
-	type term struct {
-		key expr.VarKey
-		row int
-		c   float64
-		v   *expr.Variable
-	}
 	n := tb.Len()
-	m = make([]float64, n)
-	var terms []term
+	forms := make([]expr.LinearForm, n)
 	for i := range tb.Tuples {
 		t := &tb.Tuples[i]
 		if !t.Cond.IsTrue() {
@@ -447,44 +423,17 @@ func gaussianCells(tb *ctable.Table, col int) (m, cov []float64, ok bool) {
 		}
 		v := t.Values[col]
 		if !v.IsSymbolic() {
-			if m[i], ok = v.AsFloat(); !ok {
-				return nil, nil, false
-			}
-			continue
+			forms[i].Constant, ok = v.AsFloat()
+		} else {
+			forms[i], ok = expr.Linearize(v.E)
 		}
-		lf, ok := expr.Linearize(v.E)
 		if !ok {
 			return nil, nil, false
 		}
-		m[i] = lf.Constant
-		for _, k := range lf.SortedKeys() {
-			mu, ok := gaussMean(lf.Vars[k])
-			if !ok {
-				return nil, nil, false
-			}
-			m[i] += lf.Coeffs[k] * mu
-			terms = append(terms, term{key: k, row: i, c: lf.Coeffs[k], v: lf.Vars[k]})
-		}
 	}
-	sort.Slice(terms, func(a, b int) bool {
-		if terms[a].key != terms[b].key {
-			return terms[a].key.Less(terms[b].key)
-		}
-		return terms[a].row < terms[b].row
-	})
-	// Only variables with one id covary, so each id's terms pair up alone.
-	cov = make([]float64, n*n)
-	for lo := 0; lo < len(terms); {
-		hi := lo + 1
-		for hi < len(terms) && terms[hi].key.ID == terms[lo].key.ID {
-			hi++
-		}
-		for _, x := range terms[lo:hi] {
-			for _, y := range terms[lo:hi] {
-				cov[x.row*n+y.row] += x.c * y.c * gaussCov(x.v, y.v)
-			}
-		}
-		lo = hi
+	m, cov = make([]float64, n), make([]float64, n*n)
+	if !gaussLower(forms, m, cov) {
+		return nil, nil, false
 	}
 	return m, cov, true
 }

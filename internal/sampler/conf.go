@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"slices"
 
 	"pip/internal/cond"
 	"pip/internal/dist"
@@ -23,7 +24,7 @@ func (s *Sampler) Conf(c cond.Clause) Result {
 	// consistency check and the partition. (A single variable takes the
 	// group path below, where its class's own CDF integrates it.)
 	if !s.cfg.DisableExactCDF && !s.cfg.DisableClosedForm {
-		if lg, ok := asLinearGaussian(c); ok && len(lg.keys) > 1 {
+		if lg, ok := asLinearGaussian(c); ok && len(lg.s.Coeffs) > 1 {
 			s.cfg.Stats.AddExactCDFHit()
 			return Result{Mean: math.NaN(), Prob: lg.prob(), Exact: true}
 		}
@@ -223,142 +224,171 @@ func (gs *groupSampler) indicatorEngine() *worldEngine {
 }
 
 // exactSingleVarProb integrates the group exactly when (a) it mentions a
-// single scalar variable, (b) every atom is linear in that variable, and
-// (c) the variable's class exposes a CDF. Strict and non-strict bounds are
-// distinguished so that discrete (integer-valued) distributions integrate
-// correctly; for continuous distributions strictness carries no mass.
+// single scalar variable X, (b) reduceAtoms bounds X by every atom, and (c)
+// X's class exposes a CDF. Strict and non-strict bounds are distinguished so
+// that integer-valued classes integrate correctly; for continuous classes
+// strictness carries no mass.
 func exactSingleVarProb(g cond.Group) (float64, bool) {
 	if len(g.Keys) != 1 {
 		return 0, false
 	}
 	k := g.Keys[0]
-	v := g.Vars[k]
-	cdfClass, hasCDF := v.Dist.Class.(dist.CDFer)
-	if !hasCDF {
+	in := g.Vars[k].Dist
+	if _, ok := in.Class.(dist.CDFer); !ok {
 		return 0, false
 	}
-	cdf := func(x float64) float64 { return cdfClass.CDF(v.Dist.Params, x) }
+	_, iv, ok := reduceAtoms(g.Atoms, expr.LinearForm{Coeffs: map[expr.VarKey]float64{k: 1}})
+	if !ok {
+		return 0, false
+	}
+	discrete := in.IntegerValued()
+	if iv.pinned {
+		if !discrete || !iv.holds(iv.pin) {
+			return 0, true // outside, or a continuous point: zero mass (§III-C item 3)
+		}
+		return in.PDF(iv.pin)
+	}
+	lo, hi := iv.lo, iv.hi
+	if discrete {
+		// Integerize the bounds: the CDF of an integer-valued class is a
+		// right-continuous step function at the integers.
+		lo, hi = math.Ceil(lo), math.Floor(hi)
+		if iv.loStrict && lo == iv.lo {
+			lo++
+		}
+		if iv.hiStrict && hi == iv.hi {
+			hi--
+		}
+	} else if lo == hi && (iv.loStrict || iv.hiStrict) {
+		return 0, true
+	}
+	if lo > hi {
+		return 0, true
+	}
+	a, b := intervalMass(in, cond.Interval{Lo: lo, Hi: hi})
+	p := b - a
+	for _, e := range iv.excluded {
+		if discrete && e == math.Floor(e) && e >= lo && e <= hi {
+			mass, ok := in.PDF(e)
+			if !ok {
+				return 0, false // cannot subtract unknown point mass
+			}
+			p -= mass
+		}
+	}
+	return math.Max(p, 0), true
+}
 
-	// Accumulate the satisfying region as an interval with strictness
-	// flags plus excluded points (from <> atoms).
-	lo, hi := math.Inf(-1), math.Inf(1)
-	loStrict, hiStrict := false, false
-	var excluded []float64
-	var pinned *float64
+// interval is what a clause says about one linear form S: lo < S < hi, with
+// ≤ where the strict flag is off, S = pin when pinned, and S ≠ each excluded
+// point. lo > hi marks it empty.
+type interval struct {
+	lo, hi             float64
+	loStrict, hiStrict bool
+	pinned             bool
+	pin                float64
+	excluded           []float64
+}
 
-	for _, a := range g.Atoms {
+// holds reports whether S = x satisfies the interval.
+func (iv interval) holds(x float64) bool {
+	in := (x > iv.lo || x == iv.lo && !iv.loStrict) && (x < iv.hi || x == iv.hi && !iv.hiStrict)
+	return in && !slices.Contains(iv.excluded, x)
+}
+
+// reduceAtoms reduces a clause to an interval on one linear form S: ref, or
+// the first atom's form when ref is the zero value (its Constant is then
+// not part of S). Every atom must be linear, its coefficients r·S's for
+// some r ≠ 0: r·S + c (op) 0 reads S (op) t with t = −c/r, op flipped when
+// r < 0. Every comparison with NaN is false except <>, so a NaN threshold
+// empties the interval.
+func reduceAtoms(atoms cond.Clause, ref expr.LinearForm) (expr.LinearForm, interval, bool) {
+	iv := interval{lo: math.Inf(-1), hi: math.Inf(1)}
+	pivot := leastKey(ref)
+	for _, a := range atoms {
 		lf, ok := expr.Linearize(expr.Sub(a.Left, a.Right))
-		if !ok {
-			return 0, false
+		if !ok || len(lf.Coeffs) == 0 {
+			return expr.LinearForm{}, interval{}, false
 		}
-		coef := lf.Coeffs[k]
-		if coef == 0 || len(lf.Coeffs) != 1 {
-			return 0, false
+		r := 1.0
+		if ref.Coeffs == nil {
+			ref, pivot = lf, leastKey(lf)
+		} else if r, ok = proportion(lf, ref, pivot); !ok {
+			return expr.LinearForm{}, interval{}, false
 		}
-		// coef*X + c (op) 0  =>  X (op') t where t = -c/coef, flipping the
-		// operator when coef < 0.
-		t := -lf.Constant / coef
+		t := -lf.Constant / r
 		op := a.Op
-		if coef < 0 {
+		if r < 0 {
 			op = flipForNegation(op)
+		}
+		if math.IsNaN(t) {
+			if op != cond.NEQ {
+				iv.lo, iv.hi = math.Inf(1), math.Inf(-1)
+			}
+			continue
 		}
 		switch op {
 		case cond.GT:
-			if t > lo || (t == lo && !loStrict) {
-				lo, loStrict = t, true
+			if t > iv.lo || (t == iv.lo && !iv.loStrict) {
+				iv.lo, iv.loStrict = t, true
 			}
 		case cond.GE:
-			if t > lo {
-				lo, loStrict = t, false
+			if t > iv.lo {
+				iv.lo, iv.loStrict = t, false
 			}
 		case cond.LT:
-			if t < hi || (t == hi && !hiStrict) {
-				hi, hiStrict = t, true
+			if t < iv.hi || (t == iv.hi && !iv.hiStrict) {
+				iv.hi, iv.hiStrict = t, true
 			}
 		case cond.LE:
-			if t < hi {
-				hi, hiStrict = t, false
+			if t < iv.hi {
+				iv.hi, iv.hiStrict = t, false
 			}
 		case cond.EQ:
-			if pinned != nil && *pinned != t {
-				return 0, true
+			if iv.pinned && iv.pin != t {
+				iv.lo, iv.hi = math.Inf(1), math.Inf(-1)
 			}
-			tt := t
-			pinned = &tt
+			iv.pinned, iv.pin = true, t
 		case cond.NEQ:
-			excluded = append(excluded, t)
-		}
-	}
-
-	discrete := isIntegerValued(v.Dist)
-	pdfClass, hasPDF := v.Dist.Class.(dist.PDFer)
-	pmf := func(x float64) float64 {
-		if !hasPDF {
-			return 0
-		}
-		return pdfClass.PDF(v.Dist.Params, x)
-	}
-
-	if pinned != nil {
-		x := *pinned
-		if x < lo || x > hi || (x == lo && loStrict) || (x == hi && hiStrict) {
-			return 0, true
-		}
-		for _, e := range excluded {
-			if e == x {
-				return 0, true
+			if iv.holds(t) { // each point's mass is subtracted once
+				iv.excluded = append(iv.excluded, t)
 			}
 		}
-		if !discrete {
-			return 0, true // zero mass (paper §III-C item 3)
-		}
-		if !hasPDF {
-			return 0, false
-		}
-		return pmf(x), true
 	}
-
-	if discrete {
-		// Integerize the bounds: the CDF of our integer-valued classes is a
-		// right-continuous step function at integers.
-		iLo := math.Ceil(lo)
-		if loStrict && iLo == lo {
-			iLo = lo + 1
-		}
-		iHi := math.Floor(hi)
-		if hiStrict && iHi == hi {
-			iHi = hi - 1
-		}
-		if iLo > iHi {
-			return 0, true
-		}
-		p := cdfAt(cdf, iHi) - cdfAt(cdf, iLo-1)
-		for _, e := range excluded {
-			if e == math.Floor(e) && e >= iLo && e <= iHi && hasPDF {
-				p -= pmf(e)
-			} else if e == math.Floor(e) && e >= iLo && e <= iHi {
-				return 0, false // cannot subtract unknown point mass
-			}
-		}
-		return clamp01(p), true
-	}
-
-	if lo > hi || (lo == hi && (loStrict || hiStrict)) {
-		return 0, true
-	}
-	p := cdfAt(cdf, hi) - cdfAt(cdf, lo)
-	return clamp01(p), true
+	return ref, iv, true
 }
 
-func cdfAt(cdf func(float64) float64, x float64) float64 {
-	switch {
-	case math.IsInf(x, 1):
-		return 1
-	case math.IsInf(x, -1):
-		return 0
-	default:
-		return cdf(x)
+// leastKey returns lf's least variable key, the zero key when it has none.
+func leastKey(lf expr.LinearForm) expr.VarKey {
+	pivot, first := expr.VarKey{}, true
+	//pipvet:ordered the least key does not depend on the order keys are seen
+	for k := range lf.Coeffs {
+		if first || k.Less(pivot) {
+			pivot, first = k, false
+		}
 	}
+	return pivot
+}
+
+// proportion returns r with lf's coefficients = r · ref's (over the same
+// variables, to a relative 1e-12), so that an atom over lf bounds ref's form.
+// r is read at pivot, ref's least key, so it does not depend on map order.
+func proportion(lf, ref expr.LinearForm, pivot expr.VarKey) (float64, bool) {
+	if len(lf.Coeffs) != len(ref.Coeffs) {
+		return 0, false
+	}
+	r := lf.Coeffs[pivot] / ref.Coeffs[pivot]
+	if r == 0 || math.IsNaN(r) {
+		return 0, false
+	}
+	for k, c := range ref.Coeffs {
+		b, ok := lf.Coeffs[k]
+		want := r * c
+		if !ok || math.Abs(b-want) > 1e-12*math.Max(math.Abs(b), math.Abs(want)) {
+			return 0, false
+		}
+	}
+	return r, true
 }
 
 // flipForNegation maps op to the op obtained when both sides of
@@ -375,25 +405,5 @@ func flipForNegation(op cond.CmpOp) cond.CmpOp {
 		return cond.GE
 	default:
 		return op
-	}
-}
-
-// isIntegerValued reports whether the class's samples are always integers
-// (Poisson is integer-valued but has countable support, so it implements
-// IntegerValued without Discreter). Delegating to the dist-layer
-// capability keeps extension classes registered via dist.Register on the
-// correct discrete interval semantics.
-func isIntegerValued(in dist.Instance) bool {
-	return in.IntegerValued()
-}
-
-func clamp01(p float64) float64 {
-	switch {
-	case p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
 	}
 }

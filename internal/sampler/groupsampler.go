@@ -149,7 +149,7 @@ func (gs *groupSampler) maybePreEscalate() {
 // the shape repair-key conditions produce).
 func intervalMass(in dist.Instance, iv cond.Interval) (float64, float64) {
 	lo, hi := 0.0, 1.0
-	discrete := isIntegerValued(in)
+	discrete := in.IntegerValued()
 	if !math.IsInf(iv.Lo, -1) {
 		edge := iv.Lo
 		if discrete {
