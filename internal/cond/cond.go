@@ -18,7 +18,7 @@ package cond
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"pip/internal/expr"
@@ -127,9 +127,7 @@ func (a Atom) CollectVars(set map[expr.VarKey]*expr.Variable) {
 
 // IsDeterministic reports whether the atom contains no random variables.
 func (a Atom) IsDeterministic() bool {
-	set := map[expr.VarKey]*expr.Variable{}
-	a.CollectVars(set)
-	return len(set) == 0
+	return expr.IsDeterministic(a.Left) && expr.IsDeterministic(a.Right)
 }
 
 // String renders the atom in infix form.
@@ -198,7 +196,7 @@ func (c Clause) Vars() ([]expr.VarKey, map[expr.VarKey]*expr.Variable) {
 	for k := range set {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	slices.SortFunc(keys, expr.VarKey.Compare)
 	return keys, set
 }
 

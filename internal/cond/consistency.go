@@ -142,8 +142,9 @@ func CheckConsistency(c Clause) CheckResult {
 	for iter := 0; iter < maxTightenIterations && changed; iter++ {
 		changed = false
 		for _, la := range lins {
-			for _, k := range la.keys {
-				iv := tighten1(k, la, bounds)
+			for i, t := range la.lf.Terms {
+				k := t.Key
+				iv := tighten1(i, la, bounds)
 				cur := bounds.Get(k)
 				next := cur.Intersect(iv)
 				if next.Empty() {
@@ -172,8 +173,8 @@ func comparesNaN(a Atom, la linAtom, linear bool) bool {
 		if math.IsNaN(la.lf.Constant) {
 			return true
 		}
-		for _, k := range la.keys {
-			if math.IsNaN(la.lf.Coeffs[k]) {
+		for _, t := range la.lf.Terms {
+			if math.IsNaN(t.C) {
 				return true
 			}
 		}
@@ -211,7 +212,6 @@ func varEqualsConst(a Atom) (expr.VarKey, float64, bool) {
 type linAtom struct {
 	lf   expr.LinearForm
 	op   CmpOp
-	keys []expr.VarKey
 	skip bool
 }
 
@@ -220,7 +220,7 @@ func makeLinAtom(a Atom) (linAtom, bool) {
 	if !ok {
 		return linAtom{}, false
 	}
-	la := linAtom{lf: lf, op: a.Op, keys: lf.SortedKeys()}
+	la := linAtom{lf: lf, op: a.Op}
 	switch a.Op {
 	case NEQ:
 		// Single-point exclusions don't tighten intervals; skip.
@@ -234,25 +234,23 @@ func makeLinAtom(a Atom) (linAtom, bool) {
 }
 
 // tighten1 implements the degree-1 tightener of Algorithm 3.2: given
-// aX + (rest) op 0 and bounds on the other variables, derive an implied
-// interval for X. For a > 0 and op ">= 0": X >= -(max of rest)/a is wrong —
-// we need the *minimum* of the rest to find the loosest bound that must
-// still hold; the derivation below uses interval arithmetic on the rest
-// term, which handles both signs uniformly.
-func tighten1(x expr.VarKey, la linAtom, b Bounds) Interval {
-	a := la.lf.Coeffs[x]
+// aX + (rest) op 0, X the x-th term of the form, and bounds on the other
+// variables, derive an implied interval for X. For a > 0 and op ">= 0":
+// X >= -(max of rest)/a is wrong — we need the *minimum* of the rest to
+// find the loosest bound that must still hold; the derivation below uses
+// interval arithmetic on the rest term, which handles both signs uniformly.
+func tighten1(x int, la linAtom, b Bounds) Interval {
+	a := la.lf.Terms[x].C
 	if a == 0 {
 		return FullInterval()
 	}
 	// rest = constant + sum_{k != x} coeff_k * X_k, as an interval.
 	restLo, restHi := la.lf.Constant, la.lf.Constant
-	for _, k := range la.keys {
+	for k, t := range la.lf.Terms {
 		if k == x {
 			continue
 		}
-		ck := la.lf.Coeffs[k]
-		iv := b.Get(k)
-		lo, hi := scaleInterval(ck, iv)
+		lo, hi := scaleInterval(t.C, b.Get(t.Key))
 		restLo += lo
 		restHi += hi
 		if math.IsInf(restLo, -1) && math.IsInf(restHi, 1) {

@@ -10,9 +10,10 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"pip/internal/dist"
@@ -41,6 +42,15 @@ func (k VarKey) Less(o VarKey) bool {
 		return k.ID < o.ID
 	}
 	return k.Subscript < o.Subscript
+}
+
+// Compare is Less as a three-way comparison, for slices.SortFunc and
+// slices.BinarySearchFunc.
+func (k VarKey) Compare(o VarKey) int {
+	if c := cmp.Compare(k.ID, o.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Subscript, o.Subscript)
 }
 
 // Variable is a scalar random variable: a unique identifier, a subscript
@@ -317,40 +327,55 @@ func Vars(e Expr) ([]VarKey, map[VarKey]*Variable) {
 	for k := range set {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	slices.SortFunc(keys, VarKey.Compare)
 	return keys, set
 }
 
-// IsDeterministic reports whether e contains no random variables.
+// IsDeterministic reports whether e contains no random variables. The four
+// node types are walked in place; any other Expr is asked for its variables.
 func IsDeterministic(e Expr) bool {
+	switch t := e.(type) {
+	case Const:
+		return true
+	case Var:
+		return false
+	case Bin:
+		return IsDeterministic(t.Left) && IsDeterministic(t.Right)
+	case Neg:
+		return IsDeterministic(t.X)
+	}
 	set := map[VarKey]*Variable{}
 	e.CollectVars(set)
 	return len(set) == 0
 }
 
+// Term is one variable's term C·V of a linear form.
+type Term struct {
+	Key VarKey
+	V   *Variable
+	C   float64
+}
+
 // LinearForm is an expression in the normal form
-// c0 + sum_i coeff_i * X_i used by tighten1 (Algorithm 3.2): a constant term
-// plus one coefficient per scalar variable.
+// c0 + sum_i C_i * X_i used by tighten1 (Algorithm 3.2): a constant term
+// plus one term per scalar variable, sorted by key, none with coefficient 0.
 type LinearForm struct {
 	Constant float64
-	Coeffs   map[VarKey]float64
-	Vars     map[VarKey]*Variable
+	Terms    []Term
 }
 
 // Linearize extracts the linear normal form of e. ok is false if e is not
-// linear in its random variables (degree > 1 or non-polynomial).
+// linear in its random variables (degree > 1 or non-polynomial). Each
+// key's coefficient is accumulated in tree-walk order.
 func Linearize(e Expr) (LinearForm, bool) {
-	lf := LinearForm{Coeffs: map[VarKey]float64{}, Vars: map[VarKey]*Variable{}}
+	// Most forms have one or two variables; four slots keep Insert from
+	// growing the slice.
+	lf := LinearForm{Terms: make([]Term, 0, 4)}
 	if !linearize(e, 1, &lf) {
 		return LinearForm{}, false
 	}
 	// Drop zero coefficients introduced by cancellation.
-	for k, c := range lf.Coeffs {
-		if c == 0 {
-			delete(lf.Coeffs, k)
-			delete(lf.Vars, k)
-		}
-	}
+	lf.Terms = slices.DeleteFunc(lf.Terms, func(t Term) bool { return t.C == 0 })
 	return lf, true
 }
 
@@ -360,8 +385,13 @@ func linearize(e Expr, scale float64, lf *LinearForm) bool {
 		lf.Constant += scale * float64(t)
 		return true
 	case Var:
-		lf.Coeffs[t.V.Key] += scale
-		lf.Vars[t.V.Key] = t.V
+		i, found := slices.BinarySearchFunc(lf.Terms, t.V.Key, func(x Term, k VarKey) int { return x.Key.Compare(k) })
+		if found {
+			lf.Terms[i].C += scale
+			lf.Terms[i].V = t.V
+		} else {
+			lf.Terms = slices.Insert(lf.Terms, i, Term{Key: t.V.Key, V: t.V, C: scale})
+		}
 		return true
 	case Neg:
 		return linearize(t.X, -scale, lf)
@@ -391,16 +421,6 @@ func linearize(e Expr, scale float64, lf *LinearForm) bool {
 		}
 	}
 	return false
-}
-
-// SortedKeys returns the linear form's variable keys in deterministic order.
-func (lf LinearForm) SortedKeys() []VarKey {
-	keys := make([]VarKey, 0, len(lf.Coeffs))
-	for k := range lf.Coeffs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	return keys
 }
 
 func max(a, b int) int {

@@ -2,6 +2,8 @@ package expr
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -132,16 +134,16 @@ func TestLinearize(t *testing.T) {
 	if lf.Constant != 4 {
 		t.Fatalf("constant %v", lf.Constant)
 	}
-	if lf.Coeffs[x.Key] != 3 || lf.Coeffs[y.Key] != -3 {
-		t.Fatalf("coeffs %v", lf.Coeffs)
+	if coeff(lf, x.Key) != 3 || coeff(lf, y.Key) != -3 {
+		t.Fatalf("terms %v", lf.Terms)
 	}
 }
 
 func TestLinearizeDivByConst(t *testing.T) {
 	x := testVar(1)
 	lf, ok := Linearize(Div(NewVar(x), Const(4)))
-	if !ok || lf.Coeffs[x.Key] != 0.25 {
-		t.Fatalf("x/4: %v ok=%v", lf.Coeffs, ok)
+	if !ok || coeff(lf, x.Key) != 0.25 {
+		t.Fatalf("x/4: %v ok=%v", lf.Terms, ok)
 	}
 	if _, ok := Linearize(Div(Const(1), NewVar(x))); ok {
 		t.Fatal("1/x should not linearize")
@@ -162,8 +164,8 @@ func TestLinearizeCancellation(t *testing.T) {
 	if !ok {
 		t.Fatal("linearize failed")
 	}
-	if len(lf.Coeffs) != 0 {
-		t.Fatalf("expected empty coeffs, got %v", lf.Coeffs)
+	if len(lf.Terms) != 0 {
+		t.Fatalf("expected no terms, got %v", lf.Terms)
 	}
 }
 
@@ -182,11 +184,157 @@ func TestLinearizeAgreesWithEval(t *testing.T) {
 		}
 		asn := Assignment{x.Key: vx, y.Key: vy}
 		want := e.Eval(asn)
-		got := lf.Constant + lf.Coeffs[x.Key]*vx + lf.Coeffs[y.Key]*vy
+		got := lf.Constant + coeff(lf, x.Key)*vx + coeff(lf, y.Key)*vy
 		return math.Abs(want-got) <= 1e-9*math.Max(1, math.Abs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// coeff returns k's coefficient in lf, 0 when lf has no term for k.
+func coeff(lf LinearForm, k VarKey) float64 {
+	for _, t := range lf.Terms {
+		if t.Key == k {
+			return t.C
+		}
+	}
+	return 0
+}
+
+// mapLinearize is the map-based accumulation Linearize replaced: each key's
+// coefficient summed into a map in tree-walk order, zeros deleted.
+func mapLinearize(e Expr) (float64, map[VarKey]float64, bool) {
+	c0, coeffs := 0.0, map[VarKey]float64{}
+	var walk func(e Expr, scale float64) bool
+	walk = func(e Expr, scale float64) bool {
+		switch t := e.(type) {
+		case Const:
+			c0 += scale * float64(t)
+			return true
+		case Var:
+			coeffs[t.V.Key] += scale
+			return true
+		case Neg:
+			return walk(t.X, -scale)
+		case Bin:
+			switch t.Op {
+			case OpAdd:
+				return walk(t.Left, scale) && walk(t.Right, scale)
+			case OpSub:
+				return walk(t.Left, scale) && walk(t.Right, -scale)
+			case OpMul:
+				if IsDeterministic(t.Left) {
+					return walk(t.Right, scale*t.Left.Eval(nil))
+				}
+				if IsDeterministic(t.Right) {
+					return walk(t.Left, scale*t.Right.Eval(nil))
+				}
+			case OpDiv:
+				if d := t.Right.Eval(nil); IsDeterministic(t.Right) && d != 0 {
+					return walk(t.Left, scale/d)
+				}
+			}
+		}
+		return false
+	}
+	if !walk(e, 1) {
+		return 0, nil, false
+	}
+	for k, c := range coeffs {
+		if c == 0 {
+			delete(coeffs, k)
+		}
+	}
+	return c0, coeffs, true
+}
+
+// randLinearTree builds a random tree over the variables vs whose leaves
+// repeat keys and whose constants cancel some terms exactly.
+func randLinearTree(rng *rand.Rand, vs []*Variable, depth int) Expr {
+	if depth == 0 || rng.IntN(4) == 0 {
+		if rng.IntN(3) == 0 {
+			return Const(float64(rng.IntN(7)-3) * []float64{1, 0.1, 0.7, 1.3}[rng.IntN(4)])
+		}
+		return NewVar(vs[rng.IntN(len(vs))])
+	}
+	l, r := randLinearTree(rng, vs, depth-1), randLinearTree(rng, vs, depth-1)
+	switch rng.IntN(5) {
+	case 0:
+		return Bin{OpAdd, l, r}
+	case 1:
+		return Bin{OpSub, l, r}
+	case 2:
+		return Bin{OpMul, Const(rng.NormFloat64()), r}
+	case 3:
+		return Bin{OpDiv, l, Const(0.5 + rng.Float64())}
+	default:
+		return Neg{l}
+	}
+}
+
+// TestLinearizeTermsMatchMapAccumulation: Linearize returns its terms in
+// strictly increasing key order with no zero coefficient, and every
+// coefficient and the constant have the bits the map accumulation gives.
+func TestLinearizeTermsMatchMapAccumulation(t *testing.T) {
+	vs := make([]*Variable, 6)
+	for i := range vs {
+		vs[i] = &Variable{Key: VarKey{ID: uint64(7 - i/2), Subscript: i % 2}, Dist: dist.MustInstance(dist.Normal{}, 0, 1)}
+	}
+	rng := rand.New(rand.NewPCG(35, 2))
+	checked := 0
+	for i := 0; i < 3000; i++ {
+		e := randLinearTree(rng, vs, 5)
+		lf, ok := Linearize(e)
+		c0, want, wok := mapLinearize(e)
+		if ok != wok {
+			t.Fatalf("%v: Linearize ok=%v, map accumulation ok=%v", e, ok, wok)
+		}
+		if !ok {
+			continue
+		}
+		checked++
+		if math.Float64bits(lf.Constant) != math.Float64bits(c0) {
+			t.Fatalf("%v: constant %v, want %v", e, lf.Constant, c0)
+		}
+		if len(lf.Terms) != len(want) {
+			t.Fatalf("%v: %d terms, want %d", e, len(lf.Terms), len(want))
+		}
+		if !slices.IsSortedFunc(lf.Terms, func(a, b Term) int { return a.Key.Compare(b.Key) }) {
+			t.Fatalf("%v: terms out of key order: %v", e, lf.Terms)
+		}
+		for j, tm := range lf.Terms {
+			if j > 0 && lf.Terms[j-1].Key == tm.Key {
+				t.Fatalf("%v: key %v repeated", e, tm.Key)
+			}
+			if tm.C == 0 {
+				t.Fatalf("%v: zero term for %v", e, tm.Key)
+			}
+			if tm.V == nil || tm.V.Key != tm.Key {
+				t.Fatalf("%v: term %v carries variable %v", e, tm.Key, tm.V)
+			}
+			if math.Float64bits(tm.C) != math.Float64bits(want[tm.Key]) {
+				t.Fatalf("%v: coefficient of %v = %v, want %v", e, tm.Key, tm.C, want[tm.Key])
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d of 3000 random trees were linear", checked)
+	}
+}
+
+// TestIsDeterministicAllocs: the walk over Const/Var/Bin/Neg allocates
+// nothing.
+func TestIsDeterministicAllocs(t *testing.T) {
+	x := NewVar(testVar(1))
+	var e Expr = Bin{OpAdd, Bin{OpMul, Const(2), Neg{Const(3)}}, Bin{OpDiv, x, Const(4)}}
+	left := e.(Bin).Left
+	if got := testing.AllocsPerRun(100, func() {
+		if IsDeterministic(e) || !IsDeterministic(left) {
+			t.Fatal("wrong verdict")
+		}
+	}); got != 0 {
+		t.Fatalf("IsDeterministic allocated %v times per call", got)
 	}
 }
 

@@ -2,9 +2,11 @@ package sampler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pip/internal/cond"
 	"pip/internal/ctable"
@@ -220,5 +222,27 @@ func TestBarrierCounters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRejectionLoopObservesDeadline: a group whose nonlinear atom never
+// holds runs the whole RejectionCap for one sample, which no round barrier
+// interrupts; the rejection loop looks at the context itself, so a 100 ms
+// deadline ends the computation with context.DeadlineExceeded long before
+// the cap would.
+func TestRejectionLoopObservesDeadline(t *testing.T) {
+	x := expr.NewVar(&expr.Variable{Key: expr.VarKey{ID: 1}, Dist: dist.MustInstance(dist.Normal{}, 0, 1)})
+	never := cond.Clause{cond.NewAtom(expr.Mul(x, x), cond.LT, expr.Const(-1))}
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	r := New(cfg).WithContext(ctx).Expectation(x, never, true)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("took %v after a 100ms deadline", took)
+	}
+	if !errors.Is(r.Err, context.DeadlineExceeded) {
+		t.Fatalf("got %+v, want context.DeadlineExceeded", r)
 	}
 }

@@ -79,9 +79,8 @@ func gaussLower(forms []expr.LinearForm, m, cov []float64) bool {
 	terms := make([]term, 0, 8)
 	for f, lf := range forms {
 		m[f] = lf.Constant
-		//pipvet:ordered the terms are sorted by (key, form) before any is read
-		for k, c := range lf.Coeffs {
-			terms = append(terms, term{key: k, form: f, c: c, v: lf.Vars[k]})
+		for _, t := range lf.Terms {
+			terms = append(terms, term{key: t.Key, form: f, c: t.C, v: t.V})
 		}
 	}
 	for i := 1; i < len(terms); i++ {
@@ -186,7 +185,7 @@ func stdNormalPDF(z float64) float64 {
 // is unusable; the caller then samples.
 func (s *Sampler) exactConditionalMean(e expr.Expr, groups []cond.Group, eKeys map[expr.VarKey]bool, getP bool) (Result, bool) {
 	t, ok := expr.Linearize(e)
-	if !ok || len(t.Coeffs) == 0 {
+	if !ok || len(t.Terms) == 0 {
 		return Result{}, false
 	}
 	target := -1
@@ -282,17 +281,15 @@ func closedFormMean(e expr.Expr) (float64, bool) {
 	return mean, true
 }
 
-// linearMean returns E[c0 + Σ cᵢXᵢ], accumulated in sorted key order: float
-// addition is not associative, so map-order summation would break same-seed
-// bit-identity.
+// linearMean returns E[c0 + Σ cᵢXᵢ], accumulated in the form's key order.
 func linearMean(lf expr.LinearForm) (float64, bool) {
 	mean := lf.Constant
-	for _, k := range lf.SortedKeys() {
-		m, ok := varMean(lf.Vars[k])
+	for _, t := range lf.Terms {
+		m, ok := varMean(t.V)
 		if !ok {
 			return 0, false
 		}
-		mean += lf.Coeffs[k] * m
+		mean += t.C * m
 	}
 	return mean, true
 }

@@ -24,7 +24,7 @@ func (s *Sampler) Conf(c cond.Clause) Result {
 	// consistency check and the partition. (A single variable takes the
 	// group path below, where its class's own CDF integrates it.)
 	if !s.cfg.DisableExactCDF && !s.cfg.DisableClosedForm {
-		if lg, ok := asLinearGaussian(c); ok && len(lg.s.Coeffs) > 1 {
+		if lg, ok := asLinearGaussian(c); ok && len(lg.s.Terms) > 1 {
 			s.cfg.Stats.AddExactCDFHit()
 			return Result{Mean: math.NaN(), Prob: lg.prob(), Exact: true}
 		}
@@ -228,6 +228,12 @@ func (gs *groupSampler) indicatorEngine() *worldEngine {
 // X's class exposes a CDF. Strict and non-strict bounds are distinguished so
 // that integer-valued classes integrate correctly; for continuous classes
 // strictness carries no mass.
+//
+// On an integer-valued class the thresholds, quotients −c/r, may land an
+// ulp off the integer that an atom as evaluated decides (0.7·X ≤
+// 4.199999999999999 holds at X = 6, but the quotient is 5.999999999999999),
+// so the integers next to each threshold are decided by the atoms
+// themselves.
 func exactSingleVarProb(g cond.Group) (float64, bool) {
 	if len(g.Keys) != 1 {
 		return 0, false
@@ -237,46 +243,87 @@ func exactSingleVarProb(g cond.Group) (float64, bool) {
 	if _, ok := in.Class.(dist.CDFer); !ok {
 		return 0, false
 	}
-	_, iv, ok := reduceAtoms(g.Atoms, expr.LinearForm{Coeffs: map[expr.VarKey]float64{k: 1}})
+	_, iv, ok := reduceAtoms(g.Atoms, expr.LinearForm{Terms: []expr.Term{{Key: k, V: g.Vars[k], C: 1}}})
 	if !ok {
 		return 0, false
 	}
-	discrete := in.IntegerValued()
-	if iv.pinned {
-		if !discrete || !iv.holds(iv.pin) {
-			return 0, true // outside, or a continuous point: zero mass (§III-C item 3)
+	if !in.IntegerValued() {
+		if iv.pinned || iv.lo == iv.hi && (iv.loStrict || iv.hiStrict) || iv.lo > iv.hi {
+			return 0, true // a point, or empty: zero mass (§III-C item 3)
 		}
-		return in.PDF(iv.pin)
+		a, b := intervalMass(in, cond.Interval{Lo: iv.lo, Hi: iv.hi})
+		return math.Max(b-a, 0), true
 	}
-	lo, hi := iv.lo, iv.hi
-	if discrete {
-		// Integerize the bounds: the CDF of an integer-valued class is a
-		// right-continuous step function at the integers.
-		lo, hi = math.Ceil(lo), math.Floor(hi)
-		if iv.loStrict && lo == iv.lo {
+	asn := expr.Assignment{k: 0}
+	holds := func(x float64) bool {
+		asn[k] = x
+		return g.Atoms.Holds(asn)
+	}
+	if iv.pinned {
+		p := 0.0
+		for _, x := range nearInts(iv.pin) {
+			if holds(x) {
+				mass, ok := in.PDF(x)
+				if !ok {
+					return 0, false
+				}
+				p += mass
+			}
+		}
+		return p, true
+	}
+	// Integerize the bounds: the CDF of an integer-valued class is a
+	// right-continuous step function at the integers.
+	lo, hi := math.Ceil(iv.lo), math.Floor(iv.hi)
+	if iv.loStrict && lo == iv.lo {
+		lo++
+	}
+	if iv.hiStrict && hi == iv.hi {
+		hi--
+	}
+	if !math.IsInf(lo, 0) {
+		if holds(lo - 1) {
+			lo--
+		} else if !holds(lo) {
 			lo++
 		}
-		if iv.hiStrict && hi == iv.hi {
+	}
+	if !math.IsInf(hi, 0) {
+		if holds(hi + 1) {
+			hi++
+		} else if !holds(hi) {
 			hi--
 		}
-	} else if lo == hi && (iv.loStrict || iv.hiStrict) {
-		return 0, true
 	}
 	if lo > hi {
 		return 0, true
 	}
 	a, b := intervalMass(in, cond.Interval{Lo: lo, Hi: hi})
 	p := b - a
+	var dropped []float64 // each point's mass is subtracted once
 	for _, e := range iv.excluded {
-		if discrete && e == math.Floor(e) && e >= lo && e <= hi {
-			mass, ok := in.PDF(e)
+		for _, x := range nearInts(e) {
+			if x < lo || x > hi || slices.Contains(dropped, x) || holds(x) {
+				continue
+			}
+			mass, ok := in.PDF(x)
 			if !ok {
 				return 0, false // cannot subtract unknown point mass
 			}
 			p -= mass
+			dropped = append(dropped, x)
 		}
 	}
 	return math.Max(p, 0), true
+}
+
+// nearInts returns the integers next to t: t itself when it is one, else
+// its floor and ceiling.
+func nearInts(t float64) []float64 {
+	if f := math.Floor(t); f != t {
+		return []float64{f, f + 1}
+	}
+	return []float64{t}
 }
 
 // interval is what a clause says about one linear form S: lo < S < hi, with
@@ -304,16 +351,15 @@ func (iv interval) holds(x float64) bool {
 // empties the interval.
 func reduceAtoms(atoms cond.Clause, ref expr.LinearForm) (expr.LinearForm, interval, bool) {
 	iv := interval{lo: math.Inf(-1), hi: math.Inf(1)}
-	pivot := leastKey(ref)
 	for _, a := range atoms {
 		lf, ok := expr.Linearize(expr.Sub(a.Left, a.Right))
-		if !ok || len(lf.Coeffs) == 0 {
+		if !ok || len(lf.Terms) == 0 {
 			return expr.LinearForm{}, interval{}, false
 		}
 		r := 1.0
-		if ref.Coeffs == nil {
-			ref, pivot = lf, leastKey(lf)
-		} else if r, ok = proportion(lf, ref, pivot); !ok {
+		if len(ref.Terms) == 0 {
+			ref = lf
+		} else if r, ok = proportion(lf, ref); !ok {
 			return expr.LinearForm{}, interval{}, false
 		}
 		t := -lf.Constant / r
@@ -358,33 +404,20 @@ func reduceAtoms(atoms cond.Clause, ref expr.LinearForm) (expr.LinearForm, inter
 	return ref, iv, true
 }
 
-// leastKey returns lf's least variable key, the zero key when it has none.
-func leastKey(lf expr.LinearForm) expr.VarKey {
-	pivot, first := expr.VarKey{}, true
-	//pipvet:ordered the least key does not depend on the order keys are seen
-	for k := range lf.Coeffs {
-		if first || k.Less(pivot) {
-			pivot, first = k, false
-		}
-	}
-	return pivot
-}
-
 // proportion returns r with lf's coefficients = r · ref's (over the same
 // variables, to a relative 1e-12), so that an atom over lf bounds ref's form.
-// r is read at pivot, ref's least key, so it does not depend on map order.
-func proportion(lf, ref expr.LinearForm, pivot expr.VarKey) (float64, bool) {
-	if len(lf.Coeffs) != len(ref.Coeffs) {
+// r is read at the least key, the first term of both.
+func proportion(lf, ref expr.LinearForm) (float64, bool) {
+	if len(lf.Terms) != len(ref.Terms) {
 		return 0, false
 	}
-	r := lf.Coeffs[pivot] / ref.Coeffs[pivot]
+	r := lf.Terms[0].C / ref.Terms[0].C
 	if r == 0 || math.IsNaN(r) {
 		return 0, false
 	}
-	for k, c := range ref.Coeffs {
-		b, ok := lf.Coeffs[k]
-		want := r * c
-		if !ok || math.Abs(b-want) > 1e-12*math.Max(math.Abs(b), math.Abs(want)) {
+	for i, t := range ref.Terms {
+		b, want := lf.Terms[i], r*t.C
+		if b.Key != t.Key || math.Abs(b.C-want) > 1e-12*math.Max(math.Abs(b.C), math.Abs(want)) {
 			return 0, false
 		}
 	}

@@ -191,10 +191,16 @@ func (gs *groupSampler) probEstimate() (float64, bool) {
 	return gs.massFraction * float64(gs.accepts) / float64(gs.attempts), true
 }
 
+// ctxCheckEvery is how many rejection candidates drawInto draws between
+// looks at the context. A candidate costs tens of nanoseconds, but once the
+// rejection rate has crossed the Metropolis threshold each one may also
+// try (and fail) to start a walk, which scans thousands of points.
+const ctxCheckEvery = 256
+
 // drawInto draws one constraint-satisfying joint value for the group into
 // its window of sc. It returns false if the rejection cap is exhausted and
 // Metropolis is unavailable (the context is effectively unsatisfiable: NAN
-// result per Algorithm 4.3 line 25).
+// result per Algorithm 4.3 line 25), and also once cfg.Ctx is done.
 func (gs *groupSampler) drawInto(sc *scratch, sampleIdx uint64) bool {
 	if gs.inconsistent {
 		return false
@@ -208,6 +214,12 @@ func (gs *groupSampler) drawInto(sc *scratch, sampleIdx uint64) bool {
 		capN = 200000
 	}
 	for local := 0; local < capN; local++ {
+		// One sample of a group whose atoms never hold runs the whole cap
+		// between two round barriers, so the loop looks at the context
+		// itself; fanOut then reports the context's error.
+		if local%ctxCheckEvery == ctxCheckEvery-1 && gs.cfg.ctxErr() != nil {
+			return false
+		}
 		gs.attempts++
 		gs.fr.drawCandidate(vals, &sc.rng, sampleIdx, uint64(local))
 		if gs.atoms.Holds(vals, sc.stack) {

@@ -22,8 +22,10 @@ import (
 // with the sides swapped, pins that may conflict, and <> on support points.
 // For an integer-valued class the truth is the mass of the support points
 // where the clause holds, by evaluating its atoms; for a continuous class it
-// is a CDF difference over the bounds the atoms state. The scales are
-// dyadic, so a scaled atom names exactly the threshold it was built from.
+// is a CDF difference over the bounds the atoms state. Half the scales are
+// dyadic, so a scaled atom names exactly the threshold it was built from;
+// the other half are not, so r·t rounds and the quotient the reducer takes
+// can land an ulp off an integer the atom, as evaluated, still decides.
 func TestClosedformSingleVarDifferential(t *testing.T) {
 	classes := []struct {
 		class   dist.Class
@@ -40,7 +42,7 @@ func TestClosedformSingleVarDifferential(t *testing.T) {
 		{dist.Categorical{}, []float64{0.2, 0.5, 0.3}, seq(0, 2), -1, 3},
 	}
 	ops := []cond.CmpOp{cond.GT, cond.GE, cond.LT, cond.LE, cond.EQ, cond.NEQ}
-	scales := []float64{2, 0.5, 1.5, 4, 0.25, 3}
+	scales := []float64{2, 0.5, 1.5, 4, 0.25, 3, 0.7, 1.3, 2.9, 0.1, 3.3}
 	rng := rand.New(rand.NewPCG(34, 1))
 	s := New(DefaultConfig())
 	for ci, c := range classes {

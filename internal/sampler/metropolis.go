@@ -147,19 +147,17 @@ func (m *metroState) repairStart(pt []float64) bool {
 			}
 			// Current value of coef-sum; move the variable with the
 			// largest coefficient magnitude to restore the inequality
-			// with a margin. Coefficients are visited in sorted key order:
-			// map iteration would randomize both the floating-point sum and
-			// the tie-break for bestK, breaking the equal-seeds-equal-results
-			// contract between runs.
+			// with a margin. Terms are visited in key order, so the
+			// floating-point sum and the tie-break for bestK are the same
+			// on every run.
 			val := lf.Constant
 			var bestK expr.VarKey
 			bestC, bestSlot := 0.0, 0
-			for _, vk := range lf.SortedKeys() {
-				c := lf.Coeffs[vk]
-				slot, _ := m.gs.fr.table.Slot(vk) // atoms mention group variables only
-				val += c * pt[slot]
-				if math.Abs(c) > math.Abs(bestC) {
-					bestC, bestK, bestSlot = c, vk, slot
+			for _, t := range lf.Terms {
+				slot, _ := m.gs.fr.table.Slot(t.Key) // atoms mention group variables only
+				val += t.C * pt[slot]
+				if math.Abs(t.C) > math.Abs(bestC) {
+					bestC, bestK, bestSlot = t.C, t.Key, slot
 				}
 			}
 			if bestC == 0 {

@@ -16,8 +16,8 @@ import (
 type Hints struct {
 	// NoFold disables plan-time constant folding of WHERE conjuncts.
 	NoFold bool
-	// NoPushdown disables pushing single-table predicates below joins, and
-	// the equality lookup that reads only a `col = constant` conjunct's
+	// NoPushdown disables pushing single-table predicates onto their scan,
+	// and the equality lookup that reads only a `col = constant` conjunct's
 	// index candidates. Both are drop-only prefilters: with them off, rows
 	// an ill-typed comparison errors on are evaluated again (see the error
 	// scope in rewrite.go).
@@ -54,6 +54,7 @@ type conjunct struct {
 	cols     []int // referenced global columns, sorted
 	mappable bool  // true when the scalars are Col/Lit/Arith only
 	foldTrue bool  // proven always-true at plan time; dropped from the filter
+	scanKey  bool  // its scan's equality lookup; not pushed as a prefilter
 	joinLvl  int   // join level using it as a hash key (-1 none)
 	keyLeft  int   // global column of the left-side key
 	keyRight int   // global column of the right-side key (in table joinLvl+1)
@@ -197,8 +198,8 @@ func buildLogical(env execEnv, st *SelectStmt) (lnode, string, error) {
 	globalMap := identityMap(width)
 	newOffs := offs
 	if !constFalse {
-		rewritePushdown(conjs, scans, offs, nt, h)
 		rewriteEqLookup(conjs, scans, offs, h)
+		rewritePushdown(conjs, scans, offs, nt, h)
 		rewriteHashKeys(conjs, offs, h)
 		globalMap, newOffs = rewritePrune(conjs, scans, offs, proj, agg, h)
 	}

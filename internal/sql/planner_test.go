@@ -152,7 +152,7 @@ func TestPlanShapeSnapshots(t *testing.T) {
 			`Project (price)
   Filter (o.shipto = s.dest AND o.cust = 'Joe')
     HashJoin (o.shipto = s.dest)
-      Scan o [key: o.cust = 'Joe'] [pre: o.cust = 'Joe']
+      Scan o [key: o.cust = 'Joe']
       Scan s [cols: dest]`},
 		{"three-table-left-deep",
 			"SELECT r.ra, u.uc FROM r, s2, u WHERE r.a = s2.a AND s2.b = u.b",
@@ -184,7 +184,7 @@ func TestPlanShapeSnapshots(t *testing.T) {
 			"SELECT cust FROM o WHERE 1 = 1 AND price > 60",
 			`Project (cust)
   Filter (price > 60.0)
-    Scan o`},
+    Scan o [pre: price > 60.0]`},
 		{"blocking-operator-stack",
 			"SELECT DISTINCT cust FROM o ORDER BY cust DESC LIMIT 2",
 			`Limit 2
@@ -359,31 +359,43 @@ func TestRewriteErrorScope(t *testing.T) {
 	mustExec(t, db, "INSERT INTO mt VALUES (1, 'm1'), ('x', 'm2')") // mixed-kind key
 	mustExec(t, db, "CREATE TABLE nk (k, nv)")
 	mustExec(t, db, "INSERT INTO nk VALUES (1, 'n1')")
+	mustExec(t, db, "CREATE TABLE st (k, s, x)")
+	mustExec(t, db, "INSERT INTO st VALUES (3, 'a', CREATE_VARIABLE('Normal', 0, 1))")
 
 	cases := []struct {
 		name, q  string
 		wantRows int
+		wantErr  string // the rules-off error; "incomparable" when empty
 	}{
 		// Hash pairing never enumerates the string-vs-number pair the
 		// cross product errors on.
 		{"hash-join-kind-mismatch",
-			"SELECT mt.mv, nk.nv FROM mt, nk WHERE mt.k = nk.k", 1},
+			"SELECT mt.mv, nk.nv FROM mt, nk WHERE mt.k = nk.k", 1, ""},
 		// Folding short-circuits on a later constant-false conjunct; the
 		// reference evaluates the erroring conjunct first, per row.
 		{"fold-after-erroring-conjunct",
-			"SELECT mv FROM mt WHERE mv > 5 AND 1 = 0", 0},
+			"SELECT mv FROM mt WHERE mv > 5 AND 1 = 0", 0, ""},
 		// Pushdown empties the nk input, starving the final filter of the
 		// pairs whose first conjunct errors.
 		{"pushdown-starves-erroring-conjunct",
-			"SELECT mt.mv FROM mt, nk WHERE mt.mv > 5 AND nk.nv = 'zz'", 0},
+			"SELECT mt.mv FROM mt, nk WHERE mt.mv > 5 AND nk.nv = 'zz'", 0, ""},
 		// The equality lookup for a numeric key never reads the string
 		// cell the full scan errors on.
 		{"eq-lookup-skips-kind-mismatch",
-			"SELECT mv FROM mt WHERE k = 1", 1},
+			"SELECT mv FROM mt WHERE k = 1", 1, ""},
+		// A single-table scan's prefilter drops the row on k > 5 before
+		// the filter reaches s + x, which cannot build an equation from a
+		// string cell.
+		{"single-table-prefilter-drops-erroring-row",
+			"SELECT k FROM st WHERE s + x > 1 AND k > 5", 0, "non-numeric operand"},
 	}
 	for _, tc := range cases {
+		wantErr := tc.wantErr
+		if wantErr == "" {
+			wantErr = "incomparable"
+		}
 		if _, err := ExecContext(WithHints(context.Background(), allRulesOff), db, tc.q); err == nil ||
-			!strings.Contains(err.Error(), "incomparable") {
+			!strings.Contains(err.Error(), wantErr) {
 			t.Fatalf("%s: rules-off reference did not raise the type error (got %v)", tc.name, err)
 		}
 		got := execHinted(t, db, tc.q, Hints{})

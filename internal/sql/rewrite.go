@@ -7,9 +7,12 @@
 //	constant folding     WHERE 1 = 0 plans to a zero-row Result without
 //	                     scanning; always-true conjuncts drop from the filter.
 //	predicate pushdown   single-table conjuncts become drop-only prefilters
-//	                     on their scan (rows that deterministically fail are
-//	                     skipped before joining; symbolic rows pass through
-//	                     and the final Filter conjoins their atoms).
+//	                     on their scan, in single-table queries too: rows a
+//	                     conjunct proves deterministically false on the
+//	                     stored cells are skipped before they are batched or
+//	                     joined; a conjunct the compiled prefilter cannot
+//	                     decide keeps the row, and the final Filter conjoins
+//	                     the atoms of the rows that pass.
 //	equality lookup      a col = constant conjunct makes its scan read only
 //	                     the catalog equality index's candidate rows (the
 //	                     key's rows plus every row no key can decide), in
@@ -22,7 +25,8 @@
 // predicate evaluation succeeds. An ill-typed comparison (say a string
 // cell against a number) errors only on the tuple pairs that evaluate it,
 // and the rules above may prune exactly that enumeration — a constant-false
-// conjunct skips the scan, a pushed prefilter empties a join input, a hash
+// conjunct skips the scan, a pushed prefilter drops a row before an earlier
+// conjunct errors on it or empties a join input, a hash
 // join never pairs keys of incomparable kinds, an equality lookup never
 // reads a string cell for a numeric key (or a number for a string key) —
 // in which case the planned query succeeds with the rows the error-free
@@ -67,18 +71,19 @@ func rewriteFold(conjs []*conjunct, h Hints) (constFalse bool, reason string) {
 }
 
 // rewritePushdown attaches single-table conjuncts to their scan as
-// drop-only prefilters, remapped into the table's local column space. The
-// conjunct stays in the final filter: the prefilter only skips rows the
-// predicate proves deterministically false, so symbolic atom conjunction
-// keeps its source order and the final conditions are unchanged. Pushdown
-// is skipped for single-table queries, where the filter already sits
-// directly above the scan.
+// drop-only prefilters, remapped into the table's local column space, on
+// every scan — a single-table query's too. The conjunct stays in the final
+// filter: the compiled prefilter (ctable.ScanFilter) drops only rows a
+// conjunct proves deterministically false on the stored cells and builds no
+// atom, so symbolic atom conjunction keeps its source order and the final
+// conditions are unchanged. The conjunct rewriteEqLookup made the scan's
+// key is not pushed again: the lookup already reads only its candidates.
 func rewritePushdown(conjs []*conjunct, scans []*lScan, offs []int, nt int, h Hints) {
-	if h.NoPushdown || nt == 1 {
+	if h.NoPushdown {
 		return
 	}
 	for _, c := range conjs {
-		if !c.mappable || c.foldTrue || len(c.cols) == 0 {
+		if !c.mappable || c.foldTrue || c.scanKey || len(c.cols) == 0 {
 			continue
 		}
 		t := tableOf(c.cols[0], offs, nt)
@@ -104,7 +109,8 @@ func rewritePushdown(conjs []*conjunct, scans []*lScan, offs []int, nt int, h Hi
 // which include every row whose comparison could hold or be symbolic, and
 // the conjunct stays in the final filter, so row order, condition atoms and
 // sampled bits are those of the full scan. It applies to single-table
-// queries too, and is off under NoPushdown.
+// queries too, and is off under NoPushdown. It runs before
+// rewritePushdown, which skips the conjunct marked scanKey.
 func rewriteEqLookup(conjs []*conjunct, scans []*lScan, offs []int, h Hints) {
 	if h.NoPushdown {
 		return
@@ -125,6 +131,7 @@ func rewriteEqLookup(conjs []*conjunct, scans []*lScan, offs []int, h Hints) {
 		t := tableOf(int(col), offs, len(offs))
 		if scans[t].key == nil {
 			scans[t].key = &lkey{col: int(col) - offs[t], val: lit.V, display: c.display}
+			c.scanKey = true
 		}
 	}
 }

@@ -233,9 +233,13 @@ func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, erro
 	}
 	switch t := n.(type) {
 	case *lScan:
-		pre := make([]ctable.Compare, len(t.pre))
-		for i, p := range t.pre {
-			pre[i] = p.cmp
+		var pre *ctable.ScanFilter
+		if len(t.pre) > 0 {
+			cmps := make([]ctable.Compare, len(t.pre))
+			for i, p := range t.pre {
+				cmps[i] = p.cmp
+			}
+			pre = ctable.CompileScanFilter(cmps)
 		}
 		o := &vecScanOp{vecBase: mk(t.outCols()), env: env, tuples: t.tuples, keep: t.keep, pre: pre,
 			keyed: t.key != nil, cand: t.cand}
@@ -330,10 +334,11 @@ func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, erro
 // vecScanOp iterates a table snapshot in order — every row, or under an
 // equality lookup only the index's candidate rows: it fills a column batch
 // with up to max kept rows, skipping tuples with trivially false conditions,
-// applying the pushed-down drop-only prefilter, and projecting the kept
-// columns; it reads no snapshot row past the one that fills the batch.
-// Prefilter evaluation errors are deferred to the final Filter, which
-// re-evaluates the same comparison on every surviving row; rows the
+// applying the pushed-down drop-only prefilter to the stored cells, and
+// projecting the kept columns; it reads no snapshot row past the one that
+// fills the batch. The prefilter keeps every row it cannot decide, so
+// evaluation errors and condition atoms are the final Filter's, which
+// re-evaluates the same comparisons on every surviving row; rows the
 // prefilter drops (or starves downstream of) follow the rewriter's
 // error-scope contract (see rewrite.go). The output batch comes from the
 // batch pool, is reused across calls and goes back on Close.
@@ -342,7 +347,7 @@ type vecScanOp struct {
 	env    execEnv
 	tuples []ctable.Tuple
 	keep   []int
-	pre    []ctable.Compare
+	pre    *ctable.ScanFilter // nil when nothing was pushed
 	keyed  bool
 	cand   core.EqCandidates // the equality lookup's rows when keyed
 	out    *ctable.Batch
@@ -394,15 +399,7 @@ func (o *vecScanOp) scanRows(end, max int) {
 		if t.Cond.IsFalse() {
 			continue
 		}
-		dropped := false
-		for _, p := range o.pre {
-			outcome, _, err := p.Eval(t)
-			if err == nil && outcome == ctable.PredFalse {
-				dropped = true
-				break
-			}
-		}
-		if dropped {
+		if o.pre != nil && o.pre.Drops(t) {
 			continue
 		}
 		if o.keep == nil {
