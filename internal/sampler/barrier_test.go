@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -229,12 +230,14 @@ func TestBarrierCounters(t *testing.T) {
 // holds runs the whole RejectionCap for one sample, which no round barrier
 // interrupts; the rejection loop looks at the context itself, so a 100 ms
 // deadline ends the computation with context.DeadlineExceeded long before
-// the cap would.
+// the cap would. The cap is raised from the default, whose 200 000
+// candidates take milliseconds, to one that takes most of a minute.
 func TestRejectionLoopObservesDeadline(t *testing.T) {
 	x := expr.NewVar(&expr.Variable{Key: expr.VarKey{ID: 1}, Dist: dist.MustInstance(dist.Normal{}, 0, 1)})
 	never := cond.Clause{cond.NewAtom(expr.Mul(x, x), cond.LT, expr.Const(-1))}
 	cfg := DefaultConfig()
 	cfg.Workers = 2
+	cfg.RejectionCap = 1 << 30
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -244,5 +247,28 @@ func TestRejectionLoopObservesDeadline(t *testing.T) {
 	}
 	if !errors.Is(r.Err, context.DeadlineExceeded) {
 		t.Fatalf("got %+v, want context.DeadlineExceeded", r)
+	}
+}
+
+// TestUnstartableWalkTriedOncePerSample: once the rejection rate is past
+// MetropolisThreshold, a sample whose walk cannot start (a nonlinear atom
+// that never holds, so neither the start scan nor the repair finds a point)
+// asks for the walk once, not once per remaining candidate. Each attempt
+// scans 5 000 start points, so asking per candidate made this one answer
+// take tens of seconds; it is the default cap's worth of candidates now.
+func TestUnstartableWalkTriedOncePerSample(t *testing.T) {
+	x := expr.NewVar(&expr.Variable{Key: expr.VarKey{ID: 1}, Dist: dist.MustInstance(dist.Normal{}, 0, 1)})
+	never := cond.Clause{cond.NewAtom(expr.Mul(x, x), cond.LT, expr.Const(-1))}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	r := New(cfg).WithContext(ctx).Expectation(x, never, true)
+	if r.Err != nil {
+		t.Fatalf("after %v: %v (one sample of an unsatisfiable group must give up inside the deadline)", time.Since(start), r.Err)
+	}
+	if !math.IsNaN(r.Mean) || r.N != 0 || r.UsedMetropolis {
+		t.Fatalf("got %+v, want a NaN mean from zero samples without a walk", r)
 	}
 }

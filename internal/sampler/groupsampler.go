@@ -213,6 +213,9 @@ func (gs *groupSampler) drawInto(sc *scratch, sampleIdx uint64) bool {
 	if capN <= 0 {
 		capN = 200000
 	}
+	// newMetroState depends only on the group, WorldSeed and sampleIdx, so
+	// a walk that cannot start for this sample is not tried again.
+	metroTried := false
 	for local := 0; local < capN; local++ {
 		// One sample of a group whose atoms never hold runs the whole cap
 		// between two round barriers, so the loop looks at the context
@@ -229,9 +232,10 @@ func (gs *groupSampler) drawInto(sc *scratch, sampleIdx uint64) bool {
 		// Escalation check (Algorithm 4.3 lines 19–24): once the observed
 		// rejection rate crosses the threshold, switch to Metropolis if
 		// every variable has a PDF.
-		if !gs.cfg.DisableMetropolis && gs.attempts >= 1000 {
+		if !gs.cfg.DisableMetropolis && !metroTried && gs.attempts >= 1000 {
 			rejRate := 1 - float64(gs.accepts)/float64(gs.attempts)
 			if rejRate > gs.cfg.MetropolisThreshold {
+				metroTried = true
 				if m := newMetroState(gs, sampleIdx); m != nil {
 					gs.metro = m
 					gs.cfg.Stats.AddEscalation()

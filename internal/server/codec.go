@@ -16,6 +16,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -204,17 +205,26 @@ func (c *rawCell) value() Value {
 	return Value{T: internString(c.t), F: string(c.f), I: c.i, S: string(c.s), B: c.b}
 }
 
-// native is Value.Native without the detour: a float is parsed from the
-// line's own bytes rather than from a string copied out of them first.
+// native is Value.Native read straight from the cell: a float is parsed
+// from the line's own bytes, and no kind builds a Value first.
 func (c *rawCell) native() (any, error) {
-	if string(c.t) == "f" {
+	switch string(c.t) {
+	case "f":
 		f, err := strconv.ParseFloat(string(c.f), 64)
 		if err != nil {
 			return nil, errWireFloat(string(c.f))
 		}
 		return f, nil
+	case "i":
+		return c.i, nil
+	case "s", "e":
+		return string(c.s), nil
+	case "b":
+		return c.b, nil
+	case "null", "":
+		return nil, nil
 	}
-	return c.value().Native()
+	return nil, errWireKind(string(c.t))
 }
 
 // internString returns b as a string without allocating for the kind tags
@@ -305,6 +315,9 @@ var (
 // decode scans data (surrounding whitespace, such as a line's newline,
 // allowed) as one object of the given kind, or as null, which leaves every
 // field unset. A chunk lands in the decoder's own fields, a cell in cell.
+// A row line as pipd writes it takes canonicalRow's one forward pass;
+// every other line, and one that strays from that shape at any byte, is
+// scanned by the general grammar below.
 func (d *decoder) decode(data []byte, kind objectKind, cell *rawCell) error {
 	d.data, d.pos, d.scratch = data, 0, d.scratch[:0]
 	d.k, d.cond, d.rows = nil, nil, 0
@@ -312,6 +325,9 @@ func (d *decoder) decode(data []byte, kind objectKind, cell *rawCell) error {
 	d.cells, d.ncells, d.rowSet = d.cells[:0], 0, false
 	d.hasErr, d.err = false, rawError{}
 
+	if kind == chunkObject && d.canonicalRow() {
+		return nil
+	}
 	d.skipSpace()
 	if !d.null() {
 		if d.peek() != '{' {
@@ -336,21 +352,150 @@ func (d *decoder) peek() byte {
 }
 
 func (d *decoder) skipSpace() {
-	for d.pos < len(d.data) {
-		if c := d.data[d.pos]; c > ' ' || (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
-			return
-		}
+	for d.pos < len(d.data) && isSpace(d.data[d.pos]) {
 		d.pos++
 	}
 }
 
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool {
+	return c <= ' ' && (c == ' ' || c == '\n' || c == '\t' || c == '\r')
+}
+
 // literal consumes lit at the cursor and reports whether it was there.
 func (d *decoder) literal(lit string) bool {
-	if d.peek() == lit[0] && len(d.data)-d.pos >= len(lit) && string(d.data[d.pos:d.pos+len(lit)]) == lit {
+	if hasAt(d.data, d.pos, lit) {
 		d.pos += len(lit)
 		return true
 	}
 	return false
+}
+
+// hasAt reports whether data holds lit at offset i; a negative i (the
+// canonical scan's "no match") holds nothing.
+func hasAt(data []byte, i int, lit string) bool {
+	return i >= 0 && len(data)-i >= len(lit) && string(data[i:i+len(lit)]) == lit
+}
+
+// ---------------------------------------------------------------------------
+// Canonical rows
+//
+// Nearly every line a client reads is a row chunk exactly as appendChunk
+// writes it. canonicalRow reads that shape in one forward pass, with no
+// field-name dispatch; each step returns the offset past what it matched,
+// or -1 once a byte differs, and every later step passes the -1 on.
+
+// rowPrefix is how appendChunk begins a row chunk that has cells.
+const rowPrefix = `{"k":"row","row":[`
+
+// canonicalRow scans d.data as appendChunk's row chunk with no condition
+// whose strings are all plain ASCII: rowPrefix, cells in appendValue's
+// shape separated by commas, "]}", trailing whitespace. On such a line
+// encoding/json's reading is the literal one, so it fills exactly the
+// fields the general scan would. It reports false at the first byte that
+// differs, having changed no field of d, so the general scan starts from
+// decode's reset state.
+func (d *decoder) canonicalRow() bool {
+	data := d.data
+	if !hasAt(data, 0, rowPrefix) {
+		return false
+	}
+	cells, i := d.cells[:0], len(rowPrefix)
+	for {
+		cells = append(cells, rawCell{})
+		if i = canonicalCell(data, i, &cells[len(cells)-1]); i < 0 {
+			return false
+		}
+		if !hasAt(data, i, ",") {
+			break
+		}
+		i++
+	}
+	if i = expect(data, i, "]}"); i < 0 {
+		return false
+	}
+	for i < len(data) && isSpace(data[i]) {
+		i++
+	}
+	if i != len(data) {
+		return false
+	}
+	d.k = data[len(`{"k":"`):len(`{"k":"row`)]
+	d.cells, d.ncells, d.rowSet = cells, len(cells), true
+	return true
+}
+
+// canonicalCell scans one cell at data[i:] in appendValue's shape — the
+// tag, then "f", "i", "s" and "b" each at most once and in that order —
+// into the zero cell c.
+func canonicalCell(data []byte, i int, c *rawCell) int {
+	c.t, i = plainString(data, expect(data, i, `{"t":`))
+	if hasAt(data, i, `,"f":`) {
+		c.f, i = plainString(data, i+len(`,"f":`))
+	}
+	if hasAt(data, i, `,"i":`) {
+		c.i, i = canonicalInt(data, i+len(`,"i":`))
+	}
+	if hasAt(data, i, `,"s":`) {
+		c.s, i = plainString(data, i+len(`,"s":`))
+	}
+	if hasAt(data, i, `,"b":true`) {
+		c.b, i = true, i+len(`,"b":true`)
+	}
+	return expect(data, i, "}")
+}
+
+// expect matches lit at data[i:].
+func expect(data []byte, i int, lit string) int {
+	if hasAt(data, i, lit) {
+		return i + len(lit)
+	}
+	return -1
+}
+
+// plainString matches a JSON string of printable ASCII with no quote or
+// backslash inside, and returns its contents as a slice of data, as str
+// would.
+func plainString(data []byte, i int) ([]byte, int) {
+	if !hasAt(data, i, `"`) {
+		return nil, -1
+	}
+	for j := i + 1; j < len(data); j++ {
+		switch c := data[j]; {
+		case c == '"':
+			return data[i+1 : j], j + 1
+		case c < ' ' || c > '~' || c == '\\':
+			return nil, -1
+		}
+	}
+	return nil, -1
+}
+
+// canonicalInt matches a JSON integer (no fraction, exponent or leading
+// zero) that fits an int64, and returns its value.
+func canonicalInt(data []byte, i int) (int64, int) {
+	if i < 0 {
+		return 0, -1
+	}
+	neg := hasAt(data, i, "-")
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+		u = u*10 + uint64(data[i]-'0')
+	}
+	// Nineteen digits cannot overflow u; the range check does the rest.
+	switch n := i - start; {
+	case n == 0 || n > 19 || (n > 1 && data[start] == '0'):
+		return 0, -1
+	case neg && u <= 1<<63:
+		return -int64(u), i
+	case !neg && u <= math.MaxInt64:
+		return int64(u), i
+	}
+	return 0, -1
 }
 
 // null consumes a JSON null, which every field treats as "leave unset".

@@ -366,6 +366,11 @@ func FuzzChunkDecode(f *testing.F) {
 		f.Add(line)
 		f.Add(line[:rng.Intn(len(line))]) // a severed stream's last line
 	}
+	// Lines one step off the canonical row shape, each on a side of the
+	// point where the canonical scan hands the line to the general one.
+	for _, line := range canonicalNearMisses {
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		want, oerr := oracleDecode(line)
 		var d decoder
@@ -401,6 +406,155 @@ func FuzzChunkDecode(f *testing.F) {
 			t.Fatalf("re-encoded chunk reads back as %+v (%v), want %+v", again, err, want)
 		}
 	})
+}
+
+// canonicalNearMisses are row lines that start in the canonical shape and
+// leave it — some still valid JSON the general scan must read, some not.
+var canonicalNearMisses = []string{
+	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}]}` + "\n",
+	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}]} ` + "\r\n\t",
+	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}]}x`,
+	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}],"cond":"x1 > 2"}`,
+	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"},]}`,
+	`{"k":"row","row":[{"t":"i","i":1} ,{"t":"f","f":"2.5"}]}`,
+	`{"k":"row","row":[]}`,
+	`{"k":"row","row":[null]}`,
+	`{"k":"row","row":[{"t":"i","i":01}]}`,
+	`{"k":"row","row":[{"t":"i","i":-0}]}`,
+	`{"k":"row","row":[{"t":"i","i":-}]}`,
+	`{"k":"row","row":[{"t":"i","i":1.0}]}`,
+	`{"k":"row","row":[{"t":"i","i":1e3}]}`,
+	`{"k":"row","row":[{"t":"i","i":9223372036854775807}]}`,
+	`{"k":"row","row":[{"t":"i","i":9223372036854775808}]}`,
+	`{"k":"row","row":[{"t":"i","i":-9223372036854775808}]}`,
+	`{"k":"row","row":[{"t":"i","i":-9223372036854775809}]}`,
+	`{"k":"row","row":[{"t":"i","i":18446744073709551616}]}`,
+	`{"k":"row","row":[{"t":"i","i":10000000000000000000}]}`,
+	`{"k":"row","row":[{"t":"i","i":"1"}]}`,
+	`{"k":"row","row":[{"t":"f","f":"1.5\u0030"}]}`,
+	`{"k":"row","row":[{"t":"f","f":"1.5` + "\x7f" + `"}]}`,
+	`{"k":"row","row":[{"t":"f","f":"caf` + "\xc3\xa9" + `"}]}`,
+	`{"k":"row","row":[{"t":"f","f":""}]}`,
+	`{"k":"row","row":[{"t":"f","f":"x"}]}`,
+	`{"k":"row","row":[{"t":"f","f":1.5}]}`,
+	`{"k":"row","row":[{"f":"1.5","t":"f"}]}`,
+	`{"k":"row","row":[{"t":"f","f":"1.5","f":"2.5"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"a","i":3}]}`,
+	`{"k":"row","row":[{"t":"b","b":false}]}`,
+	`{"k":"row","row":[{"t":"b","b":true},{"t":"b"},{"t":"null"},{"t":"i"},{"t":"e","s":"(x1 + 5)"}]}`,
+	`{"k":"row","row":[{"t":"q"}]}`,
+	`{"k":"row","row":[{"t":"f","F":"1.5"}]}`,
+	`{"k":"row","ROW":[{"t":"i","i":1}]}`,
+	`{"k":"rows","row":[{"t":"i","i":1}]}`,
+	`{"k":"row","row":[{"t":"i","i":1}]`,
+	`{"k":"row","row":[{"t":"i","i":1}`,
+	`{"k":"row","row":[{"t":"f","f":"1.5`,
+	` {"k":"row","row":[{"t":"i","i":1}]}`,
+}
+
+// TestCanonicalRowDifferential holds decode to the oracle on lines at and
+// around the canonical row shape, deterministically: appendChunk lines of
+// seeded random chunks, the near misses above, and every single-byte
+// deletion and substitution of a canonical (int, float, float) row line.
+// Each must be accepted or rejected as encoding/json does, and an accepted
+// one must yield the oracle's chunk and, cell by cell, its natives. Lines
+// the encoder writes for rows without a condition or escapes must take the
+// canonical scan.
+func TestCanonicalRowDifferential(t *testing.T) {
+	var inputs [][]byte
+	rng := rand.New(rand.NewSource(36))
+	for n := 0; n < 3000; n++ {
+		c, _ := randChunk(rng)
+		line := appendChunk(nil, &c, nil)
+		inputs = append(inputs, line)
+		if c.K == "row" && c.Cond == "" && !bytes.Contains(line, []byte(`\`)) && isPlainASCII(line) {
+			var fast decoder
+			fast.data = line
+			if !fast.canonicalRow() {
+				t.Fatalf("canonical scan refused the encoder's line %s", line)
+			}
+		}
+	}
+	for _, line := range canonicalNearMisses {
+		inputs = append(inputs, []byte(line))
+	}
+	row := appendChunk(nil, &Chunk{K: "row"}, hashJoinRow)
+	for i := range row {
+		inputs = append(inputs, append(row[:i:i], row[i+1:]...))
+		for b := 0; b < 256; b++ {
+			if byte(b) != row[i] {
+				sub := bytes.Clone(row)
+				sub[i] = byte(b)
+				inputs = append(inputs, sub)
+			}
+		}
+	}
+
+	var d decoder
+	for _, line := range inputs {
+		want, oerr := oracleDecode(line)
+		derr := d.decode(line, chunkObject, nil)
+		if (oerr == nil) != (derr == nil) {
+			t.Fatalf("%q: oracle error %v, decoder error %v", line, oerr, derr)
+		}
+		if derr != nil {
+			continue
+		}
+		got := d.chunk()
+		if !reflect.DeepEqual(toOracle(got), want) {
+			t.Fatalf("%q:\ndecoder %+v\noracle  %+v", line, toOracle(got), want)
+		}
+		for i := range d.cells[:d.ncells] {
+			n, nerr := d.cells[i].native()
+			on, onerr := Value(want.Row[i]).Native()
+			if (nerr == nil) != (onerr == nil) || !sameNative(n, on) {
+				t.Fatalf("%q cell %d: decoder %#v (%v), oracle %#v (%v)", line, i, n, nerr, on, onerr)
+			}
+		}
+	}
+}
+
+// isPlainASCII reports whether every byte of b is printable ASCII.
+func isPlainASCII(b []byte) bool {
+	for _, c := range b {
+		if c < ' ' || c > '~' {
+			return false
+		}
+	}
+	return true
+}
+
+// hashJoinRow is one result row of the benchmark's hash join, `SELECT
+// o.okey, c.price, o.price ...`: an order key and two prices.
+var hashJoinRow = []pip.Value{pip.Int(2345), pip.Float(270.54000000000002), pip.Float(1093.7)}
+
+// BenchmarkEncodeRow appends one hash-join row as pipd streams it.
+func BenchmarkEncodeRow(b *testing.B) {
+	b.ReportAllocs()
+	buf := make([]byte, 0, 256)
+	row := Chunk{K: "row"}
+	for b.Loop() {
+		buf = append(appendChunk(buf[:0], &row, hashJoinRow), '\n')
+	}
+	b.SetBytes(int64(len(buf)))
+}
+
+// BenchmarkDecodeRow scans one hash-join row line and turns its cells into
+// Go values, as the database/sql driver does for each row it reads.
+func BenchmarkDecodeRow(b *testing.B) {
+	b.ReportAllocs()
+	line := append(appendChunk(nil, &Chunk{K: "row"}, hashJoinRow), '\n')
+	var d decoder
+	dest := make([]any, len(hashJoinRow))
+	for b.Loop() {
+		if err := d.decode(line, chunkObject, nil); err != nil {
+			b.Fatal(err)
+		}
+		for i := range dest {
+			dest[i], _ = d.cells[i].native()
+		}
+	}
+	b.SetBytes(int64(len(line)))
 }
 
 // normalize erases the difference omitempty cannot carry: empty versus
@@ -449,6 +603,24 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	if want := [3]any{int64(123456), 270.54000000000002, "FRANCE"}; natives != want {
 		t.Errorf("natives = %#v, want %#v", natives, want)
+	}
+
+	// An int costs its box; a bool and a null cost nothing (Go boxes a
+	// bool without allocating).
+	kinds := []pip.Value{pip.Int(123456), ctable.Bool(true), {}}
+	if err := d.decode(appendChunk(nil, &Chunk{K: "row"}, kinds), chunkObject, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1, 0, 0} {
+		var v any
+		if n := testing.AllocsPerRun(1000, func() {
+			v, _ = d.cells[i].native()
+		}); n > want {
+			t.Errorf("the native of %s allocates %v times, want at most %v", d.cells[i].t, n, want)
+		}
+		if want := []any{int64(123456), true, nil}[i]; v != want {
+			t.Errorf("native %d = %#v, want %#v", i, v, want)
+		}
 	}
 
 	const runs = 1000

@@ -157,13 +157,18 @@ func (v Value) Native() (any, error) {
 	case "null", "":
 		return nil, nil
 	default:
-		return nil, fmt.Errorf("server: unknown wire value kind %q", v.T)
+		return nil, errWireKind(v.T)
 	}
 }
 
 // errWireFloat reports a float cell whose payload does not parse.
 func errWireFloat(f string) error {
 	return fmt.Errorf("server: malformed wire float %q", f)
+}
+
+// errWireKind reports a cell whose kind tag the grammar does not document.
+func errWireKind(t string) error {
+	return fmt.Errorf("server: unknown wire value kind %q", t)
 }
 
 // BindArg converts a Go argument (the remote driver's value set: int64,
