@@ -113,6 +113,140 @@ func (a Arith) Resolve(t *Tuple) (Value, error) {
 	}
 }
 
+// Resolved is a scalar resolved against one row as Resolve resolves it,
+// except that the result is not built as a Value: a number, a NULL or the
+// nodes a symbolic result's equation would have after expr's constant
+// folding go into an arena that is reused from row to row. It is the
+// expr.Tree the aggregate fold reads closed-form moments from, so such a
+// row costs no allocation.
+type Resolved struct {
+	nodes []resNode
+	vars  []*expr.Variable
+}
+
+// resNode is one arena node: a number c, a NULL, a variable (vars[l]), or
+// l op r with l and r indexing the arena. It holds no pointer, so filling
+// the arena costs no write barrier.
+type resNode struct {
+	kind expr.NodeKind // NodeOther for a NULL
+	op   expr.Op
+	deg  int32
+	l, r int32
+	c    float64
+}
+
+// Resolve resolves sc against t and returns the root of the result: a NULL
+// (IsNull), a number (degree 0, whose Value it is), or an equation. ok is
+// false when sc.Resolve would fail, or when sc or one of its cells is beyond
+// what r holds (a string, a ScalarFunc, or a symbolic cell other than a
+// single variable); sc.Resolve then gives the answer.
+func (r *Resolved) Resolve(sc Scalar, t *Tuple) (root int32, ok bool) {
+	r.nodes, r.vars = r.nodes[:0], r.vars[:0]
+	return r.resolve(sc, t)
+}
+
+// IsNull reports whether node n is a NULL.
+func (r *Resolved) IsNull(n int32) bool { return r.nodes[n].kind == expr.NodeOther }
+
+func (r *Resolved) resolve(sc Scalar, t *Tuple) (int32, bool) {
+	var v *Value
+	switch s := sc.(type) {
+	case Col:
+		if int(s) < 0 || int(s) >= len(t.Values) {
+			return -1, false
+		}
+		v = &t.Values[s]
+	case Lit:
+		v = &s.V
+	case Arith:
+		return r.arith(s, t)
+	default:
+		return -1, false
+	}
+	switch v.Kind {
+	case KindNull:
+		return r.push(resNode{kind: expr.NodeOther}), true
+	case KindExpr:
+		x, isVar := v.E.(expr.Var)
+		if !isVar {
+			return -1, false
+		}
+		r.vars = append(r.vars, x.V)
+		return r.push(resNode{kind: expr.NodeVar, deg: 1, l: int32(len(r.vars) - 1)}), true
+	}
+	f, ok := v.AsFloat()
+	if !ok {
+		return -1, false
+	}
+	return r.push(resNode{kind: expr.NodeConst, c: f}), true
+}
+
+// arith is Arith.Resolve over the arena: a NULL operand makes a NULL, and
+// anything else folds by expr.Fold, as Resolve's float arithmetic and
+// equation building do.
+func (r *Resolved) arith(a Arith, t *Tuple) (int32, bool) {
+	l, ok := r.resolve(a.Left, t)
+	if !ok {
+		return -1, false
+	}
+	rt, ok := r.resolve(a.Right, t)
+	if !ok {
+		return -1, false
+	}
+	switch {
+	case r.IsNull(l):
+		return l, true
+	case r.IsNull(rt):
+		return rt, true
+	case a.Op < expr.OpAdd || a.Op > expr.OpDiv:
+		return -1, false
+	}
+	return expr.Fold(resBuilder{r}, a.Op, l, rt), true
+}
+
+// resBuilder builds arena nodes for expr.Fold.
+type resBuilder struct{ r *Resolved }
+
+// Const implements expr.Builder.
+func (b resBuilder) Const(n int32) (float64, bool) {
+	x := &b.r.nodes[n]
+	return x.c, x.kind == expr.NodeConst
+}
+
+// NewConst implements expr.Builder.
+func (b resBuilder) NewConst(c float64) int32 {
+	return b.r.push(resNode{kind: expr.NodeConst, c: c})
+}
+
+// NewBin implements expr.Builder.
+func (b resBuilder) NewBin(op expr.Op, l, rt int32) int32 {
+	deg := int32(expr.BinDegree(op, int(b.r.nodes[l].deg), int(b.r.nodes[rt].deg)))
+	return b.r.push(resNode{kind: expr.NodeBin, op: op, deg: deg, l: l, r: rt})
+}
+
+func (r *Resolved) push(n resNode) int32 {
+	r.nodes = append(r.nodes, n)
+	return int32(len(r.nodes) - 1)
+}
+
+// Node implements expr.Tree.
+func (r *Resolved) Node(n int32) expr.Node[int32] {
+	x := &r.nodes[n]
+	switch x.kind {
+	case expr.NodeVar:
+		return expr.Node[int32]{Kind: expr.NodeVar, V: r.vars[x.l]}
+	case expr.NodeConst:
+		return expr.Node[int32]{Kind: expr.NodeConst, C: x.c}
+	}
+	return expr.Node[int32]{Kind: x.kind, Op: x.op, L: x.l, R: x.r}
+}
+
+// Degree implements expr.Tree.
+func (r *Resolved) Degree(n int32) int { return int(r.nodes[n].deg) }
+
+// Value implements expr.Tree: a node of degree 0 is a number.
+func (r *Resolved) Value(n int32) float64 { return r.nodes[n].c }
+
 // String implements Scalar.
 func (a Arith) String() string {
 	return "(" + a.Left.String() + " " + a.Op.String() + " " + a.Right.String() + ")"

@@ -2,6 +2,7 @@ package ctable
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pip/internal/cond"
@@ -81,14 +82,13 @@ func (t Tuple) IsDeterministic() bool {
 }
 
 // dataKey returns a hashable key of the data columns (not the condition),
-// as needed by distinct and group-by.
+// as needed by distinct and difference.
 func (t Tuple) dataKey() string {
-	var b strings.Builder
+	var b []byte
 	for _, v := range t.Values {
-		b.WriteString(v.key())
-		b.WriteByte('|')
+		b = v.AppendBinaryKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Table is a probabilistic c-table: a schema plus a bag of tuples.
@@ -342,42 +342,65 @@ func Difference(a, b *Table) (*Table, error) {
 }
 
 // GroupBy partitions tuples by deterministic key columns, returning the
-// groups in first-occurrence order. Symbolic key cells are rejected: the
-// paper considers grouping by (continuously) uncertain columns of doubtful
-// value (§II-C).
+// groups in first-occurrence order (a loop over a Grouper).
 func GroupBy(tb *Table, keyCols []int) ([]GroupRows, error) {
-	for _, c := range keyCols {
+	names := make([]string, len(keyCols))
+	for i, c := range keyCols {
 		if c < 0 || c >= len(tb.Schema) {
 			return nil, fmt.Errorf("ctable: group-by column %d out of range", c)
 		}
+		names[i] = tb.Schema[c].Name
 	}
+	g := NewGrouper(names)
+	key := make([]Value, len(keyCols))
 	var groups []GroupRows
-	pos := map[string]int{}
 	for i := range tb.Tuples {
-		t := &tb.Tuples[i]
-		var kb strings.Builder
-		for _, c := range keyCols {
-			v := t.Values[c]
-			if v.IsSymbolic() {
-				return nil, fmt.Errorf("ctable: cannot group by symbolic column %s", tb.Schema[c].Name)
-			}
-			kb.WriteString(v.key())
-			kb.WriteByte('|')
+		for n, c := range keyCols {
+			key[n] = tb.Tuples[i].Values[c]
 		}
-		k := kb.String()
-		j, seen := pos[k]
-		if !seen {
-			j = len(groups)
-			pos[k] = j
-			keyVals := make([]Value, len(keyCols))
-			for n, c := range keyCols {
-				keyVals[n] = t.Values[c]
-			}
-			groups = append(groups, GroupRows{Key: keyVals})
+		j, opened, err := g.Group(key)
+		if err != nil {
+			return nil, err
+		}
+		if opened {
+			groups = append(groups, GroupRows{Key: slices.Clone(key)})
 		}
 		groups[j].Rows = append(groups[j].Rows, i)
 	}
 	return groups, nil
+}
+
+// Grouper numbers the groups of rows as the rows arrive: 0, 1, … in
+// first-occurrence order of their key cells, which key by AppendBinaryKey.
+// Symbolic key cells are rejected: the paper considers grouping by
+// (continuously) uncertain columns of doubtful value (§II-C).
+type Grouper struct {
+	names []string // of the key columns, for the symbolic-key error
+	pos   map[string]int
+	buf   []byte
+}
+
+// NewGrouper returns a grouper over key columns with the given names.
+func NewGrouper(names []string) *Grouper {
+	return &Grouper{names: names, pos: map[string]int{}}
+}
+
+// Group returns the group of a row whose key cells are key, and whether the
+// row opened it.
+func (g *Grouper) Group(key []Value) (group int, opened bool, err error) {
+	g.buf = g.buf[:0]
+	for i, v := range key {
+		if v.IsSymbolic() {
+			return 0, false, fmt.Errorf("ctable: cannot group by symbolic column %s", g.names[i])
+		}
+		g.buf = v.AppendBinaryKey(g.buf)
+	}
+	if j, ok := g.pos[string(g.buf)]; ok {
+		return j, false, nil
+	}
+	j := len(g.pos)
+	g.pos[string(g.buf)] = j
+	return j, true, nil
 }
 
 // GroupRows is one group-by bucket: the key values plus indexes of member

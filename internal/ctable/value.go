@@ -244,14 +244,14 @@ func (v Value) String() string {
 }
 
 // AppendBinaryKey appends a compact binary key for v to dst and returns the
-// extended slice. The key partitions values into exactly the same
-// equivalence classes as key — numerically equal int/float pairs share
-// a key (both go through AsFloat), every NaN is canonicalized to one
-// pattern (FormatFloat renders every NaN as "NaN"), and -0 stays distinct
-// from +0 (as "-0" differs from "0") — but costs no float formatting, which
-// dominates the string path. Keys are self-delimiting (kind tag plus
-// fixed-width or length-prefixed payload), so multi-column keys concatenate
-// without a separator.
+// extended slice. It is the engine's one key encoding — hash-join keys,
+// GROUP BY groups and DISTINCT rows — and its equivalence classes are
+// these: numerically equal int/float pairs share a key (both go through
+// AsFloat), every NaN is canonicalized to one pattern, -0 stays distinct
+// from +0, and a symbolic cell keys by its rendered equation. It does no
+// float formatting. Keys are self-delimiting (kind tag plus fixed-width or
+// length-prefixed payload), so multi-column keys concatenate without a
+// separator.
 func (v Value) AppendBinaryKey(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
@@ -290,21 +290,4 @@ func appendKeyLen(dst []byte, n int) []byte {
 		u >>= 7
 	}
 	return append(dst, byte(u))
-}
-
-// key returns a hashable representation used for grouping and distinct.
-func (v Value) key() string {
-	switch v.Kind {
-	case KindNull:
-		return "n:"
-	case KindString:
-		return "s:" + v.S
-	case KindBool:
-		return "b:" + strconv.FormatBool(v.B)
-	case KindExpr:
-		return "e:" + v.E.String()
-	default:
-		f, _ := v.AsFloat()
-		return "f:" + strconv.FormatFloat(f, 'g', -1, 64)
-	}
 }

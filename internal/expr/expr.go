@@ -196,10 +196,11 @@ type Bin struct {
 }
 
 // Eval implements Expr.
-func (b Bin) Eval(a Assignment) float64 {
-	l := b.Left.Eval(a)
-	r := b.Right.Eval(a)
-	switch b.Op {
+func (b Bin) Eval(a Assignment) float64 { return b.Op.apply(b.Left.Eval(a), b.Right.Eval(a)) }
+
+// apply returns l op r, NaN for an unknown operator.
+func (o Op) apply(l, r float64) float64 {
+	switch o {
 	case OpAdd:
 		return l + r
 	case OpSub:
@@ -220,12 +221,15 @@ func (b Bin) CollectVars(set map[VarKey]*Variable) {
 }
 
 // Degree implements Expr.
-func (b Bin) Degree() int {
-	l, r := b.Left.Degree(), b.Right.Degree()
+func (b Bin) Degree() int { return BinDegree(b.Op, b.Left.Degree(), b.Right.Degree()) }
+
+// BinDegree is the degree of l op r given the degrees of its operands, -1
+// for an operand or a result that is not polynomial.
+func BinDegree(op Op, l, r int) int {
 	if l < 0 || r < 0 {
 		return -1
 	}
-	switch b.Op {
+	switch op {
 	case OpAdd, OpSub:
 		return max(l, r)
 	case OpMul:
@@ -263,16 +267,16 @@ func (n Neg) Degree() int { return n.X.Degree() }
 func (n Neg) String() string { return "-" + n.X.String() }
 
 // Add returns l + r with constant folding.
-func Add(l, r Expr) Expr { return fold(Bin{OpAdd, l, r}) }
+func Add(l, r Expr) Expr { return Fold(exprBuilder{}, OpAdd, l, r) }
 
 // Sub returns l - r with constant folding.
-func Sub(l, r Expr) Expr { return fold(Bin{OpSub, l, r}) }
+func Sub(l, r Expr) Expr { return Fold(exprBuilder{}, OpSub, l, r) }
 
 // Mul returns l * r with constant folding.
-func Mul(l, r Expr) Expr { return fold(Bin{OpMul, l, r}) }
+func Mul(l, r Expr) Expr { return Fold(exprBuilder{}, OpMul, l, r) }
 
 // Div returns l / r with constant folding.
-func Div(l, r Expr) Expr { return fold(Bin{OpDiv, l, r}) }
+func Div(l, r Expr) Expr { return Fold(exprBuilder{}, OpDiv, l, r) }
 
 // Negate returns -x with constant folding.
 func Negate(x Expr) Expr {
@@ -282,42 +286,73 @@ func Negate(x Expr) Expr {
 	return Neg{x}
 }
 
-// fold applies local constant folding and identity simplifications.
-func fold(b Bin) Expr {
-	lc, lok := b.Left.(Const)
-	rc, rok := b.Right.(Const)
+// Builder makes the nodes of an equation kept as values of type N, for
+// Fold.
+type Builder[N any] interface {
+	// Const reports whether n is a constant, and its value.
+	Const(n N) (float64, bool)
+	// NewConst makes a constant node.
+	NewConst(c float64) N
+	// NewBin makes the node l op r.
+	NewBin(op Op, l, r N) N
+}
+
+// Fold builds l op r with local constant folding and identity
+// simplifications: two constants fold to one; x + 0, 0 + x, x − 0, x · 1,
+// 1 · x and x / 1 are x; a product with 0 is 0. It is the one copy of these
+// rules: Add, Sub, Mul and Div fold Exprs with it, and a c-table scalar
+// resolved without building an Expr (ctable.Resolved) folds its nodes with
+// it.
+func Fold[N any, B Builder[N]](b B, op Op, l, r N) N {
+	lc, lok := b.Const(l)
+	rc, rok := b.Const(r)
 	if lok && rok {
-		return Const(b.Eval(nil))
+		return b.NewConst(op.apply(lc, rc))
 	}
-	switch b.Op {
+	switch op {
 	case OpAdd:
 		if lok && lc == 0 {
-			return b.Right
+			return r
 		}
 		if rok && rc == 0 {
-			return b.Left
+			return l
 		}
 	case OpSub:
 		if rok && rc == 0 {
-			return b.Left
+			return l
 		}
 	case OpMul:
 		if lok && lc == 1 {
-			return b.Right
+			return r
 		}
 		if rok && rc == 1 {
-			return b.Left
+			return l
 		}
 		if (lok && lc == 0) || (rok && rc == 0) {
-			return Const(0)
+			return b.NewConst(0)
 		}
 	case OpDiv:
 		if rok && rc == 1 {
-			return b.Left
+			return l
 		}
 	}
-	return b
+	return b.NewBin(op, l, r)
 }
+
+// exprBuilder is the Builder of Exprs.
+type exprBuilder struct{}
+
+// Const implements Builder.
+func (exprBuilder) Const(e Expr) (float64, bool) {
+	c, ok := e.(Const)
+	return float64(c), ok
+}
+
+// NewConst implements Builder.
+func (exprBuilder) NewConst(c float64) Expr { return Const(c) }
+
+// NewBin implements Builder.
+func (exprBuilder) NewBin(op Op, l, r Expr) Expr { return Bin{op, l, r} }
 
 // Vars returns the sorted variable keys of e along with a lookup map.
 func Vars(e Expr) ([]VarKey, map[VarKey]*Variable) {
@@ -371,57 +406,128 @@ func Linearize(e Expr) (LinearForm, bool) {
 	// Most forms have one or two variables; four slots keep Insert from
 	// growing the slice.
 	lf := LinearForm{Terms: make([]Term, 0, 4)}
-	if !linearize(e, 1, &lf) {
+	if !LinearizeTree(ExprTree{}, e, &lf) {
 		return LinearForm{}, false
 	}
-	// Drop zero coefficients introduced by cancellation.
-	lf.Terms = slices.DeleteFunc(lf.Terms, func(t Term) bool { return t.C == 0 })
 	return lf, true
 }
 
-func linearize(e Expr, scale float64, lf *LinearForm) bool {
-	switch t := e.(type) {
-	case Const:
-		lf.Constant += scale * float64(t)
+// LinearizeTree is Linearize over any Tree: it writes root's linear normal
+// form into lf, reusing the backing array of lf.Terms.
+func LinearizeTree[N any, T Tree[N]](t T, root N, lf *LinearForm) bool {
+	lf.Constant, lf.Terms = 0, lf.Terms[:0]
+	if !linearize(t, root, 1, lf) {
+		return false
+	}
+	// Drop zero coefficients introduced by cancellation.
+	lf.Terms = slices.DeleteFunc(lf.Terms, func(t Term) bool { return t.C == 0 })
+	return true
+}
+
+func linearize[N any, T Tree[N]](t T, n N, scale float64, lf *LinearForm) bool {
+	switch x := t.Node(n); x.Kind {
+	case NodeConst:
+		lf.Constant += scale * x.C
 		return true
-	case Var:
-		i, found := slices.BinarySearchFunc(lf.Terms, t.V.Key, func(x Term, k VarKey) int { return x.Key.Compare(k) })
+	case NodeVar:
+		i, found := slices.BinarySearchFunc(lf.Terms, x.V.Key, func(x Term, k VarKey) int { return x.Key.Compare(k) })
 		if found {
 			lf.Terms[i].C += scale
-			lf.Terms[i].V = t.V
+			lf.Terms[i].V = x.V
 		} else {
-			lf.Terms = slices.Insert(lf.Terms, i, Term{Key: t.V.Key, V: t.V, C: scale})
+			lf.Terms = slices.Insert(lf.Terms, i, Term{Key: x.V.Key, V: x.V, C: scale})
 		}
 		return true
-	case Neg:
-		return linearize(t.X, -scale, lf)
-	case Bin:
-		switch t.Op {
+	case NodeNeg:
+		return linearize(t, x.L, -scale, lf)
+	case NodeBin:
+		switch x.Op {
 		case OpAdd:
-			return linearize(t.Left, scale, lf) && linearize(t.Right, scale, lf)
+			return linearize(t, x.L, scale, lf) && linearize(t, x.R, scale, lf)
 		case OpSub:
-			return linearize(t.Left, scale, lf) && linearize(t.Right, -scale, lf)
+			return linearize(t, x.L, scale, lf) && linearize(t, x.R, -scale, lf)
 		case OpMul:
-			if IsDeterministic(t.Left) {
-				return linearize(t.Right, scale*t.Left.Eval(nil), lf)
+			if t.Degree(x.L) == 0 {
+				return linearize(t, x.R, scale*t.Value(x.L), lf)
 			}
-			if IsDeterministic(t.Right) {
-				return linearize(t.Left, scale*t.Right.Eval(nil), lf)
+			if t.Degree(x.R) == 0 {
+				return linearize(t, x.L, scale*t.Value(x.R), lf)
 			}
 			return false
 		case OpDiv:
-			if IsDeterministic(t.Right) {
-				d := t.Right.Eval(nil)
+			if t.Degree(x.R) == 0 {
+				d := t.Value(x.R)
 				if d == 0 {
 					return false
 				}
-				return linearize(t.Left, scale/d, lf)
+				return linearize(t, x.L, scale/d, lf)
 			}
 			return false
 		}
 	}
 	return false
 }
+
+// NodeKind is the shape of one equation node as a Tree reports it.
+type NodeKind uint8
+
+// Node kinds: the four Expr implementations, and NodeOther for any other.
+const (
+	NodeOther NodeKind = iota
+	NodeConst
+	NodeVar
+	NodeNeg
+	NodeBin
+)
+
+// Node is one equation node as a Tree reports it: its constant
+// (NodeConst), its variable (NodeVar), its operand as L (NodeNeg), or its
+// operator and operands (NodeBin).
+type Node[N any] struct {
+	Kind NodeKind
+	C    float64
+	V    *Variable
+	Op   Op
+	L, R N
+}
+
+// Tree is a read-only view of an equation whose nodes are values of type
+// N: an Expr itself (ExprTree), or an equation kept in another form, such
+// as a c-table scalar resolved against a row without building Bin nodes.
+// Linearize and the sampler's closed-form means walk a Tree, so one walk
+// serves every form, and the node travels as a type parameter, unboxed.
+type Tree[N any] interface {
+	// Node returns n's shape.
+	Node(n N) Node[N]
+	// Degree is Expr.Degree of n.
+	Degree(n N) int
+	// Value is n's value when Degree(n) is 0.
+	Value(n N) float64
+}
+
+// ExprTree is the Tree view of an Expr.
+type ExprTree struct{}
+
+// Node implements Tree.
+func (ExprTree) Node(e Expr) Node[Expr] {
+	switch t := e.(type) {
+	case Const:
+		return Node[Expr]{Kind: NodeConst, C: float64(t)}
+	case Var:
+		return Node[Expr]{Kind: NodeVar, V: t.V}
+	case Neg:
+		return Node[Expr]{Kind: NodeNeg, L: t.X}
+	case Bin:
+		return Node[Expr]{Kind: NodeBin, Op: t.Op, L: t.Left, R: t.Right}
+	}
+	return Node[Expr]{}
+}
+
+// Degree implements Tree.
+func (ExprTree) Degree(e Expr) int { return e.Degree() }
+
+// Value implements Tree.
+func (ExprTree) Value(e Expr) float64 { return e.Eval(nil) }
 
 func max(a, b int) int {
 	if a > b {

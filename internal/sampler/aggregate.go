@@ -22,127 +22,215 @@ type AggregateResult struct {
 	RowsScanned int
 }
 
-// rowAggBatch is one batch of rows of a row-parallel aggregate, merged in
-// batch order so the floating-point sum over rows is identical for every
-// worker count.
+// RowSum is one group's sum of per-row terms — the decomposable aggregates
+// expected_sum and expected_count, and the two halves of expected_avg — as
+// the rows arrive. An exact term is added at once (Add); a term that must be
+// sampled takes a slot in row order (Defer) and is evaluated by the Finish
+// methods, whose precision target depends on the group's final row count.
+// Terms are summed in a fixed layout, rowBatchSize-row partials added in
+// batch order (a single row is its own sum), so the sum is the same bits
+// however the terms were produced and at every worker count.
+type RowSum struct {
+	rows        int     // terms summed so far
+	first       float64 // the first term: a one-row group's sum
+	total, part float64 // the closed batches' sum; the open batch's partial
+	// From the first deferred row on, terms are kept rather than summed;
+	// Finish fills the deferred slots and sums them in order.
+	tail []float64
+	defs []deferredRow
+}
+
+// deferredRow is a deferred term: its slot in RowSum.tail and the row of
+// the group's table it is evaluated from.
+type deferredRow struct{ slot, row int }
+
+// Add adds an exact term.
+func (f *RowSum) Add(v float64) {
+	if f.tail != nil {
+		f.tail = append(f.tail, v)
+		return
+	}
+	f.push(v)
+}
+
+// Defer reserves the next term's slot for row of the table the Finish
+// method is given.
+func (f *RowSum) Defer(row int) {
+	f.defs = append(f.defs, deferredRow{slot: len(f.tail), row: row})
+	f.tail = append(f.tail, 0)
+}
+
+// len returns the number of terms added or deferred.
+func (f *RowSum) len() int { return f.rows + len(f.tail) }
+
+func (f *RowSum) push(v float64) {
+	switch {
+	case f.rows == 0:
+		f.first = v
+	case f.rows%rowBatchSize == 0:
+		f.total += f.part
+		f.part = 0
+	}
+	f.part += v
+	f.rows++
+}
+
+// sum returns the sum of every term once the deferred slots are filled.
+func (f *RowSum) sum() float64 {
+	for _, v := range f.tail {
+		f.push(v)
+	}
+	f.tail = f.tail[:0]
+	switch f.rows {
+	case 0:
+		return 0
+	case 1:
+		return f.first
+	}
+	return f.total + f.part
+}
+
+// rowAggBatch is one batch of deferred rows, evaluated on one worker.
 type rowAggBatch struct {
-	total   float64
 	samples int
 	exact   bool
 	err     error
 }
 
-// forEachRowBatch evaluates per(row) over every row of the table with rows
-// sharded into batches across the worker pool, then merges batch partial
-// sums in batch order. Each row's value is already independent of the
-// worker count (the per-sample engine's determinism contract), so batching
-// only has to fix the summation order. Single-row tables skip the pool: the
-// parallelism then lives entirely in the per-sample engine.
-func (s *Sampler) forEachRowBatch(rows int, per func(sub *Sampler, row int) (float64, int, bool, error)) (AggregateResult, error) {
-	if rows <= 1 {
-		res := AggregateResult{Exact: true, RowsScanned: rows}
-		if rows == 1 {
-			v, n, exact, err := per(s, 0)
-			if err != nil {
-				return AggregateResult{}, err
-			}
-			res.Value, res.N, res.Exact = v, n, exact
+// finish evaluates f's deferred rows with per(row), sharded in batches of
+// rowBatchSize across the worker pool, and returns the sum of f's terms.
+// The first failing deferred row, in row order, is the error. When there
+// are fewer batches than workers, the leftover parallelism moves into the
+// per-row sampler: per-row values are worker-count-independent by contract,
+// so this only changes where the work runs. Otherwise per-row sampling pins
+// to one worker to avoid oversubscribing with nested pools. A group with no
+// deferred row runs no pool at all.
+func (s *Sampler) finish(f *RowSum, per func(sub *Sampler, row int) (float64, int, bool, error)) (AggregateResult, error) {
+	out := AggregateResult{Exact: true, RowsScanned: f.len()}
+	if n := len(f.defs); n > 0 {
+		batches := (n + rowBatchSize - 1) / rowBatchSize
+		workers := s.cfg.effectiveWorkers()
+		innerWorkers := 1
+		if batches < workers {
+			innerWorkers = (workers + batches - 1) / batches
 		}
-		return res, nil
-	}
-	// Row batch boundaries are fixed (never derived from the worker count —
-	// that would change the partial-sum grouping and break bit-identity).
-	// When there are fewer batches than workers, the leftover parallelism
-	// moves into the per-row sampler instead: per-row values are
-	// worker-count-independent by contract, so this only changes where the
-	// work runs. Otherwise per-row sampling pins to one worker to avoid
-	// oversubscribing with nested pools.
-	batches := (rows + rowBatchSize - 1) / rowBatchSize
-	workers := s.cfg.effectiveWorkers()
-	innerWorkers := 1
-	if batches < workers {
-		innerWorkers = (workers + batches - 1) / batches
-	}
-	inner := s.withWorkers(innerWorkers)
-	results, err := fanOut(&s.cfg, workers, 0, rows, rowBatchSize, func(_, lo, hi int, r *rowAggBatch) {
-		r.exact = true
-		for i := lo; i < hi; i++ {
-			v, n, exact, err := per(inner, i)
-			if err != nil {
-				r.err = err
-				return
+		inner := s.withWorkers(innerWorkers)
+		results, err := fanOut(&s.cfg, workers, 0, n, rowBatchSize, func(_, lo, hi int, r *rowAggBatch) {
+			r.exact = true
+			for _, d := range f.defs[lo:hi] {
+				v, n, exact, err := per(inner, d.row)
+				if err != nil {
+					r.err = err
+					return
+				}
+				f.tail[d.slot] = v
+				r.samples += n
+				r.exact = r.exact && exact
 			}
-			r.total += v
-			r.samples += n
-			r.exact = r.exact && exact
+		})
+		if err != nil {
+			return AggregateResult{}, err
 		}
+		for b := range results {
+			if results[b].err != nil {
+				return AggregateResult{}, results[b].err
+			}
+			out.N += results[b].samples
+			out.Exact = out.Exact && results[b].exact
+		}
+	}
+	out.Value = f.sum()
+	return out, nil
+}
+
+// FinishSum completes an expected_sum: each deferred row's term is
+// P[φ] · E[h | φ] of its cell in column col of tb (rowContribution).
+// Following the paper's variance observation (the sum of N estimates with
+// equal per-element standard deviation has standard deviation σ/√N), the
+// per-row relative precision target is relaxed by √N for a group of N rows
+// when adaptive sampling is active. FinishSum consumes f.
+func (s *Sampler) FinishSum(f *RowSum, tb *ctable.Table, col int) (AggregateResult, error) {
+	return s.forRowCount(f.len()).finish(f, func(sub *Sampler, i int) (float64, int, bool, error) {
+		contrib, r, err := sub.rowContribution(&tb.Tuples[i], col)
+		return contrib, r.N, r.Exact, err
 	})
+}
+
+// FinishCount completes an expected_count: each deferred row's term is the
+// confidence of its condition in tb. FinishCount consumes f.
+func (s *Sampler) FinishCount(f *RowSum, tb *ctable.Table) (AggregateResult, error) {
+	return s.finish(f, func(sub *Sampler, i int) (float64, int, bool, error) {
+		r := sub.AConf(tb.Tuples[i].Cond)
+		return r.Prob, r.N, r.Exact, r.Err
+	})
+}
+
+// FinishAvg completes an expected_avg, E[sum]/E[count], from the sum of
+// every row's cell in column col of tb (sum) and the count of the rows
+// whose cell is not NULL (cnt): SQL's AVG skips NULLs, as the sum does. The
+// ratio of expectations is the standard first-order estimator for the
+// expectation of a ratio; it is exact when the row count is deterministic.
+// It is NaN when no row is expected to be counted. FinishAvg consumes both.
+func (s *Sampler) FinishAvg(sum, cnt *RowSum, tb *ctable.Table, col int) (AggregateResult, error) {
+	sr, err := s.FinishSum(sum, tb, col)
 	if err != nil {
 		return AggregateResult{}, err
 	}
-	out := AggregateResult{Exact: true, RowsScanned: rows}
-	for b := range results {
-		if results[b].err != nil {
-			return AggregateResult{}, results[b].err
-		}
-		out.Value += results[b].total
-		out.N += results[b].samples
-		out.Exact = out.Exact && results[b].exact
+	cr, err := s.FinishCount(cnt, tb)
+	if err != nil {
+		return AggregateResult{}, err
 	}
-	return out, nil
+	if cr.Value == 0 {
+		return AggregateResult{Value: math.NaN(), N: sr.N + cr.N}, nil
+	}
+	return AggregateResult{
+		Value:       sr.Value / cr.Value,
+		N:           sr.N + cr.N,
+		Exact:       sr.Exact && cr.Exact,
+		RowsScanned: sr.RowsScanned,
+	}, nil
 }
 
 // ExpectedSum computes E[sum(col)] over a c-table under per-table sampling
 // semantics (paper §IV-C): by linearity of expectation the result is the
 // sum over rows of P[phi_r] * E[h_r | phi_r], which holds under arbitrary
 // inter-row correlation. Rows are independent computations, so they shard
-// across the worker pool with partial sums merged in row order.
-//
-// Following the paper's variance observation (the sum of N estimates with
-// equal per-element standard deviation has standard deviation sigma/sqrt N),
-// the per-row relative precision target is relaxed by sqrt(len(rows)) when
-// adaptive sampling is active.
+// across the worker pool (FinishSum).
 func (s *Sampler) ExpectedSum(tb *ctable.Table, col int) (AggregateResult, error) {
 	if err := checkCol(tb, col); err != nil {
 		return AggregateResult{}, err
 	}
-	rowSampler := s.forRowCount(tb.Len())
-	return rowSampler.forEachRowBatch(tb.Len(), func(sub *Sampler, i int) (float64, int, bool, error) {
-		contrib, r, err := sub.rowContribution(&tb.Tuples[i], col)
-		return contrib, r.N, r.Exact, err
-	})
+	var f RowSum
+	for i := range tb.Tuples {
+		f.Defer(i)
+	}
+	return s.FinishSum(&f, tb, col)
 }
 
 // ExpectedCount computes E[count(*)] = sum of row confidences, with rows
 // sharded across the worker pool.
 func (s *Sampler) ExpectedCount(tb *ctable.Table) (AggregateResult, error) {
-	return s.forEachRowBatch(tb.Len(), func(sub *Sampler, i int) (float64, int, bool, error) {
-		r := sub.AConf(tb.Tuples[i].Cond)
-		return r.Prob, r.N, r.Exact, r.Err
-	})
+	var f RowSum
+	for i := range tb.Tuples {
+		f.Defer(i)
+	}
+	return s.FinishCount(&f, tb)
 }
 
-// ExpectedAvg approximates E[avg(col)] by the ratio E[sum]/E[count]. The
-// ratio-of-expectations is the standard first-order estimator for the
-// expectation of a ratio; it is exact when the row count is deterministic.
+// ExpectedAvg approximates E[avg(col)] by the ratio E[sum]/E[count] over
+// the rows whose cell is not NULL (FinishAvg).
 func (s *Sampler) ExpectedAvg(tb *ctable.Table, col int) (AggregateResult, error) {
-	sum, err := s.ExpectedSum(tb, col)
-	if err != nil {
+	if err := checkCol(tb, col); err != nil {
 		return AggregateResult{}, err
 	}
-	cnt, err := s.ExpectedCount(tb)
-	if err != nil {
-		return AggregateResult{}, err
+	var sum, cnt RowSum
+	for i := range tb.Tuples {
+		sum.Defer(i)
+		if !tb.Tuples[i].Values[col].IsNull() {
+			cnt.Defer(i)
+		}
 	}
-	if cnt.Value == 0 {
-		return AggregateResult{Value: math.NaN(), N: sum.N + cnt.N}, nil
-	}
-	return AggregateResult{
-		Value:       sum.Value / cnt.Value,
-		N:           sum.N + cnt.N,
-		Exact:       sum.Exact && cnt.Exact,
-		RowsScanned: tb.Len(),
-	}, nil
+	return s.FinishAvg(&sum, &cnt, tb, col)
 }
 
 // ExpectedMax computes E[max(col)] with the early-terminating algorithm of

@@ -248,35 +248,64 @@ func (s *Sampler) exactConditionalMean(e expr.Expr, groups []cond.Group, eKeys m
 // called on (distinct ids are drawn independently, and components of one
 // MVNormal covary through its Σ).
 func closedFormMean(e expr.Expr) (float64, bool) {
-	switch d := e.Degree(); {
+	var ms MeanScratch
+	return treeMean(expr.ExprTree{}, e, &ms)
+}
+
+// MeanScratch is the working memory of ClosedFormMean, reused from call to
+// call so that a warm one allocates nothing.
+type MeanScratch struct {
+	lf    expr.LinearForm
+	terms []monomial
+}
+
+// ClosedFormMean is closedFormMean over any equation view: E[root] when the
+// equation is a polynomial of degree ≤ 2 whose variables have closed-form
+// moments, with one closed-form hit counted on s. It reports false, and
+// counts nothing, when closed forms are off or the equation does not
+// qualify.
+func ClosedFormMean[N any, T expr.Tree[N]](s *Sampler, t T, root N, ms *MeanScratch) (float64, bool) {
+	if s.cfg.DisableClosedForm {
+		return 0, false
+	}
+	m, ok := treeMean(t, root, ms)
+	if ok {
+		s.cfg.Stats.AddClosedFormHit()
+	}
+	return m, ok
+}
+
+// treeMean is the one closed-form mean walk: the linear normal form (in
+// its key order) at degree ≤ 1, the monomial expansion (in expansion order)
+// at degree 2, so the result is a pure function of the equation.
+func treeMean[N any, T expr.Tree[N]](t T, root N, ms *MeanScratch) (float64, bool) {
+	switch d := t.Degree(root); {
 	case d == 0 || d == 1:
-		lf, ok := expr.Linearize(e)
-		if !ok {
+		if !expr.LinearizeTree(t, root, &ms.lf) {
 			return 0, false
 		}
-		return linearMean(lf)
+		return linearMean(ms.lf)
 	case d != 2:
 		return 0, false
 	}
-	terms, ok := expandQuadratic(e, 1, nil)
+	terms, ok := expandQuadratic(t, root, 1, ms.terms[:0])
 	if !ok {
 		return 0, false
 	}
-	// E is linear in the terms; summing them in expansion order keeps the
-	// result a pure function of the expression.
+	ms.terms = terms
 	mean := 0.0
-	for _, t := range terms {
+	for _, mo := range terms {
 		m := 1.0
 		switch {
-		case t.y != nil:
-			m, ok = productMean(t.x, t.y)
-		case t.x != nil:
-			m, ok = varMean(t.x)
+		case mo.y != nil:
+			m, ok = productMean(mo.x, mo.y)
+		case mo.x != nil:
+			m, ok = varMean(mo.x)
 		}
 		if !ok {
 			return 0, false
 		}
-		mean += t.c * m
+		mean += mo.c * m
 	}
 	return mean, true
 }
@@ -334,41 +363,49 @@ type monomial struct {
 	x, y *expr.Variable
 }
 
-// expandQuadratic appends the monomials of scale·e to out, reporting false
-// when e is not a polynomial of degree ≤ 2.
-func expandQuadratic(e expr.Expr, scale float64, out []monomial) ([]monomial, bool) {
-	switch t := e.(type) {
-	case expr.Const:
-		return append(out, monomial{c: scale * float64(t)}), true
-	case expr.Var:
-		return append(out, monomial{c: scale, x: t.V}), true
-	case expr.Neg:
-		return expandQuadratic(t.X, -scale, out)
-	case expr.Bin:
-		switch t.Op {
+// expandQuadratic appends the monomials of scale·n to out, reporting false
+// when n is not a polynomial of degree ≤ 2. A product expands both factors
+// at the end of out, appends their pairwise products after them and moves
+// those down over the factors, so the whole expansion lives in one slice.
+func expandQuadratic[N any, T expr.Tree[N]](t T, n N, scale float64, out []monomial) ([]monomial, bool) {
+	switch x := t.Node(n); x.Kind {
+	case expr.NodeConst:
+		return append(out, monomial{c: scale * x.C}), true
+	case expr.NodeVar:
+		return append(out, monomial{c: scale, x: x.V}), true
+	case expr.NodeNeg:
+		return expandQuadratic(t, x.L, -scale, out)
+	case expr.NodeBin:
+		switch x.Op {
 		case expr.OpAdd, expr.OpSub:
-			out, ok := expandQuadratic(t.Left, scale, out)
+			out, ok := expandQuadratic(t, x.L, scale, out)
 			if !ok {
 				return nil, false
 			}
-			if t.Op == expr.OpSub {
+			if x.Op == expr.OpSub {
 				scale = -scale
 			}
-			return expandQuadratic(t.Right, scale, out)
+			return expandQuadratic(t, x.R, scale, out)
 		case expr.OpMul:
-			if t.Left.Degree() == 0 {
-				return expandQuadratic(t.Right, scale*t.Left.Eval(nil), out)
+			if t.Degree(x.L) == 0 {
+				return expandQuadratic(t, x.R, scale*t.Value(x.L), out)
 			}
-			if t.Right.Degree() == 0 {
-				return expandQuadratic(t.Left, scale*t.Right.Eval(nil), out)
+			if t.Degree(x.R) == 0 {
+				return expandQuadratic(t, x.L, scale*t.Value(x.R), out)
 			}
-			l, okL := expandQuadratic(t.Left, scale, nil)
-			r, okR := expandQuadratic(t.Right, 1, nil)
-			if !okL || !okR {
+			base := len(out)
+			out, ok := expandQuadratic(t, x.L, scale, out)
+			if !ok {
 				return nil, false
 			}
-			for _, a := range l {
-				for _, b := range r {
+			mid := len(out)
+			if out, ok = expandQuadratic(t, x.R, 1, out); !ok {
+				return nil, false
+			}
+			end := len(out)
+			for i := base; i < mid; i++ {
+				for j := mid; j < end; j++ {
+					a, b := out[i], out[j]
 					m := monomial{c: a.c * b.c}
 					switch {
 					case a.x == nil:
@@ -383,16 +420,16 @@ func expandQuadratic(e expr.Expr, scale float64, out []monomial) ([]monomial, bo
 					out = append(out, m)
 				}
 			}
-			return out, true
+			return out[:base+copy(out[base:], out[end:])], true
 		case expr.OpDiv:
-			if t.Right.Degree() != 0 {
+			if t.Degree(x.R) != 0 {
 				return nil, false
 			}
-			d := t.Right.Eval(nil)
+			d := t.Value(x.R)
 			if d == 0 {
 				return nil, false
 			}
-			return expandQuadratic(t.Left, scale/d, out)
+			return expandQuadratic(t, x.L, scale/d, out)
 		}
 	}
 	return nil, false

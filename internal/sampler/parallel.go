@@ -40,8 +40,8 @@ import (
 // amortized.
 const sampleBatchSize = 64
 
-// rowBatchSize is the number of c-table rows per dispatched batch in
-// row-parallel aggregates (ExpectedSum, ExpectedCount).
+// rowBatchSize is the number of rows per partial sum of a RowSum, and of
+// deferred rows per dispatched batch when they are evaluated.
 const rowBatchSize = 8
 
 // effectiveWorkers resolves Config.Workers: 0 means one goroutine per

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
+	"pip/internal/cond"
 	"pip/internal/core"
 	"pip/internal/ctable"
+	"pip/internal/sampler"
 )
 
 // The reference evaluator: a deliberately naive, eager interpretation of
@@ -16,10 +19,11 @@ import (
 // are the full cross product (ctable.Product) filtered afterwards, LIMIT is
 // a slice of the finished input — so it shares no pulling, chunking or
 // buffering logic with the batch operators. What it does share is the
-// per-row and per-group sampling units (finishProject, stageAggRow,
-// computeAgg): the oracle checks the relational plumbing around them, and
-// testdata/corpus_golden.json (recorded from the since-deleted
-// row-at-a-time engine) pins the absolute answers.
+// per-row sampling units (finishProject, stageAggRow, and the sampler's
+// Expectation and AConf): the oracle checks the relational plumbing around
+// them, and testdata/corpus_golden.json (recorded from the since-deleted
+// row-at-a-time engine) pins the absolute answers. Aggregates run the
+// staged path the Aggregate operator's fold replaced (oracleAgg).
 //
 // Being eager, it evaluates rows a LIMIT would have cut off; a query whose
 // discarded rows raise errors is outside what it can referee.
@@ -88,7 +92,7 @@ func evalNaive(env execEnv, n lnode) (*ctable.Table, error) {
 			}
 			staged.Tuples = append(staged.Tuples, row)
 		}
-		return computeAgg(env, t, staged)
+		return oracleAgg(env, t, staged)
 	case *lDistinct:
 		return ctable.Distinct(in), nil
 	case *lSort:
@@ -205,4 +209,171 @@ func naiveKey(vals []ctable.Value, cols []int, off int) ([]byte, bool) {
 		key = v.AppendBinaryKey(key)
 	}
 	return key, true
+}
+
+// oracleAgg is the staged aggregate path: every input row staged, the
+// staged table partitioned by ctable.GroupBy, and each group's aggregates
+// evaluated over its own sub-table, a row at a time. The decomposable
+// aggregates sum their per-row terms (oracleTerm, or a condition's
+// confidence) in oracleSum's layout with no sampler.RowSum, so the fold's
+// summation is checked against an independent one.
+func oracleAgg(env execEnv, a *lAggregate, staged *ctable.Table) (*ctable.Table, error) {
+	var groups []ctable.GroupRows
+	if a.nKeys == 0 {
+		all := make([]int, staged.Len())
+		for i := range all {
+			all[i] = i
+		}
+		groups = []ctable.GroupRows{{Rows: all}}
+	} else {
+		keyCols := make([]int, a.nKeys)
+		for i := range keyCols {
+			keyCols[i] = i
+		}
+		var err error
+		if groups, err = ctable.GroupBy(staged, keyCols); err != nil {
+			return nil, err
+		}
+	}
+	out := ctable.New("result", a.outNames...)
+	smp := env.smp
+	for _, g := range groups {
+		if err := env.ctxErr(); err != nil {
+			return nil, err
+		}
+		sub := &ctable.Table{Name: staged.Name, Schema: staged.Schema}
+		for _, ri := range g.Rows {
+			sub.Tuples = append(sub.Tuples, staged.Tuples[ri])
+		}
+		// sum and count return the group's sum of terms and of the
+		// confidences of the rows keep accepts.
+		sum := func(col int) (float64, error) {
+			rowSmp := oracleRelax(smp, sub.Len())
+			terms := make([]float64, 0, sub.Len())
+			for i := range sub.Tuples {
+				v, err := oracleTerm(rowSmp, &sub.Tuples[i], col)
+				if err != nil {
+					return 0, err
+				}
+				terms = append(terms, v)
+			}
+			return oracleSum(terms), nil
+		}
+		count := func(keep func(t *ctable.Tuple) bool) (float64, error) {
+			var terms []float64
+			for i := range sub.Tuples {
+				if !keep(&sub.Tuples[i]) {
+					continue
+				}
+				r := smp.AConf(sub.Tuples[i].Cond)
+				if r.Err != nil {
+					return 0, r.Err
+				}
+				terms = append(terms, r.Prob)
+			}
+			return oracleSum(terms), nil
+		}
+		all := func(*ctable.Tuple) bool { return true }
+		aggVals := make([]ctable.Value, len(a.aggs))
+		for ai, at := range a.aggs {
+			var v float64
+			var err error
+			switch at.kind {
+			case "expected_sum":
+				v, err = sum(at.argCol)
+			case "expected_count":
+				v, err = count(all)
+			case "expected_avg":
+				var n float64
+				if v, err = sum(at.argCol); err == nil {
+					n, err = count(func(t *ctable.Tuple) bool { return !t.Values[at.argCol].IsNull() })
+				}
+				if v /= n; n == 0 {
+					v = math.NaN()
+				}
+			case "expected_max":
+				var res sampler.AggregateResult
+				res, err = smp.ExpectedMax(sub, at.argCol, 0)
+				v = res.Value
+			case "expected_stddev", "expected_variance":
+				var res sampler.AggregateResult
+				res, err = smp.ExpectedSpread(sub, at.argCol, at.kind == "expected_variance")
+				v = res.Value
+			case "conf", "aconf":
+				d := cond.FalseCondition()
+				for i := range sub.Tuples {
+					d = d.Or(sub.Tuples[i].Cond)
+				}
+				r := smp.AConf(d)
+				v, err = r.Prob, r.Err
+			default:
+				err = fmt.Errorf("sql: unhandled aggregate %s", at.kind)
+			}
+			if err != nil {
+				return nil, err
+			}
+			aggVals[ai] = ctable.Float(v)
+		}
+		vals := make([]ctable.Value, len(a.outCols))
+		for i, oc := range a.outCols {
+			if oc.isKey {
+				vals[i] = g.Key[oc.keyIdx]
+			} else {
+				vals[i] = aggVals[oc.aggIdx]
+			}
+		}
+		out.Tuples = append(out.Tuples, ctable.NewTuple(vals...))
+	}
+	return out, nil
+}
+
+// oracleTerm is one row's expected_sum term, P[φ]·E[h | φ]: 0 for a NULL
+// cell and for an impossible condition or an undefined mean.
+func oracleTerm(smp *sampler.Sampler, t *ctable.Tuple, col int) (float64, error) {
+	v := t.Values[col]
+	if v.IsNull() {
+		return 0, nil
+	}
+	e, ok := v.AsExpr()
+	if !ok {
+		return 0, fmt.Errorf("sampler: non-numeric aggregate target %s", v)
+	}
+	r := smp.ExpectationDNF(e, t.Cond, true)
+	if r.Err != nil {
+		return 0, r.Err
+	}
+	if r.Prob == 0 || math.IsNaN(r.Mean) {
+		return 0, nil
+	}
+	return r.Mean * r.Prob, nil
+}
+
+// oracleRelax relaxes the per-row confidence of a sum over rows rows by
+// √rows (paper §IV-C), as the engine's expected_sum does.
+func oracleRelax(smp *sampler.Sampler, rows int) *sampler.Sampler {
+	cfg := smp.Config()
+	if rows <= 1 || cfg.FixedSamples > 0 {
+		return smp
+	}
+	cfg.Delta = math.Min(cfg.Delta*math.Sqrt(float64(rows)), 0.5)
+	return sampler.New(cfg)
+}
+
+// oracleRowBatch is the sampler's row batch: terms are summed in partials
+// of this many rows, added in row order; a single term is its own sum.
+const oracleRowBatch = 8
+
+func oracleSum(terms []float64) float64 {
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	total := 0.0
+	for lo := 0; lo < len(terms); lo += oracleRowBatch {
+		part := 0.0
+		for _, v := range terms[lo:min(lo+oracleRowBatch, len(terms))] {
+			part += v
+		}
+		total += part
+	}
+	return total
 }

@@ -863,11 +863,10 @@ func emitTable(vb *vecBase, out **ctable.Batch, result *ctable.Table, i *int, ma
 	return *out
 }
 
-// vecAggOp is blocking: on the first call it drains its child, stages
-// [group keys..., agg args...] per row (stageAggRow), partitions by key and
-// evaluates every group's expectation aggregates (computeAgg); it then
-// emits the result — one row per group, in first-occurrence order of the
-// keys — in batches of the caller's need.
+// vecAggOp is blocking: on the first call it drains its child, folding
+// each row into its group as the row arrives (aggFold), and completes every
+// group's aggregates; it then emits the result — one row per group, in
+// first-occurrence order of the keys — in batches of the caller's need.
 type vecAggOp struct {
 	vecBase
 	env    execEnv
@@ -886,13 +885,9 @@ func (o *vecAggOp) NextBatch(max int) (*ctable.Batch, error) {
 		return o.emitBatch(t0, nil, io.EOF)
 	}
 	if o.result == nil {
-		a := o.spec
-		sch := make(ctable.Schema, len(a.stagedNames))
-		for i, n := range a.stagedNames {
-			sch[i] = ctable.Column{Name: n}
-		}
-		staged := &ctable.Table{Name: "agg_input", Schema: sch}
-		row := make([]ctable.Value, len(o.child.Columns()))
+		f := newAggFold(o.env, o.spec)
+		// One tuple for every row: a tuple per row would escape to the heap.
+		t := &ctable.Tuple{Values: make([]ctable.Value, len(o.child.Columns()))}
 		for {
 			b, err := o.child.NextBatch(vecBatchSize)
 			if err == io.EOF {
@@ -903,17 +898,14 @@ func (o *vecAggOp) NextBatch(max int) (*ctable.Batch, error) {
 				return o.emitBatch(t0, nil, err)
 			}
 			for k := 0; k < b.Len(); k++ {
-				c := b.GatherRow(k, row)
-				t := ctable.Tuple{Values: row, Cond: c}
-				st, err := stageAggRow(a, &t)
-				if err != nil {
+				t.Cond = b.GatherRow(k, t.Values)
+				if err := f.add(t); err != nil {
 					o.done = true
 					return o.emitBatch(t0, nil, err)
 				}
-				staged.Tuples = append(staged.Tuples, st)
 			}
 		}
-		res, err := computeAgg(o.env, a, staged)
+		res, err := f.finish(o.env)
 		if err != nil {
 			o.done = true
 			return o.emitBatch(t0, nil, err)
