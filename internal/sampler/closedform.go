@@ -248,7 +248,9 @@ func (s *Sampler) exactConditionalMean(e expr.Expr, groups []cond.Group, eKeys m
 // called on (distinct ids are drawn independently, and components of one
 // MVNormal covary through its Σ).
 func closedFormMean(e expr.Expr) (float64, bool) {
-	var ms MeanScratch
+	// Four slots, as Linearize sizes them, keep a small form from growing
+	// its Terms slice.
+	ms := MeanScratch{lf: expr.LinearForm{Terms: make([]expr.Term, 0, 4)}}
 	return treeMean(expr.ExprTree{}, e, &ms)
 }
 

@@ -405,3 +405,21 @@ func TestClosedformSecondMoments(t *testing.T) {
 		t.Errorf("Moment(N, 2) = %+v, want exact 6.25", mr)
 	}
 }
+
+// TestClosedFormMeanLinearAllocs holds the per-row closed-form mean of a
+// three-variable linear form — the term Expectation computes for each
+// row of an unconstrained expected_sum — to the one allocation of its
+// pre-sized linear form.
+func TestClosedFormMeanLinearAllocs(t *testing.T) {
+	nv := func(id uint64, class dist.Class, params ...float64) expr.Expr {
+		return expr.NewVar(&expr.Variable{Key: expr.VarKey{ID: id}, Dist: dist.MustInstance(class, params...)})
+	}
+	e := expr.Add(expr.Add(expr.Mul(expr.Const(2), nv(1, dist.Normal{}, 1, 1)), nv(2, dist.Poisson{}, 3)),
+		expr.Sub(nv(3, dist.Uniform{}, 0, 4), expr.Const(5)))
+	if m, ok := closedFormMean(e); !ok || m != 2+3+2-5 {
+		t.Fatalf("closedFormMean = %v, %v; want 2, true", m, ok)
+	}
+	if got := testing.AllocsPerRun(100, func() { closedFormMean(e) }); got > 1 {
+		t.Errorf("%v allocations per call, want at most 1", got)
+	}
+}

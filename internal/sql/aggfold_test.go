@@ -74,7 +74,8 @@ func TestAggregateFoldAllocs(t *testing.T) {
 // across columns and rows, conditioned rows that must sample beside exact
 // ones in one group, and now and then a string cell or a symbolic group
 // key; seeded random argument trees divide by constants, by 0 and by
-// variables.
+// variables. A quarter of the trials sample adaptively rather than with a
+// fixed sample count.
 func TestAggregateFoldDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 1))
 	cfg := sampler.DefaultConfig()
@@ -87,6 +88,14 @@ func TestAggregateFoldDifferential(t *testing.T) {
 	var answered, failed int
 	for trial := 0; trial < 100; trial++ {
 		db.Register(foldTable(t, rng, db))
+		// Every fourth trial samples adaptively, so a deferred row's
+		// precision target — relaxed by the group's full row count, exact
+		// rows included — is compared too.
+		fixed := cfg.FixedSamples
+		if trial%4 == 3 {
+			fixed = 0
+		}
+		db.UpdateConfig(func(c *sampler.Config) { c.FixedSamples = fixed })
 		for range 5 {
 			q := foldQuery(rng)
 			h0 := hits()

@@ -18,7 +18,6 @@ import (
 	"pip/internal/cond"
 	"pip/internal/core"
 	"pip/internal/ctable"
-	"pip/internal/expr"
 	"pip/internal/obs"
 	"pip/internal/sampler"
 )
@@ -341,33 +340,32 @@ func (f *aggFold) add(t *ctable.Tuple) error {
 }
 
 // term resolves the row's aggregate argument sc and reports whether it is
-// NULL, whose term is 0. When the row is foldable it also returns the term
-// if that is exact: the number itself, or the closed-form mean of a
-// symbolic argument, read from the resolved arena when the argument
-// resolves into one. NaN terms count 0, as rowContribution counts them.
+// NULL, whose term is 0. When the row is foldable and the argument resolves
+// into the arena, it also returns the term if that is exact: the number
+// itself, or the closed-form mean. An argument the arena declines (a
+// ScalarFunc, a symbolic cell that is not a single variable, a string) is
+// never exact here: the row is deferred to rowContribution, which gives the
+// same bits and counts the same closed-form hit. NaN terms count 0, as
+// rowContribution counts them.
 func (f *aggFold) term(sc ctable.Scalar, t *ctable.Tuple, foldable bool) (term float64, null, exact bool, err error) {
-	var v ctable.Value
 	root, arena := f.res.Resolve(sc, t)
 	if !arena {
-		if v, err = sc.Resolve(t); err != nil {
+		v, err := sc.Resolve(t)
+		if err != nil {
 			return 0, false, false, err
 		}
+		return 0, v.IsNull(), v.IsNull(), nil
 	}
-	if arena && f.res.IsNull(root) || !arena && v.IsNull() {
+	if f.res.IsNull(root) {
 		return 0, true, true, nil
 	}
 	if !foldable {
 		return 0, false, false, nil
 	}
-	switch {
-	case arena && f.res.Degree(root) == 0:
+	if f.res.Degree(root) == 0 {
 		term, exact = f.res.Value(root), true
-	case arena:
+	} else {
 		term, exact = sampler.ClosedFormMean(f.smp, &f.res, root, &f.ms)
-	case v.IsSymbolic():
-		term, exact = sampler.ClosedFormMean(f.smp, expr.ExprTree{}, v.E, &f.ms)
-	default:
-		term, exact = v.AsFloat()
 	}
 	if math.IsNaN(term) {
 		term = 0
