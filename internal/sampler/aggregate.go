@@ -240,7 +240,8 @@ func (s *Sampler) ExpectedAvg(tb *ctable.Table, col int) (AggregateResult, error
 // algorithm verifies pairwise variable disjointness and falls back to
 // per-world sampling otherwise), and scanning stops once the largest
 // possible remaining change drops below precision. Worlds where no row is
-// present contribute 0, matching the paper's example.
+// present contribute 0, matching the paper's example. A NULL cell is skipped,
+// as SQL's MAX skips it: that row is absent in every world.
 func (s *Sampler) ExpectedMax(tb *ctable.Table, col int, precision float64) (AggregateResult, error) {
 	if err := checkCol(tb, col); err != nil {
 		return AggregateResult{}, err
@@ -265,7 +266,11 @@ func (s *Sampler) ExpectedMax(tb *ctable.Table, col int, precision float64) (Agg
 	}
 	rows := make([]row, 0, tb.Len())
 	for i := range tb.Tuples {
-		f, ok := tb.Tuples[i].Values[col].AsFloat()
+		v := tb.Tuples[i].Values[col]
+		if v.IsNull() {
+			continue
+		}
+		f, ok := v.AsFloat()
 		if !ok {
 			return AggregateResult{}, fmt.Errorf("sampler: non-numeric max target %s", tb.Tuples[i].Values[col])
 		}
@@ -462,6 +467,9 @@ type histRow struct {
 	cell *expr.Program
 	val  float64
 	bad  bool
+	// null marks a NULL target: the row is absent in every world, as SQL's
+	// aggregates skip NULL.
+	null bool
 }
 
 // AggregateHistogram implements the expected_*_hist operators (§V-C): it
@@ -486,6 +494,10 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 	nstack := 0
 	for r := range tb.Tuples {
 		t := &tb.Tuples[r]
+		if t.Values[col].IsNull() {
+			rows[r].null = true
+			continue
+		}
 		present, err := cond.CompileCondition(t.Cond, fr.table)
 		if err != nil {
 			return nil, err
@@ -523,7 +535,7 @@ func (s *Sampler) AggregateHistogram(tb *ctable.Table, col int, fold FoldFunc, n
 			sc.present = sc.present[:0]
 			for r := range rows {
 				row := &rows[r]
-				if !row.present.Holds(sc.vals, sc.stack) {
+				if row.null || !row.present.Holds(sc.vals, sc.stack) {
 					continue
 				}
 				switch {

@@ -447,26 +447,31 @@ const spreadCap = 80
 
 // gaussianCells returns the mean vector m and the row-major covariance Σ
 // of a group's target cells (gaussLower, one form per cell) when every row
-// is certain and every cell is a number or linear in Gaussian variables;
-// cells may share variables.
+// is certain and every cell is NULL, a number or linear in Gaussian
+// variables; cells may share variables. A NULL cell's row is skipped, as
+// SQL's aggregates skip NULL, so m holds one entry per other row.
 func gaussianCells(tb *ctable.Table, col int) (m, cov []float64, ok bool) {
-	n := tb.Len()
-	forms := make([]expr.LinearForm, n)
+	forms := make([]expr.LinearForm, 0, tb.Len())
 	for i := range tb.Tuples {
 		t := &tb.Tuples[i]
 		if !t.Cond.IsTrue() {
 			return nil, nil, false
 		}
-		v := t.Values[col]
-		if !v.IsSymbolic() {
-			forms[i].Constant, ok = v.AsFloat()
-		} else {
-			forms[i], ok = expr.Linearize(v.E)
+		var f expr.LinearForm
+		switch v := t.Values[col]; {
+		case v.IsNull():
+			continue
+		case !v.IsSymbolic():
+			f.Constant, ok = v.AsFloat()
+		default:
+			f, ok = expr.Linearize(v.E)
 		}
 		if !ok {
 			return nil, nil, false
 		}
+		forms = append(forms, f)
 	}
+	n := len(forms)
 	m, cov = make([]float64, n), make([]float64, n*n)
 	if !gaussLower(forms, m, cov) {
 		return nil, nil, false
@@ -484,14 +489,14 @@ func gaussianCells(tb *ctable.Table, col int) (m, cov []float64, ok bool) {
 //     κ + Σⱼ (√λⱼ Zⱼ + aⱼ)² with aⱼ = qⱼᵀCm over λⱼ > tol and κ = mᵀCm −
 //     Σⱼ aⱼ², the part of Cm that no variable moves.
 func exactSpread(tb *ctable.Table, col int, variance bool) (float64, bool) {
-	n := tb.Len()
-	if n > spreadCap {
+	if tb.Len() > spreadCap {
 		return 0, false
 	}
 	m, cov, ok := gaussianCells(tb, col)
 	if !ok {
 		return 0, false
 	}
+	n := len(m) // the rows whose cell is not NULL
 	if n < 2 {
 		return 0, true
 	}

@@ -343,9 +343,16 @@ func TestClosedformSpreadDeclines(t *testing.T) {
 			}
 		}
 	}
-	// A NULL cell keeps the sampled path's error.
-	if _, err := New(cfg).ExpectedSpread(spreadTable(ctable.Float(1), ctable.Null()), 0, false); err == nil {
-		t.Error("NULL cell: no error")
+	// A NULL cell is skipped, as VAR_POP skips it, on either path; a cell
+	// that is not a number keeps the sampled path's error.
+	for _, c := range []Config{cfg, off} {
+		got, err := New(c).ExpectedSpread(spreadTable(ctable.Float(1), ctable.Null(), ctable.Float(3)), 0, true)
+		if err != nil || got.Value != 1 {
+			t.Errorf("NULL cell, closed forms off=%v: %+v, %v; want 1", c.DisableClosedForm, got, err)
+		}
+	}
+	if _, err := New(cfg).ExpectedSpread(spreadTable(ctable.Float(1), ctable.String_("x")), 0, false); err == nil {
+		t.Error("string cell: no error")
 	}
 }
 

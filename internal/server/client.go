@@ -265,7 +265,7 @@ func (r *ClientRows) readChunk() error {
 		}
 		return err
 	}
-	if derr := r.dec.decode(line, chunkObject, nil); derr != nil {
+	if derr := r.dec.decode(line); derr != nil {
 		if err == io.EOF {
 			// A partial trailing line is a severed stream (server died
 			// mid-chunk), not a protocol bug: surface it as truncation.
@@ -312,7 +312,7 @@ func (r *ClientRows) NumCells() int {
 	if !r.haveRow {
 		return 0
 	}
-	return r.dec.ncells
+	return len(r.dec.cells)
 }
 
 // Native returns cell i of the current row as its natural Go value, exactly
@@ -332,7 +332,7 @@ func (r *ClientRows) Row() []Value {
 		return nil
 	}
 	if len(r.row) == 0 {
-		for i := range r.dec.cells[:r.dec.ncells] {
+		for i := range r.dec.cells {
 			r.row = append(r.row, r.dec.cells[i].value())
 		}
 	}

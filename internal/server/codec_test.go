@@ -16,35 +16,6 @@ import (
 	"pip/internal/ctable"
 )
 
-// The oracle: the documented grammar written the naive way, as struct tags
-// for encoding/json to interpret. The codec must agree with it byte for
-// byte when encoding and value for value when decoding; it lives in test
-// code only, so the tags are never a second definition a server could run.
-type (
-	oracleValue struct {
-		T string `json:"t"`
-		F string `json:"f,omitempty"`
-		I int64  `json:"i,omitempty"`
-		S string `json:"s,omitempty"`
-		B bool   `json:"b,omitempty"`
-	}
-	oracleError struct {
-		Code       string `json:"code"`
-		Message    string `json:"message"`
-		Line       int    `json:"line,omitempty"`
-		Col        int    `json:"col,omitempty"`
-		SourceLine string `json:"source_line,omitempty"`
-	}
-	oracleChunk struct {
-		K       string        `json:"k"`
-		Columns []string      `json:"columns,omitempty"`
-		Row     []oracleValue `json:"row,omitempty"`
-		Cond    string        `json:"cond,omitempty"`
-		Rows    int64         `json:"rows,omitempty"`
-		Error   *oracleError  `json:"error,omitempty"`
-	}
-)
-
 // toOracle converts a chunk to its shadow, preserving nil-ness.
 func toOracle(c Chunk) oracleChunk {
 	o := oracleChunk{K: c.K, Columns: c.Columns, Cond: c.Cond, Rows: c.Rows, Error: (*oracleError)(c.Error)}
@@ -73,6 +44,9 @@ func oracleDecode(line []byte) (oracleChunk, error) {
 	err := json.Unmarshal(line, &o)
 	return o, err
 }
+
+// jsonMaxDepth is the deepest nesting encoding/json decodes.
+const jsonMaxDepth = 10000
 
 var (
 	nastyFloats = []float64{
@@ -200,7 +174,7 @@ func TestCodecDifferential(t *testing.T) {
 		}
 
 		// new-decode(oracle-encode(x)) == x, up to what omitempty erases.
-		if err := d.decode(want, chunkObject, nil); err != nil {
+		if err := d.decode(want); err != nil {
 			t.Fatalf("decode %s: %v", want, err)
 		}
 		if back := toOracle(d.chunk()); !reflect.DeepEqual(back, od2) {
@@ -259,7 +233,7 @@ func TestCodecSymbolicRows(t *testing.T) {
 		if want := oracleEncode(t, c); !bytes.Equal(got, want) {
 			t.Fatalf("codec  %s\noracle %s", got, want)
 		}
-		if err := d.decode(got, chunkObject, nil); err != nil {
+		if err := d.decode(got); err != nil {
 			t.Fatal(err)
 		}
 		if back := d.chunk(); !reflect.DeepEqual(back, c) {
@@ -314,7 +288,7 @@ func TestCodecDecodeGrammar(t *testing.T) {
 			t.Fatalf("oracle rejects %s: %v", line, err)
 		}
 		var d decoder
-		if err := d.decode([]byte(line), chunkObject, nil); err != nil {
+		if err := d.decode([]byte(line)); err != nil {
 			t.Errorf("decode %s: %v", line, err)
 			continue
 		}
@@ -330,26 +304,26 @@ func TestCodecDecodeGrammar(t *testing.T) {
 		`{"k":"\x"}`, `{"k":"\u12"}`, `{"k":"\u12g4"}`, `{"k":'row'}`, `{k:"row"}`, `{"k":"row",}`, `{"k" "row"}`, `{"row":[1,]}`,
 		`{"x":tru}`, `{"x":.5}`, `{"x":1.}`, `{"x":1e}`, `{"x":-}`, `{"x":[}`, `{"columns":["a",5]}`, `{"columns":"a"}`, `{"error":[]}`,
 		`{"error":{"line":"3"}}`, `{"error":{"code":1}}`,
-		strings.Repeat("[", maxDepth+5),
-		`{"x":` + strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth) + `}`,
+		strings.Repeat("[", jsonMaxDepth+5),
+		`{"x":` + strings.Repeat("[", jsonMaxDepth) + strings.Repeat("]", jsonMaxDepth) + `}`,
 	}
 	for _, line := range reject {
 		if _, err := oracleDecode([]byte(line)); err == nil {
 			t.Fatalf("oracle accepts %.80s", line)
 		}
 		var d decoder
-		if err := d.decode([]byte(line), chunkObject, nil); err == nil {
+		if err := d.decode([]byte(line)); err == nil {
 			t.Errorf("decode accepted %.80s as %+v", line, d.chunk())
 		}
 	}
 	// The deepest nesting the oracle takes is taken here too.
-	deep := `{"x":` + strings.Repeat("[", maxDepth-1) + strings.Repeat("]", maxDepth-1) + `}`
+	deep := `{"x":` + strings.Repeat("[", jsonMaxDepth-1) + strings.Repeat("]", jsonMaxDepth-1) + `}`
 	if _, err := oracleDecode([]byte(deep)); err != nil {
-		t.Fatalf("oracle rejects depth %d: %v", maxDepth, err)
+		t.Fatalf("oracle rejects depth %d: %v", jsonMaxDepth, err)
 	}
 	var d decoder
-	if err := d.decode([]byte(deep), chunkObject, nil); err != nil {
-		t.Errorf("decode rejects depth %d: %v", maxDepth, err)
+	if err := d.decode([]byte(deep)); err != nil {
+		t.Errorf("decode rejects depth %d: %v", jsonMaxDepth, err)
 	}
 }
 
@@ -366,15 +340,15 @@ func FuzzChunkDecode(f *testing.F) {
 		f.Add(line)
 		f.Add(line[:rng.Intn(len(line))]) // a severed stream's last line
 	}
-	// Lines one step off the canonical row shape, each on a side of the
-	// point where the canonical scan hands the line to the general one.
+	// Lines one step off the shapes the encoder writes, each on a side of
+	// the point where the scan hands the line to encoding/json.
 	for _, line := range canonicalNearMisses {
 		f.Add([]byte(line))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		want, oerr := oracleDecode(line)
 		var d decoder
-		derr := d.decode(line, chunkObject, nil)
+		derr := d.decode(line)
 		if (oerr == nil) != (derr == nil) {
 			t.Fatalf("oracle error %v, decoder error %v", oerr, derr)
 		}
@@ -393,7 +367,7 @@ func FuzzChunkDecode(f *testing.F) {
 		if !reflect.DeepEqual(viaJSON, got) {
 			t.Fatalf("json.Unmarshal into Chunk %+v, decoder %+v", viaJSON, got)
 		}
-		for i := range d.cells[:d.ncells] {
+		for i := range d.cells {
 			n, nerr := d.cells[i].native()
 			vn, verr := got.Row[i].Native()
 			if (nerr == nil) != (verr == nil) || !sameNative(n, vn) {
@@ -408,17 +382,37 @@ func FuzzChunkDecode(f *testing.F) {
 	})
 }
 
-// canonicalNearMisses are row lines that start in the canonical shape and
-// leave it — some still valid JSON the general scan must read, some not.
-var canonicalNearMisses = []string{
+// fallbackLines are lines the encoder never writes, each one step from a
+// shape it does: the scan must refuse them all, and encoding/json decides.
+var fallbackLines = []string{
+	`{"k":"row","row":[{"t":"s","s":"\ud83d\ude00"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"\ud83d"}],"cond":"x \ud83d"}`,
+	`{"k":"row","row":[{"t":"s","s":"\ude00\ud83d"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"a\/b"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"bad ` + "\xff\xc3" + `"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"` + "\xed\xa0\x80" + `"}]}`,
+	`{"k":"row","row":[{"s":"x","t":"s"}]}`,
+	`{"k":"head","columns":[]}`,
+	`{"k":"err","error":{"message":"near \"x\"","code":"parse","col":14,"line":2}}`,
+	`{"k":"err","error":{"code":"internal","message":"m","col":1,"line":2}}`,
+	`{"error":{"code":"internal","message":"m"},"k":"err"}`,
+	`{"k":"row","row":[{"t":"b","b":false}]}`,
+	`{"k":"row","row":[{"f":"1.5","t":"f"}]}`,
+	`{"k":"row","row":[null]}`,
+	`{"k":"row","row":[]}`,
+	`{"k":"done","rows":1.0}`,
+}
+
+// canonicalNearMisses are lines that start in a shape the encoder writes and
+// leave it — some still valid JSON that encoding/json must read, some not —
+// and the fallback lines.
+var canonicalNearMisses = append([]string{
 	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}]}` + "\n",
 	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}]} ` + "\r\n\t",
 	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}]}x`,
 	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"}],"cond":"x1 > 2"}`,
 	`{"k":"row","row":[{"t":"i","i":1},{"t":"f","f":"2.5"},]}`,
 	`{"k":"row","row":[{"t":"i","i":1} ,{"t":"f","f":"2.5"}]}`,
-	`{"k":"row","row":[]}`,
-	`{"k":"row","row":[null]}`,
 	`{"k":"row","row":[{"t":"i","i":01}]}`,
 	`{"k":"row","row":[{"t":"i","i":-0}]}`,
 	`{"k":"row","row":[{"t":"i","i":-}]}`,
@@ -437,10 +431,8 @@ var canonicalNearMisses = []string{
 	`{"k":"row","row":[{"t":"f","f":""}]}`,
 	`{"k":"row","row":[{"t":"f","f":"x"}]}`,
 	`{"k":"row","row":[{"t":"f","f":1.5}]}`,
-	`{"k":"row","row":[{"f":"1.5","t":"f"}]}`,
 	`{"k":"row","row":[{"t":"f","f":"1.5","f":"2.5"}]}`,
 	`{"k":"row","row":[{"t":"s","s":"a","i":3}]}`,
-	`{"k":"row","row":[{"t":"b","b":false}]}`,
 	`{"k":"row","row":[{"t":"b","b":true},{"t":"b"},{"t":"null"},{"t":"i"},{"t":"e","s":"(x1 + 5)"}]}`,
 	`{"k":"row","row":[{"t":"q"}]}`,
 	`{"k":"row","row":[{"t":"f","F":"1.5"}]}`,
@@ -450,42 +442,110 @@ var canonicalNearMisses = []string{
 	`{"k":"row","row":[{"t":"i","i":1}`,
 	`{"k":"row","row":[{"t":"f","f":"1.5`,
 	` {"k":"row","row":[{"t":"i","i":1}]}`,
-}
+	`{"k":"row","row":[{"t":"s","s":"caf\u00e9 \u003c\u003E\u0026 \u2028 \ufffd \u0000"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"\u00g9"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"\x"}]}`,
+	`{"k":"row","row":[{"t":"s","s":"a\`,
+	`{"k":"row","row":[{"t":"i","i":1}],"cond":"(X1 + X2) \u003e 22"}`,
+	`{"k":"row","row":[{"t":"i","i":1}],"cond":"(X1 + X2) > 22"}`,
+	`{"k":"row","row":[{"t":"i","i":1}],"cond":""}`,
+	`{"k":"row","row":[{"t":"i","i":1}],"cond":null}`,
+	`{"k":"row","cond":"x","row":[{"t":"i","i":1}]}`,
+	`{"k":"head","columns":["a","b"]}`,
+	`{"k":"head","columns":["a",]}`,
+	`{"k":"head","columns":["a"],"columns":["b"]}`,
+	`{"k":"head","columns":["a" "b"]}`,
+	`{"k":"head","columns":["a"]["b"]}`,
+	`{"k":"head","columns":[null]}`,
+	`{"k":"head","columns":]}`,
+	`{"k":"row","row":]}`,
+	`{"k":"","row":]}`,
+	`{"k":"head","columns":null}`,
+	`{"k":"head"}`,
+	`{"k":"done","rows":3}`,
+	`{"k":"done","rows":0}`,
+	`{"k":"done","rows":-9223372036854775808}`,
+	`{"k":"done","rows":9223372036854775808}`,
+	`{"k":"done"}`,
+	`{"k":"err","error":{"code":"parse","message":"near \"x\"","line":2,"col":14,"source_line":"SELECT x"}}`,
+	`{"k":"err","error":{"code":"internal","message":"m","line":99999999999999999999}}`,
+	`{"k":"err","error":{"code":"internal"}}`,
+	`{"k":"err","error":null}`,
+}, fallbackLines...)
 
 // TestCanonicalRowDifferential holds decode to the oracle on lines at and
-// around the canonical row shape, deterministically: appendChunk lines of
-// seeded random chunks, the near misses above, and every single-byte
-// deletion and substitution of a canonical (int, float, float) row line.
-// Each must be accepted or rejected as encoding/json does, and an accepted
-// one must yield the oracle's chunk and, cell by cell, its natives. Lines
-// the encoder writes for rows without a condition or escapes must take the
-// canonical scan.
+// around the shapes the encoder writes, deterministically: appendChunk lines
+// of seeded random chunks of every kind, the near misses above, and every
+// single-byte deletion and substitution of a deterministic row, a
+// conditioned row and an err line. Each must be accepted or rejected as
+// encoding/json does, and an accepted one must yield the oracle's chunk and,
+// cell by cell, its natives. Every line appendChunk writes, and every cell
+// appendValue and error appendError writes, must take the one-pass scan.
 func TestCanonicalRowDifferential(t *testing.T) {
 	var inputs [][]byte
 	rng := rand.New(rand.NewSource(36))
+	kinds := map[string]int{}
 	for n := 0; n < 3000; n++ {
 		c, _ := randChunk(rng)
 		line := appendChunk(nil, &c, nil)
 		inputs = append(inputs, line)
-		if c.K == "row" && c.Cond == "" && !bytes.Contains(line, []byte(`\`)) && isPlainASCII(line) {
-			var fast decoder
-			fast.data = line
-			if !fast.canonicalRow() {
-				t.Fatalf("canonical scan refused the encoder's line %s", line)
+		var fast decoder
+		if !fast.scan(line) {
+			t.Fatalf("the scan refused the encoder's line %s", line)
+		}
+		want, err := oracleDecode(line)
+		if err != nil || !reflect.DeepEqual(toOracle(fast.chunk()), want) {
+			t.Fatalf("%s: scan %+v, oracle %+v (%v)", line, toOracle(fast.chunk()), want, err)
+		}
+		kinds[c.K]++
+		if c.Cond != "" || bytes.Contains(line, []byte(`\`)) || !isPlainASCII(line) {
+			kinds["escaped or conditioned "+c.K]++
+		}
+		// Cells and errors alone, as Value and Error unmarshal them.
+		for _, v := range c.Row {
+			cell := appendValue(nil, v)
+			var rc rawCell
+			var want oracleValue
+			if err := json.Unmarshal(cell, &want); err != nil || !atEnd(cell, fast.scanCell(cell, 0, &rc)) || rc.value() != Value(want) {
+				t.Fatalf("the scan read the encoder's cell %s as %+v, oracle %+v (%v)", cell, rc.value(), want, err)
 			}
+		}
+		if c.Error != nil {
+			e := appendError(nil, c.Error)
+			var re rawError
+			var want oracleError
+			if err := json.Unmarshal(e, &want); err != nil || !atEnd(e, fast.scanError(e, 0, &re)) || re.wire() != Error(want) {
+				t.Fatalf("the scan read the encoder's error %s as %+v, oracle %+v (%v)", e, re.wire(), want, err)
+			}
+		}
+	}
+	for _, line := range fallbackLines {
+		var d decoder
+		if d.scan([]byte(line)) {
+			t.Errorf("the scan took %s, which the encoder never writes", line)
+		}
+	}
+	for _, k := range []string{"head", "row", "done", "err", "escaped or conditioned row", "escaped or conditioned head", "escaped or conditioned err"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s line among the seeded chunks", k)
 		}
 	}
 	for _, line := range canonicalNearMisses {
 		inputs = append(inputs, []byte(line))
 	}
-	row := appendChunk(nil, &Chunk{K: "row"}, hashJoinRow)
-	for i := range row {
-		inputs = append(inputs, append(row[:i:i], row[i+1:]...))
-		for b := 0; b < 256; b++ {
-			if byte(b) != row[i] {
-				sub := bytes.Clone(row)
-				sub[i] = byte(b)
-				inputs = append(inputs, sub)
+	for _, line := range [][]byte{
+		appendChunk(nil, &Chunk{K: "row"}, hashJoinRow),
+		appendChunk(nil, &conditionedRow, nil),
+		appendChunk(nil, &Chunk{K: "err", Error: &Error{Code: CodeParse, Message: "near \"x\"", Line: 2, Col: 14, SourceLine: "SELECT x"}}, nil),
+	} {
+		for i := range line {
+			inputs = append(inputs, append(line[:i:i], line[i+1:]...))
+			for b := 0; b < 256; b++ {
+				if byte(b) != line[i] {
+					sub := bytes.Clone(line)
+					sub[i] = byte(b)
+					inputs = append(inputs, sub)
+				}
 			}
 		}
 	}
@@ -493,7 +553,7 @@ func TestCanonicalRowDifferential(t *testing.T) {
 	var d decoder
 	for _, line := range inputs {
 		want, oerr := oracleDecode(line)
-		derr := d.decode(line, chunkObject, nil)
+		derr := d.decode(line)
 		if (oerr == nil) != (derr == nil) {
 			t.Fatalf("%q: oracle error %v, decoder error %v", line, oerr, derr)
 		}
@@ -504,7 +564,7 @@ func TestCanonicalRowDifferential(t *testing.T) {
 		if !reflect.DeepEqual(toOracle(got), want) {
 			t.Fatalf("%q:\ndecoder %+v\noracle  %+v", line, toOracle(got), want)
 		}
-		for i := range d.cells[:d.ncells] {
+		for i := range d.cells {
 			n, nerr := d.cells[i].native()
 			on, onerr := Value(want.Row[i]).Native()
 			if (nerr == nil) != (onerr == nil) || !sameNative(n, on) {
@@ -523,6 +583,10 @@ func isPlainASCII(b []byte) bool {
 	}
 	return true
 }
+
+// conditionedRow is a row of sampled-agg's rejection statement as pipd
+// writes it: its condition's ">" travels escaped.
+var conditionedRow = Chunk{K: "row", Row: []Value{{T: "i", I: 17}, {T: "e", S: "(X1 + X2)"}}, Cond: "(X1 + X2) > 22"}
 
 // hashJoinRow is one result row of the benchmark's hash join, `SELECT
 // o.okey, c.price, o.price ...`: an order key and two prices.
@@ -547,7 +611,7 @@ func BenchmarkDecodeRow(b *testing.B) {
 	var d decoder
 	dest := make([]any, len(hashJoinRow))
 	for b.Loop() {
-		if err := d.decode(line, chunkObject, nil); err != nil {
+		if err := d.decode(line); err != nil {
 			b.Fatal(err)
 		}
 		for i := range dest {
@@ -555,6 +619,47 @@ func BenchmarkDecodeRow(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(line)))
+}
+
+// BenchmarkDecodeLine reads, with a warm decoder, each other kind of line
+// pipd writes — a head, a done, a row with a condition, an err — and a ?
+// argument as the server reads it.
+func BenchmarkDecodeLine(b *testing.B) {
+	for _, l := range []struct {
+		name string
+		c    Chunk
+	}{
+		{"head", Chunk{K: "head", Columns: []string{"okey", "price", "cprice"}}},
+		{"done", Chunk{K: "done", Rows: 1650}},
+		{"cond-row", conditionedRow},
+		{"err", Chunk{K: "err", Error: &Error{Code: CodeParse, Message: "unexpected token", Line: 2, Col: 5, SourceLine: "  FROM"}}},
+	} {
+		line := append(appendChunk(nil, &l.c, nil), '\n')
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var d decoder
+			for b.Loop() {
+				if err := d.decode(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, a := range []struct {
+		name string
+		v    Value
+	}{{"int-arg", Value{T: "i", I: 7}}, {"float-arg", Value{T: "f", F: "90"}}} {
+		data := appendValue(nil, a.v)
+		b.Run(a.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var v Value
+			for b.Loop() {
+				if err := v.UnmarshalJSON(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // normalize erases the difference omitempty cannot carry: empty versus
@@ -571,8 +676,9 @@ func normalize(o oracleChunk) oracleChunk {
 
 // TestCodecAllocs pins the per-row cost both ends were rebuilt for: a warm
 // buffer takes a three-cell row with no allocation and a warm decoder scans
-// it back with none, as does a warm ClientRows.Next stepping through a body
-// of row chunks; turning the cells into Go values then costs only what
+// it back with none — and a head, a done and a conditioned row likewise — as
+// does a warm ClientRows.Next stepping through a body of row chunks; turning
+// the cells into Go values then costs only what
 // handing them out as `any` (database/sql's driver.Value) must — one box per
 // int64 and float64, and the string's bytes plus its header.
 func TestCodecAllocs(t *testing.T) {
@@ -587,11 +693,22 @@ func TestCodecAllocs(t *testing.T) {
 
 	var d decoder
 	if n := testing.AllocsPerRun(1000, func() {
-		if err := d.decode(buf, chunkObject, nil); err != nil {
+		if err := d.decode(buf); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Errorf("scanning a 3-cell row allocates %v times, want 0", n)
+	}
+	for _, c := range []Chunk{{K: "head", Columns: []string{"okey", "price", "cprice"}}, {K: "done", Rows: 1650}, conditionedRow} {
+		line := append(appendChunk(nil, &c, nil), '\n')
+		var d decoder
+		if n := testing.AllocsPerRun(1000, func() {
+			if err := d.decode(line); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("scanning %s allocates %v times, want 0", line, n)
+		}
 	}
 	var natives [3]any
 	if n := testing.AllocsPerRun(1000, func() {
@@ -608,7 +725,7 @@ func TestCodecAllocs(t *testing.T) {
 	// An int costs its box; a bool and a null cost nothing (Go boxes a
 	// bool without allocating).
 	kinds := []pip.Value{pip.Int(123456), ctable.Bool(true), {}}
-	if err := d.decode(appendChunk(nil, &Chunk{K: "row"}, kinds), chunkObject, nil); err != nil {
+	if err := d.decode(appendChunk(nil, &Chunk{K: "row"}, kinds)); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []float64{1, 0, 0} {

@@ -299,6 +299,86 @@ func TestStatementLifecycleStockHTTP(t *testing.T) {
 	}
 }
 
+// TestQueryArgsFromForeignClient sends /v1/query arguments spelled as other
+// JSON encoders spell them — reordered and upper-case keys, escaped
+// letters, a bare null — which the decoder's scan refuses and encoding/json
+// reads: each must bind the rows its canonical spelling binds. Arguments
+// that are not wire values, or nest past encoding/json's depth limit, are a
+// 400 bad_request that leaves the session usable.
+func TestQueryArgsFromForeignClient(t *testing.T) {
+	_, _, ts := newTestServer(t, 3)
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	resp, err := http.Post(ts.URL+"/v1/session", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr SessionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || sr.ID == "" {
+		t.Fatalf("session: %+v %v", sr, err)
+	}
+	resp.Body.Close()
+	// run posts one statement and returns its reply, which must be a 200.
+	run := func(query, args string) string {
+		t.Helper()
+		status, body := post(fmt.Sprintf(`{"session":%q,"query":%q,"args":[%s]}`, sr.ID, query, args))
+		if status != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d %s", query, args, status, body)
+		}
+		return body
+	}
+	run("CREATE TABLE t (k, name)", "")
+	run("INSERT INTO t VALUES (?, ?)", `{"t":"i","i":7},{"t":"s","s":"seven"}`)
+	run("INSERT INTO t VALUES (?, ?)", `{"t":"i","i":8},{"t":"null"}`)
+	run("INSERT INTO t VALUES (?, ?)", `{"t":"i","i":9},null`)
+
+	for _, c := range []struct{ query, canonical, foreign string }{
+		{"SELECT k, name FROM t WHERE k = ?", `{"t":"i","i":7}`, `{"i":7,"t":"i"}`},
+		{"SELECT k, name FROM t WHERE k = ?", `{"t":"i","i":7}`, `{"I":7,"T":"i"}`},
+		{"SELECT k, name FROM t WHERE k = ?", `{"t":"i","i":7}`, ` { "t" : "i" , "i" : 7 } `},
+		{"SELECT k FROM t WHERE name = ?", `{"t":"s","s":"seven"}`, `{"t":"s","s":"\u0073even"}`},
+		{"SELECT k FROM t WHERE name = ?", `{"t":"s","s":"seven"}`, `{"s":"seve\u006e","T":"s","x":[1,{}]}`},
+		{"SELECT k, name FROM t WHERE k >= ?", `{"t":"i","i":8}`, `{"t":"f","f":"8","t":"i","i":8}`},
+	} {
+		want := run(c.query, c.canonical)
+		if got := run(c.query, c.foreign); got != want {
+			t.Errorf("%s with %s:\n got %s\nwant %s", c.query, c.foreign, got, want)
+		}
+		if !strings.Contains(want, `"k":"row"`) {
+			t.Errorf("%s with %s bound no row: %s", c.query, c.canonical, want)
+		}
+	}
+	// The bare null stored the NULL that {"t":"null"} stored.
+	if got := run("SELECT name FROM t WHERE k >= ?", `{"t":"i","i":8}`); strings.Count(got, `{"k":"row","row":[{"t":"null"}]}`) != 2 {
+		t.Errorf("NULL rows: %s", got)
+	}
+
+	deep := strings.Repeat("[", 10001) + strings.Repeat("]", 10001)
+	for _, arg := range []string{`{"t":"i","i":1.5}`, `{"t":5}`, `{"t":"i","i":"7"}`, `[{"t":"i"}]`, deep} {
+		status, body := post(fmt.Sprintf(`{"session":%q,"query":"SELECT k FROM t WHERE k = ?","args":[%s]}`, sr.ID, arg))
+		var eb struct {
+			Error *Error `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(body), &eb); err != nil || status != http.StatusBadRequest || eb.Error == nil || eb.Error.Code != CodeBadRequest {
+			t.Errorf("argument %.40s: HTTP %d %.200s, want 400 %s", arg, status, body, CodeBadRequest)
+		}
+	}
+	if got := run("SELECT k FROM t WHERE k = ?", `{"t":"i","i":7}`); !strings.Contains(got, `{"k":"done","rows":1}`) {
+		t.Errorf("session after refused arguments: %s", got)
+	}
+}
+
 // TestSessionSettingsIsolation proves SET is per-session: two sessions on
 // one server diverge after one changes its seed, a third session inherits
 // the server's base configuration untouched, and re-execution within a
@@ -578,7 +658,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 		}
 
 		line := appendChunk(nil, &Chunk{K: "row"}, []pip.Value{cell})
-		if err := d.decode(line, chunkObject, nil); err != nil {
+		if err := d.decode(line); err != nil {
 			t.Fatalf("%s: %v", line, err)
 		}
 		got, err = d.cells[0].native()
@@ -591,10 +671,10 @@ func TestWireValueRoundTrip(t *testing.T) {
 	if _, err := (Value{T: "f", F: "1.5x"}).Native(); err == nil {
 		t.Error("malformed float accepted by Value.Native")
 	}
-	if err := d.decode([]byte(`{"k":"row","row":[{"t":"f","f":"1.5x"},{"t":"q"}]}`), chunkObject, nil); err != nil {
+	if err := d.decode([]byte(`{"k":"row","row":[{"t":"f","f":"1.5x"},{"t":"q"}]}`)); err != nil {
 		t.Fatal(err)
 	}
-	for i := range d.cells[:d.ncells] {
+	for i := range d.cells {
 		if _, err := d.cells[i].native(); err == nil {
 			t.Errorf("cell %d: malformed payload accepted", i)
 		}

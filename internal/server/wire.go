@@ -32,11 +32,13 @@
 //
 // Both ends of the stream run one hand-written codec for that grammar
 // (codec.go): append-style encoders that write a row straight from the
-// engine's cells into a buffer the request owns, and an in-place scanner
-// that the client reads lines with. Chunk, Value and Error implement
-// json.Marshaler and json.Unmarshaler by calling the same functions, so
-// encoding/json produces and accepts exactly the bytes pipd does and the
-// grammar has a single definition.
+// engine's cells into a buffer the request owns, and a one-pass scan that
+// reads exactly what those encoders write, in place. Every other input — a
+// foreign client's spelling of a chunk, a cell or an error — is decoded by
+// encoding/json into the tagged twins below (oracleChunk, oracleValue,
+// oracleError), so encoding/json defines what is accepted and what it means.
+// Chunk, Value and Error implement json.Marshaler and json.Unmarshaler by
+// calling the same functions, so encoding/json produces the bytes pipd does.
 //
 // Rows still stream as the engine produces them, but they are not flushed
 // one by one. The handler owns the response buffer (it starts empty and
@@ -110,10 +112,15 @@ func (v Value) MarshalJSON() ([]byte, error) {
 func (v *Value) UnmarshalJSON(data []byte) error {
 	var d decoder
 	var c rawCell
-	if err := d.decode(data, cellObject, &c); err != nil {
+	if atEnd(data, d.scanCell(data, 0, &c)) {
+		*v = c.value()
+		return nil
+	}
+	var o oracleValue
+	if err := json.Unmarshal(data, &o); err != nil {
 		return fmt.Errorf("server: malformed wire value: %w", err)
 	}
-	*v = c.value()
+	*v = Value(o)
 	return nil
 }
 
@@ -241,9 +248,9 @@ type TableInfo struct {
 //
 // On the wire a chunk is a JSON object keyed by the lower-cased field names,
 // with every field but k omitted when empty. MarshalJSON and UnmarshalJSON
-// are that grammar — the same functions pipd streams rows with and the
-// client reads them with — so the struct carries no field tags to keep in
-// step.
+// are the same functions pipd streams rows with and the client reads them
+// with; the struct carries no field tags, and its tagged twin oracleChunk
+// is what encoding/json reads a line into when the scan refuses it.
 type Chunk struct {
 	K       string
 	Columns []string
@@ -262,7 +269,7 @@ func (c Chunk) MarshalJSON() ([]byte, error) {
 // replaces the receiver rather than merging into it.
 func (c *Chunk) UnmarshalJSON(data []byte) error {
 	d := decoder{cells: make([]rawCell, 0, 4)} // a narrow row's slots in one allocation
-	if err := d.decode(data, chunkObject, nil); err != nil {
+	if err := d.decode(data); err != nil {
 		return fmt.Errorf("server: malformed chunk: %w", err)
 	}
 	*c = d.chunk()
@@ -312,12 +319,47 @@ func (e Error) MarshalJSON() ([]byte, error) {
 // replaces the receiver.
 func (e *Error) UnmarshalJSON(data []byte) error {
 	var d decoder
-	if err := d.decode(data, errorObject, nil); err != nil {
+	var raw rawError
+	if atEnd(data, d.scanError(data, 0, &raw)) {
+		*e = raw.wire()
+		return nil
+	}
+	var o oracleError
+	if err := json.Unmarshal(data, &o); err != nil {
 		return fmt.Errorf("server: malformed wire error: %w", err)
 	}
-	*e = d.err.wire()
+	*e = Error(o)
 	return nil
 }
+
+// The tagged twins: the grammar of Chunk, Value and Error written the naive
+// way, as struct tags for encoding/json to interpret. The decoder hands them
+// every line its scan refuses, and the tests hold the codec to them — byte
+// for byte when encoding, value for value when decoding.
+type (
+	oracleValue struct {
+		T string `json:"t"`
+		F string `json:"f,omitempty"`
+		I int64  `json:"i,omitempty"`
+		S string `json:"s,omitempty"`
+		B bool   `json:"b,omitempty"`
+	}
+	oracleError struct {
+		Code       string `json:"code"`
+		Message    string `json:"message"`
+		Line       int    `json:"line,omitempty"`
+		Col        int    `json:"col,omitempty"`
+		SourceLine string `json:"source_line,omitempty"`
+	}
+	oracleChunk struct {
+		K       string        `json:"k"`
+		Columns []string      `json:"columns,omitempty"`
+		Row     []oracleValue `json:"row,omitempty"`
+		Cond    string        `json:"cond,omitempty"`
+		Rows    int64         `json:"rows,omitempty"`
+		Error   *oracleError  `json:"error,omitempty"`
+	}
+)
 
 // ErrSessionUnknown is wrapped by failures naming a session the server
 // does not know (never created, closed, or expired by the idle sweep).

@@ -323,3 +323,54 @@ func TestExpectedAvgSkipsNull(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxAndSpreadSkipNull holds expected_max, expected_stddev and
+// expected_variance to SQL's MAX and VAR_POP: a row whose argument is NULL
+// is absent in every world. Rows 1, 3 and NULL answer 3, 1 and 1, exactly
+// and with the closed forms off, and a NULL row moves no answer of the
+// other rows — deterministic or symbolic, by the sorted max, the exact
+// spread or world sampling.
+func TestMaxAndSpreadSkipNull(t *testing.T) {
+	const q = "SELECT k, expected_max(a), expected_stddev(a), expected_variance(a) FROM t GROUP BY k"
+	run := func(withNull, closedForm bool) *ctable.Table {
+		cfg := sampler.DefaultConfig()
+		cfg.FixedSamples = 500
+		cfg.DisableClosedForm = !closedForm
+		db := core.NewDB(cfg)
+		x, err := db.CreateVariable("Normal", 5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := db.CreateVariable("Normal", 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := ctable.New("t", "k", "a")
+		tb.Tuples = []ctable.Tuple{
+			ctable.NewTuple(ctable.Int(1), ctable.Float(1)),
+			ctable.NewTuple(ctable.Int(1), ctable.Float(3)),
+			ctable.NewTuple(ctable.Int(2), ctable.Symbolic(expr.NewVar(x))),
+			ctable.NewTuple(ctable.Int(2), ctable.Symbolic(expr.Add(expr.NewVar(x), expr.NewVar(y)))),
+		}
+		if withNull {
+			tb.Tuples = append(tb.Tuples, ctable.NewTuple(ctable.Int(1), ctable.Null()), ctable.NewTuple(ctable.Int(2), ctable.Null()))
+		}
+		db.Register(tb)
+		return mustExec(t, db, q)
+	}
+	for _, closedForm := range []bool{true, false} {
+		with, without := run(true, closedForm), run(false, closedForm)
+		for j, want := range []float64{1, 3, 1, 1} {
+			if got := cell(t, with, 0, j); got != want {
+				t.Errorf("closed forms %v, column %d: %v, want %v\n%s", closedForm, j, got, want, with)
+			}
+		}
+		for i := range without.Tuples {
+			for j := range without.Tuples[i].Values {
+				if got, want := cell(t, with, i, j), cell(t, without, i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("closed forms %v, row %d column %d: %v with a NULL row, %v without", closedForm, i, j, got, want)
+				}
+			}
+		}
+	}
+}

@@ -4,7 +4,8 @@
 // pipeline. This file holds what the operators have in common: the metadata
 // and counters embedded in each (opBase), the executable plan with its eager
 // drain, and the per-row and per-group sampling units that Project and
-// Aggregate apply (finishProject, stageAggRow, computeAgg).
+// Aggregate apply (finishProject, stageAggRow, and the aggregate fold,
+// aggFold).
 
 package sql
 
