@@ -28,7 +28,7 @@ func toOracle(c Chunk) oracleChunk {
 	return o
 }
 
-// oracleEncode is json.Marshal of the shadow struct.
+// oracleEncode is json.Marshal of the tagged twin.
 func oracleEncode(t testing.TB, c Chunk) []byte {
 	t.Helper()
 	b, err := json.Marshal(toOracle(c))
@@ -38,7 +38,7 @@ func oracleEncode(t testing.TB, c Chunk) []byte {
 	return b
 }
 
-// oracleDecode is json.Unmarshal into the shadow struct.
+// oracleDecode is json.Unmarshal into the tagged twin.
 func oracleDecode(line []byte) (oracleChunk, error) {
 	var o oracleChunk
 	err := json.Unmarshal(line, &o)
@@ -328,7 +328,7 @@ func TestCodecDecodeGrammar(t *testing.T) {
 }
 
 // FuzzChunkDecode feeds arbitrary lines to the decoder: it never panics, it
-// accepts exactly the lines encoding/json accepts into the shadow struct,
+// accepts exactly the lines encoding/json accepts into the tagged twin,
 // and on those it yields an equal chunk (unknown fields ignored by both).
 // The json.Unmarshaler method and the in-place cell accessors must agree
 // with it.

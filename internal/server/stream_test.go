@@ -416,7 +416,7 @@ func TestStockJSONReadsTheStream(t *testing.T) {
 }
 
 // TestClientReadsStockJSON is the other half: the client decodes a stream
-// written by encoding/json alone — through the tagged shadow struct, and
+// written by encoding/json alone — through the tagged twin, and
 // through maps, whose keys come out in an order the codec never writes —
 // including an err chunk with a parse position.
 func TestClientReadsStockJSON(t *testing.T) {
