@@ -1,130 +1,19 @@
-// Physical operators, shared half: every plan node lowers onto an operator
-// (vecops.go) implementing the public Cursor interface, so the whole engine
-// — eager execution, streaming Rows, EXPLAIN — runs one pull-based
-// pipeline. This file holds what the operators have in common: the metadata
-// and counters embedded in each (opBase), the executable plan with its eager
-// drain, and the per-row and per-group sampling units that Project and
-// Aggregate apply (finishProject, stageAggRow, and the aggregate fold,
-// aggFold).
+// The sampling units of the physical operators (vecops.go): the per-row
+// probability functions Project applies (finishProject), and the per-group
+// aggregate fold Aggregate applies (aggFold, with stageAggRow).
 
 package sql
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"slices"
-	"time"
 
 	"pip/internal/cond"
 	"pip/internal/core"
 	"pip/internal/ctable"
-	"pip/internal/obs"
 	"pip/internal/sampler"
 )
-
-// opStats holds per-operator execution counters for EXPLAIN ANALYZE.
-type opStats struct {
-	rows    int64
-	batches int64         // column batches emitted (NextBatch calls that returned rows)
-	elapsed time.Duration // cumulative: includes time spent in child operators
-}
-
-// operator is a physical plan node: a Cursor plus plan-rendering metadata.
-type operator interface {
-	Cursor
-	base() *opBase
-}
-
-// opBase carries the metadata common to all operators.
-type opBase struct {
-	name   string
-	detail string
-	cols   []string
-	kids   []operator
-	stats  opStats
-	timed  bool
-	// samp, set only on operators that invoke the sampler (Project,
-	// Aggregate), scopes their sampler work for EXPLAIN ANALYZE's samples=
-	// / batches= / accept= annotations. It chains to the statement scope.
-	samp *obs.SamplerStats
-	// execute, set on a streamed statement's root by spanCursor,
-	// accumulates the wall time the row facade spends pulling batches:
-	// the trace's "execute" phase.
-	execute *time.Duration
-}
-
-func (b *opBase) base() *opBase { return b }
-
-// Columns implements Cursor.
-func (b *opBase) Columns() []string { return b.cols }
-
-// begin starts a timing window when ANALYZE instrumentation is on.
-func (b *opBase) begin() time.Time {
-	if b.timed {
-		//pipvet:allow detsource ANALYZE timing window, never feeds sampled state
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-// closeKids closes all child operators, keeping the first error.
-func (b *opBase) closeKids() error {
-	var first error
-	for _, k := range b.kids {
-		if err := k.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// physPlan is a lowered, executable plan.
-type physPlan struct {
-	root vecOperator
-	name string // result table name
-	qs   *obs.QueryStats
-}
-
-// drain runs the plan to completion, materializing the result c-table —
-// the eager execution path shares the streaming operator pipeline. Rows are
-// gathered straight out of the root's batches (one backing allocation per
-// batch). The whole pull loop is the trace's "execute" phase.
-func (p *physPlan) drain() (*ctable.Table, error) {
-	defer p.qs.StartPhase("execute")()
-	names := p.root.Columns()
-	sch := make(ctable.Schema, len(names))
-	for i, n := range names {
-		sch[i] = ctable.Column{Name: n}
-	}
-	out := &ctable.Table{Name: p.name, Schema: sch}
-	defer p.root.Close()
-	for {
-		b, err := p.root.NextBatch(vecBatchSize)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		gatherBatch(b, &out.Tuples)
-	}
-}
-
-// opScope gives a sampling operator (Project, Aggregate) its own telemetry
-// scope chained to the statement trace, and returns a copy of env whose
-// sampler records into it — so EXPLAIN ANALYZE can attribute sampler work
-// to the operator that caused it while the statement and engine counters
-// keep aggregating through the parent chain.
-func opScope(env execEnv, b *opBase) execEnv {
-	var parent *obs.SamplerStats
-	if env.qs != nil {
-		parent = env.qs.Sampler
-	}
-	b.samp = &obs.SamplerStats{Parent: parent}
-	env.smp = env.smp.WithStats(b.samp)
-	return env
-}
 
 // finishProject computes the projection targets for one row into vals (one
 // slot per target, owned by the caller) and applies the per-row

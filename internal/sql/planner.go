@@ -80,7 +80,11 @@ func planSelect(env execEnv, st *SelectStmt, timed bool) (*physPlan, error) {
 	// statements (SELECT, EXPLAIN) become "the last query"; SHOW STATS and
 	// DML never displace the snapshot they would be reporting on.
 	env.db.ObserveQuery(env.qs)
-	return &physPlan{root: op, name: name, qs: env.qs}, nil
+	// The root's timing window is the statement's "execute" phase, whether
+	// the plan is drained eagerly or streamed through its cursor.
+	rb := op.base()
+	rb.timed, rb.qs, rb.execute = true, env.qs, true
+	return &physPlan{root: op, name: name}, nil
 }
 
 // buildLogical binds a SELECT against the catalog and assembles the

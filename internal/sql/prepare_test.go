@@ -264,12 +264,8 @@ func TestQueryContextStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	sc, ok := cur.(*spanCursor)
-	if !ok {
-		t.Fatalf("plain SELECT produced %T, want span-traced plan cursor", cur)
-	}
-	if _, ok := sc.inner.(*vecLimitOp); !ok {
-		t.Fatalf("plain SELECT pipeline is %T, want streaming vecLimitOp", sc.inner)
+	if _, ok := cur.(*vecLimitOp); !ok {
+		t.Fatalf("plain SELECT pipeline is %T, want streaming vecLimitOp", cur)
 	}
 	var names []string
 	for {

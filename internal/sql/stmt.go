@@ -96,16 +96,11 @@ func (p *Prepared) QueryContext(ctx context.Context, db *core.DB, args ...ctable
 		if err != nil {
 			return nil, err
 		}
-		// The streaming path leaves plan.root untouched (EXPLAIN reads the
-		// operator tree) and wraps it in a cursor that accumulates the
-		// "execute" phase as the consumer drains it.
-		return newSpanCursor(plan.root, env.qs), nil
+		return plan.root, nil
 	}
 	tb, err := execStmtTraced(env, p.st, p.src)
 	if err != nil {
 		return nil, err
 	}
-	cur := NewTableCursor(tb)
-	cur.qs = env.qs
-	return cur, nil
+	return tableCursor(tb, env.qs), nil
 }

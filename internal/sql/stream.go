@@ -3,8 +3,6 @@ package sql
 import (
 	"context"
 	"fmt"
-	"io"
-	"time"
 
 	"pip/internal/core"
 	"pip/internal/ctable"
@@ -73,116 +71,12 @@ func (env *execEnv) bindArg(i int) (ctable.Value, error) {
 	return env.args[i], nil
 }
 
-// spanCursor wraps the streaming SELECT cursor and reports the wall time
-// the root operator's row facade spends pulling batches as the trace's
-// "execute" phase — one clock read pair per batch, not per row. The phase
-// is flushed exactly once — at EOF, on the first error, or at Close — so a
-// partially drained stream still reports the time it actually spent.
-type spanCursor struct {
-	inner   operator
-	qs      *obs.QueryStats
-	elapsed time.Duration
-	flushed bool
-}
-
-func newSpanCursor(inner operator, qs *obs.QueryStats) Cursor {
-	if qs == nil {
-		return inner
-	}
-	c := &spanCursor{inner: inner, qs: qs}
-	inner.base().execute = &c.elapsed
-	return c
-}
-
-// base exposes the wrapped root operator's metadata: the span wrapper is
-// transparent to plan introspection — the cursor IS the planned pipeline,
-// plus phase accounting.
-func (c *spanCursor) base() *opBase { return c.inner.base() }
-
-// Columns implements Cursor.
-func (c *spanCursor) Columns() []string { return c.inner.Columns() }
-
-// Next implements Cursor.
-func (c *spanCursor) Next() (*ctable.Tuple, error) {
-	t, err := c.inner.Next()
-	if err != nil {
-		c.flush()
-	}
-	return t, err
-}
-
-// Close implements Cursor.
-func (c *spanCursor) Close() error {
-	err := c.inner.Close()
-	c.flush()
-	return err
-}
-
-func (c *spanCursor) flush() {
-	if c.flushed {
-		return
-	}
-	c.flushed = true
-	c.qs.AddPhase("execute", c.elapsed)
-}
-
-// ---------------------------------------------------------------------------
-// Materialized cursors
-
 // Samples returns the Monte Carlo samples drawn so far by the statement
 // whose cursor this package returned: that statement's own share, however
 // many others run concurrently. It is -1 for any other cursor.
 func Samples(cur Cursor) int64 {
-	var qs *obs.QueryStats
-	switch c := cur.(type) {
-	case *spanCursor:
-		qs = c.qs
-	case *TableCursor:
-		qs = c.qs
+	if op, ok := cur.(operator); ok && op.base().qs != nil {
+		return op.base().qs.Sampler.Snapshot().Samples
 	}
-	if qs == nil {
-		return -1
-	}
-	return qs.Sampler.Snapshot().Samples
-}
-
-// TableCursor iterates a materialized c-table — the cursor form of
-// DDL/DML/EXPLAIN results. qs, when set, is the trace of the execution that
-// produced the table.
-type TableCursor struct {
-	tb   *ctable.Table
-	next int
-	done bool
-	qs   *obs.QueryStats
-}
-
-// NewTableCursor wraps a materialized table (nil yields an empty,
-// zero-column cursor, the shape of a DDL/DML result).
-func NewTableCursor(tb *ctable.Table) *TableCursor {
-	return &TableCursor{tb: tb, done: tb == nil}
-}
-
-// Columns implements Cursor.
-func (c *TableCursor) Columns() []string {
-	if c.tb == nil {
-		return nil
-	}
-	return c.tb.Schema.Names()
-}
-
-// Next implements Cursor.
-func (c *TableCursor) Next() (*ctable.Tuple, error) {
-	if c.done || c.next >= len(c.tb.Tuples) {
-		c.done = true
-		return nil, io.EOF
-	}
-	t := &c.tb.Tuples[c.next]
-	c.next++
-	return t, nil
-}
-
-// Close implements Cursor.
-func (c *TableCursor) Close() error {
-	c.done = true
-	return nil
+	return -1
 }

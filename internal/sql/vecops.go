@@ -1,13 +1,20 @@
 // Physical operators, one per logical node: the batch-at-a-time relational
 // engine. Operators exchange ctable.Batch column vectors through
 // NextBatch(max), so the scan/filter/join spine pays interface dispatch and
-// allocation per batch, not per row. Scan, Project and Join fill output
-// batches drawn from ctable's batch pool and return them on Close, so a
-// statement reuses the storage an earlier one left behind instead of
-// regrowing columns through the demand ramp. Every operator is also a row
-// Cursor (vecBase adapts NextBatch behind Next), which is how streaming
-// Rows and the span cursor consume a plan; eager drain and the operators
-// themselves pull batches.
+// allocation per batch, not per row.
+//
+// There is one operator type. Every operator embeds vecBase, which owns the
+// stream's bookkeeping: end of stream, a held error, the ANALYZE timing
+// window, row and batch counting, the "execute" clock of a statement's
+// root, the pooled output batch, Close, and the row Cursor facade (Next),
+// which is how a streamed statement is consumed. An operator supplies only
+// its own step, next(max). Scan, Project and Join fill output batches drawn
+// from ctable's batch pool, which Close hands back, so a statement reuses
+// the storage an earlier one left behind instead of regrowing columns
+// through the demand ramp. Aggregate, Distinct, Sort, the constant-false
+// Result and the cursor of a statement that is not a SELECT are one
+// operator, vecTableOp: it computes a c-table on its first pull and emits
+// it in batches of the caller's need.
 //
 // Three contracts are load-bearing; corpus_test.go holds every operator to
 // them against recorded goldens (rows and per-operator rows=) and a naive
@@ -26,9 +33,9 @@
 //     rows one at a time while buffering in-flight matches. EXPLAIN ANALYZE
 //     rows= on every operator therefore depends only on the query, not on
 //     the batch size, and per-row sampling beyond a LIMIT never runs.
-//   - Emit-then-fail: a per-row error inside a batch is held back until
-//     the rows preceding it have been emitted; the error surfaces on the
-//     following call.
+//   - Emit-then-fail: a step that fails at a row returns the rows before it
+//     together with the error; vecBase emits the rows and returns the error
+//     on the following pull, then io.EOF (cursor_test.go pins this).
 //
 // Cancellation is checked once per batch boundary rather than per row.
 
@@ -37,48 +44,69 @@ package sql
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
 	"pip/internal/cond"
 	"pip/internal/core"
 	"pip/internal/ctable"
+	"pip/internal/obs"
 )
 
 // vecBatchSize is the target number of rows per column batch.
 const vecBatchSize = 1024
 
-// batchCap sizes a blocking operator's output batch: the caller's need
-// capped by the rows left to emit.
-func batchCap(avail, max int) int {
-	if avail < 0 || avail > max {
-		return max
-	}
-	if avail < 1 {
-		return 1
-	}
-	return avail
+// opStats holds per-operator execution counters for EXPLAIN ANALYZE.
+type opStats struct {
+	rows    int64
+	batches int64         // column batches emitted (NextBatch calls that returned rows)
+	elapsed time.Duration // cumulative: includes time spent in child operators
 }
 
-// vecOperator is a physical operator: it exchanges column batches with its
-// parent, and — through the Next facade vecBase supplies — is a row Cursor
-// as well.
-type vecOperator interface {
-	operator
+// operator is a physical plan node: a row Cursor that also exchanges column
+// batches with its parent. Every operator embeds vecBase, which implements
+// all of it around the operator's own next.
+type operator interface {
+	Cursor
 	// NextBatch returns the next batch of at most max rows. It never
 	// returns an empty batch: the stream ends with (nil, io.EOF), fails
 	// with (nil, err). The batch is valid until the following NextBatch
 	// or Close call on the same operator.
 	NextBatch(max int) (*ctable.Batch, error)
+	// next is the operator's own step: a batch of at most max rows. Rows
+	// returned together with an error are emitted and the error is held for
+	// the following pull; no rows and no error end the stream.
+	next(max int) (*ctable.Batch, error)
+	base() *vecBase
 }
 
-// vecBase is the common core of the operators: operator metadata plus the
-// row-cursor facade.
+// vecBase is the part of an operator that is the same for all of them: plan
+// metadata, counters and the stream's bookkeeping.
 type vecBase struct {
-	opBase
-	// self is the embedding operator; set at construction so the facade
-	// can reach its NextBatch.
-	self vecOperator
+	name   string
+	detail string
+	cols   []string
+	kids   []operator
+	stats  opStats
+	// samp, set only on operators that invoke the sampler (Project,
+	// Aggregate), scopes their sampler work for EXPLAIN ANALYZE's samples=
+	// / batches= / accept= annotations. It chains to the statement scope.
+	samp *obs.SamplerStats
+	// qs is the statement's trace on the cursor QueryContext returns, for
+	// Samples.
+	qs *obs.QueryStats
+	// timed runs the timing window: on every operator under ANALYZE, and on
+	// a SELECT's root, whose window is the trace's "execute" phase. execute,
+	// set on that root, records the window into qs when the stream ends.
+	timed, execute bool
+	// self is the embedding operator, whose next NextBatch runs.
+	self operator
+	// out is the operator's pooled output batch, if it takes one.
+	out *ctable.Batch
+	// held is what the next pull returns: the error of a step that also
+	// returned rows, or io.EOF once the stream has ended.
+	held error
 	// cur / ri iterate the current batch for the row facade, row is the one
 	// tuple it hands out, and served counts the rows handed out so far.
 	cur    *ctable.Batch
@@ -87,10 +115,56 @@ type vecBase struct {
 	served int
 }
 
-// Next implements Cursor by iterating batches pulled from the embedding
-// operator. The size of each pull follows the consumer's observed demand:
-// it asks for as many rows as have already been consumed (one at first, at
-// most vecBatchSize), so requests run 1, 1, 2, 4, 8, ... A row-at-a-time
+func (b *vecBase) base() *vecBase { return b }
+
+// Columns implements Cursor.
+func (b *vecBase) Columns() []string { return b.cols }
+
+// NextBatch implements operator by running the embedding operator's step.
+// Rows are counted here, so rows= aggregates identically whether the plan
+// is consumed row-wise or batch-wise.
+func (b *vecBase) NextBatch(max int) (*ctable.Batch, error) {
+	if err := b.held; err != nil {
+		b.end()
+		return nil, err
+	}
+	var t0 time.Time
+	if b.timed {
+		//pipvet:allow detsource ANALYZE timing window and execute clock, never feed sampled state
+		t0 = time.Now()
+	}
+	batch, err := b.self.next(max)
+	if b.timed {
+		//pipvet:allow detsource ANALYZE timing window and execute clock, never feed sampled state
+		b.stats.elapsed += time.Since(t0)
+	}
+	if batch == nil || batch.Len() == 0 {
+		if err == nil {
+			err = io.EOF
+		}
+		b.end()
+		return nil, err
+	}
+	b.stats.rows += int64(batch.Len())
+	b.stats.batches++
+	b.held = err
+	return batch, nil
+}
+
+// end marks the stream over and records a root's "execute" phase: once,
+// whether the stream reached io.EOF, failed, or was closed early.
+func (b *vecBase) end() {
+	b.held = io.EOF
+	if b.execute {
+		b.execute = false
+		b.qs.AddPhase("execute", b.stats.elapsed)
+	}
+}
+
+// Next implements Cursor by iterating batches pulled from the operator. The
+// size of each pull follows the consumer's observed demand: it asks for as
+// many rows as have already been consumed (one at first, at most
+// vecBatchSize), so requests run 1, 1, 2, 4, 8, ... A row-at-a-time
 // consumer has shown demand for exactly one row when it first calls Next,
 // and every chunk it exhausts is evidence it wants the rest; the first row
 // of a streamed result therefore costs one row of per-row sampling (conf(),
@@ -100,20 +174,10 @@ type vecBase struct {
 //
 // The returned tuple is a buffer refilled by the following call (the
 // validity Cursor.Next documents), so a streamed row costs no allocation
-// here. When the statement's execute clock is attached (spanCursor), each
-// batch pull is timed, not each row.
+// here.
 func (b *vecBase) Next() (*ctable.Tuple, error) {
 	for b.cur == nil || b.ri >= b.cur.Len() {
-		var t0 time.Time
-		if b.execute != nil {
-			//pipvet:allow detsource span-trace telemetry, never feeds sampled state
-			t0 = time.Now()
-		}
-		batch, err := b.self.NextBatch(min(max(b.served, 1), vecBatchSize))
-		if b.execute != nil {
-			//pipvet:allow detsource span-trace telemetry, never feeds sampled state
-			*b.execute += time.Since(t0)
-		}
+		batch, err := b.NextBatch(min(max(b.served, 1), vecBatchSize))
 		if err != nil {
 			b.cur = nil
 			return nil, err
@@ -129,33 +193,58 @@ func (b *vecBase) Next() (*ctable.Tuple, error) {
 	return &b.row, nil
 }
 
-// shut ends the row facade, hands the operator's pooled output batch (if
-// any) back to the batch pool and closes the children. Dropping the
-// facade's batch makes Next after Close report io.EOF rather than read
-// storage another statement may be filling.
-func (b *vecBase) shut(out **ctable.Batch) error {
+// Close implements Cursor: it ends the stream, hands the pooled output
+// batch (if any) back to the batch pool and closes the children, keeping
+// the first error. Dropping the facade's batch makes Next after Close
+// report io.EOF rather than read storage another statement may be filling.
+func (b *vecBase) Close() error {
 	b.cur = nil
-	if out != nil && *out != nil {
-		(*out).Release()
-		*out = nil
+	if b.out != nil {
+		b.out.Release()
+		b.out = nil
 	}
-	return b.closeKids()
+	b.end()
+	var first error
+	for _, k := range b.kids {
+		if err := k.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-// emitBatch closes the timing window and counts the emitted batch, passing
-// the pair through for a tail-call from NextBatch. Row counting happens
-// here (not in the Next facade), so rows= aggregates identically whether
-// the plan is consumed row-wise or batch-wise.
-func (b *vecBase) emitBatch(t0 time.Time, batch *ctable.Batch, err error) (*ctable.Batch, error) {
-	if b.timed {
-		//pipvet:allow detsource ANALYZE timing window, never feeds sampled state
-		b.stats.elapsed += time.Since(t0)
+// physPlan is a lowered, executable plan.
+type physPlan struct {
+	root operator
+	name string // result table name
+}
+
+// drain runs the plan to completion, materializing the result c-table —
+// the eager execution path shares the streaming operator pipeline.
+func (p *physPlan) drain() (*ctable.Table, error) {
+	defer p.root.Close()
+	out := ctable.New(p.name, p.root.Columns()...)
+	if err := materializeVec(p.root, &out.Tuples); err != nil {
+		return nil, err
 	}
-	if batch != nil {
-		b.stats.rows += int64(batch.Len())
-		b.stats.batches++
+	return out, nil
+}
+
+// eachBatch pulls an operator to its end in full batches, handing each
+// to f.
+func eachBatch(op operator, f func(*ctable.Batch) error) error {
+	for {
+		b, err := op.NextBatch(vecBatchSize)
+		if err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = f(b)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return batch, err
 }
 
 // materializeVec drains an operator into a tuple slice. Rows are
@@ -163,39 +252,32 @@ func (b *vecBase) emitBatch(t0 time.Time, batch *ctable.Batch, err error) (*ctab
 // so the returned tuples are stable for the query's duration. Each batch is
 // gathered through one flat allocation — the per-row Values slices are
 // disjoint subslices with clamped capacity.
-func materializeVec(op vecOperator, into *[]ctable.Tuple) error {
-	for {
-		b, err := op.NextBatch(vecBatchSize)
-		if err == io.EOF {
-			return nil
+func materializeVec(op operator, into *[]ctable.Tuple) error {
+	return eachBatch(op, func(b *ctable.Batch) error {
+		n, w := b.Len(), len(b.Cols)
+		flat := make([]ctable.Value, n*w)
+		for k := 0; k < n; k++ {
+			vals := flat[k*w : (k+1)*w : (k+1)*w]
+			c := b.GatherRow(k, vals)
+			*into = append(*into, ctable.Tuple{Values: vals, Cond: c})
 		}
-		if err != nil {
-			return err
-		}
-		gatherBatch(b, into)
-	}
+		return nil
+	})
 }
 
 // materializeVecBatch drains an operator into one dense
 // column-major batch (no selection vector). Cells are copied out of the
 // producer-owned batches, so the result is stable for the query's duration;
 // dense input batches copy over one bulk append per column.
-func materializeVecBatch(op vecOperator, ncols int) (*ctable.Batch, error) {
-	out := ctable.NewBatch(ncols, 0)
-	for {
-		b, err := op.NextBatch(vecBatchSize)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
+func materializeVecBatch(op operator) (*ctable.Batch, error) {
+	out := ctable.NewBatch(len(op.Columns()), 0)
+	err := eachBatch(op, func(b *ctable.Batch) error {
 		if b.Sel == nil {
 			for c := range out.Cols {
 				out.Cols[c] = append(out.Cols[c], b.Cols[c]...)
 			}
 			out.Conds = append(out.Conds, b.Conds...)
-			continue
+			return nil
 		}
 		for _, phys := range b.Sel {
 			for c := range out.Cols {
@@ -203,22 +285,9 @@ func materializeVecBatch(op vecOperator, ncols int) (*ctable.Batch, error) {
 			}
 			out.Conds = append(out.Conds, b.Conds[phys])
 		}
-	}
-}
-
-// gatherBatch appends every live row of b to into as stable tuples, using a
-// single backing allocation for the batch's cells.
-func gatherBatch(b *ctable.Batch, into *[]ctable.Tuple) {
-	n, w := b.Len(), len(b.Cols)
-	if n == 0 {
-		return
-	}
-	flat := make([]ctable.Value, n*w)
-	for k := 0; k < n; k++ {
-		vals := flat[k*w : (k+1)*w : (k+1)*w]
-		c := b.GatherRow(k, vals)
-		*into = append(*into, ctable.Tuple{Values: vals, Cond: c})
-	}
+		return nil
+	})
+	return out, err
 }
 
 // lowerVecNode lowers a logical node onto its operator, recursively.
@@ -226,11 +295,42 @@ func gatherBatch(b *ctable.Batch, into *[]ctable.Tuple) {
 // in between: joins there pull probe rows one at a time, so no input row is
 // pulled that the limit does not need. Blocking operators (Sort, Distinct,
 // Aggregate) drain their input fully whatever sits above them and reset the
-// flag for their children.
-func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, error) {
-	mk := func(cols []string, kids ...operator) vecBase {
-		return vecBase{opBase: opBase{name: n.op(), detail: n.detail(), cols: cols, kids: kids, timed: timed}}
+// flag for their children, as does a join for its build side.
+func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (operator, error) {
+	// The node's inputs, left to right, without the slice children() would
+	// allocate.
+	var in [2]lnode
+	nin := 1
+	switch t := n.(type) {
+	case *lJoin:
+		in, nin = [2]lnode{t.left, t.right}, 2
+	case *lFilter:
+		in[0] = t.input
+	case *lProject:
+		in[0] = t.input
+	case *lLimit:
+		in[0], pressure = t.input, true
+	case *lAggregate:
+		in[0], pressure = t.input, false
+	case *lDistinct:
+		in[0], pressure = t.input, false
+	case *lSort:
+		in[0], pressure = t.input, false
+	default:
+		nin = 0
 	}
+	b := vecBase{name: n.op(), detail: n.detail(), timed: timed, kids: make([]operator, nin)}
+	for i, c := range in[:nin] {
+		k, err := lowerVecNode(env, c, timed, pressure && i == 0)
+		if err != nil {
+			return nil, err
+		}
+		b.kids[i] = k
+	}
+	if nin > 0 {
+		b.cols = b.kids[0].Columns()
+	}
+	var op operator
 	switch t := n.(type) {
 	case *lScan:
 		var pre *ctable.ScanFilter
@@ -241,91 +341,56 @@ func lowerVecNode(env execEnv, n lnode, timed, pressure bool) (vecOperator, erro
 			}
 			pre = ctable.CompileScanFilter(cmps)
 		}
-		o := &vecScanOp{vecBase: mk(t.outCols()), env: env, tuples: t.tuples, keep: t.keep, pre: pre,
+		b.cols = t.outCols()
+		op = &vecScanOp{vecBase: b, env: env, tuples: t.tuples, keep: t.keep, pre: pre,
 			keyed: t.key != nil, cand: t.cand}
-		o.self = o
-		return o, nil
 	case *lJoin:
-		left, err := lowerVecNode(env, t.left, timed, pressure)
-		if err != nil {
-			return nil, err
-		}
-		right, err := lowerVecNode(env, t.right, timed, false)
-		if err != nil {
-			return nil, err
-		}
-		cols := append(append([]string{}, left.Columns()...), right.Columns()...)
-		o := &vecJoinOp{vecBase: mk(cols, left, right), env: env,
-			left: left, right: right, hash: t.hash,
+		left, right := b.kids[0], b.kids[1]
+		b.cols = slices.Concat(left.Columns(), right.Columns())
+		op = &vecJoinOp{vecBase: b, env: env, left: left, right: right, hash: t.hash,
 			leftKeys: t.leftKeys, rightKeys: t.rightKeys,
 			nLeft: len(left.Columns()), pressure: pressure}
-		o.self = o
-		return o, nil
 	case *lFilter:
-		child, err := lowerVecNode(env, t.input, timed, pressure)
-		if err != nil {
-			return nil, err
-		}
 		pred := make(ctable.AndPred, len(t.preds))
 		for i, p := range t.preds {
 			pred[i] = p.cmp
 		}
-		o := &vecFilterOp{vecBase: mk(child.Columns(), child), child: child, pred: pred}
+		o := &vecFilterOp{vecBase: b, child: b.kids[0], pred: pred}
 		o.predI = o.pred // boxed once; ApplyPredicate per row would re-box
 		o.bp, _ = ctable.CompileBatchPred(pred)
-		o.self = o
-		return o, nil
+		op = o
 	case *lProject:
-		child, err := lowerVecNode(env, t.input, timed, pressure)
-		if err != nil {
-			return nil, err
-		}
-		b := mk(t.names, child)
-		oenv := opScope(env, &b.opBase)
-		o := &vecProjectOp{vecBase: b, env: oenv, child: child, spec: t}
-		o.self = o
-		return o, nil
+		b.cols = t.names
+		oenv := opScope(env, &b)
+		op = &vecProjectOp{vecBase: b, env: oenv, child: b.kids[0], spec: t}
 	case *lAggregate:
-		child, err := lowerVecNode(env, t.input, timed, false)
-		if err != nil {
-			return nil, err
-		}
-		b := mk(t.outNames, child)
-		oenv := opScope(env, &b.opBase)
-		o := &vecAggOp{vecBase: b, env: oenv, child: child, spec: t}
-		o.self = o
-		return o, nil
-	case *lDistinct:
-		child, err := lowerVecNode(env, t.input, timed, false)
-		if err != nil {
-			return nil, err
-		}
-		o := &vecDistinctOp{vecBase: mk(child.Columns(), child), child: child}
-		o.self = o
-		return o, nil
-	case *lSort:
-		child, err := lowerVecNode(env, t.input, timed, false)
-		if err != nil {
-			return nil, err
-		}
-		o := &vecSortOp{vecBase: mk(child.Columns(), child), child: child, col: t.col, colName: t.name, desc: t.desc}
-		o.self = o
-		return o, nil
+		b.cols = t.outNames
+		oenv := opScope(env, &b)
+		op = &vecTableOp{vecBase: b, env: oenv, spec: t}
+	case *lDistinct, *lSort, *lEmpty:
+		op = &vecTableOp{vecBase: b, spec: t}
 	case *lLimit:
-		child, err := lowerVecNode(env, t.input, timed, true)
-		if err != nil {
-			return nil, err
-		}
-		o := &vecLimitOp{vecBase: mk(child.Columns(), child), child: child, remaining: t.n}
-		o.self = o
-		return o, nil
-	case *lEmpty:
-		o := &vecEmptyOp{vecBase: mk(nil)}
-		o.self = o
-		return o, nil
+		op = &vecLimitOp{vecBase: b, child: b.kids[0], remaining: t.n}
 	default:
 		return nil, fmt.Errorf("sql: unknown plan node %T", n)
 	}
+	op.base().self = op
+	return op, nil
+}
+
+// opScope gives a sampling operator (Project, Aggregate) its own telemetry
+// scope chained to the statement trace, and returns a copy of env whose
+// sampler records into it — so EXPLAIN ANALYZE can attribute sampler work
+// to the operator that caused it while the statement and engine counters
+// keep aggregating through the parent chain.
+func opScope(env execEnv, b *vecBase) execEnv {
+	var parent *obs.SamplerStats
+	if env.qs != nil {
+		parent = env.qs.Sampler
+	}
+	b.samp = &obs.SamplerStats{Parent: parent}
+	env.smp = env.smp.WithStats(b.samp)
+	return env
 }
 
 // ---------------------------------------------------------------------------
@@ -350,20 +415,12 @@ type vecScanOp struct {
 	pre    *ctable.ScanFilter // nil when nothing was pushed
 	keyed  bool
 	cand   core.EqCandidates // the equality lookup's rows when keyed
-	out    *ctable.Batch
 	i      int
-	done   bool
 }
 
-// NextBatch implements vecOperator.
-func (o *vecScanOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emitBatch(t0, nil, io.EOF)
-	}
+func (o *vecScanOp) next(max int) (*ctable.Batch, error) {
 	if err := o.env.ctxErr(); err != nil {
-		o.done = true
-		return o.emitBatch(t0, nil, err)
+		return nil, err
 	}
 	if o.out == nil {
 		o.out = ctable.GetBatch(len(o.cols))
@@ -383,11 +440,7 @@ func (o *vecScanOp) NextBatch(max int) (*ctable.Batch, error) {
 	} else {
 		o.scanRows(len(o.tuples), max)
 	}
-	if o.out.Len() == 0 {
-		o.done = true
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	return o.emitBatch(t0, o.out, nil)
+	return o.out, nil
 }
 
 // scanRows appends the kept rows among o.tuples[o.i:end] to the output
@@ -413,12 +466,6 @@ func (o *vecScanOp) scanRows(end, max int) {
 	}
 }
 
-// Close implements Cursor.
-func (o *vecScanOp) Close() error {
-	o.done = true
-	return o.shut(&o.out)
-}
-
 // ---------------------------------------------------------------------------
 // Filter
 
@@ -434,34 +481,22 @@ func (o *vecScanOp) Close() error {
 // stream with that error after the rows before it have been emitted.
 type vecFilterOp struct {
 	vecBase
-	child   vecOperator
-	pred    ctable.AndPred
-	predI   ctable.Predicate // pred boxed once for rows the columnar path cannot decide
-	bp      *ctable.BatchPred
-	row     []ctable.Value
-	sel     []int
-	pendErr error
-	done    bool
+	child operator
+	pred  ctable.AndPred
+	predI ctable.Predicate // pred boxed once for rows the columnar path cannot decide
+	bp    *ctable.BatchPred
+	row   []ctable.Value
+	sel   []int
 }
 
-// NextBatch implements vecOperator.
-func (o *vecFilterOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	if o.pendErr != nil {
-		o.done = true
-		return o.emitBatch(t0, nil, o.pendErr)
-	}
+func (o *vecFilterOp) next(max int) (*ctable.Batch, error) {
 	if o.row == nil {
 		o.row = make([]ctable.Value, len(o.cols))
 	}
 	for {
 		b, err := o.child.NextBatch(max)
 		if err != nil {
-			o.done = true
-			return o.emitBatch(t0, nil, err)
+			return nil, err
 		}
 		n := b.Len()
 		sel := o.sel[:0]
@@ -492,25 +527,16 @@ func (o *vecFilterOp) NextBatch(max int) (*ctable.Batch, error) {
 			b.Conds[phys] = kept.Cond
 			sel = append(sel, phys)
 		}
-		if rowErr != nil && len(sel) == 0 {
-			o.done = true
-			return o.emitBatch(t0, nil, rowErr)
-		}
-		if len(sel) > 0 {
-			o.pendErr = rowErr
-			o.sel = sel
-			b.Sel = sel
-			return o.emitBatch(t0, b, nil)
-		}
 		o.sel = sel
+		if len(sel) > 0 {
+			b.Sel = sel
+			return b, rowErr
+		}
+		if rowErr != nil {
+			return nil, rowErr
+		}
 		// Whole chunk filtered out: pull the next one.
 	}
-}
-
-// Close implements Cursor.
-func (o *vecFilterOp) Close() error {
-	o.done = true
-	return o.shut(nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -526,30 +552,17 @@ func (o *vecFilterOp) Close() error {
 // after the rows before it have been emitted.
 type vecProjectOp struct {
 	vecBase
-	env     execEnv
-	child   vecOperator
-	spec    *lProject
-	in      ctable.Tuple   // the input row being projected
-	res     []ctable.Value // its projected cells
-	out     *ctable.Batch
-	pendErr error
-	done    bool
+	env   execEnv
+	child operator
+	spec  *lProject
+	in    ctable.Tuple   // the input row being projected
+	res   []ctable.Value // its projected cells
 }
 
-// NextBatch implements vecOperator.
-func (o *vecProjectOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	if o.pendErr != nil {
-		o.done = true
-		return o.emitBatch(t0, nil, o.pendErr)
-	}
+func (o *vecProjectOp) next(max int) (*ctable.Batch, error) {
 	b, err := o.child.NextBatch(max)
 	if err != nil {
-		o.done = true
-		return o.emitBatch(t0, nil, err)
+		return nil, err
 	}
 	if o.out == nil {
 		o.in.Values = make([]ctable.Value, len(o.child.Columns()))
@@ -562,22 +575,11 @@ func (o *vecProjectOp) NextBatch(max int) (*ctable.Batch, error) {
 		o.in.Cond = b.GatherRow(k, o.in.Values)
 		res, err := finishProject(o.env, o.spec, &o.in, o.res)
 		if err != nil {
-			if o.out.Len() == 0 {
-				o.done = true
-				return o.emitBatch(t0, nil, err)
-			}
-			o.pendErr = err
-			break
+			return o.out, err
 		}
 		o.out.AppendRow(res.Values, res.Cond)
 	}
-	return o.emitBatch(t0, o.out, nil)
-}
-
-// Close implements Cursor.
-func (o *vecProjectOp) Close() error {
-	o.done = true
-	return o.shut(&o.out)
+	return o.out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -602,14 +604,14 @@ func (o *vecProjectOp) Close() error {
 //
 // The hash build writes every deterministic key into one byte arena,
 // converted to a string once, and indexes rows by a map from key to the
-// first build row with that key plus a next chain linking each row to the
+// first build row with that key plus a chain linking each row to the
 // following one with the same key; the chain is built back to front, so
 // every bucket lists its rows in build order. Building costs a handful of
 // allocations whatever the number of build rows.
 type vecJoinOp struct {
 	vecBase
 	env                 execEnv
-	left, right         vecOperator
+	left, right         operator
 	hash                bool
 	leftKeys, rightKeys []int
 	nLeft               int
@@ -618,11 +620,10 @@ type vecJoinOp struct {
 	bb            *ctable.Batch    // build side, dense column-major
 	anyBuildFalse bool             // some build row has a false condition
 	heads         map[string]int32 // key → first build row with that key
-	next          []int32          // build row → next row with its key, or -1
+	chain         []int32          // build row → next row with its key, or -1
 	symb          []int            // build rows with a symbolic key cell
 	keyBuf        []byte
 	matchBuf      []int // backs matches for deterministic probe keys
-	built         bool
 
 	pb        *ctable.Batch // current probe batch
 	pi        int           // next logical probe row in pb
@@ -632,31 +633,16 @@ type vecJoinOp struct {
 	matches   []int
 	all       bool
 	mi        int
-
-	out     *ctable.Batch
-	pendErr error
-	done    bool
 }
 
-// NextBatch implements vecOperator.
-func (o *vecJoinOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	if o.pendErr != nil {
-		o.done = true
-		return o.emitBatch(t0, nil, o.pendErr)
-	}
+func (o *vecJoinOp) next(max int) (*ctable.Batch, error) {
 	if err := o.env.ctxErr(); err != nil {
-		o.done = true
-		return o.emitBatch(t0, nil, err)
+		return nil, err
 	}
-	if !o.built {
-		bb, err := materializeVecBatch(o.right, len(o.right.Columns()))
+	if o.bb == nil {
+		bb, err := materializeVecBatch(o.right)
 		if err != nil {
-			o.done = true
-			return o.emitBatch(t0, nil, err)
+			return nil, err
 		}
 		o.bb = bb
 		for _, c := range bb.Conds {
@@ -668,7 +654,6 @@ func (o *vecJoinOp) NextBatch(max int) (*ctable.Batch, error) {
 		if o.hash {
 			o.buildIndex()
 		}
-		o.built = true
 	}
 	if o.out == nil {
 		o.out = ctable.GetBatch(len(o.cols))
@@ -685,12 +670,7 @@ func (o *vecJoinOp) NextBatch(max int) (*ctable.Batch, error) {
 				}
 				b, err := o.left.NextBatch(chunk)
 				if err != nil {
-					if o.out.Len() > 0 {
-						o.pendErr = err
-						return o.emitBatch(t0, o.out, nil)
-					}
-					o.done = true
-					return o.emitBatch(t0, nil, err)
+					return o.out, err
 				}
 				o.pb, o.pi = b, 0
 			}
@@ -771,7 +751,7 @@ func (o *vecJoinOp) NextBatch(max int) (*ctable.Batch, error) {
 			o.probing = false
 		}
 	}
-	return o.emitBatch(t0, o.out, nil)
+	return o.out, nil
 }
 
 // buildIndex builds the hash index over the build batch's key columns.
@@ -797,7 +777,7 @@ func (o *vecJoinOp) buildIndex() {
 	}
 	keys := string(arena)
 	o.heads = make(map[string]int32, n)
-	o.next = make([]int32, n)
+	o.chain = make([]int32, n)
 	for i := n - 1; i >= 0; i-- {
 		start := 0
 		if i > 0 {
@@ -808,9 +788,9 @@ func (o *vecJoinOp) buildIndex() {
 		}
 		k := keys[start:ends[i]]
 		if h, ok := o.heads[k]; ok {
-			o.next[i] = h
+			o.chain[i] = h
 		} else {
-			o.next[i] = -1
+			o.chain[i] = -1
 		}
 		o.heads[k] = int32(i)
 	}
@@ -825,7 +805,7 @@ func (o *vecJoinOp) chainMatches(key []byte) []int {
 		head = -1
 	}
 	m, symb := o.matchBuf[:0], o.symb
-	for j := head; j >= 0; j = o.next[j] {
+	for j := head; j >= 0; j = o.chain[j] {
 		for len(symb) > 0 && symb[0] < int(j) {
 			m = append(m, symb[0])
 			symb = symb[1:]
@@ -837,246 +817,138 @@ func (o *vecJoinOp) chainMatches(key []byte) []int {
 	return m
 }
 
-// Close implements Cursor.
-func (o *vecJoinOp) Close() error {
-	o.done = true
-	return o.shut(&o.out)
-}
-
 // ---------------------------------------------------------------------------
-// Blocking operators: Aggregate, Distinct, Sort
+// Materialized results: Aggregate, Distinct, Sort, Result
 
-// emitTable streams a materialized result table in batches of at most max
-// rows, tracking the emission cursor in *i.
-func emitTable(vb *vecBase, out **ctable.Batch, result *ctable.Table, i *int, max int) *ctable.Batch {
-	if *i >= len(result.Tuples) {
-		return nil
-	}
-	if *out == nil {
-		*out = ctable.NewBatch(len(vb.cols), batchCap(len(result.Tuples)-*i, max))
-	}
-	(*out).Reset()
-	for (*out).Len() < max && *i < len(result.Tuples) {
-		(*out).AppendTuple(&result.Tuples[*i])
-		*i++
-	}
-	return *out
-}
-
-// vecAggOp is blocking: on the first call it drains its child, folding
-// each row into its group as the row arrives (aggFold), and completes every
-// group's aggregates; it then emits the result — one row per group, in
-// first-occurrence order of the keys — in batches of the caller's need.
-type vecAggOp struct {
+// vecTableOp emits a materialized c-table in batches of the caller's need.
+// A blocking operator computes the table on the first pull from the whole
+// of its input:
+//
+//   - Aggregate folds each row into its group as the row arrives (aggFold)
+//     and completes every group's aggregates: one row per group, in
+//     first-occurrence order of the keys;
+//   - Distinct coalesces duplicate data tuples, OR-ing their conditions
+//     into DNF (ctable.Distinct, first-occurrence order preserved);
+//   - Sort orders its input by one output column with a stable sort, so
+//     ties keep input order; a symbolic cell in that column fails the
+//     query.
+//
+// The constant-false Result (lEmpty) is the empty table. The cursor of a
+// statement that is not a SELECT (tableCursor) is given its table.
+type vecTableOp struct {
 	vecBase
-	env    execEnv
-	child  vecOperator
-	spec   *lAggregate
-	result *ctable.Table
-	out    *ctable.Batch
-	i      int
-	done   bool
+	env   execEnv // the Aggregate's sampler scope
+	spec  lnode
+	tb    *ctable.Table
+	i     int
+	batch *ctable.Batch
 }
 
-// NextBatch implements vecOperator.
-func (o *vecAggOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emitBatch(t0, nil, io.EOF)
+func (o *vecTableOp) next(max int) (*ctable.Batch, error) {
+	if o.tb == nil {
+		tb, err := o.compute()
+		if err != nil {
+			return nil, err
+		}
+		o.tb = tb
 	}
-	if o.result == nil {
-		f := newAggFold(o.env, o.spec)
+	rows := o.tb.Tuples[o.i:]
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	rows = rows[:min(len(rows), max)]
+	if o.batch == nil {
+		o.batch = ctable.NewBatch(len(o.cols), len(rows))
+	}
+	o.batch.Reset()
+	for i := range rows {
+		o.batch.AppendTuple(&rows[i])
+	}
+	o.i += len(rows)
+	return o.batch, nil
+}
+
+// compute builds the table the operator emits.
+func (o *vecTableOp) compute() (*ctable.Table, error) {
+	var rows []ctable.Tuple
+	switch s := o.spec.(type) {
+	case *lAggregate:
+		f := newAggFold(o.env, s)
 		// One tuple for every row: a tuple per row would escape to the heap.
-		t := &ctable.Tuple{Values: make([]ctable.Value, len(o.child.Columns()))}
-		for {
-			b, err := o.child.NextBatch(vecBatchSize)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				o.done = true
-				return o.emitBatch(t0, nil, err)
-			}
+		t := &ctable.Tuple{Values: make([]ctable.Value, len(o.kids[0].Columns()))}
+		err := eachBatch(o.kids[0], func(b *ctable.Batch) error {
 			for k := 0; k < b.Len(); k++ {
 				t.Cond = b.GatherRow(k, t.Values)
 				if err := f.add(t); err != nil {
-					o.done = true
-					return o.emitBatch(t0, nil, err)
+					return err
 				}
 			}
-		}
-		res, err := f.finish(o.env)
+			return nil
+		})
 		if err != nil {
-			o.done = true
-			return o.emitBatch(t0, nil, err)
+			return nil, err
 		}
-		o.result = res
-	}
-	b := emitTable(&o.vecBase, &o.out, o.result, &o.i, max)
-	if b == nil {
-		o.done = true
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	return o.emitBatch(t0, b, nil)
-}
-
-// Close implements Cursor.
-func (o *vecAggOp) Close() error {
-	o.done = true
-	return o.shut(nil)
-}
-
-// vecDistinctOp is blocking: on the first call it materializes its input
-// and coalesces duplicate data tuples, OR-ing their conditions into DNF
-// (ctable.Distinct, first-occurrence order preserved); it then emits the
-// result in batches of the caller's need.
-type vecDistinctOp struct {
-	vecBase
-	child  vecOperator
-	result *ctable.Table
-	out    *ctable.Batch
-	i      int
-	done   bool
-}
-
-// NextBatch implements vecOperator.
-func (o *vecDistinctOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	if o.result == nil {
-		var rows []ctable.Tuple
-		if err := materializeVec(o.child, &rows); err != nil {
-			o.done = true
-			return o.emitBatch(t0, nil, err)
+		return f.finish(o.env)
+	case *lDistinct:
+		if err := materializeVec(o.kids[0], &rows); err != nil {
+			return nil, err
 		}
-		o.result = ctable.Distinct(&ctable.Table{Tuples: rows})
-	}
-	b := emitTable(&o.vecBase, &o.out, o.result, &o.i, max)
-	if b == nil {
-		o.done = true
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	return o.emitBatch(t0, b, nil)
-}
-
-// Close implements Cursor.
-func (o *vecDistinctOp) Close() error {
-	o.done = true
-	return o.shut(nil)
-}
-
-// vecSortOp is blocking: on the first call it materializes its input and
-// orders it by one output column with a stable sort, so ties keep input
-// order; a symbolic cell in that column fails the query. It then emits the
-// result in batches of the caller's need.
-type vecSortOp struct {
-	vecBase
-	child   vecOperator
-	col     int
-	colName string
-	desc    bool
-	rows    []ctable.Tuple
-	out     *ctable.Batch
-	sorted  bool
-	i       int
-	done    bool
-}
-
-// NextBatch implements vecOperator.
-func (o *vecSortOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	if !o.sorted {
-		if err := materializeVec(o.child, &o.rows); err != nil {
-			o.done = true
-			return o.emitBatch(t0, nil, err)
+		return ctable.Distinct(&ctable.Table{Tuples: rows}), nil
+	case *lSort:
+		if err := materializeVec(o.kids[0], &rows); err != nil {
+			return nil, err
 		}
-		var sortErr error
-		sort.SliceStable(o.rows, func(i, j int) bool {
-			c, ok := o.rows[i].Values[o.col].Compare(o.rows[j].Values[o.col])
+		var err error
+		sort.SliceStable(rows, func(i, j int) bool {
+			c, ok := rows[i].Values[s.col].Compare(rows[j].Values[s.col])
 			if !ok {
-				sortErr = fmt.Errorf("sql: ORDER BY over symbolic column %s", o.colName)
+				err = fmt.Errorf("sql: ORDER BY over symbolic column %s", s.name)
 				return false
 			}
-			if o.desc {
+			if s.desc {
 				return c > 0
 			}
 			return c < 0
 		})
-		if sortErr != nil {
-			o.done = true
-			return o.emitBatch(t0, nil, sortErr)
-		}
-		o.sorted = true
+		return &ctable.Table{Tuples: rows}, err
 	}
-	result := &ctable.Table{Tuples: o.rows}
-	b := emitTable(&o.vecBase, &o.out, result, &o.i, max)
-	if b == nil {
-		o.done = true
-		return o.emitBatch(t0, nil, io.EOF)
-	}
-	return o.emitBatch(t0, b, nil)
+	return &ctable.Table{}, nil
 }
 
-// Close implements Cursor.
-func (o *vecSortOp) Close() error {
-	o.done = true
-	return o.shut(nil)
+// tableCursor is the cursor of a statement that is not a SELECT: it emits
+// the statement's result table (nil, the result of DDL and DML, has no
+// columns and no rows). qs is the trace of the execution that produced it.
+func tableCursor(tb *ctable.Table, qs *obs.QueryStats) Cursor {
+	o := &vecTableOp{tb: &ctable.Table{}}
+	if tb != nil {
+		o.tb, o.cols = tb, tb.Schema.Names()
+	}
+	o.self, o.qs = o, qs
+	return o
 }
 
 // ---------------------------------------------------------------------------
-// Limit / Result
+// Limit
 
 // vecLimitOp truncates the stream after n rows. It forwards its remaining
 // budget as the child's chunk size, so upstream operators stop being pulled
 // the moment the limit fills and per-row sampling beyond it never runs.
 type vecLimitOp struct {
 	vecBase
-	child     vecOperator
+	child     operator
 	remaining int
-	done      bool
 }
 
-// NextBatch implements vecOperator.
-func (o *vecLimitOp) NextBatch(max int) (*ctable.Batch, error) {
-	t0 := o.begin()
-	if o.done || o.remaining <= 0 {
-		o.done = true
-		return o.emitBatch(t0, nil, io.EOF)
+func (o *vecLimitOp) next(max int) (*ctable.Batch, error) {
+	if o.remaining <= 0 {
+		return nil, nil
 	}
-	n := max
-	if o.remaining < n {
-		n = o.remaining
-	}
+	n := min(max, o.remaining)
 	b, err := o.child.NextBatch(n)
 	if err != nil {
-		o.done = true
-		return o.emitBatch(t0, nil, err)
+		return nil, err
 	}
 	b = b.Head(n)
 	o.remaining -= b.Len()
-	return o.emitBatch(t0, b, nil)
+	return b, nil
 }
-
-// Close implements Cursor.
-func (o *vecLimitOp) Close() error {
-	o.done = true
-	return o.shut(nil)
-}
-
-// vecEmptyOp is the zero-row relation of a constant-false WHERE.
-type vecEmptyOp struct {
-	vecBase
-}
-
-// NextBatch implements vecOperator.
-func (o *vecEmptyOp) NextBatch(int) (*ctable.Batch, error) {
-	return nil, io.EOF
-}
-
-// Close implements Cursor.
-func (o *vecEmptyOp) Close() error { return nil }
